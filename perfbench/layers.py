@@ -39,8 +39,6 @@ WINDOW = 1000
 NAMED = (
     "datagen.build_s", "datagen.build_stumps_s", "datagen.closure_s", "datagen.columns",
     "datagen.matrix_mb",
-    "runner.round_us", "runner.loop_self_us", "runner.passes_per_round",
-    "runner.bytes_per_round", "runner.round_growth",
     "boosting.round_us", "boosting.log_exp_loss_us", "boosting.adaboost_step_us",
     "boosting.margin_us", "boosting.loop_self_us", "boosting.passes_per_round",
     "boosting.bytes_per_round", "boosting.round_growth",
@@ -55,6 +53,17 @@ NAMED = (
 )
 
 COMPUTED = ("passes_per_round", "bytes_per_round", "matrix_mb", "columns")
+
+# BENCHMARK.json lists every per-layer metric each workload reports, so the
+# metrics of the workload's one runner appear there as runner.<metric>, an
+# alias of <layer>.<metric> for the runner's layer.
+ALIAS = "runner."
+
+
+def resolve(name: str, layer: str) -> str:
+    """The metric a BENCHMARK.json per-layer name stands for on a workload
+    whose runner lives in `layer`."""
+    return f"{layer}.{name[len(ALIAS):]}" if name.startswith(ALIAS) else name
 
 
 @dataclass
@@ -83,22 +92,9 @@ class Spans:
         return self.duration(i) - children
 
 
-def unit_of(name: str) -> str:
-    if name.endswith("_us") or ".us_per_" in name:
-        return "us"
-    if name.endswith("_s"):
-        return "s"
-    if name.endswith("_mb"):
-        return "MB"
-    if "bytes" in name:
-        return "B"
-    return "ratio" if name.endswith("growth") else "count"
-
-
 def runner_metrics(run: Spans, matrix_bytes: int) -> tuple[dict[str, float], list[float]]:
-    """Per-round metrics of the one runner in the run command, under both the
-    generic `runner.` name and the runner's own layer name, plus the mean
-    round time of each window of WINDOW rounds (us)."""
+    """Per-round metrics of the one runner in the run command, under its
+    layer's name, plus the mean round time of each window of WINDOW rounds (us)."""
     (runner,) = [i for i, n in enumerate(run.names) if n in RUNNERS]
     layer, per_round, loop_passes = RUNNERS[run.names[runner]]
     inside = [i for i in range(len(run.names))
@@ -106,7 +102,7 @@ def runner_metrics(run: Spans, matrix_bytes: int) -> tuple[dict[str, float], lis
     starts = sorted(run.start[i] for i in inside if run.names[i] == per_round)
     rounds = len(starts)
     passes = loop_passes * rounds + sum(PASSES_PER_CALL.get(run.names[i], 0) for i in inside)
-    generic = {
+    metrics = {
         "round_us": run.duration(runner) / rounds / 1e3,
         "loop_self_us": run.self_ns(runner) / rounds / 1e3,
         "passes_per_round": passes / rounds,
@@ -118,8 +114,8 @@ def runner_metrics(run: Spans, matrix_bytes: int) -> tuple[dict[str, float], lis
     windows = []
     if width:
         windows = [fmean(gaps[k:k + width]) for k in range(0, len(gaps) - width + 1, width)]
-        generic["round_growth"] = fmean(gaps[-width:]) / fmean(gaps[:width])
-    metrics = {f"{prefix}.{k}": v for k, v in generic.items() for prefix in ("runner", layer)}
+        metrics["round_growth"] = fmean(gaps[-width:]) / fmean(gaps[:width])
+    metrics = {f"{layer}.{k}": v for k, v in metrics.items()}
     for child in {run.names[i] for i, p in enumerate(run.parent) if p == runner}:
         metrics[f"{child}_us"] = run.total_s(child) / rounds * 1e6
     if layer == "md_core":

@@ -18,13 +18,15 @@ With --trace 1 each operation is followed by the same two commands run
 in-process under tracer.py with every layer traced. Those spans give the
 per-layer metrics; the two run times give the tracing overhead.
 
-Before the first operation, reference.py computes the final values every
-operation must reproduce. An operation fails unless both commands exit 0,
-check regenerates run's report.json and report.txt byte for byte, and the
-final best primal and dual values in the trace agree with the reference to
-1e-9 relative (or to 1e-12 of the problem's scale). Under --trace 1 the
-traced run's outputs must also equal the untraced run's byte for byte, and
-every wrapped attribute must be restored.
+Before the first operation, reference.py builds the instance with its own
+code, fails unless mirrorboost's data build yields the same matrix, and
+computes the final values every operation must reproduce. An operation fails
+unless both commands exit 0, check regenerates run's report.json and
+report.txt byte for byte, the trace header gives the reference's matrix shape,
+and the final best primal and dual values in the trace agree with the
+reference to 1e-9 relative (or to 1e-12 of the problem's scale). Under
+--trace 1 the traced run's outputs must also equal the untraced run's byte for
+byte, and no span wrapper may be left in place after a traced command.
 
 Operations start while the next one is expected to end within --seconds of
 the start, and at least MIN_OPS run. Timings are medians over operations. The
@@ -54,17 +56,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
-from layers import COMPUTED, NAMED, RUNNERS, Spans, per_layer, unit_of
+from layers import ALIAS, COMPUTED, NAMED, RUNNERS, Spans, per_layer, resolve
 from workloads import WORKLOADS
 
 HERE = Path(__file__).resolve().parent
 # One BLAS thread in every child: steadier on a small shared machine, and never above nproc.
 BLAS_THREADS = 1
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# glibc raises its mmap threshold as large blocks are freed, which makes the peak
-# RSS depend on unrelated allocation history (280 or 311 MiB on game-wide).
-# Fixing it at its default value keeps peak RSS a measure of live data.
-MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "131072"}
 MIN_OPS = 2
 CHILD_TIMEOUT_S = 120
 REL_TOL = 1e-9
@@ -112,11 +110,11 @@ class Bench:
         self.env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
         self.env.update({var: str(BLAS_THREADS) for var in BLAS_VARS})
-        self.env.update(MALLOC_ENV)
         self.samples: dict[str, list[float]] = defaultdict(list)
         self.layers: list[dict[str, float]] = []
         self.windows: list[float] = []
         self.reference: dict | None = None
+        self.layer: str | None = None  # layer of the workload's runner
         self.trace_hashes: set[str] = set()
         self.shape: tuple[int, int] | None = None
         self.problems: list[str] = []
@@ -173,8 +171,9 @@ class Bench:
             problems.append(f"{path.name} was not written")
             return None
         obj = json.loads(path.read_text(encoding="utf-8"))
-        if not obj["restored"]:
-            problems.append(f"{path.name}: a wrapped attribute was left in place")
+        if obj["leftovers"]:
+            problems.append(f"{path.name}: span wrappers left in place on "
+                            f"{', '.join(obj['leftovers'])}")
         return Spans.from_dict(obj["spans"])
 
     def run_and_check(self, tag: str, op: int, traced: bool, problems: list[str]):
@@ -214,6 +213,9 @@ class Bench:
             last = json.loads(lines[-2])
         shape = header["shape"]
         self.shape = (shape["n"], shape["p"]) if "p" in shape else (shape["m"], shape["n"])
+        if list(self.shape) != self.reference["shape"]:
+            problems.append(f"run: matrix shape {self.shape} in the trace, "
+                            f"{tuple(self.reference['shape'])} in the reference")
         problems.extend(self.compare_final(last, "run"))
         return {"bytes": data, "records": len(lines) - 1 - terminal}
 
@@ -224,6 +226,7 @@ class Bench:
         if trace is None or timers is None:
             return None
         runner = next(i for i, name in enumerate(timers.names) if name in RUNNERS)
+        self.layer = RUNNERS[timers.names[runner]][0]
         self.samples["setup_s"].append(timers.total_s("datagen.generate_synthetic")
                                        + timers.total_s("stagewise.least_squares_norm"))
         self.samples["run_s"].append(run.wall_s)
@@ -307,8 +310,7 @@ def environment(seed: int) -> list[str]:
     return [
         f"environment: python {platform.python_version()}, numpy {version('numpy')}, "
         f"scipy {version('scipy')}, nproc {nproc}, BLAS threads {BLAS_THREADS} "
-        f"({', '.join(BLAS_VARS)}), {' '.join(f'{k}={v}' for k, v in MALLOC_ENV.items())}, "
-        f"last-level cache {llc}, workload seed {seed}",
+        f"({', '.join(BLAS_VARS)}), last-level cache {llc}, workload seed {seed}",
         f"note: all numbers come from a shared {nproc}-core CPU sandbox; "
         "other tenants' load adds noise",
     ]
@@ -327,6 +329,8 @@ def describe(bench: Bench, traced: bool, seconds: int, spec: dict) -> list[str]:
         rows, cols = bench.shape
         lines.append(f"  matrix {rows}x{cols}, {rows * cols * 8 / 1e6:.1f} MB (computed from the "
                      "trace header); compare with the last-level cache above")
+    if bench.reference is not None:
+        lines.append(f"  matrix sha256 (information only): {bench.reference['sha256']}")
     lines.append(f"  trace sha256 (information only): {', '.join(sorted(bench.trace_hashes))}")
     if not traced:
         lines.append("  end-to-end: median [min, max] over operations, and the sample count")
@@ -337,12 +341,16 @@ def describe(bench: Bench, traced: bool, seconds: int, spec: dict) -> list[str]:
                      f"({bench.failed} of {bench.attempted} operations failed)")
     else:
         layers = bench.per_layer()
+        # units from BENCHMARK.json where it lists the metric; the rest are timings
+        units = {resolve(m["name"], bench.layer): m["unit"] for m in spec["per_layer"]}
         lines.append(f"  per-layer: median over {len(bench.layers)} traced operations; "
-                     "(computed) marks counts derived from call counts, not measured")
+                     "(computed) marks counts derived from call counts, not measured; "
+                     f"BENCHMARK.json's {ALIAS}* metrics are {bench.layer}.* here")
         for name in NAMED + tuple(sorted(set(layers) - set(NAMED))):
             if name in layers:
                 tag = " (computed)" if name.rpartition(".")[2].startswith(COMPUTED) else ""
-                lines.append(f"    {name:<30} {layers[name]:.6g} {unit_of(name)}{tag}")
+                unit = units.get(name, "us" if name.endswith("_us") else "s")
+                lines.append(f"    {name:<30} {layers[name]:.6g} {unit}{tag}")
             else:
                 lines.append(f"    {name:<30} n/a: this workload does not reach the layer")
         if bench.windows:
@@ -386,6 +394,8 @@ def main() -> int:
             attempted += bench.attempted
             failed += bench.failed
             values = bench.per_layer() if args.trace else bench.end_to_end()
+            values = {m["name"]: values[resolve(m["name"], bench.layer)] for m in listed
+                      if resolve(m["name"], bench.layer) in values}
             missing = [m["name"] for m in listed if m["name"] not in values]
             if missing:
                 print(f"error: {name}: no value for {', '.join(missing)}", file=sys.stderr)

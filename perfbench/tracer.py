@@ -7,9 +7,10 @@ attribute level, by a wrapper that records a span: name, start, end and the
 span that was open when it was called. Functions imported into another module
 are wrapped there too, so calls across modules are seen. METHODS adds the few
 methods that carry a layer of their own. The command runs through
-mirrorboost.cli.main; then every attribute is put back and checked, and the
-spans, kept in memory until then, are written to FILE as JSON together with
-the operation id they share. The exit code is main's.
+mirrorboost.cli.main; then every attribute is put back, the modules and their
+classes are scanned again for any wrapper left in place, and the spans, kept
+in memory until then, are written to FILE as JSON together with the operation
+id they share and the names of the leftover wrappers. The exit code is main's.
 
 With --only, just the named spans are recorded. The benchmark's untraced runs
 use this to time the instance build and the runner call: a handful of calls,
@@ -30,6 +31,8 @@ from array import array
 
 import mirrorboost
 
+# attribute that marks a span wrapper, so that one left in place can be found
+MARK = "perfbench_span"
 # (module, class, method): layers that live in a method rather than a function
 METHODS = (
     ("boosting", "TrainingSet", "__post_init__"),  # validation and negation closure
@@ -69,6 +72,7 @@ class Recorder:
                 self.end[index] = clock()
                 self._open.pop()
 
+        setattr(traced, MARK, name)
         return traced
 
     def to_dict(self) -> dict:
@@ -76,13 +80,16 @@ class Recorder:
                 "end": self.end.tolist(), "parent": self.parent.tolist()}
 
 
+def modules() -> list[types.ModuleType]:
+    return [importlib.import_module(f"mirrorboost.{info.name}")
+            for info in pkgutil.iter_modules(mirrorboost.__path__)
+            if not info.name.startswith("_")]  # __main__ would run the CLI on import
+
+
 def targets() -> list[tuple[object, str, object, str]]:
     """(owner, attribute, original, span name) for everything to wrap."""
     found = []
-    for info in pkgutil.iter_modules(mirrorboost.__path__):
-        if info.name.startswith("_"):
-            continue  # __main__ would run the CLI on import
-        module = importlib.import_module(f"mirrorboost.{info.name}")
+    for module in modules():
         for attr, value in vars(module).items():
             if (attr.startswith("_") or not isinstance(value, types.FunctionType)
                     or not value.__module__.startswith("mirrorboost.")):
@@ -92,6 +99,19 @@ def targets() -> list[tuple[object, str, object, str]]:
     for module_name, class_name, attr in METHODS:
         cls = getattr(importlib.import_module(f"mirrorboost.{module_name}"), class_name)
         found.append((cls, attr, cls.__dict__[attr], f"{module_name}.{class_name}.{attr}"))
+    return found
+
+
+def leftovers() -> list[str]:
+    """Attributes of the mirrorboost modules, and of the classes they define,
+    that still hold a span wrapper."""
+    found = []
+    for module in modules():
+        owners = [module, *(value for value in vars(module).values()
+                            if isinstance(value, type) and value.__module__ == module.__name__)]
+        for owner in owners:
+            found.extend(f"{owner.__name__}.{attr}" for attr, value in vars(owner).items()
+                         if isinstance(value, types.FunctionType) and hasattr(value, MARK))
     return found
 
 
@@ -115,9 +135,8 @@ def main() -> int:
     finally:
         for owner, attr, original, _ in patches:
             setattr(owner, attr, original)
-    restored = all(getattr(owner, attr) is original for owner, attr, original, _ in patches)
     with open(args.spans, "w", encoding="utf-8") as fh:
-        json.dump({"op": args.op, "restored": restored, "spans": recorder.to_dict()}, fh)
+        json.dump({"op": args.op, "leftovers": leftovers(), "spans": recorder.to_dict()}, fh)
     return code
 
 
