@@ -11,8 +11,8 @@ after the previous one has ended. One operation is
   1. `mirrorboost run`, launched through tracer.py with spans on the instance
      build and the runner call only (run_s, run_peak_rss_mb, and from the
      spans setup_s and iters_per_s);
-  2. `python -m mirrorboost check` on the trace that run wrote (check_s,
-     check_peak_rss_mb).
+  2. `python -m mirrorboost check` on the trace that run wrote, repeated the
+     workload's number of times (check_s, check_peak_rss_mb, one sample each).
 
 With --trace 1 each operation is followed by the same two commands run
 in-process under tracer.py with every layer traced. Those spans give the
@@ -21,7 +21,7 @@ per-layer metrics; the two run times give the tracing overhead.
 Before the first operation, reference.py builds the instance with its own
 code, fails unless mirrorboost's data build yields the same matrix, and
 computes the final values every operation must reproduce. An operation fails
-unless both commands exit 0, check regenerates run's report.json and
+unless every command exits 0, each check regenerates run's report.json and
 report.txt byte for byte, the trace header gives the reference's matrix shape,
 and the final best primal and dual values in the trace agree with the
 reference to 1e-9 relative (or to 1e-12 of the problem's scale). Under
@@ -29,7 +29,7 @@ reference to 1e-9 relative (or to 1e-12 of the problem's scale). Under
 byte, and no span wrapper may be left in place after a traced command.
 
 Operations start while the next one is expected to end within --seconds of
-the start, and at least MIN_OPS run. Timings are medians over operations. The
+the start, and at least MIN_OPS run. Timings are medians over their samples. The
 last line of standard output is one JSON object with the keys correct,
 attempted, failed and metrics, holding the metrics BENCHMARK.json lists.
 """
@@ -176,10 +176,12 @@ class Bench:
                             f"{', '.join(obj['leftovers'])}")
         return Spans.from_dict(obj["spans"])
 
-    def run_and_check(self, tag: str, op: int, traced: bool, problems: list[str]):
-        """`mirrorboost run` then `check`, both fully traced or not. The untraced
-        run records only the TIMED spans; the untraced check is the plain CLI."""
-        out, check_out = self.work / tag, self.work / f"{tag}-check"
+    def run_and_check(self, tag: str, op: int, traced: bool, problems: list[str],
+                      checks: int = 1):
+        """`mirrorboost run` then `checks` times `check`, all fully traced or not.
+        The untraced run records only the TIMED spans; the untraced check is the
+        plain CLI. Each check writes to a directory of its own."""
+        out = self.work / tag
 
         def tracer(command: str, only: tuple[str, ...] = ()) -> list[str]:
             return [sys.executable, str(HERE / "tracer.py"), "--op", str(op),
@@ -188,17 +190,23 @@ class Bench:
 
         run_args = ["run", *self.workload.run_args(self.seed),
                     "--out", str(out), "--prefix", PREFIX]
-        check_args = ["check", str(out / f"{PREFIX}.trace.jsonl"), "--out", str(check_out)]
         run = self.spawn(tracer("run", () if traced else TIMED) + run_args)
-        check = self.spawn((tracer("check") if traced else [sys.executable, "-m", "mirrorboost"])
-                           + check_args)
-        for name, child in (("run", run), ("check", check)):
-            if child.code != 0:
-                problems.append(f"{tag} {name} exited {child.code}: {tail(child.output)}")
-        for report in (f"{PREFIX}.{name}" for name in REPORTS):
-            if read_bytes(check_out / report) != read_bytes(out / report):
-                problems.append(f"{tag}: check's {report} differs from run's")
-        return run, check, out
+        if run.code != 0:
+            problems.append(f"{tag} run exited {run.code}: {tail(run.output)}")
+        reports = {f"{PREFIX}.{name}": read_bytes(out / f"{PREFIX}.{name}") for name in REPORTS}
+        checked = []
+        for k in range(checks):
+            check_out = self.work / f"{tag}-check{k}"
+            check = self.spawn((tracer("check") if traced else [sys.executable, "-m", "mirrorboost"])
+                               + ["check", str(out / f"{PREFIX}.trace.jsonl"),
+                                  "--out", str(check_out)])
+            if check.code != 0:
+                problems.append(f"{tag} check {k} exited {check.code}: {tail(check.output)}")
+            for report, data in reports.items():
+                if read_bytes(check_out / report) != data:
+                    problems.append(f"{tag}: check {k}'s {report} differs from run's")
+            checked.append(check)
+        return run, checked, out
 
     def read_trace(self, out: Path, problems: list[str]) -> dict | None:
         data = read_bytes(out / f"{PREFIX}.trace.jsonl")
@@ -220,7 +228,8 @@ class Bench:
         return {"bytes": data, "records": len(lines) - 1 - terminal}
 
     def untraced_op(self, index: int, problems: list[str]):
-        run, check, out = self.run_and_check(str(index), index, False, problems)
+        run, checks, out = self.run_and_check(str(index), index, False, problems,
+                                              self.workload.checks)
         trace = self.read_trace(out, problems)
         timers = self.spans(self.work / f"{index}.run.spans.json", problems)
         if trace is None or timers is None:
@@ -230,10 +239,10 @@ class Bench:
         self.samples["setup_s"].append(timers.total_s("datagen.generate_synthetic")
                                        + timers.total_s("stagewise.least_squares_norm"))
         self.samples["run_s"].append(run.wall_s)
-        self.samples["check_s"].append(check.wall_s)
+        self.samples["check_s"].extend(check.wall_s for check in checks)
         self.samples["iters_per_s"].append(trace["records"] * 1e9 / timers.duration(runner))
         self.samples["run_peak_rss_mb"].append(run.peak_rss_mb)
-        self.samples["check_peak_rss_mb"].append(check.peak_rss_mb)
+        self.samples["check_peak_rss_mb"].extend(check.peak_rss_mb for check in checks)
         return out, trace
 
     def traced_op(self, index: int, problems: list[str]) -> None:
@@ -333,7 +342,7 @@ def describe(bench: Bench, traced: bool, seconds: int, spec: dict) -> list[str]:
         lines.append(f"  matrix sha256 (information only): {bench.reference['sha256']}")
     lines.append(f"  trace sha256 (information only): {', '.join(sorted(bench.trace_hashes))}")
     if not traced:
-        lines.append("  end-to-end: median [min, max] over operations, and the sample count")
+        lines.append("  end-to-end: median [min, max] over samples, and the sample count")
         for name, values in bench.samples.items():
             lines.append(f"    {name:<18} {statistics.median(values):.6g} {units[name]}  "
                          f"[{min(values):.6g}, {max(values):.6g}]  n={len(values)}")

@@ -22,6 +22,10 @@ class Workload:
     sizes: str
     schedule: str
     iterations: int
+    # `check` runs per operation. A check takes a fraction of its run's time,
+    # so one check per operation would leave check_s too few samples for a
+    # steady median.
+    checks: int
 
     def data_spec(self, seed: int) -> str:
         return f"synthetic:{self.kind}:seed={seed}:{self.sizes}"
@@ -33,9 +37,9 @@ class Workload:
 
 WORKLOADS = {
     w.name: w for w in (
-        Workload("boost-stumps", "adaboost", "nonseparable", "m=1000:d=5", "constant", 100),
-        Workload("boost-long", "adaboost", "nonseparable", "m=40:d=4", "dynamic", 10000),
-        Workload("game-wide", "minmax-game", "game", "m=2000:n=2000", "dynamic", 200),
-        Workload("fs-path", "fs", "regression", "n=1000:p=500", "linesearch", 3000),
+        Workload("boost-stumps", "adaboost", "nonseparable", "m=1000:d=5", "constant", 100, 4),
+        Workload("boost-long", "adaboost", "nonseparable", "m=40:d=4", "dynamic", 10000, 2),
+        Workload("game-wide", "minmax-game", "game", "m=2000:n=2000", "dynamic", 200, 4),
+        Workload("fs-path", "fs", "regression", "n=1000:p=500", "linesearch", 3000, 3),
     )
 }
