@@ -1,6 +1,6 @@
 """Mirror descent with pluggable prox functions, step-size schedules, and
 runtime convergence certificates. AdaBoost and incremental forward stagewise
-regression are provided as exact instances of the same engine."""
+regression are thin views that run the same engine."""
 
 from .bounds import (
     CertificateRecord,
@@ -12,16 +12,7 @@ from .bounds import (
     md_gap_bound,
     polyak_bound,
 )
-from .boosting import (
-    BoostState,
-    TrainingSet,
-    adaboost_step,
-    edge,
-    log_exp_loss,
-    margin,
-    run_adaboost,
-    weak_learner,
-)
+from .boosting import TrainingSet, run_adaboost
 from .md_core import (
     DualResponse,
     MinmaxProblem,
@@ -31,25 +22,16 @@ from .md_core import (
     dual_response,
     dual_value,
     md_step,
+    support_size,
 )
 from .md_core import run as run_mirror_descent
 from .prox import ProxFunction, bregman, diameter_bound, entropy, euclidean, prox_solve
-from .stagewise import (
-    RegressionProblem,
-    StagewiseState,
-    correlation_objective,
-    fs_step,
-    least_squares_norm,
-    optimal_shrinkage,
-    run_fs,
-    support_size,
-)
+from .stagewise import RegressionProblem, least_squares_norm, optimal_shrinkage, run_fs
 from .trace import IterationRecord, RunResult, TraceHeader, read_trace, write_trace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoostState",
     "CertificateRecord",
     "CertificateReport",
     "DualResponse",
@@ -60,27 +42,20 @@ __all__ = [
     "RegressionProblem",
     "RunConstants",
     "RunResult",
-    "StagewiseState",
     "StepSchedule",
     "TraceHeader",
     "TrainingSet",
     "UndefinedStepError",
-    "adaboost_step",
     "bregman",
     "check",
     "constant_bound",
-    "correlation_objective",
     "diameter_bound",
     "dual_response",
     "dual_value",
     "dynamic_bound",
-    "edge",
     "entropy",
     "euclidean",
-    "fs_step",
     "least_squares_norm",
-    "log_exp_loss",
-    "margin",
     "md_gap_bound",
     "md_step",
     "optimal_shrinkage",
@@ -91,6 +66,5 @@ __all__ = [
     "run_fs",
     "run_mirror_descent",
     "support_size",
-    "weak_learner",
     "write_trace",
 ]

@@ -1,21 +1,26 @@
-"""AdaBoost with an exact best-column weak learner.
+"""AdaBoost as a view of the mirror descent engine.
 
 The training data is materialized as a margin matrix whose (i, j) entry is
 label_i times the output of classifier j on example i, kept closed under
-column negation so that the best edge is always nonnegative. The weight
-update is the classical multiplicative rule; run_adaboost also evaluates the
-functionals (edge, margin, log-exponential loss) used by the certificates.
+column negation so that the best edge is always nonnegative. AdaBoost with an
+exact best-column weak learner is mirror descent with the entropy prox on the
+edge objective max_j (A^T w)_j over this matrix: the multiplicative weight
+update is the prox step, the weak learner is the dual response, and the
+normalized coefficient vector is the step-weighted dual average, whose
+smallest margin is the dual value. run_adaboost builds that problem and runs
+the engine.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .md_core import MinmaxProblem, StepSchedule, UndefinedStepError
-from .trace import IterationRecord, RunResult
+from . import md_core
+from .md_core import MinmaxProblem, StepSchedule
+from .prox import entropy
+from .trace import RunResult
 
 
 def _close_under_negation(matrix: np.ndarray) -> np.ndarray:
@@ -87,143 +92,24 @@ class TrainingSet:
 
     @property
     def lipschitz(self) -> float:
-        return float(np.abs(self.margins).max())
+        # the largest entry magnitude, without an |margins| temporary as large
+        # as the matrix
+        return float(max(self.margins.max(), -self.margins.min()))
 
     def to_minmax(self) -> MinmaxProblem:
         """The equivalent simplex-vs-simplex payoff problem."""
         return MinmaxProblem(payoff=self.margins)
 
 
-def weak_learner(ts: TrainingSet, weights) -> int:
-    """Index of the classifier with the largest weighted edge (lowest index on ties)."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (ts.num_examples,):
-        raise ValueError("weights must have one entry per example")
-    return int(np.argmax(ts.margins.T @ weights))
-
-
-def edge(ts: TrainingSet, weights) -> float:
-    """Largest weighted edge over all classifiers; nonnegative under negation closure."""
-    weights = np.asarray(weights, dtype=float)
-    return float(np.max(ts.margins.T @ weights))
-
-
-def margin(ts: TrainingSet, lam) -> float:
-    """Smallest per-example margin of the combination lam."""
-    lam = np.asarray(lam, dtype=float)
-    return float(np.min(ts.margins @ lam))
-
-
-def log_exp_loss(ts: TrainingSet, coefficients) -> tuple[float, np.ndarray]:
-    """Log of the mean exponentiated negative margin, and its gradient.
-
-    Numerically stabilized by shifting the exponents; the gradient is
-    -margins^T softmax(-margins @ coefficients).
-    """
-    coefficients = np.asarray(coefficients, dtype=float)
-    if coefficients.shape != (ts.num_classifiers,):
-        raise ValueError("coefficients must have one entry per classifier")
-    s = -(ts.margins @ coefficients)
-    shift = float(s.max())
-    e = np.exp(s - shift)
-    total = float(e.sum())
-    loss = shift + math.log(total / ts.num_examples)
-    soft = e / total
-    grad = -(ts.margins.T @ soft)
-    return loss, grad
-
-
-@dataclass
-class BoostState:
-    """Example weights, accumulated classifier coefficients, and step history."""
-
-    weights: np.ndarray
-    coefficients: np.ndarray
-    steps: list[float] = field(default_factory=list)
-    columns: list[int] = field(default_factory=list)
-    step_total: float = 0.0
-
-    @classmethod
-    def initial(cls, ts: TrainingSet) -> "BoostState":
-        m = ts.num_examples
-        return cls(weights=np.full(m, 1.0 / m), coefficients=np.zeros(ts.num_classifiers))
-
-    @property
-    def iteration(self) -> int:
-        return len(self.steps)
-
-    def normalized_coefficients(self) -> np.ndarray | None:
-        """Coefficients scaled to the simplex; None before the first nonzero step."""
-        if self.step_total <= 0.0:
-            return None
-        return self.coefficients / self.step_total
-
-
-def adaboost_step(state: BoostState, ts: TrainingSet, alpha: float) -> BoostState:
-    """One boosting round: pick the best column, reweight, renormalize."""
-    alpha = float(alpha)
-    if alpha < 0.0 or not math.isfinite(alpha):
-        raise ValueError("alpha must be a finite nonnegative step size")
-    j = weak_learner(ts, state.weights)
-    column = ts.margins[:, j]
-    u = state.weights * np.exp(-alpha * column)
-    s = float(np.sum(u))
-    new_weights = u / s
-    coefficients = state.coefficients.copy()
-    coefficients[j] += alpha
-    return BoostState(
-        weights=new_weights,
-        coefficients=coefficients,
-        steps=state.steps + [alpha],
-        columns=state.columns + [j],
-        step_total=state.step_total + alpha,
-    )
-
-
 def run_adaboost(ts: TrainingSet, schedule: StepSchedule, iterations: int,
                  sink=None) -> RunResult:
-    """Run AdaBoost, recording edge, loss-gradient norm, and margin per round.
+    """Run AdaBoost from uniform weights: the engine on the edge problem.
 
-    The recorded dual value is the margin of the normalized coefficient vector
-    after the round. An undefined line-search step (edge equal to 1) stops the
-    run early with the reason on the result.
+    Records carry the edge as the objective and as the loss-gradient norm, and
+    the smallest margin of the normalized coefficients after the round as the
+    dual value. An undefined line-search step (edge equal to 1) stops the run
+    early with the reason on the result. The final state's `x` holds the
+    example weights and its `dual_weighted_sum` the classifier coefficients.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
-    state = BoostState.initial(ts)
-    records: list[IterationRecord] = []
-    terminated: str | None = None
-    best = math.inf
-    for k in range(iterations):
-        w = state.weights
-        scores = ts.margins.T @ w
-        j = int(np.argmax(scores))
-        value = float(scores[j])
-        _, grad = log_exp_loss(ts, state.coefficients)
-        grad_norm = float(np.abs(grad).max())
-        try:
-            alpha = schedule.step_size(k, value=value, grad=ts.margins[:, j])
-        except UndefinedStepError as exc:
-            terminated = str(exc)
-            break
-        state = adaboost_step(state, ts, alpha)
-        lam = state.normalized_coefficients()
-        dval = margin(ts, lam) if lam is not None else None
-        if value < best:
-            best = value
-        rec = IterationRecord(
-            k=k,
-            algorithm="adaboost",
-            index=j,
-            sign=1.0,
-            alpha=alpha,
-            primal=value,
-            best_primal=best,
-            dual=dval,
-            grad_norm=grad_norm,
-            x=w,
-        )
-        records.append(rec)
-        if sink is not None:
-            sink(rec)
-    return RunResult(records=records, state=state, terminated=terminated)
+    return md_core.run(ts.to_minmax(), schedule, entropy(ts.num_examples), iterations,
+                       sink=sink, algorithm="adaboost")

@@ -12,14 +12,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import bounds, datagen, md_core, prox
-from .boosting import TrainingSet, run_adaboost
-from .stagewise import RegressionProblem, least_squares_norm, optimal_shrinkage, run_fs
+from .boosting import TrainingSet
+from .stagewise import RegressionProblem, least_squares_norm, optimal_shrinkage
 from .trace import TraceHeader, read_trace, write_trace
 
 EXIT_OK = 0
@@ -39,6 +39,35 @@ _TASK_SCHEDULES = {
 
 class ConfigError(Exception):
     """Invalid experiment configuration."""
+
+
+# JSON types each config field accepts, and whether it may be null; a float
+# field also takes an integer, and bool never counts as a number
+_CONFIG_TYPES = {
+    "task": (str, False),
+    "data": (str, False),
+    "schedule": (str, False),
+    "iterations": (int, False),
+    "epsilon": (float, True),
+    "f_star": (float, True),
+    "use_response_bound": (bool, False),
+    "center": (bool, False),
+    "scale": (bool, False),
+    "out_dir": (str, True),
+    "prefix": (str, True),
+}
+
+
+def _has_type(value, kind: type, nullable: bool) -> bool:
+    if value is None:
+        return nullable
+    if kind is bool:
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
 
 
 @dataclass
@@ -68,12 +97,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
+        if not isinstance(obj, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = set(obj) - set(_CONFIG_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "task" not in obj or "data" not in obj:
             raise ConfigError("config must define 'task' and 'data'")
+        for key, value in obj.items():
+            kind, nullable = _CONFIG_TYPES[key]
+            if not _has_type(value, kind, nullable):
+                expected = kind.__name__ + (" or null" if nullable else "")
+                raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
         return cls(**obj)
 
     def validate(self) -> None:
@@ -205,7 +240,7 @@ def _prepare_fs_run(config: ExperimentConfig, rp: RegressionProblem):
         dual_defined=False,
     )
     shape = {"n": rp.num_samples, "p": rp.num_columns}
-    return schedule, constants, shape, eps
+    return schedule, constants, shape
 
 
 def _render_report_text(header: TraceHeader, report: bounds.CertificateReport) -> str:
@@ -319,16 +354,13 @@ def _cmd_run(args) -> int:
         if config.center or config.scale:
             instance = datagen.center_scale(instance, center=config.center,
                                             scale=config.scale)
-        schedule, constants, shape, eps = _prepare_fs_run(config, instance)
-        result = run_fs(instance, schedule, config.iterations)
+        schedule, constants, shape = _prepare_fs_run(config, instance)
+        prox_fn, x0 = prox.euclidean(instance.num_samples), instance.response.copy()
     else:
         schedule, constants, shape = _prepare_boost_run(config, instance)
-        if config.task == "adaboost":
-            result = run_adaboost(instance, schedule, config.iterations)
-        else:
-            problem = instance.to_minmax()
-            prox_fn = prox.entropy(problem.m)
-            result = md_core.run(problem, schedule, prox_fn, config.iterations)
+        prox_fn, x0 = prox.entropy(instance.num_examples), None
+    result = md_core.run(instance.to_minmax(), schedule, prox_fn, config.iterations,
+                         x0=x0, algorithm=constants.algorithm)
     if not result.records:
         raise ConfigError(f"run produced no iterations: {result.terminated}")
     header = TraceHeader(

@@ -10,17 +10,20 @@ progress through weak duality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .prox import ProxFunction, prox_solve
-from .trace import IterationRecord, RunResult
+from .trace import ALGORITHMS, IterationRecord, RunResult
 
 PRIMAL_SIMPLEX = "simplex"
 PRIMAL_RESIDUAL = "residual-space"
 DUAL_SIMPLEX = "simplex"
 DUAL_L1_BALL = "l1-ball"
+
+# coefficients below this magnitude count as zero in the support size
+NNZ_TOLERANCE = 1e-14
 
 
 class UndefinedStepError(RuntimeError):
@@ -122,6 +125,10 @@ def dual_value(problem: MinmaxProblem, lam) -> float | None:
     if lam.shape != (problem.n,):
         raise ValueError(f"lam must have shape ({problem.n},), got {lam.shape}")
     return float(np.min(problem.payoff @ lam))
+
+
+def support_size(coefficients) -> int:
+    return int(np.count_nonzero(np.abs(np.asarray(coefficients, dtype=float)) > NNZ_TOLERANCE))
 
 
 @dataclass
@@ -295,16 +302,24 @@ class StepSchedule:
 
 
 def run(problem: MinmaxProblem, schedule: StepSchedule, prox_fn: ProxFunction,
-        iterations: int, x0=None, sink=None) -> RunResult:
+        iterations: int, x0=None, sink=None, algorithm: str = "mirror-descent") -> RunResult:
     """Run mirror descent, emitting one record per iteration.
 
     Each record carries the pre-step iterate values (objective, chosen column)
-    and the post-step dual average value when it exists. A schedule that cannot
-    produce a step stops the run early and the reason is reported on the
-    result; records produced so far are kept.
+    and the post-step dual average value when it exists. `algorithm` is the
+    tag the records carry; "adaboost" records also carry the edge as the
+    loss-gradient norm, which equals it by the AdaBoost identity. Under the
+    l1-ball dual the records carry the l1 norm and support size of the
+    pre-step dual sum, which is the stagewise coefficient vector.
+
+    A schedule that cannot produce a step, or a zero dual response (only
+    possible under the l1-ball dual), stops the run early and the reason is
+    reported on the result; records produced so far are kept.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm tag: {algorithm!r}")
     if prox_fn.dim != problem.m:
         raise ValueError("prox dimension must match the primal dimension")
     if x0 is None:
@@ -315,31 +330,41 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, prox_fn: ProxFunction,
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (problem.m,):
             raise ValueError(f"x0 must have shape ({problem.m},), got {x0.shape}")
+    l1_ball = problem.dual_domain == DUAL_L1_BALL
     state = MirrorDescentState.initial(x0, problem.n)
     records: list[IterationRecord] = []
     terminated: str | None = None
     for k in range(iterations):
         x = state.x
         resp = dual_response(problem, x)
+        if resp.sign == 0.0:
+            terminated = "residual is orthogonal to every column; optimum reached"
+            break
         try:
             alpha = schedule.step_size(k, value=resp.value, grad=resp.grad)
         except UndefinedStepError as exc:
             terminated = str(exc)
             break
+        l1 = l0 = None
+        if l1_ball:
+            l1 = float(np.sum(np.abs(state.dual_weighted_sum)))
+            l0 = support_size(state.dual_weighted_sum)
         state = md_step(state, resp.grad, alpha, prox_fn,
                         lam_tilde=resp.lam, value=resp.value)
         avg = state.dual_average
         dval = dual_value(problem, avg) if avg is not None else None
         rec = IterationRecord(
             k=k,
-            algorithm="mirror-descent",
+            algorithm=algorithm,
             index=resp.index,
             sign=resp.sign,
             alpha=alpha,
             primal=resp.value,
             best_primal=state.best_value,
             dual=dval,
-            grad_norm=None,
+            grad_norm=resp.value if algorithm == "adaboost" else None,
+            l1=l1,
+            l0=l0,
             x=x,
         )
         records.append(rec)

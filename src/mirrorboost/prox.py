@@ -106,7 +106,9 @@ def prox_solve(prox: ProxFunction, c, anchor, alpha: float) -> np.ndarray:
     """Exact minimizer of alpha * <c, x> + D(x, anchor) over the domain.
 
     Entropy geometry: multiplicative update anchor_i * exp(-alpha * c_i),
-    renormalized to the simplex. Euclidean geometry: anchor - alpha * c.
+    renormalized to the simplex. The anchor may lie on the simplex boundary:
+    the minimizer keeps its zero entries at zero. Euclidean geometry:
+    anchor - alpha * c.
     """
     c = _as_vector(c, prox.dim, "c")
     anchor = _as_vector(anchor, prox.dim, "anchor")
@@ -115,8 +117,8 @@ def prox_solve(prox: ProxFunction, c, anchor, alpha: float) -> np.ndarray:
         raise ValueError("alpha must be finite")
     if prox.kind == EUCLIDEAN:
         return anchor - alpha * c
-    if np.any(anchor <= 0.0):
-        raise ValueError("anchor must be strictly positive for the entropy prox")
+    if np.any(anchor < 0.0) or not float(anchor.sum()) > 0.0:
+        raise ValueError("anchor must be nonnegative with a positive sum for the entropy prox")
     t = alpha * c
     lo = float(t.min())
     if abs(lo) > _EXP_SHIFT_LIMIT:

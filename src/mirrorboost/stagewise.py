@@ -1,10 +1,13 @@
-"""Incremental forward stagewise regression.
+"""Incremental forward stagewise regression as a view of the mirror descent engine.
 
 Each round moves the residual along the design column most correlated with
 it, by a shrinkage amount, and accrues the same amount on the corresponding
-coefficient. The objective tracked per round is the largest absolute
-column-residual correlation, which is also the max-norm of the least-squares
-loss gradient at the current coefficients.
+coefficient. That is mirror descent with the Euclidean prox in residual space
+on the largest absolute column-residual correlation (the max-norm of the
+least-squares loss gradient), with the l1-ball dual: the residual update is
+the prox step, the chosen signed column is the dual response, and the
+coefficient vector is the engine's step-weighted dual sum. run_fs builds that
+problem and runs the engine from the response.
 """
 
 from __future__ import annotations
@@ -15,11 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .md_core import MinmaxProblem, StepSchedule, UndefinedStepError
-from .trace import IterationRecord, RunResult
-
-# coefficients below this magnitude count as zero in the support size
-NNZ_TOLERANCE = 1e-14
+from . import md_core
+from .md_core import MinmaxProblem, StepSchedule
+from .prox import euclidean
+from .trace import RunResult
 
 
 @dataclass(frozen=True)
@@ -64,44 +66,6 @@ class RegressionProblem:
                              dual_domain="l1-ball")
 
 
-@dataclass
-class StagewiseState:
-    residual: np.ndarray
-    coefficients: np.ndarray
-    iteration: int = 0
-
-    @classmethod
-    def initial(cls, rp: RegressionProblem) -> "StagewiseState":
-        return cls(residual=rp.response.copy(), coefficients=np.zeros(rp.num_columns))
-
-
-def correlation_objective(rp: RegressionProblem, residual) -> float:
-    """Largest absolute correlation between the residual and a design column."""
-    residual = np.asarray(residual, dtype=float)
-    return float(np.max(np.abs(rp.design.T @ residual)))
-
-
-def fs_step(state: StagewiseState, rp: RegressionProblem, eps: float) -> StagewiseState:
-    """One stagewise round; ties on the correlation resolve to the lowest index."""
-    eps = float(eps)
-    if eps < 0.0 or not math.isfinite(eps):
-        raise ValueError("eps must be a finite nonnegative shrinkage")
-    corr = rp.design.T @ state.residual
-    magnitudes = np.abs(corr)
-    j = int(np.argmax(magnitudes))
-    sign = float(np.sign(corr[j]))
-    grad = sign * rp.design[:, j]
-    residual = state.residual - eps * grad
-    coefficients = state.coefficients.copy()
-    coefficients[j] += eps * sign
-    return StagewiseState(residual=residual, coefficients=coefficients,
-                          iteration=state.iteration + 1)
-
-
-def support_size(coefficients) -> int:
-    return int(np.count_nonzero(np.abs(np.asarray(coefficients, dtype=float)) > NNZ_TOLERANCE))
-
-
 def least_squares_norm(rp: RegressionProblem) -> float:
     """l2 norm of the least-squares fit (the projection of the response onto
     the column space), computed by a rank-aware direct solve."""
@@ -125,54 +89,13 @@ def optimal_shrinkage(rp: RegressionProblem, iterations: int,
 
 def run_fs(rp: RegressionProblem, schedule: StepSchedule, iterations: int,
            sink=None) -> RunResult:
-    """Run forward stagewise regression, one record per round.
+    """Run forward stagewise regression from the response: the engine in residual space.
 
+    Records carry the coefficient l1 norm and support size before the round.
     The run stops early, with the reason on the result, when the residual
     becomes exactly orthogonal to every column (the objective is 0 and no
-    further round can move).
+    further round can move). The final state's `x` holds the residual and its
+    `dual_weighted_sum` the coefficients.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
-    state = StagewiseState.initial(rp)
-    records: list[IterationRecord] = []
-    terminated: str | None = None
-    best = math.inf
-    for k in range(iterations):
-        r = state.residual
-        corr = rp.design.T @ r
-        magnitudes = np.abs(corr)
-        j = int(np.argmax(magnitudes))
-        value = float(magnitudes[j])
-        if value == 0.0:
-            terminated = "residual is orthogonal to every column; optimum reached"
-            break
-        sign = float(np.sign(corr[j]))
-        grad = sign * rp.design[:, j]
-        try:
-            eps_k = schedule.step_size(k, value=value, grad=grad)
-        except UndefinedStepError as exc:
-            terminated = str(exc)
-            break
-        l1 = float(np.sum(np.abs(state.coefficients)))
-        l0 = support_size(state.coefficients)
-        state = fs_step(state, rp, eps_k)
-        if value < best:
-            best = value
-        rec = IterationRecord(
-            k=k,
-            algorithm="stagewise",
-            index=j,
-            sign=sign,
-            alpha=eps_k,
-            primal=value,
-            best_primal=best,
-            dual=None,
-            grad_norm=None,
-            l1=l1,
-            l0=l0,
-            x=r,
-        )
-        records.append(rec)
-        if sink is not None:
-            sink(rec)
-    return RunResult(records=records, state=state, terminated=terminated)
+    return md_core.run(rp.to_minmax(), schedule, euclidean(rp.num_samples), iterations,
+                       x0=rp.response.copy(), sink=sink, algorithm="stagewise")

@@ -1,0 +1,242 @@
+"""Classical AdaBoost and forward stagewise regression, as test oracles.
+
+The library runs both algorithms as views of the mirror descent engine
+(md_core.run). The classical updates below are kept, unchanged, as a second
+and independent implementation that the engine is compared against: the
+multiplicative weight update over an exact best-column weak learner with the
+log-exponential loss, and the stagewise residual update. Only the step-size
+rule (StepSchedule) and the data containers are shared with the library.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from mirrorboost.boosting import TrainingSet
+from mirrorboost.md_core import StepSchedule, UndefinedStepError
+from mirrorboost.stagewise import RegressionProblem
+from mirrorboost.trace import IterationRecord, RunResult
+
+# coefficients below this magnitude count as zero in the support size
+NNZ_TOLERANCE = 1e-14
+
+
+def weak_learner(ts: TrainingSet, weights) -> int:
+    """Index of the classifier with the largest weighted edge (lowest index on ties)."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (ts.num_examples,):
+        raise ValueError("weights must have one entry per example")
+    return int(np.argmax(ts.margins.T @ weights))
+
+
+def edge(ts: TrainingSet, weights) -> float:
+    """Largest weighted edge over all classifiers; nonnegative under negation closure."""
+    weights = np.asarray(weights, dtype=float)
+    return float(np.max(ts.margins.T @ weights))
+
+
+def margin(ts: TrainingSet, lam) -> float:
+    """Smallest per-example margin of the combination lam."""
+    lam = np.asarray(lam, dtype=float)
+    return float(np.min(ts.margins @ lam))
+
+
+def log_exp_loss(ts: TrainingSet, coefficients) -> tuple[float, np.ndarray]:
+    """Log of the mean exponentiated negative margin, and its gradient.
+
+    Numerically stabilized by shifting the exponents; the gradient is
+    -margins^T softmax(-margins @ coefficients).
+    """
+    coefficients = np.asarray(coefficients, dtype=float)
+    if coefficients.shape != (ts.num_classifiers,):
+        raise ValueError("coefficients must have one entry per classifier")
+    s = -(ts.margins @ coefficients)
+    shift = float(s.max())
+    e = np.exp(s - shift)
+    total = float(e.sum())
+    loss = shift + math.log(total / ts.num_examples)
+    soft = e / total
+    grad = -(ts.margins.T @ soft)
+    return loss, grad
+
+
+@dataclass
+class BoostState:
+    """Example weights, accumulated classifier coefficients, and step history."""
+
+    weights: np.ndarray
+    coefficients: np.ndarray
+    steps: list[float] = field(default_factory=list)
+    columns: list[int] = field(default_factory=list)
+    step_total: float = 0.0
+
+    @classmethod
+    def initial(cls, ts: TrainingSet) -> "BoostState":
+        m = ts.num_examples
+        return cls(weights=np.full(m, 1.0 / m), coefficients=np.zeros(ts.num_classifiers))
+
+    @property
+    def iteration(self) -> int:
+        return len(self.steps)
+
+    def normalized_coefficients(self) -> np.ndarray | None:
+        """Coefficients scaled to the simplex; None before the first nonzero step."""
+        if self.step_total <= 0.0:
+            return None
+        return self.coefficients / self.step_total
+
+
+def adaboost_step(state: BoostState, ts: TrainingSet, alpha: float) -> BoostState:
+    """One boosting round: pick the best column, reweight, renormalize."""
+    alpha = float(alpha)
+    if alpha < 0.0 or not math.isfinite(alpha):
+        raise ValueError("alpha must be a finite nonnegative step size")
+    j = weak_learner(ts, state.weights)
+    column = ts.margins[:, j]
+    u = state.weights * np.exp(-alpha * column)
+    s = float(np.sum(u))
+    new_weights = u / s
+    coefficients = state.coefficients.copy()
+    coefficients[j] += alpha
+    return BoostState(
+        weights=new_weights,
+        coefficients=coefficients,
+        steps=state.steps + [alpha],
+        columns=state.columns + [j],
+        step_total=state.step_total + alpha,
+    )
+
+
+def classical_adaboost(ts: TrainingSet, schedule: StepSchedule, iterations: int) -> RunResult:
+    """Run classical AdaBoost, recording edge, loss-gradient norm, and margin per round.
+
+    The recorded dual value is the margin of the normalized coefficient vector
+    after the round. An undefined line-search step (edge equal to 1) stops the
+    run early with the reason on the result.
+    """
+    if iterations < 1:
+        raise ValueError("iterations must be at least 1")
+    state = BoostState.initial(ts)
+    records: list[IterationRecord] = []
+    terminated: str | None = None
+    best = math.inf
+    for k in range(iterations):
+        w = state.weights
+        scores = ts.margins.T @ w
+        j = int(np.argmax(scores))
+        value = float(scores[j])
+        _, grad = log_exp_loss(ts, state.coefficients)
+        grad_norm = float(np.abs(grad).max())
+        try:
+            alpha = schedule.step_size(k, value=value, grad=ts.margins[:, j])
+        except UndefinedStepError as exc:
+            terminated = str(exc)
+            break
+        state = adaboost_step(state, ts, alpha)
+        lam = state.normalized_coefficients()
+        dval = margin(ts, lam) if lam is not None else None
+        if value < best:
+            best = value
+        rec = IterationRecord(
+            k=k,
+            algorithm="adaboost",
+            index=j,
+            sign=1.0,
+            alpha=alpha,
+            primal=value,
+            best_primal=best,
+            dual=dval,
+            grad_norm=grad_norm,
+            x=w,
+        )
+        records.append(rec)
+    return RunResult(records=records, state=state, terminated=terminated)
+
+
+@dataclass
+class StagewiseState:
+    residual: np.ndarray
+    coefficients: np.ndarray
+    iteration: int = 0
+
+    @classmethod
+    def initial(cls, rp: RegressionProblem) -> "StagewiseState":
+        return cls(residual=rp.response.copy(), coefficients=np.zeros(rp.num_columns))
+
+
+def correlation_objective(rp: RegressionProblem, residual) -> float:
+    """Largest absolute correlation between the residual and a design column."""
+    residual = np.asarray(residual, dtype=float)
+    return float(np.max(np.abs(rp.design.T @ residual)))
+
+
+def fs_step(state: StagewiseState, rp: RegressionProblem, eps: float) -> StagewiseState:
+    """One stagewise round; ties on the correlation resolve to the lowest index."""
+    eps = float(eps)
+    if eps < 0.0 or not math.isfinite(eps):
+        raise ValueError("eps must be a finite nonnegative shrinkage")
+    corr = rp.design.T @ state.residual
+    magnitudes = np.abs(corr)
+    j = int(np.argmax(magnitudes))
+    sign = float(np.sign(corr[j]))
+    grad = sign * rp.design[:, j]
+    residual = state.residual - eps * grad
+    coefficients = state.coefficients.copy()
+    coefficients[j] += eps * sign
+    return StagewiseState(residual=residual, coefficients=coefficients,
+                          iteration=state.iteration + 1)
+
+
+def classical_fs(rp: RegressionProblem, schedule: StepSchedule, iterations: int) -> RunResult:
+    """Run classical forward stagewise regression, one record per round.
+
+    The run stops early, with the reason on the result, when the residual
+    becomes exactly orthogonal to every column (the objective is 0 and no
+    further round can move).
+    """
+    if iterations < 1:
+        raise ValueError("iterations must be at least 1")
+    state = StagewiseState.initial(rp)
+    records: list[IterationRecord] = []
+    terminated: str | None = None
+    best = math.inf
+    for k in range(iterations):
+        r = state.residual
+        corr = rp.design.T @ r
+        magnitudes = np.abs(corr)
+        j = int(np.argmax(magnitudes))
+        value = float(magnitudes[j])
+        if value == 0.0:
+            terminated = "residual is orthogonal to every column; optimum reached"
+            break
+        sign = float(np.sign(corr[j]))
+        grad = sign * rp.design[:, j]
+        try:
+            eps_k = schedule.step_size(k, value=value, grad=grad)
+        except UndefinedStepError as exc:
+            terminated = str(exc)
+            break
+        l1 = float(np.sum(np.abs(state.coefficients)))
+        l0 = int(np.count_nonzero(np.abs(state.coefficients) > NNZ_TOLERANCE))
+        state = fs_step(state, rp, eps_k)
+        if value < best:
+            best = value
+        rec = IterationRecord(
+            k=k,
+            algorithm="stagewise",
+            index=j,
+            sign=sign,
+            alpha=eps_k,
+            primal=value,
+            best_primal=best,
+            dual=None,
+            grad_norm=None,
+            l1=l1,
+            l0=l0,
+            x=r,
+        )
+        records.append(rec)
+    return RunResult(records=records, state=state, terminated=terminated)

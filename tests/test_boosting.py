@@ -1,5 +1,6 @@
-"""AdaBoost: training-set construction, the weight update, loss functionals,
-and exact agreement with the mirror descent engine."""
+"""AdaBoost: training-set construction, the classical weight update and loss
+functionals of tests/oracles.py, and exact agreement of the engine view with
+them."""
 
 import math
 
@@ -8,17 +9,17 @@ import pytest
 
 from conftest import central_difference_gradient
 from mirrorboost import datagen, prox
-from mirrorboost.boosting import (
+from mirrorboost.boosting import TrainingSet, run_adaboost
+from mirrorboost.md_core import MirrorDescentState, StepSchedule, dual_response, md_step
+from oracles import (
     BoostState,
-    TrainingSet,
     adaboost_step,
+    classical_adaboost,
     edge,
     log_exp_loss,
     margin,
-    run_adaboost,
     weak_learner,
 )
-from mirrorboost.md_core import MirrorDescentState, StepSchedule, md_step, run
 
 
 def test_negation_closure_adds_missing_columns():
@@ -173,7 +174,6 @@ def test_run_adaboost_matches_engine_dual_average_exactly():
     sched = StepSchedule.dynamic(ts.lipschitz, math.log(12.0))
     boost = BoostState.initial(ts)
     md_state = MirrorDescentState.initial(np.full(12, 1.0 / 12.0), prob.n)
-    from mirrorboost.md_core import dual_response
     for k in range(40):
         resp = dual_response(prob, md_state.x)
         alpha = sched.step_size(k)
@@ -187,26 +187,28 @@ def test_run_adaboost_matches_engine_dual_average_exactly():
 
 
 def test_run_adaboost_equals_mirror_descent_run():
+    # the engine view against the classical loop, bit for bit
     ts = datagen.make_nonseparable_classification(m=20, d=3, seed=2)
-    prob = ts.to_minmax()
     for sched in (StepSchedule.constant(ts.lipschitz, math.log(20.0), 60),
                   StepSchedule.dynamic(ts.lipschitz, math.log(20.0)),
                   StepSchedule.edge_linesearch()):
-        rb = run_adaboost(ts, sched, 60)
-        rm = run(prob, sched, prox.entropy(20), 60)
+        rb = classical_adaboost(ts, sched, 60)
+        rm = run_adaboost(ts, sched, 60)
         assert len(rb.records) == len(rm.records)
         for b, m_ in zip(rb.records, rm.records):
             assert b.index == m_.index and b.alpha == m_.alpha
             assert b.primal == m_.primal and b.dual == m_.dual
             np.testing.assert_array_equal(b.x, m_.x)
+        np.testing.assert_array_equal(rb.state.weights, rm.state.x)
+        np.testing.assert_array_equal(rb.state.coefficients, rm.state.dual_weighted_sum)
 
 
 def test_run_adaboost_records_pre_step_values():
     ts = datagen.make_margin_matrix(m=8, n=5, seed=11)
     res = run_adaboost(ts, StepSchedule.fixed(0.3), 10)
     np.testing.assert_array_equal(res.records[0].x, np.full(8, 1.0 / 8.0))
-    # at uniform weights the loss gradient max-norm equals the best edge
-    assert res.records[0].grad_norm == res.records[0].primal
+    # the recorded loss-gradient norm is the edge
+    assert all(rec.grad_norm == rec.primal for rec in res.records)
     # best_primal is the running minimum of the recorded primal values
     best = math.inf
     for rec in res.records:
@@ -248,3 +250,18 @@ def test_run_adaboost_sink_and_validation():
     seen = []
     run_adaboost(ts, StepSchedule.fixed(0.1), 4, sink=seen.append)
     assert [r.k for r in seen] == [0, 1, 2, 3]
+
+
+def test_large_fixed_steps_drive_weights_to_the_boundary():
+    # fixed(20) underflows the first weight to exactly 0 within a few rounds;
+    # the engine's prox keeps it at 0 and stays with the classical loop
+    ts = TrainingSet.from_margin_matrix([[-0.5], [0.0], [0.0]])
+    rb = classical_adaboost(ts, StepSchedule.fixed(20.0), 300)
+    rm = run_adaboost(ts, StepSchedule.fixed(20.0), 300)
+    assert rm.terminated is None and len(rm.records) == 300
+    assert rm.state.x[0] == 0.0
+    for b, m_ in zip(rb.records, rm.records):
+        assert (b.index, b.alpha, b.primal, b.best_primal, b.dual) == \
+            (m_.index, m_.alpha, m_.primal, m_.best_primal, m_.dual)
+        np.testing.assert_array_equal(b.x, m_.x)
+    np.testing.assert_array_equal(rb.state.weights, rm.state.x)

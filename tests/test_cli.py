@@ -1,5 +1,6 @@
 """Command-line harness: exit codes, output files, and byte-level reproducibility."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -194,6 +195,26 @@ def test_run_from_config_file(tmp_path):
     assert header.config["schedule"] == "linesearch"
     # the config file replaces positional arguments
     assert main(["run", "adaboost", "--config", str(cfg_path)]) == EXIT_USAGE
+
+
+def test_mistyped_config_is_a_usage_error(tmp_path, capsys):
+    assert set(cli._CONFIG_TYPES) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    base = {"task": "fs", "data": "synthetic:regression:seed=3", "schedule": "linesearch",
+            "iterations": 5, "out_dir": str(tmp_path / "out")}
+    cfg_path = tmp_path / "exp.json"
+    for key, bad in (("iterations", "5"), ("iterations", True), ("iterations", 5.0),
+                     ("task", 3), ("data", None), ("schedule", ["linesearch"]),
+                     ("epsilon", "0.1"), ("f_star", False), ("center", 1),
+                     ("use_response_bound", "yes"), ("out_dir", 7), ("prefix", {})):
+        cfg_path.write_text(json.dumps({**base, key: bad}))
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE, (key, bad)
+        assert f"config key {key!r}" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps([base]))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+    # integers are accepted where a float is expected, null where a field is optional
+    cfg_path.write_text(json.dumps({**base, "f_star": 0, "epsilon": None, "prefix": None}))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
 
 
 def test_outdir_env_var_is_the_default(tmp_path, monkeypatch):

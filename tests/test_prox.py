@@ -106,9 +106,21 @@ def test_prox_solve_entropy_survives_extreme_costs():
     np.testing.assert_allclose(out2, [1.0, 0.0], atol=1e-300)
 
 
-def test_prox_solve_entropy_requires_positive_anchor():
-    with pytest.raises(ValueError):
-        prox_solve(entropy(2), np.zeros(2), np.array([1.0, 0.0]), 1.0)
+def test_prox_solve_entropy_rejects_negative_or_zero_anchor():
+    for anchor in ([1.5, -0.5], [0.0, 0.0]):
+        with pytest.raises(ValueError):
+            prox_solve(entropy(2), np.zeros(2), np.array(anchor), 1.0)
+
+
+def test_prox_solve_entropy_boundary_anchor_is_multiplicative_update():
+    # zero entries stay at zero; the rest is the usual multiplicative update
+    anchor = np.array([0.5, 0.0, 0.5])
+    c = np.array([math.log(3.0), 2.0, 0.0])
+    out = prox_solve(entropy(3), c, anchor, 1.0)
+    u = anchor * np.exp(-c)
+    np.testing.assert_array_equal(out, u / u.sum())
+    np.testing.assert_allclose(out, [0.25, 0.0, 0.75], rtol=1e-15)
+    assert prox_solve(entropy(2), np.array([3.0, -1.0]), np.array([1.0, 0.0]), 2.0)[1] == 0.0
 
 
 def test_prox_solve_euclidean_is_gradient_step():

@@ -1,5 +1,6 @@
-"""Forward stagewise regression: the residual update, sparsity accounting,
-projection norms, and agreement with the mirror descent engine."""
+"""Forward stagewise regression: the classical residual update of
+tests/oracles.py, sparsity accounting, projection norms, and exact agreement
+of the engine view with the classical update."""
 
 import math
 
@@ -7,19 +8,15 @@ import numpy as np
 import pytest
 
 from conftest import gram_schmidt_projection_norm
-from mirrorboost import datagen, prox
-from mirrorboost.md_core import StepSchedule, run
+from mirrorboost import datagen
+from mirrorboost.md_core import NNZ_TOLERANCE, StepSchedule, support_size
 from mirrorboost.stagewise import (
-    NNZ_TOLERANCE,
     RegressionProblem,
-    StagewiseState,
-    correlation_objective,
-    fs_step,
     least_squares_norm,
     optimal_shrinkage,
     run_fs,
-    support_size,
 )
+from oracles import StagewiseState, classical_fs, correlation_objective, fs_step
 
 
 def test_problem_validation():
@@ -154,8 +151,7 @@ def test_run_fs_residual_consistent_with_replayed_coefficients():
         np.testing.assert_allclose(rec.x, rp.response - rp.design @ beta, atol=1e-9)
         assert rec.l1 == pytest.approx(float(np.sum(np.abs(beta))), abs=1e-12)
         beta[rec.index] += rec.alpha * rec.sign
-    final = res.state
-    np.testing.assert_allclose(final.coefficients, beta, atol=1e-12)
+    np.testing.assert_allclose(res.state.dual_weighted_sum, beta, atol=1e-12)
 
 
 def test_run_fs_linesearch_step_is_the_polyak_step():
@@ -173,22 +169,24 @@ def test_run_fs_linesearch_on_identity_reaches_the_optimum():
     res = run_fs(rp, StepSchedule.polyak(0.0), 10)
     assert len(res.records) == 1
     assert res.terminated is not None and "orthogonal" in res.terminated
-    np.testing.assert_array_equal(res.state.coefficients, [1.0, 0.0])
-    np.testing.assert_array_equal(res.state.residual, [0.0, 0.0])
+    np.testing.assert_array_equal(res.state.dual_weighted_sum, [1.0, 0.0])
+    np.testing.assert_array_equal(res.state.x, [0.0, 0.0])
 
 
 def test_run_fs_equals_mirror_descent_run():
+    # the engine view against the classical loop, bit for bit
     rp = datagen.make_regression(n=30, p=15, seed=12)
-    prob = rp.to_minmax()
     for sched in (StepSchedule.fixed(0.03), StepSchedule.polyak(0.0)):
-        rf = run_fs(rp, sched, 100)
-        rm = run(prob, sched, prox.euclidean(rp.num_samples), 100,
-                 x0=rp.response.copy())
+        rf = classical_fs(rp, sched, 100)
+        rm = run_fs(rp, sched, 100)
         assert len(rf.records) == len(rm.records)
         for f, m_ in zip(rf.records, rm.records):
             assert f.index == m_.index and f.sign == m_.sign
             assert f.alpha == m_.alpha and f.primal == m_.primal
+            assert f.l1 == m_.l1 and f.l0 == m_.l0
             np.testing.assert_array_equal(f.x, m_.x)
+        np.testing.assert_array_equal(rf.state.residual, rm.state.x)
+        np.testing.assert_array_equal(rf.state.coefficients, rm.state.dual_weighted_sum)
 
 
 def test_run_fs_objective_decreases_to_tolerance_with_linesearch():
