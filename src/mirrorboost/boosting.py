@@ -7,8 +7,10 @@ exact best-column weak learner is mirror descent with the entropy prox on the
 edge objective max_j (A^T w)_j over this matrix: the multiplicative weight
 update is the prox step, the weak learner is the dual response, and the
 normalized coefficient vector is the step-weighted dual average, whose
-smallest margin is the dual value. run_adaboost builds that problem and runs
-the engine.
+smallest margin is the dual value. The engine keeps the margins of the
+coefficients up to date in O(m) per round, adding the step times the chosen
+column, as classical AdaBoost does, so a round scans the margin matrix once.
+run_adaboost builds that problem and runs the engine.
 """
 
 from __future__ import annotations

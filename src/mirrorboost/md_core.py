@@ -5,6 +5,13 @@ oracle returns a maximizing vertex of Q, which is simultaneously the
 subgradient oracle: g = A lam. Running the engine accumulates a step-size
 weighted average of the dual responses, whose value certifies the primal
 progress through weak duality.
+
+Each round reads the payoff once, in the dual response's A^T x scan. The dual
+value min_i (A lam_bar)_i of the average needs no second scan: since
+A lam_bar = (sum_k alpha_k g_k) / sum_k alpha_k, the engine keeps the margins
+A @ (sum_k alpha_k lam_k) as an m-vector and adds alpha_k g_k to them each
+round, in O(m), and the dual sum gains alpha_k at one index, since every
+response is a signed coordinate vector.
 """
 
 from __future__ import annotations
@@ -82,15 +89,14 @@ class DualResponse:
     index: int
     sign: float
     value: float
-    lam: np.ndarray
     grad: np.ndarray
 
 
 def dual_response(problem: MinmaxProblem, x) -> DualResponse:
     """Maximize x^T A lam over Q; ties resolve to the lowest column index.
 
-    Returns the maximizing vertex lam (a signed coordinate vector), the
-    achieved value f(x), and the subgradient g = A lam.
+    Returns the maximizing vertex lam, a signed coordinate vector, as its
+    index and sign, the achieved value f(x), and the subgradient g = A lam.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.m,):
@@ -101,7 +107,6 @@ def dual_response(problem: MinmaxProblem, x) -> DualResponse:
         if float(x.min()) < -1e-9 or abs(float(x.sum()) - 1.0) > 1e-6:
             raise ValueError("x must lie on the probability simplex")
     scores = problem.payoff.T @ x
-    lam = np.zeros(problem.n)
     if problem.dual_domain == DUAL_SIMPLEX:
         j = int(np.argmax(scores))
         sign = 1.0
@@ -113,8 +118,7 @@ def dual_response(problem: MinmaxProblem, x) -> DualResponse:
         sign = float(np.sign(scores[j]))
         value = float(magnitudes[j])
         grad = sign * problem.payoff[:, j]
-    lam[j] = sign
-    return DualResponse(index=j, sign=sign, value=value, lam=lam, grad=grad)
+    return DualResponse(index=j, sign=sign, value=value, grad=grad)
 
 
 def dual_value(problem: MinmaxProblem, lam) -> float | None:
@@ -164,11 +168,13 @@ class MirrorDescentState:
 
 
 def md_step(state: MirrorDescentState, grad, alpha: float, prox_fn: ProxFunction,
-            lam_tilde=None, value: float | None = None) -> MirrorDescentState:
+            vertex: tuple[int, float] | None = None,
+            value: float | None = None) -> MirrorDescentState:
     """One prox step from the current iterate.
 
-    `lam_tilde` (the dual response that produced `grad`) feeds the dual running
-    sums; `value` (the primal objective at the current iterate) feeds the
+    `vertex` is the dual response that produced `grad`, as the (index, sign)
+    of the signed coordinate vector it is; it feeds the dual running sums.
+    `value` (the primal objective at the current iterate) feeds the
     best-so-far tracking. Both are optional so the step can be driven manually.
     """
     alpha = float(alpha)
@@ -180,8 +186,12 @@ def md_step(state: MirrorDescentState, grad, alpha: float, prox_fn: ProxFunction
     new_x = prox_solve(prox_fn, grad, state.x, alpha)
     dual_sum = state.dual_weighted_sum
     step_sum = state.step_sum
-    if lam_tilde is not None:
-        dual_sum = dual_sum + alpha * np.asarray(lam_tilde, dtype=float)
+    if vertex is not None:
+        # a dense add of alpha * lam would add +0.0 to every other entry,
+        # which leaves it unchanged
+        index, sign = vertex
+        dual_sum = dual_sum.copy()
+        dual_sum[index] += alpha * sign
         step_sum = step_sum + alpha
     best_value = state.best_value
     best_index = state.best_index
@@ -196,6 +206,16 @@ def md_step(state: MirrorDescentState, grad, alpha: float, prox_fn: ProxFunction
         best_value=best_value,
         best_index=best_index,
     )
+
+
+def _check_square(alpha: float, lipschitz: float, num_steps: int = 1) -> None:
+    """Reject a step whose squares overflow when summed over `num_steps`
+    rounds: the certificates sum alpha^2. Such a step comes from a
+    near-subnormal Lipschitz constant. The factor 2 leaves room for the
+    rounding of the running sum."""
+    if not math.isfinite(2.0 * num_steps * alpha * alpha):
+        raise ValueError(f"the step size {alpha!r} from lipschitz constant {lipschitz!r} "
+                         f"has no finite square sum over {num_steps} step(s)")
 
 
 @dataclass(frozen=True)
@@ -223,6 +243,7 @@ class StepSchedule:
         if lipschitz <= 0.0 or diameter <= 0.0 or num_steps < 1:
             raise ValueError("constant schedule needs lipschitz > 0, diameter > 0, num_steps >= 1")
         alpha = math.sqrt(2.0 * diameter / num_steps) / lipschitz
+        _check_square(alpha, lipschitz, num_steps)  # the sum 2D / L^2 the certificates reach
         return cls(kind="constant", alpha=alpha, lipschitz=float(lipschitz),
                    diameter=float(diameter))
 
@@ -230,6 +251,9 @@ class StepSchedule:
     def dynamic(cls, lipschitz: float, diameter: float) -> "StepSchedule":
         if lipschitz <= 0.0 or diameter <= 0.0:
             raise ValueError("dynamic schedule needs lipschitz > 0 and diameter > 0")
+        # only the first, largest step: the horizon is not known here, so the
+        # square sum of a long run can still overflow
+        _check_square(math.sqrt(2.0 * diameter) / lipschitz, lipschitz)
         return cls(kind="dynamic", lipschitz=float(lipschitz), diameter=float(diameter))
 
     @classmethod
@@ -306,7 +330,10 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, prox_fn: ProxFunction,
     """Run mirror descent, emitting one record per iteration.
 
     Each record carries the pre-step iterate values (objective, chosen column)
-    and the post-step dual average value when it exists. `algorithm` is the
+    and the post-step dual average value when it exists. The dual value is
+    read from running margins A @ dual_weighted_sum, to which each round adds
+    alpha * g in O(m), so the payoff is scanned once per round, by the dual
+    response; only a simplex primal domain keeps them. `algorithm` is the
     tag the records carry; "adaboost" records also carry the edge as the
     loss-gradient norm, which equals it by the AdaBoost identity. Under the
     l1-ball dual the records carry the l1 norm and support size of the
@@ -332,6 +359,8 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, prox_fn: ProxFunction,
             raise ValueError(f"x0 must have shape ({problem.m},), got {x0.shape}")
     l1_ball = problem.dual_domain == DUAL_L1_BALL
     state = MirrorDescentState.initial(x0, problem.n)
+    # A @ dual_weighted_sum; the residual-space domain has no dual value
+    margins = np.zeros(problem.m) if problem.primal_domain == PRIMAL_SIMPLEX else None
     records: list[IterationRecord] = []
     terminated: str | None = None
     for k in range(iterations):
@@ -350,9 +379,12 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, prox_fn: ProxFunction,
             l1 = float(np.sum(np.abs(state.dual_weighted_sum)))
             l0 = support_size(state.dual_weighted_sum)
         state = md_step(state, resp.grad, alpha, prox_fn,
-                        lam_tilde=resp.lam, value=resp.value)
-        avg = state.dual_average
-        dval = dual_value(problem, avg) if avg is not None else None
+                        vertex=(resp.index, resp.sign), value=resp.value)
+        dual = None
+        if margins is not None:
+            margins += alpha * resp.grad
+            if state.step_sum > 0.0:
+                dual = float(margins.min()) / state.step_sum
         rec = IterationRecord(
             k=k,
             algorithm=algorithm,
@@ -361,7 +393,7 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, prox_fn: ProxFunction,
             alpha=alpha,
             primal=resp.value,
             best_primal=state.best_value,
-            dual=dval,
+            dual=dual,
             grad_norm=resp.value if algorithm == "adaboost" else None,
             l1=l1,
             l0=l0,

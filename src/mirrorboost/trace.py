@@ -4,12 +4,14 @@ A trace file is plain text, one JSON object per line: a single header line
 carrying the problem constants, one line per iteration, and an optional
 terminal line when a run stopped before its requested horizon. Keys are
 sorted and floats keep full round-trip precision, so identical runs produce
-byte-identical files.
+byte-identical files. Traces are strict JSON: a non-finite value is an error
+when writing, never a NaN or Infinity token.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -181,26 +183,52 @@ def validate_line(obj: dict) -> None:
         raise ValueError(f"unknown trace line type: {kind!r}")
 
 
+def _non_finite_field(value, name: str = "") -> str | None:
+    """Dotted name of the first non-finite float in a line's fields, if any."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else name
+    if isinstance(value, dict):
+        for key, item in value.items():
+            found = _non_finite_field(item, f"{name}.{key}" if name else key)
+            if found is not None:
+                return found
+    return None
+
+
+def _dumps(obj: dict) -> str:
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError:
+        field_name = _non_finite_field(obj)
+        where = f"{obj['type']} line" + (f" k={obj['k']}" if obj["type"] == "record" else "")
+        raise ValueError(f"{where}: field {field_name!r} is not finite, and traces "
+                         "are strict JSON") from None
+
+
 def write_trace(path, header: TraceHeader, records: Iterable[IterationRecord],
                 terminated: str | None = None,
                 slacks: dict[int, dict[str, float]] | None = None) -> None:
-    """Write a trace file; optional per-iteration certificate slacks are merged in."""
+    """Write a trace file; optional per-iteration certificate slacks are merged in.
+
+    A non-finite value in any field raises ValueError naming the field, before
+    the file is opened.
+    """
     lines = []
     head = header.to_dict()
     validate_line(head)
-    lines.append(json.dumps(head, sort_keys=True))
+    lines.append(_dumps(head))
     last_k = -1
     for rec in records:
         obj = rec.to_dict()
         if slacks is not None and rec.k in slacks:
             obj["slacks"] = {tag: float(v) for tag, v in sorted(slacks[rec.k].items())}
         validate_line(obj)
-        lines.append(json.dumps(obj, sort_keys=True))
+        lines.append(_dumps(obj))
         last_k = rec.k
     if terminated is not None:
         term = {"type": "terminal", "k": last_k + 1, "reason": terminated}
         validate_line(term)
-        lines.append(json.dumps(term, sort_keys=True))
+        lines.append(_dumps(term))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")

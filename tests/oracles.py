@@ -44,6 +44,47 @@ def margin(ts: TrainingSet, lam) -> float:
     return float(np.min(ts.margins @ lam))
 
 
+# machine epsilon (twice the unit roundoff u = 2^-53) and the smallest subnormal
+EPS = float(np.finfo(float).eps)
+TINY = 2.0 ** -1074
+
+
+def dual_rounding_bound(max_abs: float, n: int, k: int, step_sum: float) -> float:
+    """Largest difference that rounding alone allows between the engine's dual
+    value at record k and the dense margin of the normalized coefficients.
+
+    Both paths hold the same coefficient sums c_j and step sum S (the same
+    additions in the same order), and |min a - min b| <= max |a_i - b_i|.
+    The dense path rounds each c_j / S once and sums n products per row: off
+    from sum_j A_ij c_j / S by at most (n + 1) u max|A|, as sum_j |c_j| <= S
+    to first order. The engine adds the k + 1 products alpha_t A_it into its
+    running margin and divides by S: (k + 2) u max|A| for that, and k u max|A|
+    because each c_j carries up to k roundings of its own. Together
+    (2k + n + 3) u max|A| <= c (k + n + 1) u max|A| with c = 2 for n >= 1;
+    using EPS = 2u for u covers the second-order terms. Underflow adds less
+    than TINY per product or quotient: n products and n quotients (times
+    max|A|) in the dense value; k + 1 products, divided by S, and one
+    quotient in the engine's.
+    """
+    return (2.0 * (k + n + 1) * EPS * max_abs
+            + TINY * (n * (1.0 + max_abs) + 1.0) + (k + 1) * (TINY / step_sum))
+
+
+def assert_duals_within_rounding(payoff, oracle_records, engine_records) -> None:
+    """Record by record, both duals are None or differ by at most
+    dual_rounding_bound; the records' other fields are not looked at."""
+    payoff = np.asarray(payoff, dtype=float)
+    max_abs, n = float(np.abs(payoff).max()), payoff.shape[1]
+    step_sum = 0.0
+    for a, b in zip(oracle_records, engine_records):
+        step_sum += a.alpha
+        if a.dual is None or b.dual is None:
+            assert a.dual is None and b.dual is None, (a.k, a.dual, b.dual)
+        else:
+            bound = dual_rounding_bound(max_abs, n, a.k, step_sum)
+            assert abs(a.dual - b.dual) <= bound, (a.k, a.dual, b.dual, bound)
+
+
 def log_exp_loss(ts: TrainingSet, coefficients) -> tuple[float, np.ndarray]:
     """Log of the mean exponentiated negative margin, and its gradient.
 

@@ -10,10 +10,17 @@ import pytest
 from conftest import central_difference_gradient
 from mirrorboost import datagen, prox
 from mirrorboost.boosting import TrainingSet, run_adaboost
-from mirrorboost.md_core import MirrorDescentState, StepSchedule, dual_response, md_step
+from mirrorboost.md_core import (
+    MirrorDescentState,
+    StepSchedule,
+    dual_response,
+    dual_value,
+    md_step,
+)
 from oracles import (
     BoostState,
     adaboost_step,
+    assert_duals_within_rounding,
     classical_adaboost,
     edge,
     log_exp_loss,
@@ -179,7 +186,7 @@ def test_run_adaboost_matches_engine_dual_average_exactly():
         alpha = sched.step_size(k)
         boost = adaboost_step(boost, ts, alpha)
         md_state = md_step(md_state, resp.grad, alpha, prox.entropy(12),
-                           lam_tilde=resp.lam, value=resp.value)
+                           vertex=(resp.index, resp.sign), value=resp.value)
         assert boost.columns[-1] == resp.index
         np.testing.assert_array_equal(boost.weights, md_state.x)
         np.testing.assert_array_equal(boost.normalized_coefficients(),
@@ -187,7 +194,8 @@ def test_run_adaboost_matches_engine_dual_average_exactly():
 
 
 def test_run_adaboost_equals_mirror_descent_run():
-    # the engine view against the classical loop, bit for bit
+    # the engine view against the classical loop, bit for bit except the dual
+    # value, which the two sum in different orders
     ts = datagen.make_nonseparable_classification(m=20, d=3, seed=2)
     for sched in (StepSchedule.constant(ts.lipschitz, math.log(20.0), 60),
                   StepSchedule.dynamic(ts.lipschitz, math.log(20.0)),
@@ -197,10 +205,28 @@ def test_run_adaboost_equals_mirror_descent_run():
         assert len(rb.records) == len(rm.records)
         for b, m_ in zip(rb.records, rm.records):
             assert b.index == m_.index and b.alpha == m_.alpha
-            assert b.primal == m_.primal and b.dual == m_.dual
+            assert b.primal == m_.primal and b.best_primal == m_.best_primal
             np.testing.assert_array_equal(b.x, m_.x)
+        assert_duals_within_rounding(ts.margins, rb.records, rm.records)
         np.testing.assert_array_equal(rb.state.weights, rm.state.x)
         np.testing.assert_array_equal(rb.state.coefficients, rm.state.dual_weighted_sum)
+
+
+def test_running_margins_do_not_drift_over_long_runs():
+    # the dual value the engine keeps in O(m) per round stays within 1e-12 of
+    # the dense dual value of the dual average replayed from the records, over
+    # 10000 rounds on an instance of the benchmark's boost-long size
+    ts = datagen.make_nonseparable_classification(m=40, d=4, seed=1)
+    problem = ts.to_minmax()
+    res = run_adaboost(ts, StepSchedule.dynamic(ts.lipschitz, math.log(40.0)), 10000)
+    assert len(res.records) == 10000
+    dual_sum = np.zeros(problem.n)
+    step_sum = 0.0
+    for rec in res.records:
+        dual_sum[rec.index] += rec.alpha * rec.sign
+        step_sum += rec.alpha
+        assert abs(rec.dual - dual_value(problem, dual_sum / step_sum)) <= 1e-12, rec.k
+    np.testing.assert_array_equal(dual_sum, res.state.dual_weighted_sum)
 
 
 def test_run_adaboost_records_pre_step_values():
@@ -261,7 +287,8 @@ def test_large_fixed_steps_drive_weights_to_the_boundary():
     assert rm.terminated is None and len(rm.records) == 300
     assert rm.state.x[0] == 0.0
     for b, m_ in zip(rb.records, rm.records):
-        assert (b.index, b.alpha, b.primal, b.best_primal, b.dual) == \
-            (m_.index, m_.alpha, m_.primal, m_.best_primal, m_.dual)
+        assert (b.index, b.alpha, b.primal, b.best_primal) == \
+            (m_.index, m_.alpha, m_.primal, m_.best_primal)
         np.testing.assert_array_equal(b.x, m_.x)
+    assert_duals_within_rounding(ts.margins, rb.records, rm.records)
     np.testing.assert_array_equal(rb.state.weights, rm.state.x)

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from mirrorboost import cli
+from mirrorboost import cli, datagen, md_core
+from mirrorboost.boosting import TrainingSet
 from mirrorboost.cli import (
     EXIT_CERTIFICATE,
     EXIT_IO,
@@ -111,6 +112,38 @@ def test_run_usage_errors_write_nothing(tmp_path):
     for argv in cases:
         assert main(argv) == EXIT_USAGE
         assert not out.exists()
+
+
+def test_run_rejects_a_step_with_no_finite_square(tmp_path, monkeypatch, capsys):
+    # a game whose largest entry is near the subnormal range: the tuned steps
+    # would overflow, so the run stops with a usage error before it starts
+    tiny = TrainingSet.from_margin_matrix(np.array([[2e-311, -1e-311], [0.0, 2e-311]]))
+    monkeypatch.setattr(datagen, "make_margin_matrix", lambda **_: tiny)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the engine must not run")
+
+    monkeypatch.setattr(md_core, "run", never)
+    out = tmp_path / "never"
+    for schedule in ("constant", "dynamic"):
+        assert main(["run", "minmax-game", "--data", "synthetic:game:seed=1",
+                     "--schedule", schedule, "--out", str(out)]) == EXIT_USAGE
+        assert "no finite square" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dynamic_run_whose_square_sum_overflows_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # the dynamic schedule checks only its first step: here twice its square
+    # is finite, but the squares summed over 10 rounds overflow, so the
+    # running-gap certificate's slack is not finite and the strict trace
+    # writer refuses it after the run
+    tiny = TrainingSet.from_margin_matrix(np.array([[1.3e-154, -0.6e-154], [0.0, 1.3e-154]]))
+    monkeypatch.setattr(datagen, "make_margin_matrix", lambda **_: tiny)
+    out = tmp_path / "out"
+    assert main(["run", "minmax-game", "--data", "synthetic:game:seed=1",
+                 "--schedule", "dynamic", "--iters", "10", "--out", str(out)]) == EXIT_USAGE
+    assert "field 'slacks.gap-running' is not finite" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_run_missing_csv_is_io_error(tmp_path):

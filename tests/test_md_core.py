@@ -43,7 +43,6 @@ def test_dual_response_simplex_prefers_lowest_index_on_ties():
     prob = MinmaxProblem(PENNIES)
     resp = dual_response(prob, np.array([0.5, 0.5]))
     assert resp.index == 0 and resp.sign == 1.0 and resp.value == 0.0
-    np.testing.assert_array_equal(resp.lam, [1.0, 0.0])
     np.testing.assert_array_equal(resp.grad, PENNIES[:, 0])
 
 
@@ -70,7 +69,6 @@ def test_dual_response_l1_ball_uses_signed_columns():
     resp = dual_response(prob, np.array([0.5, 0.5]))
     assert resp.index == 1 and resp.sign == -1.0
     assert resp.value == pytest.approx(1.0, rel=1e-15)
-    np.testing.assert_array_equal(resp.lam, [0.0, -1.0])
     np.testing.assert_array_equal(resp.grad, [0.0, 2.0])
     # the response value is f(x) = max over the ball, never negative
     assert dual_response(prob, np.zeros(2)).value == 0.0
@@ -116,9 +114,9 @@ def test_md_step_accumulates_dual_average_and_best_value():
     state = MirrorDescentState.initial(np.array([0.5, 0.5]), dual_dim=2)
     assert state.dual_average is None
     state = md_step(state, np.zeros(2), 0.5, prox.entropy(2),
-                    lam_tilde=np.array([1.0, 0.0]), value=2.0)
+                    vertex=(0, 1.0), value=2.0)
     state = md_step(state, np.zeros(2), 1.5, prox.entropy(2),
-                    lam_tilde=np.array([0.0, 1.0]), value=1.0)
+                    vertex=(1, 1.0), value=1.0)
     np.testing.assert_allclose(state.dual_average, [0.25, 0.75], rtol=1e-15)
     assert state.best_value == 1.0 and state.best_index == 1
     # a later, worse value does not displace the best
@@ -149,6 +147,21 @@ def test_schedule_dynamic_formula():
     assert s.step_size(0) == math.sqrt(2.0 * math.log(4.0)) / 2.0
     assert s.step_size(3) == math.sqrt(2.0 * math.log(4.0) / 4.0) / 2.0
     assert s.step_size(3) < s.step_size(0)
+
+
+@pytest.mark.parametrize("lipschitz", [2e-311, 2e-308, 1e-154])
+def test_schedules_reject_steps_with_no_finite_square(lipschitz):
+    # 2e-311 makes the first step infinite; 2e-308 makes it finite, but its
+    # square overflows and so would the step sums within a few rounds; 1e-154
+    # leaves each constant step's square finite (about 1e307), but not their
+    # sum over the 25 planned steps, which the certificates reach
+    with pytest.raises(ValueError, match="no finite square"):
+        StepSchedule.constant(lipschitz, math.log(4.0), 25)
+    with pytest.raises(ValueError, match="no finite square"):
+        StepSchedule.dynamic(lipschitz, math.log(4.0))
+    # a tiny constant whose first step still squares to a finite value is kept
+    StepSchedule.constant(1e-150, math.log(4.0), 25)
+    StepSchedule.dynamic(1e-150, math.log(4.0))
 
 
 def test_schedule_polyak_formula_and_contracts():

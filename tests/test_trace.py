@@ -98,6 +98,24 @@ def test_write_read_round_trip(tmp_path):
     assert lines[3] == {"type": "terminal", "k": 2, "reason": "stopped for testing"}
 
 
+def test_write_trace_rejects_non_finite_fields(tmp_path):
+    path = tmp_path / "run.trace.jsonl"
+    cases = [
+        (_header(), [_record(0, dual=math.nan)], None, "record line k=0: field 'dual'"),
+        (_header(), [_record(0), _record(1, alpha=math.inf)], None,
+         "record line k=1: field 'alpha'"),
+        (_header(), [_record(0)], {0: {"gap-running": -math.inf}},
+         "field 'slacks.gap-running'"),
+        (_header(lipschitz=math.inf), [_record(0)], None, "header line: field 'lipschitz'"),
+        (_header(schedule={"kind": "constant", "alpha": math.nan}), [_record(0)], None,
+         "field 'schedule.alpha'"),
+    ]
+    for header, records, slacks, message in cases:
+        with pytest.raises(ValueError, match=message):
+            write_trace(path, header, records, slacks=slacks)
+        assert not path.exists()
+
+
 def test_write_trace_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     records = [_record(0, primal=math.pi / 4.0), _record(1, alpha=1e-17)]
