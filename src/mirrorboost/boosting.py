@@ -11,10 +11,17 @@ smallest margin is the dual value. The engine keeps the margins of the
 coefficients up to date in O(m) per round, adding the step times the chosen
 column, as classical AdaBoost does, so a round scans the margin matrix once.
 run_adaboost builds that problem and runs the engine.
+
+The closure allocates at most one matrix: a matrix already closed, with no
+-0.0, is kept as given, and otherwise the closed matrix is allocated once and
+filled. Columns are matched by hash and confirmed by comparison, a block of
+columns at a time, so no copy of the whole matrix or of its column bytes is
+held beside it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,20 +32,96 @@ from .prox import entropy
 from .trace import RunResult
 
 
+# entries per block of columns that the closure copies, hashes or gathers at
+# a time (1 MiB of float64), so its temporaries stay small beside the matrix
+_BLOCK_ENTRIES = 1 << 17
+
+
+def _check_entries(a: np.ndarray, what: str) -> None:
+    """Raise unless every entry of `a` is finite and lies in [-1, 1].
+
+    Reads only the largest and smallest entry: NaN propagates through both and
+    an infinity is one of them, so no temporary as large as `a` is made.
+    """
+    if a.size == 0:
+        return
+    high, low = float(a.max()), float(a.min())
+    if not (math.isfinite(high) and math.isfinite(low)):
+        raise ValueError(f"{what} must be finite")
+    if max(high, -low) > 1.0:
+        raise ValueError(f"{what} must lie in [-1, 1]")
+
+
+def _checked_labels(labels, num_examples: int) -> np.ndarray:
+    """The labels as floats: one finite entry in [-1, 1] per example."""
+    labels = np.asarray(labels, dtype=float)
+    if labels.shape != (num_examples,):
+        raise ValueError("labels must have one entry per example")
+    _check_entries(labels, "outputs and labels")
+    return labels
+
+
+def _column_blocks(matrix: np.ndarray, width: int):
+    """Runs of `width` adjacent columns: (index of the first, a C-contiguous
+    copy with one column per row and every -0.0 made 0.0)."""
+    for start in range(0, matrix.shape[1], width):
+        yield start, np.add(matrix[:, start:start + width].T, 0.0, order="C")
+
+
+def _column_bytes(matrix: np.ndarray, c: int, start: int, block: list[bytes]) -> bytes:
+    """Bytes of column c with -0.0 made 0.0, from `block`, the bytes of the
+    columns from `start` on, when it holds them."""
+    if start <= c < start + len(block):
+        return block[c - start]
+    return (matrix[:, c] + 0.0).tobytes()
+
+
 def _close_under_negation(matrix: np.ndarray) -> np.ndarray:
-    """Append the negation of every column whose negation is not present."""
-    matrix = matrix + 0.0  # normalizes -0.0 so byte-level column lookups work
-    present = {matrix[:, j].tobytes() for j in range(matrix.shape[1])}
-    extra = []
-    for j in range(matrix.shape[1]):
-        neg = -matrix[:, j] + 0.0
-        key = neg.tobytes()
-        if key not in present:
-            present.add(key)
-            extra.append(neg)
-    if not extra:
+    """Append the negation of every column whose negation is not present.
+
+    Columns compare by value, so -0.0 equals 0.0: by their bytes with -0.0
+    made 0.0. A column is looked up by the hash() of those bytes; an equal
+    hash only names a candidate, which is confirmed by comparing the bytes,
+    so the result is exact whatever the hash seed. The negations are appended
+    in column order, each once. Returns `matrix` itself when nothing is
+    appended and it holds no -0.0; otherwise one new C-contiguous matrix, with
+    0.0 for every -0.0. `matrix` is never written.
+    """
+    m, n = matrix.shape
+    width = max(1, _BLOCK_ENTRIES // m)
+    hashes: list[int] = []
+    by_hash: dict[int, list[int]] = {}
+    signed_zero = False
+    for start, cols in _column_blocks(matrix, width):
+        for j, col in enumerate(cols, start):
+            hashes.append(hash(col.tobytes()))
+            by_hash.setdefault(hashes[j], []).append(j)
+        raw = matrix[:, start:start + len(cols)]
+        signed_zero = signed_zero or bool(np.signbit(raw[raw == 0.0]).any())
+
+    extra: list[int] = []
+    for start, cols in _column_blocks(matrix, width):
+        block = [col.tobytes() for col in cols]
+        negations = np.subtract(0.0, cols)  # -x, with 0.0 (not -0.0) for x = 0.0
+        for j, neg in enumerate(negations, start):
+            key = neg.tobytes()
+            if any(_column_bytes(matrix, c, start, block) == key
+                   for c in by_hash.get(hash(key), ())):
+                continue  # the negation is a column of the matrix
+            key = block[j - start]
+            if any(_column_bytes(matrix, c, start, block) == key
+                   for c in by_hash[hashes[j]] if c < j):
+                continue  # an equal earlier column has had its negation appended
+            extra.append(j)
+    if not extra and not signed_zero:
         return matrix
-    return np.hstack([matrix, np.column_stack(extra)])
+    closed = np.empty((m, n + len(extra)))
+    np.add(matrix, 0.0, out=closed[:, :n])
+    for i in range(0, len(extra), width):
+        picked = extra[i:i + width]
+        np.subtract(0.0, np.take(matrix, picked, axis=1),
+                    out=closed[:, n + i:n + i + len(picked)])
+    return closed
 
 
 @dataclass(frozen=True)
@@ -48,6 +131,11 @@ class TrainingSet:
     margins[i, j] = labels[i] * output of classifier j on example i, every
     entry in [-1, 1]. Raw features and labels are optional: instances defined
     directly at the matrix level carry only the margins.
+
+    The set never writes into an array it is given. When the given margins are
+    a float array already closed under negation and free of -0.0, the set
+    keeps that array itself rather than a copy (so a caller that later writes
+    into it changes the set); otherwise it keeps the closed matrix, built once.
     """
 
     margins: np.ndarray
@@ -58,27 +146,21 @@ class TrainingSet:
         margins = np.asarray(self.margins, dtype=float)
         if margins.ndim != 2 or margins.size == 0:
             raise ValueError("margins must be a nonempty 2-D matrix")
-        if not np.all(np.isfinite(margins)):
-            raise ValueError("margin entries must be finite")
-        if float(np.abs(margins).max()) > 1.0:
-            raise ValueError("margin entries must lie in [-1, 1]")
+        _check_entries(margins, "margin entries")
         object.__setattr__(self, "margins", _close_under_negation(margins))
 
     @classmethod
     def from_outputs(cls, outputs, labels, features=None) -> "TrainingSet":
-        """Build from classifier outputs (m x n, entries in [-1, 1]) and labels."""
+        """Build from classifier outputs (m x n, entries in [-1, 1]) and labels.
+
+        The margins are a new array; `outputs` is not written.
+        """
         outputs = np.asarray(outputs, dtype=float)
-        labels = np.asarray(labels, dtype=float)
         if outputs.ndim != 2:
             raise ValueError("outputs must be a 2-D matrix")
-        if labels.shape != (outputs.shape[0],):
-            raise ValueError("labels must have one entry per example")
-        if not np.all(np.isfinite(outputs)) or not np.all(np.isfinite(labels)):
-            raise ValueError("outputs and labels must be finite")
-        if float(np.abs(outputs).max(initial=0.0)) > 1.0 or float(np.abs(labels).max(initial=0.0)) > 1.0:
-            raise ValueError("outputs and labels must lie in [-1, 1]")
-        margins = labels[:, None] * outputs
-        return cls(margins=margins, features=features, labels=labels)
+        labels = _checked_labels(labels, outputs.shape[0])
+        _check_entries(outputs, "outputs and labels")
+        return cls(margins=labels[:, None] * outputs, features=features, labels=labels)
 
     @classmethod
     def from_margin_matrix(cls, margins) -> "TrainingSet":

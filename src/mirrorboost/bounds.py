@@ -26,6 +26,7 @@ OPT_POLYAK = "opt-polyak"              # best value minus f* vs the polyak close
 OPT_HORIZON = "opt-horizon"            # best value minus f* vs the tuned-shrinkage closed form
 SPARSITY_L1 = "sparsity-l1"            # coefficient l1 norm vs iteration count times shrinkage
 SPARSITY_L0 = "sparsity-l0"            # coefficient support size vs iteration count
+TRACE_INTEGRITY = "trace-integrity"    # the records are in order and self-consistent
 
 
 def _ratio_bound(offset: float, lipschitz: float, step_sum: float, step_sq_sum: float) -> float:
@@ -193,6 +194,29 @@ class CertificateReport:
         }
 
 
+def _inconsistency(records) -> CertificateRecord | None:
+    """A failed trace-integrity record for the first record that breaks the
+    trace's invariants, or None when every record keeps them: record i has
+    k = i, best_primal is the running minimum of primal, and alpha is finite
+    and nonnegative."""
+    best = math.inf
+    for i, rec in enumerate(records):
+        if rec.primal < best:
+            best = rec.primal
+        if rec.k != i:
+            note = f"record {i} has k={rec.k}: iterations must run 0, 1, 2, ... once each"
+        elif rec.best_primal != best:
+            note = (f"best_primal {rec.best_primal!r} is not the running minimum "
+                    f"{best!r} of primal")
+        elif not (math.isfinite(rec.alpha) and rec.alpha >= 0.0):
+            note = f"step size alpha {rec.alpha!r} is not finite and nonnegative"
+        else:
+            continue
+        return CertificateRecord(k=rec.k, tag=TRACE_INTEGRITY, observed=None, bound=None,
+                                 slack=None, passed=False, note=note)
+    return None
+
+
 def check(records, constants: RunConstants) -> CertificateReport:
     """Evaluate every applicable bound against an iteration trace.
 
@@ -200,6 +224,9 @@ def check(records, constants: RunConstants) -> CertificateReport:
     iterations 0..k with the post-step dual average (or the known optimal
     value) and with the bound built from step sizes 0..k. Closed forms tied
     to a planned horizon yield a single record at the final planned iteration.
+    A trace whose records are out of order, repeated or self-contradictory
+    gets one failed trace-integrity record, after the others; a consistent
+    trace gets none, so its report is unchanged.
     """
     records = list(records)
     if not records:
@@ -233,6 +260,8 @@ def check(records, constants: RunConstants) -> CertificateReport:
                     t, GAP_RUNNING, "missing diameter or lipschitz constant"))
             elif rec.dual is None:
                 report.records.append(_not_evaluable(t, GAP_RUNNING, "no dual value" + dual_ref))
+            elif step_sum <= 0.0:  # only in a tampered trace: runs record no dual then
+                report.records.append(_not_evaluable(t, GAP_RUNNING, "zero step-size sum"))
             else:
                 bound = _ratio_bound(constants.diameter, constants.lipschitz,
                                      step_sum, step_sq_sum)
@@ -243,6 +272,8 @@ def check(records, constants: RunConstants) -> CertificateReport:
                         t, GAP_DYNAMIC, "missing diameter or lipschitz constant"))
                 elif rec.dual is None:
                     report.records.append(_not_evaluable(t, GAP_DYNAMIC, "no dual value" + dual_ref))
+                elif t < 0:  # only in a tampered trace, which fails trace-integrity
+                    report.records.append(_not_evaluable(t, GAP_DYNAMIC, "negative iteration"))
                 else:
                     bound = dynamic_bound(constants.diameter, constants.lipschitz, t)
                     report.records.append(_evaluated(t, GAP_DYNAMIC, gap_ref - rec.dual, bound))
@@ -262,6 +293,8 @@ def check(records, constants: RunConstants) -> CertificateReport:
                 if constants.dist0 is None or constants.lipschitz is None:
                     report.records.append(_not_evaluable(
                         t, OPT_POLYAK, "missing dist0 or lipschitz constant"))
+                elif t < 0:  # only in a tampered trace, which fails trace-integrity
+                    report.records.append(_not_evaluable(t, OPT_POLYAK, "negative iteration"))
                 else:
                     bound = polyak_bound(constants.lipschitz, constants.dist0, t)
                     report.records.append(_evaluated(t, OPT_POLYAK, observed, bound))
@@ -306,4 +339,7 @@ def check(records, constants: RunConstants) -> CertificateReport:
             observed = final.best_primal - constants.f_star
             bound = polyak_bound(constants.lipschitz, constants.dist0, constants.horizon - 1)
             report.records.append(_evaluated(final.k, OPT_HORIZON, observed, bound))
+    broken = _inconsistency(records)
+    if broken is not None:
+        report.records.append(broken)
     return report

@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds, datagen, md_core, prox
 from .boosting import TrainingSet
 from .stagewise import RegressionProblem, least_squares_norm, optimal_shrinkage
-from .trace import TraceHeader, read_trace, write_trace
+from .trace import TraceHeader, format_trace, read_trace
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -259,23 +259,46 @@ def _render_report_text(header: TraceHeader, report: bounds.CertificateReport) -
         f"summary: {s['total']} checked, {s['passed']} passed, {s['failed']} failed, "
         f"{s['not_evaluable']} not evaluable")
     for rec in report.failures():
-        lines.append(
-            f"  FAILED {rec.tag} at k={rec.k}: observed {rec.observed!r} "
-            f"> bound {rec.bound!r}")
+        if rec.observed is None:
+            lines.append(f"  FAILED {rec.tag} at k={rec.k}: {rec.note}")
+        else:
+            lines.append(
+                f"  FAILED {rec.tag} at k={rec.k}: observed {rec.observed!r} "
+                f"> bound {rec.bound!r}")
     return "\n".join(lines) + "\n"
+
+
+def _check_report_is_finite(report: bounds.CertificateReport) -> None:
+    """Raise ValueError naming the first non-finite value of a certificate
+    record: the report is strict JSON, and this is checked before anything
+    is written."""
+    for rec in report.records:
+        for name in ("observed", "bound", "slack"):
+            value = getattr(rec, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"report record k={rec.k}, tag {rec.tag!r}: field {name!r} "
+                                 "is not finite, and reports are strict JSON")
 
 
 def _write_outputs(out_dir: Path, prefix: str, header: TraceHeader, result,
                    report: bounds.CertificateReport) -> dict[str, Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write the trace, both reports and the plot. The trace is serialized and
+    the report checked before `out_dir` is made, so an output refused for a
+    non-finite value leaves no directory behind."""
     paths = {
         "trace": out_dir / f"{prefix}.trace.jsonl",
         "report_json": out_dir / f"{prefix}.report.json",
         "report_txt": out_dir / f"{prefix}.report.txt",
         "plot": out_dir / f"{prefix}.plot.csv",
     }
-    write_trace(paths["trace"], header, result.records, terminated=result.terminated,
-                slacks=report.slacks_by_iteration())
+    trace = format_trace(header, result.records, terminated=result.terminated,
+                         slacks=report.slacks_by_iteration())
+    _check_report_is_finite(report)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(paths["trace"], "w", encoding="utf-8") as fh:
+        fh.write(trace)
+        fh.flush()
+    del trace  # not held while the report is serialized, the peak of a long run
     _write_report_files(paths["report_json"], paths["report_txt"], header, report)
     running = {}
     for rec in report.records:
@@ -301,7 +324,7 @@ def _write_outputs(out_dir: Path, prefix: str, header: TraceHeader, result,
 def _write_report_files(json_path: Path, txt_path: Path, header: TraceHeader,
                         report: bounds.CertificateReport) -> None:
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
+        json.dump(report.to_dict(), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
         fh.flush()
     with open(txt_path, "w", encoding="utf-8") as fh:
@@ -399,12 +422,13 @@ def _cmd_check(args) -> int:
     report = bounds.check(records, constants)
     trace_path = Path(args.trace)
     out_dir = Path(args.out) if args.out else trace_path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = trace_path.name
     for suffix in (".trace.jsonl", ".jsonl"):
         if stem.endswith(suffix):
             stem = stem[: -len(suffix)]
             break
+    _check_report_is_finite(report)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_report_files(out_dir / f"{stem}.report.json", out_dir / f"{stem}.report.txt",
                         header, report)
     print(_render_report_text(header, report), end="")

@@ -1,4 +1,11 @@
-"""Data loading, decision stumps, and seeded synthetic instances."""
+"""Data loading, decision stumps, and seeded synthetic instances.
+
+A classification instance is the matrix of every decision stump's outputs
+times the labels. The build allocates that matrix once: build_stumps finds
+the distinct stump columns from their bit patterns and then fills the matrix,
+training_set_from_features multiplies it by the labels in place, and
+TrainingSet keeps it, as it is closed under negation already.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import TrainingSet
+from .boosting import TrainingSet, _checked_labels
 from .stagewise import RegressionProblem
 
 
@@ -31,41 +38,76 @@ def build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
     """All midpoint-threshold stumps over every feature, both orientations,
     plus the two constant classifiers, with exact duplicate columns removed.
 
-    Returns the output matrix (one column per kept stump) and the stump
-    descriptors in column order.
+    Returns the output matrix (one column per kept stump, C-contiguous) and the
+    stump descriptors in column order: per feature, each midpoint in
+    increasing order with sign +1 then -1; then the constants +1 and -1; a
+    column equal to an earlier one is left out.
+
+    Every output is +1 or -1, so a column is fixed by the pattern of examples
+    where it is +1. One feature's patterns come from one comparison of the
+    feature against all its midpoints; duplicates are found by the patterns
+    packed eight examples to a byte, and only the kept patterns are held,
+    packed, until the matrix is allocated, once, and filled from them.
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError("features must be a 2-D matrix with at least one row")
-    columns: list[np.ndarray] = []
+    m = features.shape[0]
     stumps: list[Stump] = []
+    kept: list[np.ndarray] = []  # per feature, the packed patterns of its kept columns
     seen: set[bytes] = set()
+    for f in range(features.shape[1]):
+        x = features[:, f]
+        values = np.unique(x)
+        midpoints = 0.5 * (values[:-1] + values[1:])
+        patterns = np.empty((m, 2 * len(midpoints)), dtype=bool)
+        np.greater(x[:, None], midpoints, out=patterns[:, 0::2])
+        np.logical_not(patterns[:, 0::2], out=patterns[:, 1::2])
+        packed, keep = _unseen_patterns(patterns, seen)
+        kept.append(packed)
+        stumps.extend(Stump(feature=f, threshold=float(midpoints[j // 2]), sign=(1, -1)[j % 2])
+                      for j in keep)
+    constants = np.zeros((m, 2), dtype=bool)
+    constants[:, 0] = True
+    packed, keep = _unseen_patterns(constants, seen)
+    kept.append(packed)
+    stumps.extend(Stump(feature=-1, threshold=0.0, sign=(1, -1)[j]) for j in keep)
 
-    def keep(col: np.ndarray, stump: Stump) -> None:
-        col = col + 0.0
-        key = col.tobytes()
+    outputs = np.empty((m, len(stumps)))
+    start = 0
+    for packed in kept:
+        width = packed.shape[1]
+        outputs[:, start:start + width] = np.unpackbits(packed, axis=0, count=m)
+        start += width
+    outputs *= 2.0  # 0/1 to -1/+1, exactly
+    outputs -= 1.0
+    return outputs, stumps
+
+
+def _unseen_patterns(patterns: np.ndarray, seen: set[bytes]) -> tuple[np.ndarray, list[int]]:
+    """The columns of a boolean pattern matrix not in `seen`, each once: their
+    patterns packed eight rows to a byte, and their indices. Adds the new
+    patterns to `seen`."""
+    packed = np.packbits(patterns, axis=0)
+    keep = []
+    for j in range(packed.shape[1]):
+        key = packed[:, j].tobytes()
         if key not in seen:
             seen.add(key)
-            columns.append(col)
-            stumps.append(stump)
-
-    for f in range(features.shape[1]):
-        values = np.unique(features[:, f])
-        midpoints = 0.5 * (values[:-1] + values[1:])
-        for theta in midpoints:
-            for sign in (1, -1):
-                stump = Stump(feature=f, threshold=float(theta), sign=sign)
-                keep(stump.outputs(features), stump)
-    for sign in (1, -1):
-        stump = Stump(feature=-1, threshold=0.0, sign=sign)
-        keep(stump.outputs(features), stump)
-    return np.column_stack(columns), stumps
+            keep.append(j)
+    return packed[:, keep], keep
 
 
 def training_set_from_features(features, labels) -> TrainingSet:
+    """The stump training set: build_stumps' outputs, multiplied row by row by
+    the labels in place, become the margin matrix. It is closed under
+    negation already, so the set keeps it without a copy, unless a zero label
+    leaves a -0.0 in it."""
     features = np.asarray(features, dtype=float)
     outputs, _ = build_stumps(features)
-    return TrainingSet.from_outputs(outputs, labels, features=features)
+    labels = _checked_labels(labels, outputs.shape[0])
+    outputs *= labels[:, None]
+    return TrainingSet(margins=outputs, features=features, labels=labels)
 
 
 def _parse_rows(path) -> list[list[float]]:

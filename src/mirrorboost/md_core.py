@@ -55,7 +55,8 @@ class MinmaxProblem:
         payoff = np.asarray(self.payoff, dtype=float)
         if payoff.ndim != 2 or payoff.size == 0:
             raise ValueError("payoff must be a nonempty 2-D matrix")
-        if not np.all(np.isfinite(payoff)):
+        # NaN propagates through max and min, and an infinity is one of them
+        if not (math.isfinite(payoff.max()) and math.isfinite(payoff.min())):
             raise ValueError("payoff entries must be finite")
         object.__setattr__(self, "payoff", payoff)
         if self.primal_domain not in (PRIMAL_SIMPLEX, PRIMAL_RESIDUAL):
@@ -80,7 +81,8 @@ class MinmaxProblem:
         norm is l2 and the constant is the largest column l2 norm.
         """
         if self.primal_domain == PRIMAL_SIMPLEX:
-            return float(np.abs(self.payoff).max())
+            # max |A_ij| without an |A| temporary as large as the payoff
+            return float(max(self.payoff.max(), -self.payoff.min()))
         return float(np.linalg.norm(self.payoff, axis=0).max())
 
 

@@ -5,7 +5,7 @@ carrying the problem constants, one line per iteration, and an optional
 terminal line when a run stopped before its requested horizon. Keys are
 sorted and floats keep full round-trip precision, so identical runs produce
 byte-identical files. Traces are strict JSON: a non-finite value is an error
-when writing, never a NaN or Infinity token.
+when writing, and a NaN or Infinity token is an error when reading.
 """
 
 from __future__ import annotations
@@ -205,14 +205,12 @@ def _dumps(obj: dict) -> str:
                          "are strict JSON") from None
 
 
-def write_trace(path, header: TraceHeader, records: Iterable[IterationRecord],
-                terminated: str | None = None,
-                slacks: dict[int, dict[str, float]] | None = None) -> None:
-    """Write a trace file; optional per-iteration certificate slacks are merged in.
-
-    A non-finite value in any field raises ValueError naming the field, before
-    the file is opened.
-    """
+def format_trace(header: TraceHeader, records: Iterable[IterationRecord],
+                 terminated: str | None = None,
+                 slacks: dict[int, dict[str, float]] | None = None) -> str:
+    """The text of a trace file; optional per-iteration certificate slacks are
+    merged in. A non-finite value in any field raises ValueError naming the
+    field."""
     lines = []
     head = header.to_dict()
     validate_line(head)
@@ -229,10 +227,22 @@ def write_trace(path, header: TraceHeader, records: Iterable[IterationRecord],
         term = {"type": "terminal", "k": last_k + 1, "reason": terminated}
         validate_line(term)
         lines.append(_dumps(term))
+    return "\n".join(lines) + "\n"
+
+
+def write_trace(path, header: TraceHeader, records: Iterable[IterationRecord],
+                terminated: str | None = None,
+                slacks: dict[int, dict[str, float]] | None = None) -> None:
+    """Write format_trace's text to `path`; a non-finite field raises
+    ValueError before the file is opened."""
+    text = format_trace(header, records, terminated=terminated, slacks=slacks)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(text)
         fh.flush()
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a number in strict JSON")
 
 
 def read_trace(path) -> tuple[TraceHeader, list[IterationRecord], str | None]:
@@ -245,8 +255,8 @@ def read_trace(path) -> tuple[TraceHeader, list[IterationRecord], str | None]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                obj = json.loads(line, parse_constant=_reject_constant)
+            except ValueError as exc:  # json.JSONDecodeError is one
                 raise ValueError(f"{path}: line {lineno} is not valid JSON: {exc}") from exc
             validate_line(obj)
             if obj["type"] == "header":

@@ -6,6 +6,9 @@ and independent implementation that the engine is compared against: the
 multiplicative weight update over an exact best-column weak learner with the
 log-exponential loss, and the stagewise residual update. Only the step-size
 rule (StepSchedule) and the data containers are shared with the library.
+
+The data build has its loop versions here too: one stump column at a time,
+and the negation closure over a set of every column's bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mirrorboost.boosting import TrainingSet
+from mirrorboost.datagen import Stump
 from mirrorboost.md_core import StepSchedule, UndefinedStepError
 from mirrorboost.stagewise import RegressionProblem
 from mirrorboost.trace import IterationRecord, RunResult
@@ -281,3 +285,54 @@ def classical_fs(rp: RegressionProblem, schedule: StepSchedule, iterations: int)
         )
         records.append(rec)
     return RunResult(records=records, state=state, terminated=terminated)
+
+
+def classical_build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
+    """All midpoint-threshold stumps over every feature, both orientations,
+    plus the two constant classifiers, with exact duplicate columns removed.
+
+    Returns the output matrix (one column per kept stump) and the stump
+    descriptors in column order.
+    """
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[0] < 1:
+        raise ValueError("features must be a 2-D matrix with at least one row")
+    columns: list[np.ndarray] = []
+    stumps: list[Stump] = []
+    seen: set[bytes] = set()
+
+    def keep(col: np.ndarray, stump: Stump) -> None:
+        col = col + 0.0
+        key = col.tobytes()
+        if key not in seen:
+            seen.add(key)
+            columns.append(col)
+            stumps.append(stump)
+
+    for f in range(features.shape[1]):
+        values = np.unique(features[:, f])
+        midpoints = 0.5 * (values[:-1] + values[1:])
+        for theta in midpoints:
+            for sign in (1, -1):
+                stump = Stump(feature=f, threshold=float(theta), sign=sign)
+                keep(stump.outputs(features), stump)
+    for sign in (1, -1):
+        stump = Stump(feature=-1, threshold=0.0, sign=sign)
+        keep(stump.outputs(features), stump)
+    return np.column_stack(columns), stumps
+
+
+def classical_close_under_negation(matrix: np.ndarray) -> np.ndarray:
+    """Append the negation of every column whose negation is not present."""
+    matrix = matrix + 0.0  # normalizes -0.0 so byte-level column lookups work
+    present = {matrix[:, j].tobytes() for j in range(matrix.shape[1])}
+    extra = []
+    for j in range(matrix.shape[1]):
+        neg = -matrix[:, j] + 0.0
+        key = neg.tobytes()
+        if key not in present:
+            present.add(key)
+            extra.append(neg)
+    if not extra:
+        return matrix
+    return np.hstack([matrix, np.column_stack(extra)])

@@ -150,6 +150,36 @@ def test_check_flags_violations():
     assert report.summary()["failed"] == 1
 
 
+def test_check_fails_inconsistent_traces_once():
+    fixed, dynamic, polyak = (
+        RunConstants(algorithm="mirror-descent", schedule_kind=kind, lipschitz=1.0,
+                     diameter=math.log(2.0), f_star=0.0, dist0=1.0)
+        for kind in ("fixed", "dynamic", "polyak"))
+    first, second, third = (_rec(0, 0.5, 1.0, 1.0, dual=0.2), _rec(1, 0.5, 0.8, 0.8, dual=0.5),
+                            _rec(2, 0.5, 0.9, 0.8, dual=0.5))
+    report = check([first, second, third], fixed)
+    assert all(r.tag != bounds.TRACE_INTEGRITY for r in report.records)
+    cases = [
+        (fixed, [first, third, second], "record 1 has k=2"),  # reordered
+        (fixed, [first, first, second], "record 1 has k=0"),  # repeated
+        (fixed, [first, third], "record 1 has k=2"),  # a gap
+        (fixed, [first, _rec(1, 0.5, 0.8, 1.0, dual=0.5)], "not the running minimum"),
+        (fixed, [first, _rec(1, 0.5, 1.2, 1.2, dual=0.5)], "not the running minimum"),
+        (fixed, [first, _rec(1, -0.5, 0.8, 0.8, dual=0.5)], "alpha -0.5 is not finite"),
+        (fixed, [first, _rec(1, math.inf, 0.8, 0.8, dual=0.5)], "alpha inf is not finite"),
+        (fixed, [_rec(0, math.nan, 1.0, 1.0, dual=0.2)], "alpha nan is not finite"),
+        # the per-record closed forms are undefined at a negative k and skip it
+        (dynamic, [_rec(-1, 0.5, 1.0, 1.0, dual=0.2)], "record 0 has k=-1"),
+        (polyak, [_rec(-1, 0.5, 1.0, 1.0, dual=0.2)], "record 0 has k=-1"),
+    ]
+    for constants, records, note in cases:
+        report = check(records, constants)
+        broken = [r for r in report.records if r.tag == bounds.TRACE_INTEGRITY]
+        assert len(broken) == 1 and report.records[-1] is broken[0]
+        assert broken[0].passed is False and note in broken[0].note
+        assert not report.all_passed
+
+
 def test_check_zero_first_step_is_not_evaluable_not_passed():
     constants = RunConstants(algorithm="mirror-descent", schedule_kind="fixed",
                              lipschitz=1.0, diameter=math.log(2.0))

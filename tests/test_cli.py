@@ -143,7 +143,7 @@ def test_dynamic_run_whose_square_sum_overflows_is_a_usage_error(tmp_path, monke
     assert main(["run", "minmax-game", "--data", "synthetic:game:seed=1",
                  "--schedule", "dynamic", "--iters", "10", "--out", str(out)]) == EXIT_USAGE
     assert "field 'slacks.gap-running' is not finite" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_run_missing_csv_is_io_error(tmp_path):
@@ -189,6 +189,60 @@ def test_check_flags_tampered_traces(tmp_path):
         doctored.append(json.dumps(obj, sort_keys=True))
     trace.write_text("\n".join(doctored) + "\n")
     assert main(["check", str(trace), "--out", str(tmp_path / "re")]) == EXIT_CERTIFICATE
+
+
+def _game_trace_lines(tmp_path) -> list[str]:
+    out = tmp_path / "run"
+    assert main(["run", "minmax-game", "--data", "synthetic:game:seed=3:m=20:n=15",
+                 "--schedule", "dynamic", "--iters", "50",
+                 "--out", str(out), "--prefix", "g"]) == EXIT_OK
+    return (out / "g.trace.jsonl").read_text().splitlines()
+
+
+def _alone_in_a_directory(tmp_path, lines: list[str]):
+    """The trace lines written as the only file of a new directory."""
+    trace = tmp_path / "alone" / "g.trace.jsonl"
+    trace.parent.mkdir()
+    trace.write_text("\n".join(lines) + "\n")
+    return trace
+
+
+def test_check_rejects_a_nan_token_without_writing_a_report(tmp_path, capsys):
+    lines = _game_trace_lines(tmp_path)
+    dual = json.loads(lines[1])["dual"]
+    lines[1] = lines[1].replace(f'"dual": {dual!r}', '"dual": NaN')
+    assert '"dual": NaN' in lines[1]
+    trace = _alone_in_a_directory(tmp_path, lines)
+    capsys.readouterr()
+    assert main(["check", str(trace)]) == EXIT_USAGE
+    assert "line 2 is not valid JSON: NaN is not a number" in capsys.readouterr().err
+    assert list(trace.parent.iterdir()) == [trace]
+
+
+def test_check_refuses_a_report_with_a_non_finite_value(tmp_path, capsys):
+    # every field is finite, but the squared step overflows, so the running
+    # gap bound and its slack are not: the strict report refuses them
+    lines = _game_trace_lines(tmp_path)
+    first = json.loads(lines[1])
+    first["alpha"] = 1e300
+    lines[1] = json.dumps(first, sort_keys=True)
+    trace = _alone_in_a_directory(tmp_path, lines)
+    capsys.readouterr()
+    assert main(["check", str(trace), "--out", str(trace.parent / "re")]) == EXIT_USAGE
+    assert "tag 'gap-running': field 'bound' is not finite" in capsys.readouterr().err
+    assert list(trace.parent.iterdir()) == [trace]
+
+
+def test_check_fails_a_reordered_trace_with_a_repeated_record(tmp_path, capsys):
+    lines = _game_trace_lines(tmp_path)
+    by_k = {json.loads(line)["k"]: line for line in lines[1:]}
+    trace = tmp_path / "cut.trace.jsonl"
+    trace.write_text("\n".join([lines[0]] + [by_k[k] for k in (3, 1, 1, 2)]) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--out", str(tmp_path / "re")]) == EXIT_CERTIFICATE
+    out = capsys.readouterr().out
+    assert "FAILED trace-integrity at k=3: record 0 has k=3" in out
+    assert "summary: 13 checked, 12 passed, 1 failed" in out
 
 
 def test_check_io_and_usage_errors(tmp_path):

@@ -98,6 +98,18 @@ def test_write_read_round_trip(tmp_path):
     assert lines[3] == {"type": "terminal", "k": 2, "reason": "stopped for testing"}
 
 
+def test_read_trace_rejects_non_finite_tokens(tmp_path):
+    path = tmp_path / "run.trace.jsonl"
+    write_trace(path, _header(), [_record(0), _record(1)])
+    lines = path.read_text().splitlines()
+    for token in ("NaN", "Infinity", "-Infinity"):
+        doctored = lines[2].replace('"dual": -0.2', f'"dual": {token}')
+        assert doctored != lines[2]
+        path.write_text("\n".join(lines[:2] + [doctored]) + "\n")
+        with pytest.raises(ValueError, match=f"line 3 is not valid JSON: {token} is not a number"):
+            read_trace(path)
+
+
 def test_write_trace_rejects_non_finite_fields(tmp_path):
     path = tmp_path / "run.trace.jsonl"
     cases = [
