@@ -193,7 +193,9 @@ def run_adaboost(ts: TrainingSet, schedule: StepSchedule, iterations: int,
     the smallest margin of the normalized coefficients after the round as the
     dual value. An undefined line-search step (edge equal to 1) stops the run
     early with the reason on the result. The final state's `x` holds the
-    example weights and its `dual_weighted_sum` the classifier coefficients.
+    example weights and its `dual_weighted_sum` the classifier coefficients;
+    `sink`, when given, gets each record and the example weights before its
+    round, which the records do not keep.
     """
     return md_core.run(ts.to_minmax(), schedule, entropy(ts.num_examples), iterations,
                        sink=sink, algorithm="adaboost")

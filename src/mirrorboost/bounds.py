@@ -343,3 +343,20 @@ def check(records, constants: RunConstants) -> CertificateReport:
     if broken is not None:
         report.records.append(broken)
     return report
+
+
+def check_trace(header, records, terminated: str | None) -> CertificateReport:
+    """check() on the header, records and terminal reason of a saved trace.
+
+    A trace with no terminal line ran its header's full count of iterations,
+    so a record count that differs from it, in a trace that keeps every other
+    invariant, gets one failed trace-integrity record, after the others.
+    """
+    report = check(records, RunConstants.from_header(header))
+    if (terminated is None and len(records) != header.iterations
+            and all(r.tag != TRACE_INTEGRITY for r in report.records)):
+        report.records.append(CertificateRecord(
+            k=len(records), tag=TRACE_INTEGRITY, observed=None, bound=None, slack=None,
+            passed=False, note=f"{len(records)} records and no terminal line, but the "
+                               f"header asks for {header.iterations} iterations"))
+    return report

@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds, datagen, md_core, prox
 from .boosting import TrainingSet
 from .stagewise import RegressionProblem, least_squares_norm, optimal_shrinkage
-from .trace import TraceHeader, format_trace, read_trace
+from .trace import TraceHeader, check_types, format_trace, read_trace
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -41,8 +41,7 @@ class ConfigError(Exception):
     """Invalid experiment configuration."""
 
 
-# JSON types each config field accepts, and whether it may be null; a float
-# field also takes an integer, and bool never counts as a number
+# JSON types each config field accepts, and whether it may be null
 _CONFIG_TYPES = {
     "task": (str, False),
     "data": (str, False),
@@ -56,18 +55,6 @@ _CONFIG_TYPES = {
     "out_dir": (str, True),
     "prefix": (str, True),
 }
-
-
-def _has_type(value, kind: type, nullable: bool) -> bool:
-    if value is None:
-        return nullable
-    if kind is bool:
-        return isinstance(value, bool)
-    if isinstance(value, bool):
-        return False
-    if kind is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, kind)
 
 
 @dataclass
@@ -104,11 +91,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "task" not in obj or "data" not in obj:
             raise ConfigError("config must define 'task' and 'data'")
-        for key, value in obj.items():
-            kind, nullable = _CONFIG_TYPES[key]
-            if not _has_type(value, kind, nullable):
-                expected = kind.__name__ + (" or null" if nullable else "")
-                raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+        try:
+            check_types(obj, _CONFIG_TYPES, "config key")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return cls(**obj)
 
     def validate(self) -> None:
@@ -415,11 +401,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    header, records, _ = read_trace(args.trace)
+    header, records, terminated = read_trace(args.trace)
     if not records:
         raise ConfigError(f"trace {args.trace} has no iteration records")
-    constants = bounds.RunConstants.from_header(header)
-    report = bounds.check(records, constants)
+    report = bounds.check_trace(header, records, terminated)
     trace_path = Path(args.trace)
     out_dir = Path(args.out) if args.out else trace_path.parent
     stem = trace_path.name

@@ -37,6 +37,8 @@ class Stump:
 def build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
     """All midpoint-threshold stumps over every feature, both orientations,
     plus the two constant classifiers, with exact duplicate columns removed.
+    Each threshold t between adjacent distinct values a < b of its feature
+    satisfies a <= t < b.
 
     Returns the output matrix (one column per kept stump, C-contiguous) and the
     stump descriptors in column order: per feature, each midpoint in
@@ -59,7 +61,11 @@ def build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
     for f in range(features.shape[1]):
         x = features[:, f]
         values = np.unique(x)
-        midpoints = 0.5 * (values[:-1] + values[1:])
+        lower, upper = values[:-1], values[1:]
+        # halves first, so that no sum overflows; a midpoint that rounds up to
+        # the upper value is replaced by the lower one, which splits the same way
+        midpoints = 0.5 * lower + 0.5 * upper
+        midpoints = np.where(midpoints < upper, midpoints, lower)
         patterns = np.empty((m, 2 * len(midpoints)), dtype=bool)
         np.greater(x[:, None], midpoints, out=patterns[:, 0::2])
         np.logical_not(patterns[:, 0::2], out=patterns[:, 1::2])

@@ -32,6 +32,10 @@ DUAL_L1_BALL = "l1-ball"
 # coefficients below this magnitude count as zero in the support size
 NNZ_TOLERANCE = 1e-14
 
+# the edge-linesearch step caps the edge at 1 - EDGE_CAP, so a near-perfect
+# edge still gives a finite step
+EDGE_CAP = 1e-12
+
 
 class UndefinedStepError(RuntimeError):
     """A schedule cannot produce a valid step at the current iterate."""
@@ -94,33 +98,39 @@ class DualResponse:
     grad: np.ndarray
 
 
+def _checked_point(problem: MinmaxProblem, x, name: str) -> np.ndarray:
+    """`x` as a float vector, after checking that it lies in the primal domain."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (problem.m,):
+        raise ValueError(f"{name} must have shape ({problem.m},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
+    if problem.primal_domain == PRIMAL_SIMPLEX:
+        if float(x.min()) < -1e-9 or abs(float(x.sum()) - 1.0) > 1e-6:
+            raise ValueError(f"{name} must lie on the probability simplex")
+    return x
+
+
+def _respond(problem: MinmaxProblem, x: np.ndarray) -> tuple[int, float, float, np.ndarray]:
+    """dual_response's (index, sign, value, grad) at a point of the primal
+    domain, unchecked: one A^T x scan and its argmax."""
+    scores = problem.payoff.T @ x
+    if problem.dual_domain == DUAL_SIMPLEX:
+        j = int(np.argmax(scores))
+        return j, 1.0, float(scores[j]), problem.payoff[:, j]
+    magnitudes = np.abs(scores)
+    j = int(np.argmax(magnitudes))
+    sign = float(np.sign(scores[j]))
+    return j, sign, float(magnitudes[j]), sign * problem.payoff[:, j]
+
+
 def dual_response(problem: MinmaxProblem, x) -> DualResponse:
     """Maximize x^T A lam over Q; ties resolve to the lowest column index.
 
     Returns the maximizing vertex lam, a signed coordinate vector, as its
     index and sign, the achieved value f(x), and the subgradient g = A lam.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.m,):
-        raise ValueError(f"x must have shape ({problem.m},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    if problem.primal_domain == PRIMAL_SIMPLEX:
-        if float(x.min()) < -1e-9 or abs(float(x.sum()) - 1.0) > 1e-6:
-            raise ValueError("x must lie on the probability simplex")
-    scores = problem.payoff.T @ x
-    if problem.dual_domain == DUAL_SIMPLEX:
-        j = int(np.argmax(scores))
-        sign = 1.0
-        value = float(scores[j])
-        grad = problem.payoff[:, j]
-    else:
-        magnitudes = np.abs(scores)
-        j = int(np.argmax(magnitudes))
-        sign = float(np.sign(scores[j]))
-        value = float(magnitudes[j])
-        grad = sign * problem.payoff[:, j]
-    return DualResponse(index=j, sign=sign, value=value, grad=grad)
+    return DualResponse(*_respond(problem, _checked_point(problem, x, "x")))
 
 
 def dual_value(problem: MinmaxProblem, lam) -> float | None:
@@ -170,44 +180,33 @@ class MirrorDescentState:
 
 
 def md_step(state: MirrorDescentState, grad, alpha: float, prox_fn: ProxFunction,
-            vertex: tuple[int, float] | None = None,
-            value: float | None = None) -> MirrorDescentState:
-    """One prox step from the current iterate.
+            vertex: tuple[int, float] | None = None, value: float | None = None) -> None:
+    """One prox step from the current iterate, in place; a rejected argument
+    raises before `state` changes.
 
+    The iterate becomes the prox_solve result, and prox_solve checks `grad`.
     `vertex` is the dual response that produced `grad`, as the (index, sign)
-    of the signed coordinate vector it is; it feeds the dual running sums.
-    `value` (the primal objective at the current iterate) feeds the
-    best-so-far tracking. Both are optional so the step can be driven manually.
+    of the signed coordinate vector it is: the dual sum gains alpha * sign at
+    that index and the step sum gains alpha. `value` (the primal objective at
+    the current iterate) feeds the best-so-far tracking. Both are optional so
+    the step can be driven manually.
     """
     alpha = float(alpha)
     if alpha < 0.0 or not math.isfinite(alpha):
         raise ValueError("alpha must be a finite nonnegative step size")
-    grad = np.asarray(grad, dtype=float)
-    if not np.all(np.isfinite(grad)):
-        raise ValueError("grad must be finite")
-    new_x = prox_solve(prox_fn, grad, state.x, alpha)
-    dual_sum = state.dual_weighted_sum
-    step_sum = state.step_sum
+    x = prox_solve(prox_fn, grad, state.x, alpha)
+    value = None if value is None else float(value)
     if vertex is not None:
         # a dense add of alpha * lam would add +0.0 to every other entry,
         # which leaves it unchanged
         index, sign = vertex
-        dual_sum = dual_sum.copy()
-        dual_sum[index] += alpha * sign
-        step_sum = step_sum + alpha
-    best_value = state.best_value
-    best_index = state.best_index
-    if value is not None and value < best_value:
-        best_value = float(value)
-        best_index = state.k
-    return MirrorDescentState(
-        k=state.k + 1,
-        x=new_x,
-        dual_weighted_sum=dual_sum,
-        step_sum=step_sum,
-        best_value=best_value,
-        best_index=best_index,
-    )
+        state.dual_weighted_sum[index] += alpha * sign
+        state.step_sum += alpha
+    if value is not None and value < state.best_value:
+        state.best_value = value
+        state.best_index = state.k
+    state.x = x
+    state.k += 1
 
 
 def _check_square(alpha: float, lipschitz: float, num_steps: int = 1) -> None:
@@ -236,7 +235,6 @@ class StepSchedule:
     lipschitz: float | None = None
     diameter: float | None = None
     f_star: float | None = None
-    edge_cap: float = 1e-12
     sequence: tuple[float, ...] | None = None
 
     @classmethod
@@ -271,8 +269,8 @@ class StepSchedule:
         return cls(kind="fixed", alpha=float(alpha))
 
     @classmethod
-    def edge_linesearch(cls, edge_cap: float = 1e-12) -> "StepSchedule":
-        return cls(kind="edge-linesearch", edge_cap=float(edge_cap))
+    def edge_linesearch(cls) -> "StepSchedule":
+        return cls(kind="edge-linesearch")
 
     @classmethod
     def from_sequence(cls, alphas) -> "StepSchedule":
@@ -306,7 +304,7 @@ class StepSchedule:
                 raise UndefinedStepError(
                     "edge is negative; line-search step undefined without negation closure"
                 )
-            r = min(r, 1.0 - self.edge_cap)
+            r = min(r, 1.0 - EDGE_CAP)
             return 0.5 * math.log((1.0 + r) / (1.0 - r))
         if self.kind == "sequence":
             if k >= len(self.sequence):
@@ -321,7 +319,7 @@ class StepSchedule:
             if v is not None:
                 out[name] = float(v)
         if self.kind == "edge-linesearch":
-            out["edge_cap"] = self.edge_cap
+            out["edge_cap"] = EDGE_CAP
         if self.sequence is not None:
             out["length"] = len(self.sequence)
         return out
@@ -341,6 +339,12 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, prox_fn: ProxFunction,
     l1-ball dual the records carry the l1 norm and support size of the
     pre-step dual sum, which is the stagewise coefficient vector.
 
+    `x0` is checked once, here: every later iterate is a prox_solve result,
+    which lies in the domain. Each round md_step advances one state in place.
+    `sink`, when given, is called after each round with the record and the
+    pre-step iterate, which the round leaves unwritten; records do not keep
+    iterates.
+
     A schedule that cannot produce a step, or a zero dual response (only
     possible under the l1-ball dual), stops the run early and the reason is
     reported on the result; records produced so far are kept.
@@ -355,24 +359,20 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, prox_fn: ProxFunction,
         if problem.primal_domain != PRIMAL_SIMPLEX:
             raise ValueError("x0 is required for a residual-space primal domain")
         x0 = np.full(problem.m, 1.0 / problem.m)
-    else:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (problem.m,):
-            raise ValueError(f"x0 must have shape ({problem.m},), got {x0.shape}")
+    state = MirrorDescentState.initial(_checked_point(problem, x0, "x0"), problem.n)
     l1_ball = problem.dual_domain == DUAL_L1_BALL
-    state = MirrorDescentState.initial(x0, problem.n)
     # A @ dual_weighted_sum; the residual-space domain has no dual value
     margins = np.zeros(problem.m) if problem.primal_domain == PRIMAL_SIMPLEX else None
     records: list[IterationRecord] = []
     terminated: str | None = None
     for k in range(iterations):
         x = state.x
-        resp = dual_response(problem, x)
-        if resp.sign == 0.0:
+        index, sign, value, grad = _respond(problem, x)
+        if sign == 0.0:
             terminated = "residual is orthogonal to every column; optimum reached"
             break
         try:
-            alpha = schedule.step_size(k, value=resp.value, grad=resp.grad)
+            alpha = schedule.step_size(k, value=value, grad=grad)
         except UndefinedStepError as exc:
             terminated = str(exc)
             break
@@ -380,28 +380,26 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, prox_fn: ProxFunction,
         if l1_ball:
             l1 = float(np.sum(np.abs(state.dual_weighted_sum)))
             l0 = support_size(state.dual_weighted_sum)
-        state = md_step(state, resp.grad, alpha, prox_fn,
-                        vertex=(resp.index, resp.sign), value=resp.value)
+        md_step(state, grad, alpha, prox_fn, vertex=(index, sign), value=value)
         dual = None
         if margins is not None:
-            margins += alpha * resp.grad
+            margins += alpha * grad
             if state.step_sum > 0.0:
                 dual = float(margins.min()) / state.step_sum
         rec = IterationRecord(
             k=k,
             algorithm=algorithm,
-            index=resp.index,
-            sign=resp.sign,
+            index=index,
+            sign=sign,
             alpha=alpha,
-            primal=resp.value,
+            primal=value,
             best_primal=state.best_value,
             dual=dual,
-            grad_norm=resp.value if algorithm == "adaboost" else None,
+            grad_norm=value if algorithm == "adaboost" else None,
             l1=l1,
             l0=l0,
-            x=x,
         )
         records.append(rec)
         if sink is not None:
-            sink(rec)
+            sink(rec, x)
     return RunResult(records=records, state=state, terminated=terminated)

@@ -108,7 +108,9 @@ def prox_solve(prox: ProxFunction, c, anchor, alpha: float) -> np.ndarray:
     Entropy geometry: multiplicative update anchor_i * exp(-alpha * c_i),
     renormalized to the simplex. The anchor may lie on the simplex boundary:
     the minimizer keeps its zero entries at zero. Euclidean geometry:
-    anchor - alpha * c.
+    anchor - alpha * c. The result always lies in the domain: a step whose
+    normalizer is zero or not finite, or whose Euclidean result overflows,
+    raises ValueError instead.
     """
     c = _as_vector(c, prox.dim, "c")
     anchor = _as_vector(anchor, prox.dim, "anchor")
@@ -116,7 +118,10 @@ def prox_solve(prox: ProxFunction, c, anchor, alpha: float) -> np.ndarray:
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     if prox.kind == EUCLIDEAN:
-        return anchor - alpha * c
+        out = anchor - alpha * c
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"the Euclidean prox step of size {alpha!r} overflows")
+        return out
     if np.any(anchor < 0.0) or not float(anchor.sum()) > 0.0:
         raise ValueError("anchor must be nonnegative with a positive sum for the entropy prox")
     t = alpha * c
@@ -125,6 +130,9 @@ def prox_solve(prox: ProxFunction, c, anchor, alpha: float) -> np.ndarray:
         t = t - lo
     u = anchor * np.exp(-t)
     s = float(np.sum(u))
+    if not (s > 0.0 and math.isfinite(s)):
+        raise ValueError(f"the entropy prox step of size {alpha!r} has normalizer {s!r}: "
+                         "every weight underflowed or the sum overflowed")
     return u / s
 
 

@@ -95,7 +95,8 @@ def run_fs(rp: RegressionProblem, schedule: StepSchedule, iterations: int,
     The run stops early, with the reason on the result, when the residual
     becomes exactly orthogonal to every column (the objective is 0 and no
     further round can move). The final state's `x` holds the residual and its
-    `dual_weighted_sum` the coefficients.
+    `dual_weighted_sum` the coefficients; `sink`, when given, gets each record
+    and the residual before its round, which the records do not keep.
     """
     return md_core.run(rp.to_minmax(), schedule, euclidean(rp.num_samples), iterations,
                        x0=rp.response.copy(), sink=sink, algorithm="stagewise")

@@ -12,22 +12,51 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 ALGORITHMS = ("mirror-descent", "adaboost", "stagewise")
 
-_RECORD_KEYS = {
-    "type", "k", "algorithm", "index", "sign", "alpha", "primal",
-    "best_primal", "dual", "grad_norm", "l1", "l0", "slacks",
+# JSON type of each field of a trace line, and whether it may be null
+_RECORD_TYPES = {
+    "type": (str, False), "k": (int, False), "algorithm": (str, False),
+    "index": (int, False), "sign": (float, False), "alpha": (float, False),
+    "primal": (float, False), "best_primal": (float, False), "dual": (float, True),
+    "grad_norm": (float, True), "l1": (float, True), "l0": (int, True),
+    "slacks": (dict, False),
 }
-_HEADER_KEYS = {
-    "type", "algorithm", "schedule_kind", "schedule", "iterations", "shape",
-    "lipschitz", "diameter", "f_star", "dist0", "eps", "horizon",
-    "dual_defined", "config",
+_HEADER_TYPES = {
+    "type": (str, False), "algorithm": (str, False), "schedule_kind": (str, False),
+    "schedule": (dict, False), "iterations": (int, False), "shape": (dict, False),
+    "lipschitz": (float, True), "diameter": (float, True), "f_star": (float, True),
+    "dist0": (float, True), "eps": (float, True), "horizon": (int, True),
+    "dual_defined": (bool, False), "config": (dict, True),
 }
+_TERMINAL_TYPES = {"k": (int, False), "reason": (str, False)}
+_RECORD_KEYS = set(_RECORD_TYPES)
+_HEADER_KEYS = set(_HEADER_TYPES)
+
+
+def _has_type(value, kind: type, nullable: bool) -> bool:
+    if value is None:
+        return nullable
+    if kind is bool:
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+def check_types(obj: dict, types: dict[str, tuple[type, bool]], what: str) -> None:
+    """Raise ValueError unless each key of `types` that `obj` holds maps to a
+    value of the JSON type given there, or to null where that is allowed. A
+    float also takes an integer, and bool never counts as a number."""
+    for key, (kind, nullable) in types.items():
+        if key in obj and not _has_type(obj[key], kind, nullable):
+            expected = kind.__name__ + (" or null" if nullable else "")
+            raise ValueError(f"{what} {key!r} must be {expected}, got {obj[key]!r}")
 
 
 @dataclass
@@ -37,8 +66,7 @@ class IterationRecord:
     `primal`, `grad_norm`, `l1` and `l0` describe the iterate before the step;
     `dual` is the value of the running dual average after the step, None when
     the average is undefined (zero step mass) or the dual value does not exist
-    for the problem. `x` holds the pre-step iterate for in-memory consumers
-    and is never serialized.
+    for the problem.
     """
 
     k: int
@@ -52,7 +80,6 @@ class IterationRecord:
     grad_norm: float | None = None
     l1: float | None = None
     l0: int | None = None
-    x: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -161,6 +188,7 @@ def validate_line(obj: dict) -> None:
         unknown = set(obj) - _HEADER_KEYS
         if unknown:
             raise ValueError(f"header line has unknown keys: {sorted(unknown)}")
+        check_types(obj, _HEADER_TYPES, "header line field")
         if obj["algorithm"] not in ALGORITHMS:
             raise ValueError(f"unknown algorithm tag: {obj['algorithm']!r}")
     elif kind == "record":
@@ -170,6 +198,7 @@ def validate_line(obj: dict) -> None:
         unknown = set(obj) - _RECORD_KEYS
         if unknown:
             raise ValueError(f"record line has unknown keys: {sorted(unknown)}")
+        check_types(obj, _RECORD_TYPES, "record line field")
         if obj["algorithm"] not in ALGORITHMS:
             raise ValueError(f"unknown algorithm tag: {obj['algorithm']!r}")
         if obj["algorithm"] == "stagewise" and (obj.get("l1") is None or obj.get("l0") is None):
@@ -179,6 +208,7 @@ def validate_line(obj: dict) -> None:
     elif kind == "terminal":
         if "k" not in obj or "reason" not in obj:
             raise ValueError("terminal line must carry k and reason")
+        check_types(obj, _TERMINAL_TYPES, "terminal line field")
     else:
         raise ValueError(f"unknown trace line type: {kind!r}")
 

@@ -155,12 +155,14 @@ def adaboost_step(state: BoostState, ts: TrainingSet, alpha: float) -> BoostStat
     )
 
 
-def classical_adaboost(ts: TrainingSet, schedule: StepSchedule, iterations: int) -> RunResult:
+def classical_adaboost(ts: TrainingSet, schedule: StepSchedule, iterations: int,
+                       sink=None) -> RunResult:
     """Run classical AdaBoost, recording edge, loss-gradient norm, and margin per round.
 
     The recorded dual value is the margin of the normalized coefficient vector
     after the round. An undefined line-search step (edge equal to 1) stops the
-    run early with the reason on the result.
+    run early with the reason on the result. `sink`, when given, gets each
+    record and the weights before its round, as the engine's sink does.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -195,9 +197,10 @@ def classical_adaboost(ts: TrainingSet, schedule: StepSchedule, iterations: int)
             best_primal=best,
             dual=dval,
             grad_norm=grad_norm,
-            x=w,
         )
         records.append(rec)
+        if sink is not None:
+            sink(rec, w)
     return RunResult(records=records, state=state, terminated=terminated)
 
 
@@ -235,12 +238,14 @@ def fs_step(state: StagewiseState, rp: RegressionProblem, eps: float) -> Stagewi
                           iteration=state.iteration + 1)
 
 
-def classical_fs(rp: RegressionProblem, schedule: StepSchedule, iterations: int) -> RunResult:
+def classical_fs(rp: RegressionProblem, schedule: StepSchedule, iterations: int,
+                 sink=None) -> RunResult:
     """Run classical forward stagewise regression, one record per round.
 
     The run stops early, with the reason on the result, when the residual
     becomes exactly orthogonal to every column (the objective is 0 and no
-    further round can move).
+    further round can move). `sink`, when given, gets each record and the
+    residual before its round, as the engine's sink does.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -281,10 +286,19 @@ def classical_fs(rp: RegressionProblem, schedule: StepSchedule, iterations: int)
             grad_norm=None,
             l1=l1,
             l0=l0,
-            x=r,
         )
         records.append(rec)
+        if sink is not None:
+            sink(rec, r)
     return RunResult(records=records, state=state, terminated=terminated)
+
+
+def run_with_iterates(runner, *args) -> tuple[RunResult, list[np.ndarray]]:
+    """`runner(*args)`'s result and, through its sink, the iterate before
+    each of its records, in record order."""
+    iterates: list[np.ndarray] = []
+    result = runner(*args, sink=lambda rec, x: iterates.append(x))
+    return result, iterates
 
 
 def classical_build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
@@ -311,8 +325,10 @@ def classical_build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
 
     for f in range(features.shape[1]):
         values = np.unique(features[:, f])
-        midpoints = 0.5 * (values[:-1] + values[1:])
-        for theta in midpoints:
+        for a, b in zip(values[:-1], values[1:]):
+            theta = 0.5 * a + 0.5 * b
+            if theta == b:  # rounded up: the lower value splits the same way
+                theta = a
             for sign in (1, -1):
                 stump = Stump(feature=f, threshold=float(theta), sign=sign)
                 keep(stump.outputs(features), stump)

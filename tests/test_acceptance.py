@@ -22,7 +22,7 @@ from mirrorboost.cli import main
 from mirrorboost.md_core import StepSchedule
 from mirrorboost.stagewise import least_squares_norm, optimal_shrinkage, run_fs
 from mirrorboost.trace import read_trace
-from oracles import classical_adaboost, classical_fs, log_exp_loss, margin
+from oracles import classical_adaboost, classical_fs, log_exp_loss, margin, run_with_iterates
 
 
 def _verdict(name: str, failures: list) -> None:
@@ -49,16 +49,16 @@ def test_01_adaboost_is_mirror_descent():
     failures = []
     for i, ts in enumerate(_boost_instances()):
         for label, sched in _boost_schedules(ts):
-            rb = classical_adaboost(ts, sched, 200)
-            rm = run_adaboost(ts, sched, 200)
+            rb, wb = run_with_iterates(classical_adaboost, ts, sched, 200)
+            rm, wm = run_with_iterates(run_adaboost, ts, sched, 200)
             if len(rb.records) != len(rm.records) or rb.terminated != rm.terminated:
                 failures.append((i, label, "length or termination mismatch"))
                 continue
-            for b, m_ in zip(rb.records, rm.records):
+            for b, m_, b_x, m_x in zip(rb.records, rm.records, wb, wm):
                 if b.index != m_.index:
                     failures.append((i, label, b.k, "column mismatch"))
                     break
-                if float(np.max(np.abs(b.x - m_.x))) > 1e-10:
+                if float(np.max(np.abs(b_x - m_x))) > 1e-10:
                     failures.append((i, label, b.k, "weights drift"))
                     break
                 if abs(b.alpha - m_.alpha) > 1e-10:
@@ -125,16 +125,16 @@ def test_04_stagewise_is_mirror_descent():
         rp = datagen.make_regression(n=40, p=20, seed=seed)
         for label, sched in (("constant", StepSchedule.fixed(0.02)),
                              ("linesearch", StepSchedule.polyak(0.0))):
-            rf = classical_fs(rp, sched, 500)
-            rm = run_fs(rp, sched, 500)
+            rf, xf = run_with_iterates(classical_fs, rp, sched, 500)
+            rm, xm = run_with_iterates(run_fs, rp, sched, 500)
             if len(rf.records) != len(rm.records):
                 failures.append((seed, label, "length mismatch"))
                 continue
-            for f, m_ in zip(rf.records, rm.records):
+            for f, m_, f_x, m_x in zip(rf.records, rm.records, xf, xm):
                 if f.index != m_.index or f.sign != m_.sign:
                     failures.append((seed, label, f.k, "column mismatch"))
                     break
-                if float(np.max(np.abs(f.x - m_.x))) > 1e-10:
+                if float(np.max(np.abs(f_x - m_x))) > 1e-10:
                     failures.append((seed, label, f.k, "residual drift"))
                     break
     _verdict("04 stagewise reproduces the mirror descent path", failures)

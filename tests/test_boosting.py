@@ -25,6 +25,7 @@ from oracles import (
     edge,
     log_exp_loss,
     margin,
+    run_with_iterates,
     weak_learner,
 )
 
@@ -185,8 +186,8 @@ def test_run_adaboost_matches_engine_dual_average_exactly():
         resp = dual_response(prob, md_state.x)
         alpha = sched.step_size(k)
         boost = adaboost_step(boost, ts, alpha)
-        md_state = md_step(md_state, resp.grad, alpha, prox.entropy(12),
-                           vertex=(resp.index, resp.sign), value=resp.value)
+        md_step(md_state, resp.grad, alpha, prox.entropy(12),
+                vertex=(resp.index, resp.sign), value=resp.value)
         assert boost.columns[-1] == resp.index
         np.testing.assert_array_equal(boost.weights, md_state.x)
         np.testing.assert_array_equal(boost.normalized_coefficients(),
@@ -200,13 +201,13 @@ def test_run_adaboost_equals_mirror_descent_run():
     for sched in (StepSchedule.constant(ts.lipschitz, math.log(20.0), 60),
                   StepSchedule.dynamic(ts.lipschitz, math.log(20.0)),
                   StepSchedule.edge_linesearch()):
-        rb = classical_adaboost(ts, sched, 60)
-        rm = run_adaboost(ts, sched, 60)
-        assert len(rb.records) == len(rm.records)
-        for b, m_ in zip(rb.records, rm.records):
+        rb, wb = run_with_iterates(classical_adaboost, ts, sched, 60)
+        rm, wm = run_with_iterates(run_adaboost, ts, sched, 60)
+        assert len(rb.records) == len(rm.records) == len(wb) == len(wm)
+        for b, m_, b_x, m_x in zip(rb.records, rm.records, wb, wm):
             assert b.index == m_.index and b.alpha == m_.alpha
             assert b.primal == m_.primal and b.best_primal == m_.best_primal
-            np.testing.assert_array_equal(b.x, m_.x)
+            np.testing.assert_array_equal(b_x, m_x)
         assert_duals_within_rounding(ts.margins, rb.records, rm.records)
         np.testing.assert_array_equal(rb.state.weights, rm.state.x)
         np.testing.assert_array_equal(rb.state.coefficients, rm.state.dual_weighted_sum)
@@ -231,8 +232,8 @@ def test_running_margins_do_not_drift_over_long_runs():
 
 def test_run_adaboost_records_pre_step_values():
     ts = datagen.make_margin_matrix(m=8, n=5, seed=11)
-    res = run_adaboost(ts, StepSchedule.fixed(0.3), 10)
-    np.testing.assert_array_equal(res.records[0].x, np.full(8, 1.0 / 8.0))
+    res, weights = run_with_iterates(run_adaboost, ts, StepSchedule.fixed(0.3), 10)
+    np.testing.assert_array_equal(weights[0], np.full(8, 1.0 / 8.0))
     # the recorded loss-gradient norm is the edge
     assert all(rec.grad_norm == rec.primal for rec in res.records)
     # best_primal is the running minimum of the recorded primal values
@@ -274,7 +275,7 @@ def test_run_adaboost_sink_and_validation():
     with pytest.raises(ValueError):
         run_adaboost(ts, StepSchedule.fixed(0.1), 0)
     seen = []
-    run_adaboost(ts, StepSchedule.fixed(0.1), 4, sink=seen.append)
+    run_adaboost(ts, StepSchedule.fixed(0.1), 4, sink=lambda rec, x: seen.append(rec))
     assert [r.k for r in seen] == [0, 1, 2, 3]
 
 
@@ -282,13 +283,13 @@ def test_large_fixed_steps_drive_weights_to_the_boundary():
     # fixed(20) underflows the first weight to exactly 0 within a few rounds;
     # the engine's prox keeps it at 0 and stays with the classical loop
     ts = TrainingSet.from_margin_matrix([[-0.5], [0.0], [0.0]])
-    rb = classical_adaboost(ts, StepSchedule.fixed(20.0), 300)
-    rm = run_adaboost(ts, StepSchedule.fixed(20.0), 300)
-    assert rm.terminated is None and len(rm.records) == 300
+    rb, wb = run_with_iterates(classical_adaboost, ts, StepSchedule.fixed(20.0), 300)
+    rm, wm = run_with_iterates(run_adaboost, ts, StepSchedule.fixed(20.0), 300)
+    assert rm.terminated is None and len(rm.records) == len(wb) == len(wm) == 300
     assert rm.state.x[0] == 0.0
-    for b, m_ in zip(rb.records, rm.records):
+    for b, m_, b_x, m_x in zip(rb.records, rm.records, wb, wm):
         assert (b.index, b.alpha, b.primal, b.best_primal) == \
             (m_.index, m_.alpha, m_.primal, m_.best_primal)
-        np.testing.assert_array_equal(b.x, m_.x)
+        np.testing.assert_array_equal(b_x, m_x)
     assert_duals_within_rounding(ts.margins, rb.records, rm.records)
     np.testing.assert_array_equal(rb.state.weights, rm.state.x)

@@ -38,8 +38,6 @@ def feature_matrices(draw) -> np.ndarray:
     return features
 
 
-# features near the largest float overflow a midpoint to inf in both builds
-@pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
 @given(feature_matrices())
 @settings(max_examples=300, deadline=None)
 def test_build_stumps_equals_the_loop_build(features):
@@ -49,6 +47,36 @@ def test_build_stumps_equals_the_loop_build(features):
     assert outputs.tobytes() == want_outputs.tobytes()
     assert outputs.flags.c_contiguous
     assert stumps == want_stumps
+
+
+def _assert_thresholds_separate_adjacent_values(features):
+    features = np.asarray(features, dtype=float)
+    _, stumps = build_stumps(features)
+    for stump in stumps:
+        if stump.feature < 0:
+            continue
+        values = np.unique(features[:, stump.feature])
+        below = int(np.searchsorted(values, stump.threshold, side="right"))
+        # a = values[below - 1] <= t < values[below] = b
+        assert 1 <= below < len(values), (stump, values)
+
+
+@given(feature_matrices())
+@settings(max_examples=300, deadline=None)
+def test_every_threshold_lies_between_the_values_it_separates(features):
+    _assert_thresholds_separate_adjacent_values(features)
+
+
+@pytest.mark.parametrize("features", [
+    [[1e308], [1.7e308]],  # the sum of the two overflows
+    [[1.0 + 2.0 ** -52], [1.0 + 2.0 ** -51]],  # the midpoint rounds up to the upper value
+    [[-1.7e308], [1.7e308], [5e-324], [1e-323]],  # both ends of the range, two subnormals
+])
+def test_extreme_thresholds_lie_between_the_values_they_separate(features):
+    _assert_thresholds_separate_adjacent_values(features)
+    outputs, _ = build_stumps(features)
+    # every split of m examples on one feature gives a distinct column
+    assert outputs.shape[1] == 2 * len(features)
 
 
 margin_values = st.one_of(st.sampled_from((-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)),

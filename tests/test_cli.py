@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,83 @@ def test_check_fails_a_reordered_trace_with_a_repeated_record(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAILED trace-integrity at k=3: record 0 has k=3" in out
     assert "summary: 13 checked, 12 passed, 1 failed" in out
+
+
+def test_check_fails_a_trace_cut_short_of_its_terminal_line(tmp_path, capsys):
+    lines = _game_trace_lines(tmp_path)
+    trace = _alone_in_a_directory(tmp_path, lines[:4])  # the first 3 of 50 records
+    capsys.readouterr()
+    assert main(["check", str(trace), "--out", str(tmp_path / "re")]) == EXIT_CERTIFICATE
+    assert ("FAILED trace-integrity at k=3: 3 records and no terminal line, but the header "
+            "asks for 50 iterations") in capsys.readouterr().out
+    # a terminal line says why a run stopped early, so the same records pass
+    terminal = json.dumps({"k": 3, "reason": "stopped", "type": "terminal"}, sort_keys=True)
+    trace.write_text("\n".join(lines[:4] + [terminal]) + "\n")
+    assert main(["check", str(trace), "--out", str(tmp_path / "re2")]) == EXIT_OK
+
+
+def _malformed_traces(lines: list[str]) -> list[list[str]]:
+    """Traces that break the trace schema, each from the lines of a good one."""
+    header, record = json.loads(lines[0]), json.loads(lines[1])
+
+    def with_header(**fields):
+        return [json.dumps({**header, **fields})] + lines[1:]
+
+    def with_record(**fields):
+        return [lines[0], json.dumps({**record, **fields})] + lines[2:]
+
+    return [
+        with_header(lipschitz="x"), with_header(horizon=1.5), with_header(dual_defined="yes"),
+        with_header(iterations="50"), with_header(shape=[20, 15]), with_header(config=[]),
+        with_header(algorithm="gradient-boosting"), with_header(surprise=1),
+        with_record(dual=[1]), with_record(k=0.5), with_record(alpha="0.1"),
+        with_record(primal=None), with_record(sign=True), with_record(index=None),
+        with_record(algorithm="stagewise"), with_record(best_primal={}),
+        [json.dumps({k: v for k, v in header.items() if k != "lipschitz"})] + lines[1:],
+        [lines[0], lines[1].replace('"dual": ', '"dual": NaN, "x": ')] + lines[2:],
+        lines[:1] + ["{not json"] + lines[2:],
+        lines[1:],  # no header
+        lines[:1],  # no records
+        [lines[0], lines[0]] + lines[1:],
+        lines + [json.dumps({"type": "terminal", "k": "50", "reason": "cut"})],
+        lines + [json.dumps({"type": "epilogue"})],
+    ]
+
+
+def test_no_malformed_trace_or_config_exits_as_a_failed_certificate(tmp_path):
+    # exit 1 means a certificate failed; input the schema rejects is a usage
+    # error, exit 2, and no report is written for it
+    for i, lines in enumerate(_malformed_traces(_game_trace_lines(tmp_path))):
+        trace = tmp_path / f"bad{i}" / "g.trace.jsonl"
+        trace.parent.mkdir()
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["check", str(trace)]) == EXIT_USAGE, (i, lines[:2])
+        assert list(trace.parent.iterdir()) == [trace], i
+    base = {"task": "minmax-game", "data": "synthetic:game:seed=1:m=3:n=2", "iterations": 5,
+            "out_dir": str(tmp_path / "never")}
+    configs = [{**base, "iterations": 0}, {**base, "iterations": 2.5},
+               {**base, "schedule": "polyak"}, {**base, "schedule": "optimal"},
+               {**base, "data": "synthetic:regression:seed=1"}, {**base, "surprise": 1},
+               {**base, "schedule": "polyak", "f_star": -1e10}, [base], "adaboost"]
+    for i, config in enumerate(configs):
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path)]) == EXIT_USAGE, config
+        assert not (tmp_path / "never").exists()
+
+
+def test_run_whose_entropy_prox_normalizer_vanishes_is_a_usage_error(tmp_path, capsys):
+    # f* far below the optimum makes polyak steps so large that every weight
+    # left underflows: the prox refuses the step before it divides by zero
+    out = tmp_path / "never"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "minmax-game", "--data", "synthetic:game:seed=1:m=3:n=2",
+                     "--schedule", "polyak", "--f-star=-1e10", "--iters", "10",
+                     "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "normalizer 0.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_io_and_usage_errors(tmp_path):

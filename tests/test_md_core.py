@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mirrorboost import prox
+from mirrorboost import md_core, prox
 from mirrorboost.md_core import (
     MinmaxProblem,
     MirrorDescentState,
@@ -16,6 +16,7 @@ from mirrorboost.md_core import (
     md_step,
     run,
 )
+from oracles import run_with_iterates
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -92,36 +93,36 @@ def test_dual_value():
 
 def test_md_step_zero_alpha_keeps_anchor():
     state = MirrorDescentState.initial(np.array([0.5, 0.5]), dual_dim=2)
-    new = md_step(state, np.array([3.0, -1.0]), 0.0, prox.entropy(2))
-    np.testing.assert_array_equal(new.x, [0.5, 0.5])
-    assert new.k == 1
+    md_step(state, np.array([3.0, -1.0]), 0.0, prox.entropy(2))
+    np.testing.assert_array_equal(state.x, [0.5, 0.5])
+    assert state.k == 1
 
 
 def test_md_step_entropy_closed_form():
     # anchor (1/2, 1/2), cost (ln 2, 0), unit step: proportional to (1/4, 1/2)
     state = MirrorDescentState.initial(np.array([0.5, 0.5]), dual_dim=2)
-    new = md_step(state, np.array([math.log(2.0), 0.0]), 1.0, prox.entropy(2))
-    np.testing.assert_allclose(new.x, [1.0 / 3.0, 2.0 / 3.0], rtol=1e-15)
+    md_step(state, np.array([math.log(2.0), 0.0]), 1.0, prox.entropy(2))
+    np.testing.assert_allclose(state.x, [1.0 / 3.0, 2.0 / 3.0], rtol=1e-15)
 
 
 def test_md_step_euclidean_is_plain_subtraction():
     state = MirrorDescentState.initial(np.array([1.0, 2.0]), dual_dim=2)
-    new = md_step(state, np.array([0.5, -1.0]), 2.0, prox.euclidean(2))
-    np.testing.assert_array_equal(new.x, [0.0, 4.0])
+    md_step(state, np.array([0.5, -1.0]), 2.0, prox.euclidean(2))
+    np.testing.assert_array_equal(state.x, [0.0, 4.0])
 
 
 def test_md_step_accumulates_dual_average_and_best_value():
     state = MirrorDescentState.initial(np.array([0.5, 0.5]), dual_dim=2)
+    dual_sum = state.dual_weighted_sum
     assert state.dual_average is None
-    state = md_step(state, np.zeros(2), 0.5, prox.entropy(2),
-                    vertex=(0, 1.0), value=2.0)
-    state = md_step(state, np.zeros(2), 1.5, prox.entropy(2),
-                    vertex=(1, 1.0), value=1.0)
+    md_step(state, np.zeros(2), 0.5, prox.entropy(2), vertex=(0, 1.0), value=2.0)
+    md_step(state, np.zeros(2), 1.5, prox.entropy(2), vertex=(1, 1.0), value=1.0)
     np.testing.assert_allclose(state.dual_average, [0.25, 0.75], rtol=1e-15)
     assert state.best_value == 1.0 and state.best_index == 1
+    assert state.dual_weighted_sum is dual_sum  # updated in place, never copied
     # a later, worse value does not displace the best
-    state = md_step(state, np.zeros(2), 0.1, prox.entropy(2), value=5.0)
-    assert state.best_value == 1.0 and state.best_index == 1
+    md_step(state, np.zeros(2), 0.1, prox.entropy(2), value=5.0)
+    assert state.best_value == 1.0 and state.best_index == 1 and state.k == 3
 
 
 def test_md_step_rejects_bad_alpha_and_grad():
@@ -131,6 +132,26 @@ def test_md_step_rejects_bad_alpha_and_grad():
             md_step(state, np.zeros(2), bad, prox.entropy(2))
     with pytest.raises(ValueError):
         md_step(state, np.array([np.nan, 0.0]), 1.0, prox.entropy(2))
+
+
+def test_md_step_leaves_the_state_unchanged_when_it_raises():
+    state = MirrorDescentState.initial(np.array([0.5, 0.5]), dual_dim=2)
+    md_step(state, np.array([1.0, 0.0]), 0.5, prox.entropy(2), vertex=(0, 1.0), value=1.0)
+    x, x_bytes, dual_sum = state.x, state.x.tobytes(), state.dual_weighted_sum.copy()
+    scalars = (state.k, state.step_sum, state.best_value, state.best_index)
+    bad_calls = [
+        (ValueError, (np.zeros(2), -1.0), {}),  # negative step
+        (ValueError, (np.array([np.inf, 0.0]), 1.0), {}),  # grad, checked by prox_solve
+        (ValueError, (np.zeros(3), 1.0), {}),  # grad of the wrong shape
+        (IndexError, (np.zeros(2), 1.0), {"vertex": (5, 1.0), "value": 0.0}),
+        (ValueError, (np.zeros(2), 1.0), {"vertex": (1, 1.0), "value": "x"}),
+    ]
+    for error, args, kwargs in bad_calls:
+        with pytest.raises(error):
+            md_step(state, *args, prox.entropy(2), **kwargs)
+        assert state.x is x and state.x.tobytes() == x_bytes
+        assert (state.k, state.step_sum, state.best_value, state.best_index) == scalars
+        np.testing.assert_array_equal(state.dual_weighted_sum, dual_sum)
 
 
 def test_schedule_constant_formula_and_validation():
@@ -223,8 +244,11 @@ def test_run_matching_pennies_closes_the_gap():
     # weak duality on every record that has a dual value
     for rec in res.records:
         assert rec.dual <= rec.best_primal + 1e-12
-    # records carry the pre-step iterate; the first is the uniform start
-    np.testing.assert_array_equal(res.records[0].x, [0.5, 0.5])
+    # the sink gets each pre-step iterate; the first is the uniform start
+    iterates = []
+    run(prob, sched, prox.entropy(2), 100, sink=lambda rec, x: iterates.append(x))
+    assert len(iterates) == 100
+    np.testing.assert_array_equal(iterates[0], [0.5, 0.5])
 
 
 def test_run_random_game_respects_gap_bound():
@@ -246,11 +270,12 @@ def test_run_is_deterministic_bitwise():
     payoff = rng.uniform(-1.0, 1.0, size=(8, 5))
     prob = MinmaxProblem(payoff)
     sched = StepSchedule.dynamic(prob.lipschitz(), math.log(8.0))
-    a = run(prob, sched, prox.entropy(8), 50)
-    b = run(prob, sched, prox.entropy(8), 50)
-    for ra, rb in zip(a.records, b.records):
+    a, xa = run_with_iterates(run, prob, sched, prox.entropy(8), 50)
+    b, xb = run_with_iterates(run, prob, sched, prox.entropy(8), 50)
+    assert len(xa) == len(xb) == len(a.records) == 50
+    for ra, rb, x_a, x_b in zip(a.records, b.records, xa, xb):
         assert ra.to_dict() == rb.to_dict()
-        assert ra.x.tobytes() == rb.x.tobytes()
+        assert x_a.tobytes() == x_b.tobytes()
 
 
 def test_run_matches_manual_multiplicative_replay():
@@ -259,10 +284,11 @@ def test_run_matches_manual_multiplicative_replay():
     payoff = rng.uniform(-1.0, 1.0, size=(7, 4))
     prob = MinmaxProblem(payoff)
     sched = StepSchedule.dynamic(prob.lipschitz(), math.log(7.0))
-    res = run(prob, sched, prox.entropy(7), 60)
+    res, iterates = run_with_iterates(run, prob, sched, prox.entropy(7), 60)
+    assert len(iterates) == len(res.records) == 60
     x = np.full(7, 1.0 / 7.0)
-    for k, rec in enumerate(res.records):
-        np.testing.assert_array_equal(rec.x, x)
+    for k, (rec, pre) in enumerate(zip(res.records, iterates)):
+        np.testing.assert_array_equal(pre, x)
         scores = payoff.T @ x
         j = int(np.argmax(scores))
         assert rec.index == j
@@ -283,8 +309,33 @@ def test_run_dual_absent_until_first_nonzero_step():
 def test_run_calls_sink_per_record():
     seen = []
     prob = MinmaxProblem(PENNIES)
-    run(prob, StepSchedule.fixed(0.1), prox.entropy(2), 5, sink=seen.append)
+    res = run(prob, StepSchedule.fixed(0.1), prox.entropy(2), 5,
+              sink=lambda rec, x: seen.append(rec))
     assert [rec.k for rec in seen] == list(range(5))
+    assert seen == res.records
+
+
+def test_run_steps_through_md_step_once_per_round(monkeypatch):
+    # the loop calls md_step by its module name, so a wrapper set on the
+    # module sees every round; it scans through no public dual_response
+    steps = []
+    real_step = md_core.md_step
+    monkeypatch.setattr(md_core, "md_step",
+                        lambda state, *args, **kwargs: steps.append(state.k)
+                        or real_step(state, *args, **kwargs))
+    monkeypatch.setattr(md_core, "dual_response", None)
+    res = run(MinmaxProblem(PENNIES), StepSchedule.fixed(0.1), prox.entropy(2), 7)
+    assert steps == list(range(7)) and res.state.k == 7
+
+
+def test_run_checks_x0_once_at_entry():
+    prob = MinmaxProblem(PENNIES)
+    for bad in ([0.7, 0.7], [1.5, -0.5], [np.nan, 1.0], [0.5, 0.5, 0.0]):
+        with pytest.raises(ValueError, match="x0"):
+            run(prob, StepSchedule.fixed(0.1), prox.entropy(2), 3, x0=bad)
+    res_prob = MinmaxProblem(PENNIES, primal_domain="residual-space", dual_domain="l1-ball")
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        run(res_prob, StepSchedule.fixed(0.1), prox.euclidean(2), 3, x0=[np.inf, 0.0])
 
 
 def test_run_argument_validation():

@@ -20,7 +20,12 @@ from hypothesis.extra.numpy import arrays
 from mirrorboost.boosting import TrainingSet, run_adaboost
 from mirrorboost.md_core import StepSchedule
 from mirrorboost.stagewise import RegressionProblem, run_fs
-from oracles import assert_duals_within_rounding, classical_adaboost, classical_fs
+from oracles import (
+    assert_duals_within_rounding,
+    classical_adaboost,
+    classical_fs,
+    run_with_iterates,
+)
 
 ITERATIONS = 40
 # exp(-alpha * margin) stays within double range for steps up to here, where
@@ -92,14 +97,15 @@ FIELDS = ("k", "algorithm", "index", "sign", "alpha", "primal", "best_primal", "
 
 def _run_both(oracle_runner, engine_runner, instance, payoff, schedule):
     """Both runs, after checking that they agree record by record."""
-    oracle = oracle_runner(instance, schedule, ITERATIONS)
-    engine = engine_runner(instance, schedule, ITERATIONS)
+    oracle, oracle_iterates = run_with_iterates(oracle_runner, instance, schedule, ITERATIONS)
+    engine, engine_iterates = run_with_iterates(engine_runner, instance, schedule, ITERATIONS)
     assert engine.terminated == oracle.terminated
-    assert len(engine.records) == len(oracle.records)
-    for a, b in zip(oracle.records, engine.records):
+    assert len(engine.records) == len(oracle.records) == len(engine_iterates) \
+        == len(oracle_iterates)
+    for a, b, a_x, b_x in zip(oracle.records, engine.records, oracle_iterates, engine_iterates):
         for name in FIELDS:
             assert getattr(a, name) == getattr(b, name), (a.k, name)
-        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a_x, b_x)
     assert_duals_within_rounding(payoff, oracle.records, engine.records)
     return oracle, engine
 

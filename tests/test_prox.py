@@ -123,6 +123,18 @@ def test_prox_solve_entropy_boundary_anchor_is_multiplicative_update():
     assert prox_solve(entropy(2), np.array([3.0, -1.0]), np.array([1.0, 0.0]), 2.0)[1] == 0.0
 
 
+def test_prox_solve_refuses_a_step_that_leaves_the_domain():
+    # every weight left underflows, so the normalizer is 0; and an overflowing
+    # Euclidean step: both raise rather than return a point off the domain
+    with pytest.raises(ValueError, match="normalizer 0.0"):
+        prox_solve(entropy(2), np.array([-1.0, 1.0]), np.array([0.0, 1.0]), 2000.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="normalizer inf"):
+            prox_solve(entropy(2), np.zeros(2), np.array([1e308, 1e308]), 1.0)
+        with pytest.raises(ValueError, match="overflows"):
+            prox_solve(euclidean(2), np.array([2.0, 0.0]), np.zeros(2), 1e308)
+
+
 def test_prox_solve_euclidean_is_gradient_step():
     anchor = np.array([1.0, 2.0])
     c = np.array([0.5, -1.0])

@@ -16,7 +16,13 @@ from mirrorboost.stagewise import (
     optimal_shrinkage,
     run_fs,
 )
-from oracles import StagewiseState, classical_fs, correlation_objective, fs_step
+from oracles import (
+    StagewiseState,
+    classical_fs,
+    correlation_objective,
+    fs_step,
+    run_with_iterates,
+)
 
 
 def test_problem_validation():
@@ -145,10 +151,11 @@ def test_run_fs_records_pre_step_sparsity():
 
 def test_run_fs_residual_consistent_with_replayed_coefficients():
     rp = datagen.make_regression(n=25, p=10, seed=9)
-    res = run_fs(rp, StepSchedule.fixed(0.02), 120)
+    res, residuals = run_with_iterates(run_fs, rp, StepSchedule.fixed(0.02), 120)
+    assert len(residuals) == len(res.records) == 120
     beta = np.zeros(rp.num_columns)
-    for rec in res.records:
-        np.testing.assert_allclose(rec.x, rp.response - rp.design @ beta, atol=1e-9)
+    for rec, residual in zip(res.records, residuals):
+        np.testing.assert_allclose(residual, rp.response - rp.design @ beta, atol=1e-9)
         assert rec.l1 == pytest.approx(float(np.sum(np.abs(beta))), abs=1e-12)
         beta[rec.index] += rec.alpha * rec.sign
     np.testing.assert_allclose(res.state.dual_weighted_sum, beta, atol=1e-12)
@@ -177,14 +184,14 @@ def test_run_fs_equals_mirror_descent_run():
     # the engine view against the classical loop, bit for bit
     rp = datagen.make_regression(n=30, p=15, seed=12)
     for sched in (StepSchedule.fixed(0.03), StepSchedule.polyak(0.0)):
-        rf = classical_fs(rp, sched, 100)
-        rm = run_fs(rp, sched, 100)
-        assert len(rf.records) == len(rm.records)
-        for f, m_ in zip(rf.records, rm.records):
+        rf, xf = run_with_iterates(classical_fs, rp, sched, 100)
+        rm, xm = run_with_iterates(run_fs, rp, sched, 100)
+        assert len(rf.records) == len(rm.records) == len(xf) == len(xm)
+        for f, m_, f_x, m_x in zip(rf.records, rm.records, xf, xm):
             assert f.index == m_.index and f.sign == m_.sign
             assert f.alpha == m_.alpha and f.primal == m_.primal
             assert f.l1 == m_.l1 and f.l0 == m_.l0
-            np.testing.assert_array_equal(f.x, m_.x)
+            np.testing.assert_array_equal(f_x, m_x)
         np.testing.assert_array_equal(rf.state.residual, rm.state.x)
         np.testing.assert_array_equal(rf.state.coefficients, rm.state.dual_weighted_sum)
 
@@ -200,5 +207,5 @@ def test_run_fs_validation_and_sink():
     with pytest.raises(ValueError):
         run_fs(rp, StepSchedule.fixed(0.1), 0)
     seen = []
-    run_fs(rp, StepSchedule.fixed(0.1), 3, sink=seen.append)
+    run_fs(rp, StepSchedule.fixed(0.1), 3, sink=lambda rec, x: seen.append(rec))
     assert [r.k for r in seen] == [0, 1, 2]

@@ -3,7 +3,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from mirrorboost.trace import (
@@ -35,13 +34,8 @@ def _record(k: int, **overrides) -> IterationRecord:
 def test_record_round_trip_preserves_floats_exactly():
     rec = _record(0, primal=1.0 / 3.0, alpha=math.sqrt(2.0) / 7.0)
     back = IterationRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
-    assert back == rec  # x is excluded from comparison and serialization
+    assert back == rec
     assert back.primal == rec.primal and back.alpha == rec.alpha
-
-
-def test_record_x_never_serialized():
-    rec = _record(0, x=np.array([0.25, 0.75]))
-    assert "x" not in rec.to_dict()
 
 
 def test_header_round_trip():
@@ -67,6 +61,28 @@ def test_validate_line_rejects_malformed_objects():
     head3["algorithm"] = "gradient-boosting"
     with pytest.raises(ValueError):
         validate_line(head3)
+
+
+@pytest.mark.parametrize("kind, key, bad", [
+    ("header", "lipschitz", "x"), ("header", "horizon", 1.5), ("header", "dual_defined", "yes"),
+    ("header", "iterations", 2.0), ("header", "iterations", True), ("header", "schedule", []),
+    ("header", "shape", None), ("header", "config", "adaboost"), ("header", "eps", False),
+    ("record", "dual", [1]), ("record", "k", 1.5), ("record", "index", "1"),
+    ("record", "alpha", None), ("record", "sign", True), ("record", "l0", 0.0),
+    ("record", "slacks", [0.1]), ("record", "algorithm", 3),
+    ("terminal", "k", "2"), ("terminal", "reason", None),
+])
+def test_validate_line_checks_field_types(kind, key, bad):
+    line = {"header": _header().to_dict(), "record": _record(0).to_dict(),
+            "terminal": {"type": "terminal", "k": 2, "reason": "stopped"}}[kind]
+    validate_line(line)
+    with pytest.raises(ValueError, match=f"{kind} line field {key!r} must be"):
+        validate_line({**line, key: bad})
+
+
+def test_validate_line_takes_integers_for_floats_and_null_where_optional():
+    validate_line({**_header().to_dict(), "lipschitz": 1, "diameter": None, "horizon": None})
+    validate_line({**_record(0).to_dict(), "alpha": 0, "sign": -1, "dual": None, "l1": 2})
 
 
 def test_validate_line_per_algorithm_requirements():
