@@ -11,6 +11,7 @@ serialized trace reproduces the report exactly.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -192,6 +193,92 @@ class CertificateReport:
             "by_tag": self.by_tag(),
             "records": [r.to_dict() for r in self.records],
         }
+
+    def write_json(self, fh, summary: dict | None = None, by_tag: dict | None = None) -> None:
+        """Write to `fh` the bytes of json.dump(self.to_dict(), fh, sort_keys=True,
+        indent=2, allow_nan=False) and a newline, from fixed templates.
+
+        json.dump with indent runs the pure-Python encoder; this writer
+        formats each record with one template and writes the records in
+        chunks, never the whole report as one string. `summary` and `by_tag`,
+        when given, must be self.summary() and self.by_tag(); they spare a
+        pass over the records. A non-finite value raises ValueError, as
+        json.dump's does, but only after the records before it are written.
+        """
+        summary = self.summary() if summary is None else summary
+        by_tag = self.by_tag() if by_tag is None else by_tag
+        fh.write("{\n")
+        if by_tag:
+            fh.write('  "by_tag": {\n')
+            fh.write(",\n".join(
+                _TAG_TEMPLATE % (_json_str(tag), entry["failed"], _json_num(entry["min_slack"]),
+                                 entry["not_evaluable"], entry["passed"], entry["total"])
+                for tag, entry in sorted(by_tag.items())))
+            fh.write("\n  },\n")
+        else:
+            fh.write('  "by_tag": {},\n')
+        if self.records:
+            fh.write('  "records": [\n')
+            for start in range(0, len(self.records), _CHUNK_RECORDS):
+                if start:
+                    fh.write(",\n")
+                fh.write(",\n".join(
+                    _RECORD_TEMPLATE % (_json_num(r.bound), r.k, _json_str(r.note),
+                                        _json_num(r.observed), _JSON_LITERALS[r.passed],
+                                        _json_num(r.slack), _json_str(r.tag))
+                    for r in self.records[start:start + _CHUNK_RECORDS]))
+            fh.write("\n  ],\n")
+        else:
+            fh.write('  "records": [],\n')
+        fh.write(_SUMMARY_TEMPLATE % (
+            _JSON_LITERALS[summary["all_passed"]], summary["failed"],
+            summary["not_evaluable"], summary["passed"], summary["total"]))
+
+
+# report.json templates: json.dump(sort_keys=True, indent=2) of one by_tag
+# entry, one certificate record and the summary, at their depth in the report
+_TAG_TEMPLATE = """\
+    %s: {
+      "failed": %d,
+      "min_slack": %s,
+      "not_evaluable": %d,
+      "passed": %d,
+      "total": %d
+    }"""
+_RECORD_TEMPLATE = """\
+    {
+      "bound": %s,
+      "k": %d,
+      "note": %s,
+      "observed": %s,
+      "passed": %s,
+      "slack": %s,
+      "tag": %s
+    }"""
+_SUMMARY_TEMPLATE = """\
+  "summary": {
+    "all_passed": %s,
+    "failed": %d,
+    "not_evaluable": %d,
+    "passed": %d,
+    "total": %d
+  }
+}
+"""
+# records per write: one string for a long run's whole report would raise its peak
+_CHUNK_RECORDS = 2048
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+_json_str = json.encoder.encode_basestring_ascii  # the C encoder json.dump uses for strings
+
+
+def _json_num(value) -> str:
+    """A report float as json.dump writes it: null, or the float's repr."""
+    if value is None:
+        return "null"
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a number in strict JSON")
+    return float.__repr__(value)
 
 
 def _inconsistency(records) -> CertificateRecord | None:

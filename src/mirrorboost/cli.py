@@ -14,13 +14,16 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import bounds, datagen, md_core, prox
-from .boosting import TrainingSet
-from .stagewise import RegressionProblem, least_squares_norm, optimal_shrinkage
+# `check` needs only bounds and trace. numpy and the modules built on it are
+# imported by the functions that use them, so `check` never loads them.
+from . import bounds
 from .trace import TraceHeader, check_types, format_trace, read_trace
+
+if TYPE_CHECKING:
+    from .boosting import TrainingSet
+    from .stagewise import RegressionProblem
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -115,6 +118,8 @@ class ExperimentConfig:
 
 def parse_data_spec(spec: str):
     """'synthetic:KIND:seed=N[:key=val...]' or 'csv:PATH' or a bare *.csv path."""
+    from . import datagen
+
     if spec.startswith("csv:"):
         return ("csv", spec[4:])
     if spec.endswith(".csv"):
@@ -150,6 +155,8 @@ def parse_data_spec(spec: str):
 
 
 def _build_instance(config: ExperimentConfig):
+    from . import datagen
+
     parsed = parse_data_spec(config.data)
     if parsed[0] == "csv":
         path = parsed[1]
@@ -169,6 +176,10 @@ def _build_instance(config: ExperimentConfig):
 
 
 def _prepare_boost_run(config: ExperimentConfig, ts: TrainingSet):
+    import numpy as np
+
+    from . import md_core, prox
+
     m = ts.num_examples
     lipschitz = ts.lipschitz
     diameter = prox.diameter_bound(prox.entropy(m), np.full(m, 1.0 / m))
@@ -198,6 +209,11 @@ def _prepare_boost_run(config: ExperimentConfig, ts: TrainingSet):
 
 
 def _prepare_fs_run(config: ExperimentConfig, rp: RegressionProblem):
+    import numpy as np
+
+    from . import md_core
+    from .stagewise import least_squares_norm, optimal_shrinkage
+
     lipschitz = rp.design_norm
     if config.use_response_bound:
         projection_norm = float(np.linalg.norm(rp.response))
@@ -229,21 +245,22 @@ def _prepare_fs_run(config: ExperimentConfig, rp: RegressionProblem):
     return schedule, constants, shape
 
 
-def _render_report_text(header: TraceHeader, report: bounds.CertificateReport) -> str:
+def _render_report_text(header: TraceHeader, report: bounds.CertificateReport,
+                        summary: dict, by_tag: dict) -> str:
+    """report.txt; `summary` and `by_tag` are report.summary() and report.by_tag()."""
     lines = [
         f"certificate report: {header.algorithm}, schedule {header.schedule_kind}, "
         f"{header.iterations} iterations requested",
     ]
-    for tag, entry in sorted(report.by_tag().items()):
+    for tag, entry in sorted(by_tag.items()):
         slack = ("" if entry["min_slack"] is None
                  else f", min slack {entry['min_slack']:.6e}")
         lines.append(
             f"  {tag:<14} {entry['passed']}/{entry['total']} passed, "
             f"{entry['failed']} failed, {entry['not_evaluable']} not evaluable{slack}")
-    s = report.summary()
     lines.append(
-        f"summary: {s['total']} checked, {s['passed']} passed, {s['failed']} failed, "
-        f"{s['not_evaluable']} not evaluable")
+        f"summary: {summary['total']} checked, {summary['passed']} passed, "
+        f"{summary['failed']} failed, {summary['not_evaluable']} not evaluable")
     for rec in report.failures():
         if rec.observed is None:
             lines.append(f"  FAILED {rec.tag} at k={rec.k}: {rec.note}")
@@ -267,7 +284,8 @@ def _check_report_is_finite(report: bounds.CertificateReport) -> None:
 
 
 def _write_outputs(out_dir: Path, prefix: str, header: TraceHeader, result,
-                   report: bounds.CertificateReport) -> dict[str, Path]:
+                   report: bounds.CertificateReport, summary: dict,
+                   by_tag: dict) -> dict[str, Path]:
     """Write the trace, both reports and the plot. The trace is serialized and
     the report checked before `out_dir` is made, so an output refused for a
     non-finite value leaves no directory behind."""
@@ -284,8 +302,9 @@ def _write_outputs(out_dir: Path, prefix: str, header: TraceHeader, result,
     with open(paths["trace"], "w", encoding="utf-8") as fh:
         fh.write(trace)
         fh.flush()
-    del trace  # not held while the report is serialized, the peak of a long run
-    _write_report_files(paths["report_json"], paths["report_txt"], header, report)
+    del trace  # not held while the reports and the plot are written
+    _write_report_files(paths["report_json"], paths["report_txt"], header, report,
+                        summary, by_tag)
     running = {}
     for rec in report.records:
         if rec.tag in (bounds.GAP_RUNNING, bounds.OPT_RUNNING):
@@ -308,14 +327,17 @@ def _write_outputs(out_dir: Path, prefix: str, header: TraceHeader, result,
 
 
 def _write_report_files(json_path: Path, txt_path: Path, header: TraceHeader,
-                        report: bounds.CertificateReport) -> None:
+                        report: bounds.CertificateReport, summary: dict,
+                        by_tag: dict) -> str:
+    """Write report.json and report.txt, and return report.txt's text."""
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+        report.write_json(fh, summary, by_tag)
         fh.flush()
+    text = _render_report_text(header, report, summary, by_tag)
     with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write(_render_report_text(header, report))
+        fh.write(text)
         fh.flush()
+    return text
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -357,6 +379,8 @@ def _resolve_out_dir(configured: str | None) -> Path:
 
 
 def _cmd_run(args) -> int:
+    from . import datagen, md_core, prox
+
     config = _config_from_args(args)
     instance = _build_instance(config)
     if config.task == "fs":
@@ -388,10 +412,10 @@ def _cmd_run(args) -> int:
         config=config.experiment_dict(),
     )
     report = bounds.check(result.records, constants)
+    summary, by_tag = report.summary(), report.by_tag()
     out_dir = _resolve_out_dir(config.out_dir)
     prefix = config.prefix or config.task
-    paths = _write_outputs(out_dir, prefix, header, result, report)
-    summary = report.summary()
+    paths = _write_outputs(out_dir, prefix, header, result, report, summary, by_tag)
     print(f"{config.task}: {len(result.records)} iterations"
           + (f" (stopped early: {result.terminated})" if result.terminated else ""))
     print(f"certificates: {summary['passed']} passed, {summary['failed']} failed, "
@@ -413,15 +437,17 @@ def _cmd_check(args) -> int:
             stem = stem[: -len(suffix)]
             break
     _check_report_is_finite(report)
+    summary, by_tag = report.summary(), report.by_tag()
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_report_files(out_dir / f"{stem}.report.json", out_dir / f"{stem}.report.txt",
-                        header, report)
-    print(_render_report_text(header, report), end="")
-    summary = report.summary()
+    text = _write_report_files(out_dir / f"{stem}.report.json",
+                               out_dir / f"{stem}.report.txt", header, report, summary, by_tag)
+    print(text, end="")
     return EXIT_OK if summary["failed"] == 0 else EXIT_CERTIFICATE
 
 
 def _cmd_gen(args) -> int:
+    from . import datagen
+
     parsed = parse_data_spec(args.spec)
     if parsed[0] != "synthetic":
         raise ConfigError("gen needs a synthetic:... data spec")

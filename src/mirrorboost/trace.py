@@ -257,7 +257,8 @@ def format_trace(header: TraceHeader, records: Iterable[IterationRecord],
         term = {"type": "terminal", "k": last_k + 1, "reason": terminated}
         validate_line(term)
         lines.append(_dumps(term))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the whole text
+    return "\n".join(lines)
 
 
 def write_trace(path, header: TraceHeader, records: Iterable[IterationRecord],
@@ -275,28 +276,51 @@ def _reject_constant(token: str):
     raise ValueError(f"{token} is not a number in strict JSON")
 
 
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def read_trace(path) -> tuple[TraceHeader, list[IterationRecord], str | None]:
+    """The header, records and terminal reason (None without a terminal line)
+    of a trace file. Raises ValueError, naming the line, for a line that is
+    not strict JSON or breaks the schema, and unless the header is the first
+    non-empty line and at most one terminal line ends the trace, with k equal
+    to the number of records before it."""
     header = None
     records: list[IterationRecord] = []
     terminated = None
+    terminal_line = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line, parse_constant=_reject_constant)
+                obj = _DECODER.decode(line)
             except ValueError as exc:  # json.JSONDecodeError is one
                 raise ValueError(f"{path}: line {lineno} is not valid JSON: {exc}") from exc
-            validate_line(obj)
-            if obj["type"] == "header":
+            try:
+                validate_line(obj)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            kind = obj["type"]
+            if terminal_line is not None:
+                raise ValueError(f"{path}: line {lineno} follows the terminal line "
+                                 f"at line {terminal_line}")
+            if kind == "header":
                 if header is not None:
                     raise ValueError(f"{path}: duplicate header at line {lineno}")
                 header = TraceHeader.from_dict(obj)
-            elif obj["type"] == "record":
+            elif header is None:
+                raise ValueError(f"{path}: missing header line: line {lineno} is a {kind} "
+                                 "line, and the header must come first")
+            elif kind == "record":
                 records.append(IterationRecord.from_dict(obj))
             else:
+                if obj["k"] != len(records):
+                    raise ValueError(f"{path}: terminal line {lineno} has k={obj['k']}, but "
+                                     f"{len(records)} records precede it")
                 terminated = obj["reason"]
+                terminal_line = lineno
     if header is None:
         raise ValueError(f"{path}: missing header line")
     return header, records, terminated

@@ -1,13 +1,19 @@
 """Certificate bounds: closed forms, the step-sum bound, and the checker's
 applicability rules."""
 
+import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirrorboost import bounds
 from mirrorboost.bounds import (
+    CertificateRecord,
+    CertificateReport,
     RunConstants,
     check,
     constant_bound,
@@ -331,3 +337,82 @@ def test_report_aggregations():
     d = report.to_dict()
     assert set(d) == {"summary", "by_tag", "records"}
     assert d["summary"]["total"] == len(report.records)
+
+
+def _oracle_bytes(report: CertificateReport) -> str:
+    """The report.json text of the generic encoder, which write_json must reproduce."""
+    fh = io.StringIO()
+    json.dump(report.to_dict(), fh, sort_keys=True, indent=2, allow_nan=False)
+    fh.write("\n")
+    return fh.getvalue()
+
+
+def _written(report: CertificateReport, *tally) -> str:
+    fh = io.StringIO()
+    report.write_json(fh, *tally)
+    return fh.getvalue()
+
+
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1e16, 1e-7)
+EDGE_NOTES = ("", "ü", '"', "\\", "\x00\n\t\x1f\x7f", "\u2028é\"\\\U0001f600")
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+# numpy scalars too: a record may be built from them, and to_dict converts them
+report_floats = st.one_of(st.none(), st.sampled_from(EDGE_FLOATS), finite_floats,
+                          finite_floats.map(np.float64))
+certificate_records = st.builds(
+    CertificateRecord,
+    k=st.one_of(st.just(-1), st.integers(-1, 10**6), st.integers(2**62, 2**80),
+                st.integers(-1, 10**6).map(np.int64)),
+    tag=st.one_of(st.sampled_from((bounds.WEAK_DUALITY, bounds.GAP_RUNNING,
+                                   bounds.TRACE_INTEGRITY)), st.text(max_size=8)),
+    observed=report_floats, bound=report_floats, slack=report_floats,
+    passed=st.sampled_from((None, True, False)),
+    note=st.one_of(st.sampled_from(EDGE_NOTES), st.text(max_size=12)),
+)
+EDGE_REPORT = CertificateReport([
+    CertificateRecord(k=-1, tag="gap-constant", observed=None, bound=None, slack=None,
+                      passed=None, note="no planned horizon"),
+    CertificateRecord(k=2**80, tag="weak-duality", observed=-0.0, bound=5e-324,
+                      slack=1.7976931348623157e308, passed=True, note=EDGE_NOTES[-1]),
+    CertificateRecord(k=3, tag="weak-duality", observed=1.7976931348623157e308, bound=-0.0,
+                      slack=-1.7976931348623157e308, passed=False, note='"\\\x00'),
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(certificate_records, max_size=12).map(CertificateReport))
+@example(EDGE_REPORT)
+@example(CertificateReport())
+def test_write_json_writes_the_bytes_of_json_dump(report):
+    expected = _oracle_bytes(report)
+    assert _written(report) == expected
+    assert _written(report, report.summary(), report.by_tag()) == expected
+
+
+def test_write_json_writes_a_long_report_in_chunks():
+    records = [CertificateRecord(k=k, tag=("weak-duality", "gap-running")[k % 2],
+                                 observed=k / 7.0, bound=1.0, slack=1.0 - k / 7.0,
+                                 passed=k < 7) for k in range(2 * 2048 + 1)]
+    report = CertificateReport(records)
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    report.write_json(Recorder())
+    assert "".join(writes) == _oracle_bytes(report)
+    # the records go out 2048 per write, never the whole report at once
+    assert [text.count('"tag": ') for text in writes if '"tag": ' in text] == [2048, 2048, 1]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["observed", "bound", "slack"])
+def test_write_json_refuses_a_non_finite_value_like_json_dump(value, name):
+    fields = dict(k=0, tag="weak-duality", observed=0.5, bound=1.0, slack=0.5, passed=True)
+    report = CertificateReport([CertificateRecord(**{**fields, name: value})])
+    with pytest.raises(ValueError):
+        _oracle_bytes(report)
+    with pytest.raises(ValueError, match="not a number in strict JSON"):
+        _written(report)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mirrorboost import cli, datagen, md_core
+from mirrorboost import bounds, cli, datagen, md_core
 from mirrorboost.boosting import TrainingSet
 from mirrorboost.cli import (
     EXIT_CERTIFICATE,
@@ -257,6 +258,57 @@ def test_check_fails_a_trace_cut_short_of_its_terminal_line(tmp_path, capsys):
     terminal = json.dumps({"k": 3, "reason": "stopped", "type": "terminal"}, sort_keys=True)
     trace.write_text("\n".join(lines[:4] + [terminal]) + "\n")
     assert main(["check", str(trace), "--out", str(tmp_path / "re2")]) == EXIT_OK
+
+
+def _terminal(k: int) -> str:
+    return json.dumps({"k": k, "reason": "stopped", "type": "terminal"}, sort_keys=True)
+
+
+@pytest.mark.parametrize("case, bad_line", [
+    ("header after a record", 1),
+    ("record after the terminal line", 53),
+    ("second terminal line", 53),
+    ("terminal k is not the record count", 52),
+])
+def test_check_refuses_trace_lines_out_of_order(tmp_path, capsys, case, bad_line):
+    lines = _game_trace_lines(tmp_path)  # the header and 50 records
+    lines = {
+        "header after a record": [lines[1], lines[0]] + lines[2:],
+        "record after the terminal line": lines + [_terminal(50), lines[1]],
+        "second terminal line": lines + [_terminal(50), _terminal(50)],
+        "terminal k is not the record count": lines + [_terminal(49)],
+    }[case]
+    trace = _alone_in_a_directory(tmp_path, lines)
+    capsys.readouterr()
+    assert main(["check", str(trace)]) == EXIT_USAGE
+    assert f"line {bad_line} " in capsys.readouterr().err
+    assert list(trace.parent.iterdir()) == [trace]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_report_value_refuses_run_and_check(tmp_path, monkeypatch, capsys, value):
+    # a certificate at k=-1 puts no slack on any trace line, so the trace
+    # writer passes it and only the report's own check can refuse it
+    trace = _alone_in_a_directory(tmp_path, _game_trace_lines(tmp_path))
+    checker = bounds.check
+
+    def with_a_non_finite_record(records, constants):
+        report = checker(records, constants)
+        report.records.append(bounds.CertificateRecord(
+            k=-1, tag=bounds.GAP_CONSTANT, observed=value, bound=1.0, slack=1.0 - value,
+            passed=False))
+        return report
+
+    monkeypatch.setattr(bounds, "check", with_a_non_finite_record)  # check_trace calls it too
+    capsys.readouterr()
+    out = tmp_path / "never"
+    assert main(["run", "minmax-game", "--data", "synthetic:game:seed=3:m=20:n=15",
+                 "--schedule", "dynamic", "--iters", "50", "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert main(["check", str(trace)]) == EXIT_USAGE
+    assert list(trace.parent.iterdir()) == [trace]
+    assert capsys.readouterr().err.count(
+        "report record k=-1, tag 'gap-constant': field 'observed' is not finite") == 2
 
 
 def _malformed_traces(lines: list[str]) -> list[list[str]]:

@@ -3,23 +3,33 @@ run_fs reproduce the classical loops of tests/oracles.py bit for bit, except
 AdaBoost's dual value, which the engine keeps in running margins and the
 oracle recomputes densely; the two agree within oracles.dual_rounding_bound.
 
+A run's report also survives the round trip through its trace: `check`
+rebuilds the same report.json bytes from the written trace.
+
 The instances cover ties (entries drawn from a coarse grid), duplicate
 columns, zero margin columns, a single example or sample, and large fixed
 steps that drive example weights to exactly zero.
 """
 
+import dataclasses
 import functools
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mirrorboost.boosting import TrainingSet, run_adaboost
+from mirrorboost.bounds import RunConstants, check, check_trace
 from mirrorboost.md_core import StepSchedule
-from mirrorboost.stagewise import RegressionProblem, run_fs
+from mirrorboost.stagewise import RegressionProblem, least_squares_norm, run_fs
+from mirrorboost.trace import TraceHeader, read_trace, write_trace
 from oracles import (
     assert_duals_within_rounding,
     classical_adaboost,
@@ -126,3 +136,53 @@ def test_run_fs_matches_the_classical_loop(case):
     oracle, engine = _run_both(classical_fs, run_fs, rp, rp.design, schedule)
     np.testing.assert_array_equal(engine.state.x, oracle.state.residual)
     np.testing.assert_array_equal(engine.state.dual_weighted_sum, oracle.state.coefficients)
+
+
+def _report_json(report) -> str:
+    fh = io.StringIO()
+    report.write_json(fh)
+    return fh.getvalue()
+
+
+def _assert_check_rebuilds_the_report(result, schedule: StepSchedule,
+                                      constants: RunConstants) -> None:
+    """Write the run's trace as `run` does, read it back and check it again:
+    the report.json bytes must match, and must be json.dump's."""
+    assume(result.records)  # `run` refuses a run that stopped before its first round
+    report = check(result.records, constants)
+    header = TraceHeader(schedule=schedule.describe(), iterations=ITERATIONS, shape={},
+                         **dataclasses.asdict(constants))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.trace.jsonl"
+        write_trace(path, header, result.records, terminated=result.terminated,
+                    slacks=report.slacks_by_iteration())
+        again = check_trace(*read_trace(path))
+    written = _report_json(report)
+    assert _report_json(again) == written
+    assert written == json.dumps(report.to_dict(), sort_keys=True, indent=2,
+                                 allow_nan=False) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(boost_cases())
+def test_check_rebuilds_an_adaboost_report_from_its_trace(case):
+    ts, schedule = case
+    constants = RunConstants(
+        algorithm="adaboost", schedule_kind=schedule.kind, lipschitz=ts.lipschitz,
+        diameter=math.log(ts.num_examples),
+        horizon=ITERATIONS if schedule.kind == "constant" else None)
+    _assert_check_rebuilds_the_report(run_adaboost(ts, schedule, ITERATIONS), schedule,
+                                      constants)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fs_cases())
+def test_check_rebuilds_a_stagewise_report_from_its_trace(case):
+    rp, schedule = case
+    dist0 = least_squares_norm(rp)
+    fixed = schedule.kind == "fixed"
+    constants = RunConstants(
+        algorithm="stagewise", schedule_kind="constant" if fixed else "linesearch",
+        lipschitz=rp.design_norm, diameter=0.5 * dist0 * dist0, f_star=0.0, dist0=dist0,
+        eps=schedule.alpha if fixed else None, dual_defined=False)
+    _assert_check_rebuilds_the_report(run_fs(rp, schedule, ITERATIONS), schedule, constants)

@@ -164,3 +164,6 @@ def test_read_trace_error_reporting(tmp_path):
     path.write_text(head + "\n" + head + "\n")
     with pytest.raises(ValueError, match="duplicate header"):
         read_trace(path)
+    path.write_text(head + "\n\n" + json.dumps({**_record(0).to_dict(), "k": 0.5}) + "\n")
+    with pytest.raises(ValueError, match="line 3: record line field 'k' must be int"):
+        read_trace(path)
