@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 
 # the public names, by the submodule that defines them
 _SUBMODULE_NAMES = {
-    "bounds": ("CertificateRecord", "CertificateReport", "RunConstants", "check",
-               "constant_bound", "dynamic_bound", "md_gap_bound", "polyak_bound"),
+    "bounds": ("CertificateRecord", "CertificateReport", "check", "constant_bound",
+               "dynamic_bound", "md_gap_bound", "polyak_bound"),
     "boosting": ("TrainingSet", "run_adaboost"),
     "md_core": ("DualResponse", "MinmaxProblem", "MirrorDescentState", "StepSchedule",
                 "UndefinedStepError", "dual_response", "dual_value", "md_step", "support_size"),

@@ -5,8 +5,8 @@ observed trace, one certificate record per (iteration, bound). A record
 passes when observed <= bound + TOLERANCE; when a bound cannot be evaluated
 (missing constants, undefined dual average, unreached horizon) the record is
 marked not evaluable rather than silently passed. The checker is a pure
-function of the trace and the problem constants, so re-running it on a
-serialized trace reproduces the report exactly.
+function of the trace, its header's problem constants and its records, so
+re-running it on a serialized trace reproduces the report exactly.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+
+from .trace import TraceHeader
 
 TOLERANCE = 1e-9
 
@@ -72,35 +74,6 @@ def polyak_bound(lipschitz: float, dist0: float, k: int) -> float:
     if k < 0:
         raise ValueError("k must be nonnegative")
     return lipschitz * dist0 / math.sqrt(k + 1.0)
-
-
-@dataclass(frozen=True)
-class RunConstants:
-    """Problem constants a trace needs for certificate evaluation."""
-
-    algorithm: str
-    schedule_kind: str
-    lipschitz: float | None = None
-    diameter: float | None = None
-    f_star: float | None = None
-    dist0: float | None = None
-    eps: float | None = None
-    horizon: int | None = None
-    dual_defined: bool = True
-
-    @classmethod
-    def from_header(cls, header) -> "RunConstants":
-        return cls(
-            algorithm=header.algorithm,
-            schedule_kind=header.schedule_kind,
-            lipschitz=header.lipschitz,
-            diameter=header.diameter,
-            f_star=header.f_star,
-            dist0=header.dist0,
-            eps=header.eps,
-            horizon=header.horizon,
-            dual_defined=header.dual_defined,
-        )
 
 
 @dataclass(frozen=True)
@@ -304,8 +277,10 @@ def _inconsistency(records) -> CertificateRecord | None:
     return None
 
 
-def check(records, constants: RunConstants) -> CertificateReport:
-    """Evaluate every applicable bound against an iteration trace.
+def check(records, header: TraceHeader) -> CertificateReport:
+    """Evaluate every applicable bound against an iteration trace, with the
+    problem constants its header holds: the algorithm, the schedule kind,
+    lipschitz, diameter, f_star, dist0, eps, horizon and dual_defined.
 
     The record produced at iteration k pairs the best pre-step value over
     iterations 0..k with the post-step dual average (or the known optimal
@@ -319,8 +294,8 @@ def check(records, constants: RunConstants) -> CertificateReport:
     if not records:
         raise ValueError("cannot check an empty trace")
     report = CertificateReport()
-    algo = constants.algorithm
-    missing_dl = constants.diameter is None or constants.lipschitz is None
+    algo = header.algorithm
+    missing_dl = header.diameter is None or header.lipschitz is None
 
     step_sum = 0.0
     step_sq_sum = 0.0
@@ -337,7 +312,7 @@ def check(records, constants: RunConstants) -> CertificateReport:
         # loss-gradient norm, otherwise the primal objective
         gap_ref = best_grad_norm if algo == "adaboost" else rec.best_primal
 
-        if constants.dual_defined:
+        if header.dual_defined:
             if rec.dual is None:
                 report.records.append(_not_evaluable(t, WEAK_DUALITY, "no dual value" + dual_ref))
             else:
@@ -350,10 +325,9 @@ def check(records, constants: RunConstants) -> CertificateReport:
             elif step_sum <= 0.0:  # only in a tampered trace: runs record no dual then
                 report.records.append(_not_evaluable(t, GAP_RUNNING, "zero step-size sum"))
             else:
-                bound = _ratio_bound(constants.diameter, constants.lipschitz,
-                                     step_sum, step_sq_sum)
+                bound = _ratio_bound(header.diameter, header.lipschitz, step_sum, step_sq_sum)
                 report.records.append(_evaluated(t, GAP_RUNNING, gap_ref - rec.dual, bound))
-            if constants.schedule_kind == "dynamic":
+            if header.schedule_kind == "dynamic":
                 if missing_dl:
                     report.records.append(_not_evaluable(
                         t, GAP_DYNAMIC, "missing diameter or lipschitz constant"))
@@ -362,48 +336,47 @@ def check(records, constants: RunConstants) -> CertificateReport:
                 elif t < 0:  # only in a tampered trace, which fails trace-integrity
                     report.records.append(_not_evaluable(t, GAP_DYNAMIC, "negative iteration"))
                 else:
-                    bound = dynamic_bound(constants.diameter, constants.lipschitz, t)
+                    bound = dynamic_bound(header.diameter, header.lipschitz, t)
                     report.records.append(_evaluated(t, GAP_DYNAMIC, gap_ref - rec.dual, bound))
 
-        if constants.f_star is not None:
-            observed = rec.best_primal - constants.f_star
+        if header.f_star is not None:
+            observed = rec.best_primal - header.f_star
             if missing_dl:
                 report.records.append(_not_evaluable(
                     t, OPT_RUNNING, "missing diameter or lipschitz constant"))
             elif step_sum <= 0.0:
                 report.records.append(_not_evaluable(t, OPT_RUNNING, "zero step-size sum"))
             else:
-                bound = _ratio_bound(constants.diameter, constants.lipschitz,
-                                     step_sum, step_sq_sum)
+                bound = _ratio_bound(header.diameter, header.lipschitz, step_sum, step_sq_sum)
                 report.records.append(_evaluated(t, OPT_RUNNING, observed, bound))
-            if constants.schedule_kind in ("polyak", "linesearch"):
-                if constants.dist0 is None or constants.lipschitz is None:
+            if header.schedule_kind in ("polyak", "linesearch"):
+                if header.dist0 is None or header.lipschitz is None:
                     report.records.append(_not_evaluable(
                         t, OPT_POLYAK, "missing dist0 or lipschitz constant"))
                 elif t < 0:  # only in a tampered trace, which fails trace-integrity
                     report.records.append(_not_evaluable(t, OPT_POLYAK, "negative iteration"))
                 else:
-                    bound = polyak_bound(constants.lipschitz, constants.dist0, t)
+                    bound = polyak_bound(header.lipschitz, header.dist0, t)
                     report.records.append(_evaluated(t, OPT_POLYAK, observed, bound))
 
         if algo == "stagewise":
             if rec.l0 is not None:
                 report.records.append(_evaluated(t, SPARSITY_L0, float(rec.l0), float(t)))
             if rec.l1 is not None:
-                if constants.eps is None:
+                if header.eps is None:
                     report.records.append(_not_evaluable(
                         t, SPARSITY_L1, "no constant shrinkage for this run"))
                 else:
-                    report.records.append(_evaluated(t, SPARSITY_L1, rec.l1, t * constants.eps))
+                    report.records.append(_evaluated(t, SPARSITY_L1, rec.l1, t * header.eps))
 
     # horizon-tied closed forms: one record per run, at the planned final iteration
     final = records[-1]
-    if constants.dual_defined and constants.schedule_kind == "constant":
-        if constants.horizon is None:
+    if header.dual_defined and header.schedule_kind == "constant":
+        if header.horizon is None:
             report.records.append(_not_evaluable(-1, GAP_CONSTANT, "no planned horizon"))
-        elif final.k != constants.horizon - 1:
+        elif final.k != header.horizon - 1:
             report.records.append(_not_evaluable(
-                constants.horizon - 1, GAP_CONSTANT, "run ended before the planned horizon"))
+                header.horizon - 1, GAP_CONSTANT, "run ended before the planned horizon"))
         elif missing_dl:
             report.records.append(_not_evaluable(
                 final.k, GAP_CONSTANT, "missing diameter or lipschitz constant"))
@@ -411,20 +384,20 @@ def check(records, constants: RunConstants) -> CertificateReport:
             report.records.append(_not_evaluable(final.k, GAP_CONSTANT, "no dual value" + dual_ref))
         else:
             gap_ref = best_grad_norm if algo == "adaboost" else final.best_primal
-            bound = constant_bound(constants.diameter, constants.lipschitz, constants.horizon)
+            bound = constant_bound(header.diameter, header.lipschitz, header.horizon)
             report.records.append(_evaluated(final.k, GAP_CONSTANT, gap_ref - final.dual, bound))
-    if constants.f_star is not None and constants.schedule_kind == "optimal":
-        if constants.horizon is None:
+    if header.f_star is not None and header.schedule_kind == "optimal":
+        if header.horizon is None:
             report.records.append(_not_evaluable(-1, OPT_HORIZON, "no planned horizon"))
-        elif final.k != constants.horizon - 1:
+        elif final.k != header.horizon - 1:
             report.records.append(_not_evaluable(
-                constants.horizon - 1, OPT_HORIZON, "run ended before the planned horizon"))
-        elif constants.dist0 is None or constants.lipschitz is None:
+                header.horizon - 1, OPT_HORIZON, "run ended before the planned horizon"))
+        elif header.dist0 is None or header.lipschitz is None:
             report.records.append(_not_evaluable(
                 final.k, OPT_HORIZON, "missing dist0 or lipschitz constant"))
         else:
-            observed = final.best_primal - constants.f_star
-            bound = polyak_bound(constants.lipschitz, constants.dist0, constants.horizon - 1)
+            observed = final.best_primal - header.f_star
+            bound = polyak_bound(header.lipschitz, header.dist0, header.horizon - 1)
             report.records.append(_evaluated(final.k, OPT_HORIZON, observed, bound))
     broken = _inconsistency(records)
     if broken is not None:
@@ -432,14 +405,14 @@ def check(records, constants: RunConstants) -> CertificateReport:
     return report
 
 
-def check_trace(header, records, terminated: str | None) -> CertificateReport:
+def check_trace(header: TraceHeader, records, terminated: str | None) -> CertificateReport:
     """check() on the header, records and terminal reason of a saved trace.
 
     A trace with no terminal line ran its header's full count of iterations,
     so a record count that differs from it, in a trace that keeps every other
     invariant, gets one failed trace-integrity record, after the others.
     """
-    report = check(records, RunConstants.from_header(header))
+    report = check(records, header)
     if (terminated is None and len(records) != header.iterations
             and all(r.tag != TRACE_INTEGRITY for r in report.records)):
         report.records.append(CertificateRecord(

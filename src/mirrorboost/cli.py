@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 # `check` needs only bounds and trace. numpy and the modules built on it are
 # imported by the functions that use them, so `check` never loads them.
 from . import bounds
-from .trace import TraceHeader, check_types, format_trace, read_trace
+from .trace import TraceHeader, format_trace, read_trace, typed_fields
 
 if TYPE_CHECKING:
     from .boosting import TrainingSet
@@ -58,6 +58,7 @@ _CONFIG_TYPES = {
     "out_dir": (str, True),
     "prefix": (str, True),
 }
+_CONFIG_OPTIONAL = frozenset(_CONFIG_TYPES) - {"task", "data"}
 
 
 @dataclass
@@ -89,16 +90,12 @@ class ExperimentConfig:
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(obj) - set(_CONFIG_TYPES)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "task" not in obj or "data" not in obj:
-            raise ConfigError("config must define 'task' and 'data'")
         try:
-            check_types(obj, _CONFIG_TYPES, "config key")
+            return cls(**typed_fields(obj, _CONFIG_TYPES, _CONFIG_OPTIONAL, "config key",
+                                      "config must define 'task' and 'data'",
+                                      "unknown config keys: {}"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        return cls(**obj)
 
     def validate(self) -> None:
         if self.task not in TASKS:
@@ -176,6 +173,7 @@ def _build_instance(config: ExperimentConfig):
 
 
 def _prepare_boost_run(config: ExperimentConfig, ts: TrainingSet):
+    """The schedule and the trace header of an adaboost or minmax-game run."""
     import numpy as np
 
     from . import md_core, prox
@@ -195,20 +193,24 @@ def _prepare_boost_run(config: ExperimentConfig, ts: TrainingSet):
     else:  # polyak, minmax-game only
         schedule = md_core.StepSchedule.polyak(config.f_star)
         horizon = None
-    constants = bounds.RunConstants(
+    header = TraceHeader(
         algorithm="adaboost" if config.task == "adaboost" else "mirror-descent",
         schedule_kind=config.schedule,
+        schedule=schedule.describe(),
+        iterations=config.iterations,
+        shape={"m": m, "n": ts.num_classifiers},
         lipschitz=lipschitz,
         diameter=diameter,
         f_star=config.f_star,
         horizon=horizon,
         dual_defined=True,
+        config=config.experiment_dict(),
     )
-    shape = {"m": m, "n": ts.num_classifiers}
-    return schedule, constants, shape
+    return schedule, header
 
 
 def _prepare_fs_run(config: ExperimentConfig, rp: RegressionProblem):
+    """The schedule and the trace header of an fs run."""
     import numpy as np
 
     from . import md_core
@@ -230,9 +232,12 @@ def _prepare_fs_run(config: ExperimentConfig, rp: RegressionProblem):
         schedule = md_core.StepSchedule.fixed(eps)
     else:  # linesearch: the polyak step with the known optimal value 0
         schedule = md_core.StepSchedule.polyak(0.0)
-    constants = bounds.RunConstants(
+    header = TraceHeader(
         algorithm="stagewise",
         schedule_kind=config.schedule,
+        schedule=schedule.describe(),
+        iterations=config.iterations,
+        shape={"n": rp.num_samples, "p": rp.num_columns},
         lipschitz=lipschitz,
         diameter=0.5 * projection_norm * projection_norm,
         f_star=0.0,
@@ -240,9 +245,9 @@ def _prepare_fs_run(config: ExperimentConfig, rp: RegressionProblem):
         eps=eps,
         horizon=horizon,
         dual_defined=False,
+        config=config.experiment_dict(),
     )
-    shape = {"n": rp.num_samples, "p": rp.num_columns}
-    return schedule, constants, shape
+    return schedule, header
 
 
 def _render_report_text(header: TraceHeader, report: bounds.CertificateReport,
@@ -387,31 +392,16 @@ def _cmd_run(args) -> int:
         if config.center or config.scale:
             instance = datagen.center_scale(instance, center=config.center,
                                             scale=config.scale)
-        schedule, constants, shape = _prepare_fs_run(config, instance)
+        schedule, header = _prepare_fs_run(config, instance)
         prox_fn, x0 = prox.euclidean(instance.num_samples), instance.response.copy()
     else:
-        schedule, constants, shape = _prepare_boost_run(config, instance)
+        schedule, header = _prepare_boost_run(config, instance)
         prox_fn, x0 = prox.entropy(instance.num_examples), None
     result = md_core.run(instance.to_minmax(), schedule, prox_fn, config.iterations,
-                         x0=x0, algorithm=constants.algorithm)
+                         x0=x0, algorithm=header.algorithm)
     if not result.records:
         raise ConfigError(f"run produced no iterations: {result.terminated}")
-    header = TraceHeader(
-        algorithm=constants.algorithm,
-        schedule_kind=config.schedule,
-        schedule=schedule.describe(),
-        iterations=config.iterations,
-        shape=shape,
-        lipschitz=constants.lipschitz,
-        diameter=constants.diameter,
-        f_star=constants.f_star,
-        dist0=constants.dist0,
-        eps=constants.eps,
-        horizon=constants.horizon,
-        dual_defined=constants.dual_defined,
-        config=config.experiment_dict(),
-    )
-    report = bounds.check(result.records, constants)
+    report = bounds.check(result.records, header)
     summary, by_tag = report.summary(), report.by_tag()
     out_dir = _resolve_out_dir(config.out_dir)
     prefix = config.prefix or config.task

@@ -6,6 +6,12 @@ terminal line when a run stopped before its requested horizon. Keys are
 sorted and floats keep full round-trip precision, so identical runs produce
 byte-identical files. Traces are strict JSON: a non-finite value is an error
 when writing, and a NaN or Infinity token is an error when reading.
+
+The tables `_HEADER_TYPES`, `_RECORD_TYPES` and `_TERMINAL_TYPES` are the
+schema: each maps a field of one kind of line to its JSON type and whether it
+may be null, and the keys a line may omit sit next to it. `to_dict` writes a
+line's fields as its table declares them, and `parse_line` reads one back in
+a single pass over them; nothing else names a field.
 """
 
 from __future__ import annotations
@@ -17,14 +23,8 @@ from typing import Iterable
 
 ALGORITHMS = ("mirror-descent", "adaboost", "stagewise")
 
-# JSON type of each field of a trace line, and whether it may be null
-_RECORD_TYPES = {
-    "type": (str, False), "k": (int, False), "algorithm": (str, False),
-    "index": (int, False), "sign": (float, False), "alpha": (float, False),
-    "primal": (float, False), "best_primal": (float, False), "dual": (float, True),
-    "grad_norm": (float, True), "l1": (float, True), "l0": (int, True),
-    "slacks": (dict, False),
-}
+# Apart from `type`, and a record's certificate `slacks`, which the report
+# owns and `check` recomputes, a table's keys are its line class's fields.
 _HEADER_TYPES = {
     "type": (str, False), "algorithm": (str, False), "schedule_kind": (str, False),
     "schedule": (dict, False), "iterations": (int, False), "shape": (dict, False),
@@ -32,35 +32,72 @@ _HEADER_TYPES = {
     "dist0": (float, True), "eps": (float, True), "horizon": (int, True),
     "dual_defined": (bool, False), "config": (dict, True),
 }
-_TERMINAL_TYPES = {"k": (int, False), "reason": (str, False)}
-_RECORD_KEYS = set(_RECORD_TYPES)
-_HEADER_KEYS = set(_HEADER_TYPES)
+_HEADER_OPTIONAL = frozenset({"config"})
+_RECORD_TYPES = {
+    "type": (str, False), "k": (int, False), "algorithm": (str, False),
+    "index": (int, False), "sign": (float, False), "alpha": (float, False),
+    "primal": (float, False), "best_primal": (float, False), "dual": (float, True),
+    "grad_norm": (float, True), "l1": (float, True), "l0": (int, True),
+    "slacks": (dict, False),
+}
+_RECORD_OPTIONAL = frozenset({"l1", "l0", "slacks"})
+_TERMINAL_TYPES = {"type": (str, False), "k": (int, False), "reason": (str, False)}
+_TERMINAL_OPTIONAL = frozenset()
 
 
-def _has_type(value, kind: type, nullable: bool) -> bool:
-    if value is None:
-        return nullable
-    if kind is bool:
-        return isinstance(value, bool)
-    if isinstance(value, bool):
-        return False
-    if kind is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, kind)
+def typed_fields(obj: dict, types: dict[str, tuple[type, bool]], optional: frozenset,
+                 field: str, missing: str, unknown: str) -> dict:
+    """The values of `obj`'s keys, checked against `types` in one pass.
+
+    Raises ValueError with `missing` or `unknown`, formatted with the sorted
+    keys, when a key of `types` outside `optional` is absent or a key is not
+    in `types`; and with `field`, the key and its JSON type, when a value has
+    another JSON type or is null where that is not allowed. A float also takes
+    an integer, which comes back as a float; bool is no number.
+    """
+    absent = types.keys() - obj.keys()
+    if not absent <= optional:
+        raise ValueError(missing.format(sorted(absent - optional)))
+    if len(obj) + len(absent) != len(types):
+        raise ValueError(unknown.format(sorted(obj.keys() - types.keys())))
+    values = {}
+    mistyped = []
+    for key, value in obj.items():
+        kind, nullable = types[key]
+        if type(value) is not kind and not (value is None and nullable):
+            if kind is float and type(value) is int:
+                value = float(value)
+            else:
+                mistyped.append(key)
+        values[key] = value
+    if mistyped:
+        key = min(mistyped, key=list(types).index)  # the first in the table's order
+        kind, nullable = types[key]
+        expected = kind.__name__ + (" or null" if nullable else "")
+        raise ValueError(f"{field} {key!r} must be {expected}, got {obj[key]!r}")
+    return values
 
 
-def check_types(obj: dict, types: dict[str, tuple[type, bool]], what: str) -> None:
-    """Raise ValueError unless each key of `types` that `obj` holds maps to a
-    value of the JSON type given there, or to null where that is allowed. A
-    float also takes an integer, and bool never counts as a number."""
-    for key, (kind, nullable) in types.items():
-        if key in obj and not _has_type(obj[key], kind, nullable):
-            expected = kind.__name__ + (" or null" if nullable else "")
-            raise ValueError(f"{what} {key!r} must be {expected}, got {obj[key]!r}")
+class _Line:
+    """A trace line of the kind `kind` names in _LINES."""
+
+    kind = ""
+
+    def to_dict(self) -> dict:
+        """The line's JSON object: the fields its table types int, float or
+        bool are converted to that type, the others are written as they are."""
+        types = _LINES[self.kind][1]
+        out = {"type": self.kind}
+        # not self.__dict__: reading it would give every record a dict of its own
+        for key in self.__dataclass_fields__:
+            value = getattr(self, key)
+            kind = types[key][0]
+            out[key] = value if value is None or kind is str or kind is dict else kind(value)
+        return out
 
 
 @dataclass
-class IterationRecord:
+class IterationRecord(_Line):
     """One iteration of any of the runners, iterate-side values first.
 
     `primal`, `grad_norm`, `l1` and `l0` describe the iterate before the step;
@@ -68,6 +105,8 @@ class IterationRecord:
     the average is undefined (zero step mass) or the dual value does not exist
     for the problem.
     """
+
+    kind = "record"
 
     k: int
     algorithm: str
@@ -81,38 +120,6 @@ class IterationRecord:
     l1: float | None = None
     l0: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "record",
-            "k": int(self.k),
-            "algorithm": self.algorithm,
-            "index": int(self.index),
-            "sign": float(self.sign),
-            "alpha": float(self.alpha),
-            "primal": float(self.primal),
-            "best_primal": float(self.best_primal),
-            "dual": None if self.dual is None else float(self.dual),
-            "grad_norm": None if self.grad_norm is None else float(self.grad_norm),
-            "l1": None if self.l1 is None else float(self.l1),
-            "l0": None if self.l0 is None else int(self.l0),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "IterationRecord":
-        return cls(
-            k=int(obj["k"]),
-            algorithm=obj["algorithm"],
-            index=int(obj["index"]),
-            sign=float(obj["sign"]),
-            alpha=float(obj["alpha"]),
-            primal=float(obj["primal"]),
-            best_primal=float(obj["best_primal"]),
-            dual=None if obj["dual"] is None else float(obj["dual"]),
-            grad_norm=None if obj["grad_norm"] is None else float(obj["grad_norm"]),
-            l1=None if obj.get("l1") is None else float(obj["l1"]),
-            l0=None if obj.get("l0") is None else int(obj["l0"]),
-        )
-
 
 @dataclass
 class RunResult:
@@ -124,7 +131,12 @@ class RunResult:
 
 
 @dataclass
-class TraceHeader:
+class TraceHeader(_Line):
+    """The first line of a trace: the run's schedule and size, and the
+    constants its certificates are evaluated with."""
+
+    kind = "header"
+
     algorithm: str
     schedule_kind: str
     schedule: dict
@@ -139,78 +151,62 @@ class TraceHeader:
     dual_defined: bool = True
     config: dict | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "header",
-            "algorithm": self.algorithm,
-            "schedule_kind": self.schedule_kind,
-            "schedule": self.schedule,
-            "iterations": int(self.iterations),
-            "shape": self.shape,
-            "lipschitz": None if self.lipschitz is None else float(self.lipschitz),
-            "diameter": None if self.diameter is None else float(self.diameter),
-            "f_star": None if self.f_star is None else float(self.f_star),
-            "dist0": None if self.dist0 is None else float(self.dist0),
-            "eps": None if self.eps is None else float(self.eps),
-            "horizon": None if self.horizon is None else int(self.horizon),
-            "dual_defined": bool(self.dual_defined),
-            "config": self.config,
-        }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TraceHeader":
-        return cls(
-            algorithm=obj["algorithm"],
-            schedule_kind=obj["schedule_kind"],
-            schedule=obj["schedule"],
-            iterations=int(obj["iterations"]),
-            shape=obj["shape"],
-            lipschitz=obj.get("lipschitz"),
-            diameter=obj.get("diameter"),
-            f_star=obj.get("f_star"),
-            dist0=obj.get("dist0"),
-            eps=obj.get("eps"),
-            horizon=obj.get("horizon"),
-            dual_defined=bool(obj.get("dual_defined", True)),
-            config=obj.get("config"),
-        )
+@dataclass
+class Terminal(_Line):
+    """The last line of a trace whose run stopped early: `k` counts the
+    records before it."""
+
+    kind = "terminal"
+
+    k: int
+    reason: str
 
 
-def validate_line(obj: dict) -> None:
-    """Schema check for one parsed trace line; raises ValueError on violation."""
+# each kind of line: its class, its table, the keys it may omit, and the
+# texts of its errors for a field's type, missing keys and unknown keys
+_LINES = {
+    "header": (TraceHeader, _HEADER_TYPES, _HEADER_OPTIONAL, "header line field",
+               "header line missing keys: {}", "header line has unknown keys: {}"),
+    "record": (IterationRecord, _RECORD_TYPES, _RECORD_OPTIONAL, "record line field",
+               "record line missing keys: {}", "record line has unknown keys: {}"),
+    "terminal": (Terminal, _TERMINAL_TYPES, _TERMINAL_OPTIONAL, "terminal line field",
+                 "terminal line must carry k and reason", "terminal line has unknown keys: {}"),
+}
+
+
+def parse_line(obj) -> TraceHeader | IterationRecord | Terminal:
+    """The header, record or terminal line that one decoded trace line holds.
+
+    One pass over the line's table checks that each key is known, each key
+    the line may not omit is there, and each value has its JSON type; a float
+    field's integer becomes a float. Records and the header must name a known
+    algorithm, a record's sign must be 1.0 or -1.0, and stagewise and adaboost
+    records must carry the fields their certificates read. Raises ValueError
+    on the first violation.
+    """
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("trace line must be an object with a 'type' key")
     kind = obj["type"]
-    if kind == "header":
-        missing = _HEADER_KEYS - {"config"} - set(obj)
-        if missing:
-            raise ValueError(f"header line missing keys: {sorted(missing)}")
-        unknown = set(obj) - _HEADER_KEYS
-        if unknown:
-            raise ValueError(f"header line has unknown keys: {sorted(unknown)}")
-        check_types(obj, _HEADER_TYPES, "header line field")
-        if obj["algorithm"] not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm tag: {obj['algorithm']!r}")
-    elif kind == "record":
-        missing = _RECORD_KEYS - {"l1", "l0", "slacks"} - set(obj)
-        if missing:
-            raise ValueError(f"record line missing keys: {sorted(missing)}")
-        unknown = set(obj) - _RECORD_KEYS
-        if unknown:
-            raise ValueError(f"record line has unknown keys: {sorted(unknown)}")
-        check_types(obj, _RECORD_TYPES, "record line field")
-        if obj["algorithm"] not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm tag: {obj['algorithm']!r}")
-        if obj["algorithm"] == "stagewise" and (obj.get("l1") is None or obj.get("l0") is None):
-            raise ValueError("stagewise records must carry l1 and l0")
-        if obj["algorithm"] == "adaboost" and obj.get("grad_norm") is None:
-            raise ValueError("adaboost records must carry grad_norm")
-    elif kind == "terminal":
-        if "k" not in obj or "reason" not in obj:
-            raise ValueError("terminal line must carry k and reason")
-        check_types(obj, _TERMINAL_TYPES, "terminal line field")
-    else:
+    if type(kind) is not str or kind not in _LINES:
         raise ValueError(f"unknown trace line type: {kind!r}")
+    cls, types, optional, field, missing, unknown = _LINES[kind]
+    values = typed_fields(obj, types, optional, field, missing, unknown)
+    del values["type"]
+    values.pop("slacks", None)
+    line = cls(**values)
+    if cls is Terminal:
+        return line
+    if line.algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm tag: {line.algorithm!r}")
+    if cls is IterationRecord:
+        if line.algorithm == "stagewise" and (line.l1 is None or line.l0 is None):
+            raise ValueError("stagewise records must carry l1 and l0")
+        if line.algorithm == "adaboost" and line.grad_norm is None:
+            raise ValueError("adaboost records must carry grad_norm")
+        if line.sign != 1.0 and line.sign != -1.0:
+            raise ValueError(f"record line field 'sign' must be 1.0 or -1.0, got {line.sign!r}")
+    return line
 
 
 def _non_finite_field(value, name: str = "") -> str | None:
@@ -235,27 +231,33 @@ def _dumps(obj: dict) -> str:
                          "are strict JSON") from None
 
 
+def _differs_from_header(algorithm: str, header: TraceHeader) -> str:
+    return f"record algorithm {algorithm!r} differs from the header's {header.algorithm!r}"
+
+
 def format_trace(header: TraceHeader, records: Iterable[IterationRecord],
                  terminated: str | None = None,
                  slacks: dict[int, dict[str, float]] | None = None) -> str:
     """The text of a trace file; optional per-iteration certificate slacks are
-    merged in. A non-finite value in any field raises ValueError naming the
+    merged in. Every line passes parse_line and every record carries the
+    header's algorithm, as read_trace requires; the terminal line counts the
+    records. A non-finite value in any field raises ValueError naming the
     field."""
-    lines = []
     head = header.to_dict()
-    validate_line(head)
-    lines.append(_dumps(head))
-    last_k = -1
+    parse_line(head)
+    lines = [_dumps(head)]
     for rec in records:
+        if rec.algorithm != header.algorithm:
+            raise ValueError(f"record line k={rec.k}: "
+                             + _differs_from_header(rec.algorithm, header))
         obj = rec.to_dict()
         if slacks is not None and rec.k in slacks:
             obj["slacks"] = {tag: float(v) for tag, v in sorted(slacks[rec.k].items())}
-        validate_line(obj)
+        parse_line(obj)
         lines.append(_dumps(obj))
-        last_k = rec.k
     if terminated is not None:
-        term = {"type": "terminal", "k": last_k + 1, "reason": terminated}
-        validate_line(term)
+        term = Terminal(k=len(lines) - 1, reason=terminated).to_dict()  # the record count
+        parse_line(term)
         lines.append(_dumps(term))
     lines.append("")  # the final newline, without a second copy of the whole text
     return "\n".join(lines)
@@ -282,44 +284,48 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 def read_trace(path) -> tuple[TraceHeader, list[IterationRecord], str | None]:
     """The header, records and terminal reason (None without a terminal line)
     of a trace file. Raises ValueError, naming the line, for a line that is
-    not strict JSON or breaks the schema, and unless the header is the first
-    non-empty line and at most one terminal line ends the trace, with k equal
-    to the number of records before it."""
+    not strict JSON or that parse_line refuses, for a record whose algorithm
+    is not the header's, and unless the header is the first non-empty line
+    and at most one terminal line ends the trace, with k equal to the number
+    of records before it."""
     header = None
     records: list[IterationRecord] = []
     terminated = None
     terminal_line = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+        for lineno, text in enumerate(fh, start=1):
+            text = text.strip()
+            if not text:
                 continue
             try:
-                obj = _DECODER.decode(line)
+                obj = _DECODER.decode(text)
             except ValueError as exc:  # json.JSONDecodeError is one
                 raise ValueError(f"{path}: line {lineno} is not valid JSON: {exc}") from exc
             try:
-                validate_line(obj)
+                line = parse_line(obj)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            kind = obj["type"]
             if terminal_line is not None:
                 raise ValueError(f"{path}: line {lineno} follows the terminal line "
                                  f"at line {terminal_line}")
+            kind = line.kind
             if kind == "header":
                 if header is not None:
                     raise ValueError(f"{path}: duplicate header at line {lineno}")
-                header = TraceHeader.from_dict(obj)
+                header = line
             elif header is None:
                 raise ValueError(f"{path}: missing header line: line {lineno} is a {kind} "
                                  "line, and the header must come first")
             elif kind == "record":
-                records.append(IterationRecord.from_dict(obj))
+                if line.algorithm != header.algorithm:
+                    raise ValueError(f"{path}: line {lineno}: "
+                                     + _differs_from_header(line.algorithm, header))
+                records.append(line)
             else:
-                if obj["k"] != len(records):
-                    raise ValueError(f"{path}: terminal line {lineno} has k={obj['k']}, but "
+                if line.k != len(records):
+                    raise ValueError(f"{path}: terminal line {lineno} has k={line.k}, but "
                                      f"{len(records)} records precede it")
-                terminated = obj["reason"]
+                terminated = line.reason
                 terminal_line = lineno
     if header is None:
         raise ValueError(f"{path}: missing header line")

@@ -1,10 +1,20 @@
 """Shared oracle helpers: brute-force and finite-difference reference
 implementations that the library code must agree with. These deliberately
-avoid the code paths they are used to verify."""
+avoid the code paths they are used to verify. Also a trace header builder for
+certificate checks."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from mirrorboost.trace import TraceHeader
+
+
+def certificate_header(**fields) -> TraceHeader:
+    """A trace header with the given fields: the certificate constants, at
+    least the algorithm and schedule kind. The schedule, iteration count and
+    shape, which bounds.check does not read, default to {}, 1 and {}."""
+    return TraceHeader(**{"schedule": {}, "iterations": 1, "shape": {}, **fields})
 
 
 def simplex_grid(dim: int, steps: int) -> np.ndarray:

@@ -15,7 +15,12 @@ import math
 
 import numpy as np
 
-from conftest import central_difference_gradient, grid_prox_entropy, simplex_grid
+from conftest import (
+    central_difference_gradient,
+    certificate_header,
+    grid_prox_entropy,
+    simplex_grid,
+)
 from mirrorboost import bounds, datagen, prox
 from mirrorboost.boosting import run_adaboost
 from mirrorboost.cli import main
@@ -97,10 +102,9 @@ def test_03_boosting_gap_certificates():
     best_grad = min(rec.grad_norm for rec in res.records)
     if best_grad - last.dual > math.sqrt(2.0 * d / 100.0) + 1e-9:
         failures.append("final gap exceeds the tuned-constant closed form")
-    constants = bounds.RunConstants(algorithm="adaboost", schedule_kind="constant",
-                                    lipschitz=1.0, diameter=d, horizon=100,
-                                    dual_defined=True)
-    report = bounds.check(res.records, constants)
+    header = certificate_header(algorithm="adaboost", schedule_kind="constant",
+                                lipschitz=1.0, diameter=d, horizon=100, dual_defined=True)
+    report = bounds.check(res.records, header)
     if not report.all_passed or report.summary()["not_evaluable"] > 0:
         failures.append(("constant-run certificates", report.summary()))
 
@@ -111,9 +115,9 @@ def test_03_boosting_gap_certificates():
         if best - rec.dual > bounds.dynamic_bound(d, 1.0, rec.k) + 1e-9:
             failures.append(("dynamic closed form violated at", rec.k))
             break
-    constants_dyn = bounds.RunConstants(algorithm="adaboost", schedule_kind="dynamic",
-                                        lipschitz=1.0, diameter=d, dual_defined=True)
-    report_dyn = bounds.check(res_dyn.records, constants_dyn)
+    header_dyn = certificate_header(algorithm="adaboost", schedule_kind="dynamic",
+                                    lipschitz=1.0, diameter=d, dual_defined=True)
+    report_dyn = bounds.check(res_dyn.records, header_dyn)
     if not report_dyn.all_passed or report_dyn.summary()["not_evaluable"] > 0:
         failures.append(("dynamic-run certificates", report_dyn.summary()))
     _verdict("03 boosting gap certificates hold at every prefix", failures)

@@ -10,18 +10,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import certificate_header
 from mirrorboost import bounds
 from mirrorboost.bounds import (
     CertificateRecord,
     CertificateReport,
-    RunConstants,
     check,
     constant_bound,
     dynamic_bound,
     md_gap_bound,
     polyak_bound,
 )
-from mirrorboost.trace import IterationRecord, TraceHeader
+from mirrorboost.trace import IterationRecord
 
 
 def _rec(k, alpha, primal, best, dual=None, grad_norm=None, l1=None, l0=None,
@@ -111,29 +111,17 @@ def test_step_sum_bound_two_term_form_for_fixed_shrinkage():
         assert got == pytest.approx(expect, rel=1e-12)
 
 
-def test_run_constants_from_header():
-    header = TraceHeader(algorithm="adaboost", schedule_kind="constant",
-                         schedule={"kind": "constant"}, iterations=10,
-                         shape={"m": 4, "n": 2}, lipschitz=1.0,
-                         diameter=math.log(4.0), horizon=10, dual_defined=True)
-    constants = RunConstants.from_header(header)
-    assert constants.algorithm == "adaboost"
-    assert constants.diameter == math.log(4.0)
-    assert constants.horizon == 10
-    assert constants.f_star is None
-
-
 def test_check_rejects_empty_trace():
-    constants = RunConstants(algorithm="mirror-descent", schedule_kind="fixed")
+    header = certificate_header(algorithm="mirror-descent", schedule_kind="fixed")
     with pytest.raises(ValueError):
-        check([], constants)
+        check([], header)
 
 
 def test_check_weak_duality_and_gap_running():
-    constants = RunConstants(algorithm="mirror-descent", schedule_kind="fixed",
-                             lipschitz=1.0, diameter=math.log(2.0))
+    header = certificate_header(algorithm="mirror-descent", schedule_kind="fixed",
+                                lipschitz=1.0, diameter=math.log(2.0))
     recs = [_rec(0, 0.5, 1.0, 1.0, dual=0.2), _rec(1, 0.5, 0.8, 0.8, dual=0.5)]
-    report = check(recs, constants)
+    report = check(recs, header)
     by_tag = report.by_tag()
     assert by_tag["weak-duality"]["passed"] == 2
     assert by_tag["gap-running"]["passed"] == 2
@@ -146,10 +134,10 @@ def test_check_weak_duality_and_gap_running():
 
 
 def test_check_flags_violations():
-    constants = RunConstants(algorithm="mirror-descent", schedule_kind="fixed",
-                             lipschitz=1.0, diameter=math.log(2.0))
+    header = certificate_header(algorithm="mirror-descent", schedule_kind="fixed",
+                                lipschitz=1.0, diameter=math.log(2.0))
     recs = [_rec(0, 0.5, 1.0, 1.0, dual=1.5)]  # dual above the primal: impossible run
-    report = check(recs, constants)
+    report = check(recs, header)
     failures = report.failures()
     assert len(failures) == 1 and failures[0].tag == "weak-duality"
     assert not report.all_passed
@@ -158,8 +146,8 @@ def test_check_flags_violations():
 
 def test_check_fails_inconsistent_traces_once():
     fixed, dynamic, polyak = (
-        RunConstants(algorithm="mirror-descent", schedule_kind=kind, lipschitz=1.0,
-                     diameter=math.log(2.0), f_star=0.0, dist0=1.0)
+        certificate_header(algorithm="mirror-descent", schedule_kind=kind, lipschitz=1.0,
+                           diameter=math.log(2.0), f_star=0.0, dist0=1.0)
         for kind in ("fixed", "dynamic", "polyak"))
     first, second, third = (_rec(0, 0.5, 1.0, 1.0, dual=0.2), _rec(1, 0.5, 0.8, 0.8, dual=0.5),
                             _rec(2, 0.5, 0.9, 0.8, dual=0.5))
@@ -178,8 +166,8 @@ def test_check_fails_inconsistent_traces_once():
         (dynamic, [_rec(-1, 0.5, 1.0, 1.0, dual=0.2)], "record 0 has k=-1"),
         (polyak, [_rec(-1, 0.5, 1.0, 1.0, dual=0.2)], "record 0 has k=-1"),
     ]
-    for constants, records, note in cases:
-        report = check(records, constants)
+    for header, records, note in cases:
+        report = check(records, header)
         broken = [r for r in report.records if r.tag == bounds.TRACE_INTEGRITY]
         assert len(broken) == 1 and report.records[-1] is broken[0]
         assert broken[0].passed is False and note in broken[0].note
@@ -187,10 +175,10 @@ def test_check_fails_inconsistent_traces_once():
 
 
 def test_check_zero_first_step_is_not_evaluable_not_passed():
-    constants = RunConstants(algorithm="mirror-descent", schedule_kind="fixed",
-                             lipschitz=1.0, diameter=math.log(2.0))
+    header = certificate_header(algorithm="mirror-descent", schedule_kind="fixed",
+                                lipschitz=1.0, diameter=math.log(2.0))
     recs = [_rec(0, 0.0, 1.0, 1.0, dual=None), _rec(1, 0.5, 0.8, 0.8, dual=0.1)]
-    report = check(recs, constants)
+    report = check(recs, header)
     k0 = [r for r in report.records if r.k == 0]
     assert all(r.passed is None for r in k0)
     assert all(not r.evaluable for r in k0)
@@ -200,10 +188,10 @@ def test_check_zero_first_step_is_not_evaluable_not_passed():
 
 
 def test_check_missing_constants_never_pass_silently():
-    constants = RunConstants(algorithm="mirror-descent", schedule_kind="fixed",
-                             lipschitz=None, diameter=None)
+    header = certificate_header(algorithm="mirror-descent", schedule_kind="fixed",
+                                lipschitz=None, diameter=None)
     recs = [_rec(0, 0.5, 1.0, 1.0, dual=0.2)]
-    report = check(recs, constants)
+    report = check(recs, header)
     gap = [r for r in report.records if r.tag == "gap-running"][0]
     assert gap.passed is None and "missing" in gap.note
     # weak duality needs no constants and still evaluates
@@ -212,13 +200,13 @@ def test_check_missing_constants_never_pass_silently():
 
 
 def test_check_adaboost_gap_uses_best_gradient_norm():
-    constants = RunConstants(algorithm="adaboost", schedule_kind="fixed",
-                             lipschitz=1.0, diameter=math.log(4.0))
+    header = certificate_header(algorithm="adaboost", schedule_kind="fixed",
+                                lipschitz=1.0, diameter=math.log(4.0))
     recs = [
         _rec(0, 0.5, 0.9, 0.9, dual=0.1, grad_norm=0.6, algorithm="adaboost"),
         _rec(1, 0.5, 0.8, 0.8, dual=0.2, grad_norm=0.7, algorithm="adaboost"),
     ]
-    report = check(recs, constants)
+    report = check(recs, header)
     gaps = [r for r in report.records if r.tag == "gap-running"]
     assert gaps[0].observed == pytest.approx(0.6 - 0.1, rel=1e-12)
     # the reference is the running minimum of the gradient norm, not 0.7
@@ -226,20 +214,20 @@ def test_check_adaboost_gap_uses_best_gradient_norm():
 
 
 def test_check_dynamic_schedule_adds_per_record_closed_form():
-    constants = RunConstants(algorithm="mirror-descent", schedule_kind="dynamic",
-                             lipschitz=1.0, diameter=math.log(2.0))
+    header = certificate_header(algorithm="mirror-descent", schedule_kind="dynamic",
+                                lipschitz=1.0, diameter=math.log(2.0))
     recs = [_rec(0, 1.0, 1.0, 1.0, dual=0.0), _rec(1, 0.7, 0.9, 0.9, dual=0.1)]
-    report = check(recs, constants)
+    report = check(recs, header)
     dyn = [r for r in report.records if r.tag == "gap-dynamic"]
     assert len(dyn) == 2
     assert dyn[1].bound == pytest.approx(dynamic_bound(math.log(2.0), 1.0, 1), rel=1e-15)
 
 
 def test_check_constant_schedule_horizon_record():
-    constants = RunConstants(algorithm="mirror-descent", schedule_kind="constant",
-                             lipschitz=1.0, diameter=math.log(2.0), horizon=2)
+    header = certificate_header(algorithm="mirror-descent", schedule_kind="constant",
+                                lipschitz=1.0, diameter=math.log(2.0), horizon=2)
     recs = [_rec(0, 0.8, 1.0, 1.0, dual=0.0), _rec(1, 0.8, 0.9, 0.9, dual=0.4)]
-    report = check(recs, constants)
+    report = check(recs, header)
     gc = [r for r in report.records if r.tag == "gap-constant"]
     assert len(gc) == 1 and gc[0].k == 1
     assert gc[0].observed == pytest.approx(0.5, rel=1e-12)
@@ -247,20 +235,20 @@ def test_check_constant_schedule_horizon_record():
 
 
 def test_check_constant_schedule_short_run_not_evaluable():
-    constants = RunConstants(algorithm="mirror-descent", schedule_kind="constant",
-                             lipschitz=1.0, diameter=math.log(2.0), horizon=5)
+    header = certificate_header(algorithm="mirror-descent", schedule_kind="constant",
+                                lipschitz=1.0, diameter=math.log(2.0), horizon=5)
     recs = [_rec(0, 0.8, 1.0, 1.0, dual=0.0)]
-    report = check(recs, constants)
+    report = check(recs, header)
     gc = [r for r in report.records if r.tag == "gap-constant"][0]
     assert gc.passed is None and "horizon" in gc.note
 
 
 def test_check_f_star_certificates():
-    constants = RunConstants(algorithm="mirror-descent", schedule_kind="polyak",
-                             lipschitz=2.0, diameter=4.5, f_star=0.25, dist0=3.0,
-                             dual_defined=False)
+    header = certificate_header(algorithm="mirror-descent", schedule_kind="polyak",
+                                lipschitz=2.0, diameter=4.5, f_star=0.25, dist0=3.0,
+                                dual_defined=False)
     recs = [_rec(0, 1.0, 1.0, 1.0), _rec(1, 0.5, 0.75, 0.75)]
-    report = check(recs, constants)
+    report = check(recs, header)
     tags = {r.tag for r in report.records}
     assert tags == {"opt-running", "opt-polyak"}
     opt = [r for r in report.records if r.tag == "opt-polyak"]
@@ -270,36 +258,36 @@ def test_check_f_star_certificates():
 
 
 def test_check_stagewise_sparsity_certificates():
-    constants = RunConstants(algorithm="stagewise", schedule_kind="constant",
-                             lipschitz=2.0, diameter=4.5, f_star=0.0, dist0=3.0,
-                             eps=0.1, dual_defined=False)
+    header = certificate_header(algorithm="stagewise", schedule_kind="constant",
+                                lipschitz=2.0, diameter=4.5, f_star=0.0, dist0=3.0,
+                                eps=0.1, dual_defined=False)
     recs = [
         _rec(0, 0.1, 2.0, 2.0, l1=0.0, l0=0, algorithm="stagewise"),
         _rec(1, 0.1, 1.5, 1.5, l1=0.1, l0=1, algorithm="stagewise"),
     ]
-    report = check(recs, constants)
+    report = check(recs, header)
     l1 = [r for r in report.records if r.tag == "sparsity-l1"]
     l0 = [r for r in report.records if r.tag == "sparsity-l0"]
     assert [r.passed for r in l1] == [True, True]
     assert l1[1].bound == pytest.approx(0.1, rel=1e-15)
     assert [r.bound for r in l0] == [0.0, 1.0]
     # without a constant shrinkage the l1 certificate cannot be evaluated
-    no_eps = RunConstants(algorithm="stagewise", schedule_kind="linesearch",
-                          lipschitz=2.0, diameter=4.5, f_star=0.0, dist0=3.0,
-                          dual_defined=False)
+    no_eps = certificate_header(algorithm="stagewise", schedule_kind="linesearch",
+                                lipschitz=2.0, diameter=4.5, f_star=0.0, dist0=3.0,
+                                dual_defined=False)
     report2 = check(recs, no_eps)
     assert all(r.passed is None for r in report2.records if r.tag == "sparsity-l1")
 
 
 def test_check_optimal_schedule_horizon_record():
-    constants = RunConstants(algorithm="stagewise", schedule_kind="optimal",
-                             lipschitz=2.0, diameter=4.5, f_star=0.0, dist0=3.0,
-                             eps=0.1, horizon=2, dual_defined=False)
+    header = certificate_header(algorithm="stagewise", schedule_kind="optimal",
+                                lipschitz=2.0, diameter=4.5, f_star=0.0, dist0=3.0,
+                                eps=0.1, horizon=2, dual_defined=False)
     recs = [
         _rec(0, 0.1, 2.0, 2.0, l1=0.0, l0=0, algorithm="stagewise"),
         _rec(1, 0.1, 1.5, 1.5, l1=0.1, l0=1, algorithm="stagewise"),
     ]
-    report = check(recs, constants)
+    report = check(recs, header)
     oh = [r for r in report.records if r.tag == "opt-horizon"]
     assert len(oh) == 1 and oh[0].k == 1
     assert oh[0].bound == polyak_bound(2.0, 3.0, 1)
@@ -307,8 +295,8 @@ def test_check_optimal_schedule_horizon_record():
 
 
 def test_check_is_pure_and_reproducible():
-    constants = RunConstants(algorithm="mirror-descent", schedule_kind="dynamic",
-                             lipschitz=1.0, diameter=math.log(8.0))
+    header = certificate_header(algorithm="mirror-descent", schedule_kind="dynamic",
+                                lipschitz=1.0, diameter=math.log(8.0))
     rng = np.random.default_rng(2)
     recs = []
     best = math.inf
@@ -317,16 +305,16 @@ def test_check_is_pure_and_reproducible():
         best = min(best, primal)
         recs.append(_rec(k, float(rng.uniform(0.01, 0.5)), primal, best,
                          dual=float(rng.uniform(-1.0, 0.1))))
-    first = check(recs, constants).to_dict()
-    second = check(recs, constants).to_dict()
+    first = check(recs, header).to_dict()
+    second = check(recs, header).to_dict()
     assert first == second
 
 
 def test_report_aggregations():
-    constants = RunConstants(algorithm="mirror-descent", schedule_kind="fixed",
-                             lipschitz=1.0, diameter=1.0)
+    header = certificate_header(algorithm="mirror-descent", schedule_kind="fixed",
+                                lipschitz=1.0, diameter=1.0)
     recs = [_rec(0, 0.5, 1.0, 1.0, dual=0.9), _rec(1, 0.5, 0.9, 0.9, dual=0.95)]
-    report = check(recs, constants)
+    report = check(recs, header)
     by_tag = report.by_tag()
     wd = by_tag["weak-duality"]
     assert wd["total"] == 2 and wd["failed"] == 1

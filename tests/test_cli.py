@@ -292,8 +292,8 @@ def test_a_non_finite_report_value_refuses_run_and_check(tmp_path, monkeypatch, 
     trace = _alone_in_a_directory(tmp_path, _game_trace_lines(tmp_path))
     checker = bounds.check
 
-    def with_a_non_finite_record(records, constants):
-        report = checker(records, constants)
+    def with_a_non_finite_record(records, header):
+        report = checker(records, header)
         report.records.append(bounds.CertificateRecord(
             k=-1, tag=bounds.GAP_CONSTANT, observed=value, bound=1.0, slack=1.0 - value,
             passed=False))
@@ -309,6 +309,37 @@ def test_a_non_finite_report_value_refuses_run_and_check(tmp_path, monkeypatch, 
     assert list(trace.parent.iterdir()) == [trace]
     assert capsys.readouterr().err.count(
         "report record k=-1, tag 'gap-constant': field 'observed' is not finite") == 2
+
+
+def _relabelled(line: str, **fields) -> str:
+    return json.dumps({**json.loads(line), **fields}, sort_keys=True)
+
+
+@pytest.mark.parametrize("case", ["header relabelled stagewise", "records relabelled adaboost",
+                                  "records with sign 7.5"])
+def test_check_refuses_records_that_contradict_their_header(tmp_path, capsys, case):
+    out = tmp_path / "run"
+    assert main(["run", "minmax-game", "--data", "synthetic:game:seed=1:m=20:n=10",
+                 "--schedule", "dynamic", "--iters", "30",
+                 "--out", str(out), "--prefix", "g"]) == EXIT_OK
+    header, *records = (out / "g.trace.jsonl").read_text().splitlines()
+    lines, message = {
+        "header relabelled stagewise": (
+            [_relabelled(header, algorithm="stagewise")] + records,
+            "line 2: record algorithm 'mirror-descent' differs from the header's 'stagewise'"),
+        "records relabelled adaboost": (
+            [header] + [_relabelled(line, algorithm="adaboost",
+                                    grad_norm=json.loads(line)["primal"]) for line in records],
+            "line 2: record algorithm 'adaboost' differs from the header's 'mirror-descent'"),
+        "records with sign 7.5": (
+            [header] + [_relabelled(line, sign=7.5) for line in records],
+            "line 2: record line field 'sign' must be 1.0 or -1.0, got 7.5"),
+    }[case]
+    trace = _alone_in_a_directory(tmp_path, lines)
+    capsys.readouterr()
+    assert main(["check", str(trace)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert list(trace.parent.iterdir()) == [trace]
 
 
 def _malformed_traces(lines: list[str]) -> list[list[str]]:

@@ -4,14 +4,15 @@ AdaBoost's dual value, which the engine keeps in running margins and the
 oracle recomputes densely; the two agree within oracles.dual_rounding_bound.
 
 A run's report also survives the round trip through its trace: `check`
-rebuilds the same report.json bytes from the written trace.
+rebuilds the same report.json bytes from the written trace. And on random
+instances of every task and schedule the command line offers, prepared as
+`run` prepares them, no certificate of the paper fails.
 
 The instances cover ties (entries drawn from a coarse grid), duplicate
 columns, zero margin columns, a single example or sample, and large fixed
 steps that drive example weights to exactly zero.
 """
 
-import dataclasses
 import functools
 import io
 import json
@@ -21,12 +22,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import certificate_header
+from mirrorboost import cli, md_core, prox
 from mirrorboost.boosting import TrainingSet, run_adaboost
-from mirrorboost.bounds import RunConstants, check, check_trace
+from mirrorboost.bounds import check, check_trace
 from mirrorboost.md_core import StepSchedule
 from mirrorboost.stagewise import RegressionProblem, least_squares_norm, run_fs
 from mirrorboost.trace import TraceHeader, read_trace, write_trace
@@ -144,14 +147,11 @@ def _report_json(report) -> str:
     return fh.getvalue()
 
 
-def _assert_check_rebuilds_the_report(result, schedule: StepSchedule,
-                                      constants: RunConstants) -> None:
+def _assert_check_rebuilds_the_report(result, header: TraceHeader) -> None:
     """Write the run's trace as `run` does, read it back and check it again:
     the report.json bytes must match, and must be json.dump's."""
     assume(result.records)  # `run` refuses a run that stopped before its first round
-    report = check(result.records, constants)
-    header = TraceHeader(schedule=schedule.describe(), iterations=ITERATIONS, shape={},
-                         **dataclasses.asdict(constants))
+    report = check(result.records, header)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.trace.jsonl"
         write_trace(path, header, result.records, terminated=result.terminated,
@@ -167,12 +167,11 @@ def _assert_check_rebuilds_the_report(result, schedule: StepSchedule,
 @given(boost_cases())
 def test_check_rebuilds_an_adaboost_report_from_its_trace(case):
     ts, schedule = case
-    constants = RunConstants(
-        algorithm="adaboost", schedule_kind=schedule.kind, lipschitz=ts.lipschitz,
-        diameter=math.log(ts.num_examples),
+    header = certificate_header(
+        algorithm="adaboost", schedule_kind=schedule.kind, schedule=schedule.describe(),
+        iterations=ITERATIONS, lipschitz=ts.lipschitz, diameter=math.log(ts.num_examples),
         horizon=ITERATIONS if schedule.kind == "constant" else None)
-    _assert_check_rebuilds_the_report(run_adaboost(ts, schedule, ITERATIONS), schedule,
-                                      constants)
+    _assert_check_rebuilds_the_report(run_adaboost(ts, schedule, ITERATIONS), header)
 
 
 @settings(max_examples=100, deadline=None)
@@ -181,8 +180,55 @@ def test_check_rebuilds_a_stagewise_report_from_its_trace(case):
     rp, schedule = case
     dist0 = least_squares_norm(rp)
     fixed = schedule.kind == "fixed"
-    constants = RunConstants(
+    header = certificate_header(
         algorithm="stagewise", schedule_kind="constant" if fixed else "linesearch",
-        lipschitz=rp.design_norm, diameter=0.5 * dist0 * dist0, f_star=0.0, dist0=dist0,
+        schedule=schedule.describe(), iterations=ITERATIONS, lipschitz=rp.design_norm,
+        diameter=0.5 * dist0 * dist0, f_star=0.0, dist0=dist0,
         eps=schedule.alpha if fixed else None, dual_defined=False)
-    _assert_check_rebuilds_the_report(run_fs(rp, schedule, ITERATIONS), schedule, constants)
+    _assert_check_rebuilds_the_report(run_fs(rp, schedule, ITERATIONS), header)
+
+
+# every task and schedule `run` accepts, but minmax-game's polyak schedule,
+# which needs the game's optimal value f*, and a random game comes without it
+TASK_SCHEDULES = [(task, schedule) for task, schedules in cli._TASK_SCHEDULES.items()
+                  for schedule in schedules if (task, schedule) != ("minmax-game", "polyak")]
+
+
+@st.composite
+def certified_runs(draw):
+    """A config and an instance of at most 6 x 6 entries from [-1, 1], some
+    on a coarse grid, so that scores tie."""
+    task, schedule = draw(st.sampled_from(TASK_SCHEDULES))
+    matrix = draw(arrays(float, (draw(st.integers(1, 6)), draw(st.integers(1, 6))),
+                         elements=entries))
+    config = cli.ExperimentConfig(task=task, data="", schedule=schedule,
+                                  iterations=draw(st.integers(1, 60)))
+    if task != "fs":
+        return config, TrainingSet.from_margin_matrix(matrix)
+    assume(np.all(np.linalg.norm(matrix, axis=0) > 0.0))
+    response = draw(arrays(float, matrix.shape[0], elements=entries))
+    config.use_response_bound = draw(st.booleans())
+    if schedule == "constant":
+        config.epsilon = draw(st.one_of(st.sampled_from((0.01, 0.5, 2.0)),
+                                        st.floats(1e-3, 2.0)))
+    return config, RegressionProblem(design=matrix, response=response)
+
+
+@settings(max_examples=400, deadline=None)
+@given(certified_runs())
+def test_no_certificate_fails_on_a_random_instance(case):
+    config, instance = case
+    try:  # `run` refuses these set-ups with exit 2: a zero Lipschitz constant or diameter
+        if config.task == "fs":
+            schedule, header = cli._prepare_fs_run(config, instance)
+            prox_fn, x0 = prox.euclidean(instance.num_samples), instance.response.copy()
+        else:
+            schedule, header = cli._prepare_boost_run(config, instance)
+            prox_fn, x0 = prox.entropy(instance.num_examples), None
+    except ValueError:
+        reject()
+    result = md_core.run(instance.to_minmax(), schedule, prox_fn, config.iterations, x0=x0,
+                         algorithm=header.algorithm)
+    assume(result.records)  # `run` refuses a run that stopped before its first round
+    report = check(result.records, header)
+    assert report.failures() == []

@@ -1,15 +1,27 @@
-"""Trace serialization: schema validation, round trips, byte-level determinism."""
+"""Trace serialization: schema validation, round trips, byte-level determinism.
 
+The test_validate_line_* tests check the validation parse_line does."""
+
+import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mirrorboost import trace
 from mirrorboost.trace import (
+    ALGORITHMS,
     IterationRecord,
+    Terminal,
     TraceHeader,
+    format_trace,
+    parse_line,
     read_trace,
-    validate_line,
     write_trace,
 )
 
@@ -33,34 +45,59 @@ def _record(k: int, **overrides) -> IterationRecord:
 
 def test_record_round_trip_preserves_floats_exactly():
     rec = _record(0, primal=1.0 / 3.0, alpha=math.sqrt(2.0) / 7.0)
-    back = IterationRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
+    back = parse_line(json.loads(json.dumps(rec.to_dict())))
     assert back == rec
     assert back.primal == rec.primal and back.alpha == rec.alpha
 
 
+def test_to_dict_writes_numpy_scalars_as_python_numbers():
+    rec = _record(np.int64(3), index=np.int64(7), sign=np.float64(-1.0), alpha=np.float32(0.5),
+                  l0=np.int32(2), l1=np.float64(0.25))
+    obj = rec.to_dict()
+    assert [type(obj[key]) for key in ("k", "index", "sign", "alpha", "l0", "l1")] == \
+        [int, int, float, float, int, float]
+    assert parse_line(json.loads(json.dumps(obj))) == rec
+    header = _header(iterations=np.int64(2), lipschitz=np.float64(1.0),
+                     dual_defined=np.bool_(True))
+    assert [type(v) for v in header.to_dict().values()] == \
+        [type(v) for v in _header().to_dict().values()]
+
+
 def test_header_round_trip():
     header = _header(f_star=0.0, dist0=2.5, eps=0.01)
-    back = TraceHeader.from_dict(json.loads(json.dumps(header.to_dict())))
+    back = parse_line(json.loads(json.dumps(header.to_dict())))
     assert back == header
+
+
+def test_each_table_declares_its_line_class_fields():
+    for cls, types, extra in ((TraceHeader, trace._HEADER_TYPES, {"type"}),
+                              (IterationRecord, trace._RECORD_TYPES, {"type", "slacks"}),
+                              (Terminal, trace._TERMINAL_TYPES, {"type"})):
+        assert set(types) == {f.name for f in dataclasses.fields(cls)} | extra
+    assert trace._HEADER_OPTIONAL == {"config"}
+    assert trace._RECORD_OPTIONAL == {"l1", "l0", "slacks"}
+    assert trace._TERMINAL_OPTIONAL == set()
+    for kind, (cls, types, optional, *_texts) in trace._LINES.items():
+        assert cls.kind == kind and optional <= types.keys()
 
 
 def test_validate_line_rejects_malformed_objects():
     with pytest.raises(ValueError):
-        validate_line({"no_type": 1})
+        parse_line({"no_type": 1})
     with pytest.raises(ValueError):
-        validate_line({"type": "mystery"})
+        parse_line({"type": "mystery"})
     head = _header().to_dict()
     del head["lipschitz"]
     with pytest.raises(ValueError):
-        validate_line(head)
+        parse_line(head)
     head2 = _header().to_dict()
     head2["surprise"] = 1
     with pytest.raises(ValueError):
-        validate_line(head2)
+        parse_line(head2)
     head3 = _header().to_dict()
     head3["algorithm"] = "gradient-boosting"
     with pytest.raises(ValueError):
-        validate_line(head3)
+        parse_line(head3)
 
 
 @pytest.mark.parametrize("kind, key, bad", [
@@ -75,27 +112,157 @@ def test_validate_line_rejects_malformed_objects():
 def test_validate_line_checks_field_types(kind, key, bad):
     line = {"header": _header().to_dict(), "record": _record(0).to_dict(),
             "terminal": {"type": "terminal", "k": 2, "reason": "stopped"}}[kind]
-    validate_line(line)
+    parse_line(line)
     with pytest.raises(ValueError, match=f"{kind} line field {key!r} must be"):
-        validate_line({**line, key: bad})
+        parse_line({**line, key: bad})
+
+
+def test_parse_line_names_the_first_mistyped_field_in_the_tables_order():
+    # a trace line's keys are sorted; the error names the table's first
+    record = {**_record(0).to_dict(), "alpha": "a", "k": "b", "sign": None}
+    with pytest.raises(ValueError, match="record line field 'k' must be int"):
+        parse_line(dict(sorted(record.items())))
+    header = {**_header().to_dict(), "dual_defined": "yes", "schedule_kind": 3}
+    with pytest.raises(ValueError, match="header line field 'schedule_kind' must be str"):
+        parse_line(dict(sorted(header.items())))
 
 
 def test_validate_line_takes_integers_for_floats_and_null_where_optional():
-    validate_line({**_header().to_dict(), "lipschitz": 1, "diameter": None, "horizon": None})
-    validate_line({**_record(0).to_dict(), "alpha": 0, "sign": -1, "dual": None, "l1": 2})
+    header = parse_line({**_header().to_dict(), "lipschitz": 1, "diameter": None,
+                         "horizon": None})
+    assert header == _header(lipschitz=1.0, diameter=None, horizon=None)
+    assert type(header.lipschitz) is float
+    record = parse_line({**_record(0).to_dict(), "alpha": 0, "sign": -1, "dual": None, "l1": 2})
+    assert record == _record(0, alpha=0.0, sign=-1.0, dual=None, l1=2.0)
+    assert type(record.alpha) is type(record.sign) is type(record.l1) is float
 
 
 def test_validate_line_per_algorithm_requirements():
     rec = _record(0).to_dict()
     rec["grad_norm"] = None
     with pytest.raises(ValueError):
-        validate_line(rec)  # adaboost records carry the loss-gradient norm
+        parse_line(rec)  # adaboost records carry the loss-gradient norm
     fs = _record(0, algorithm="stagewise", grad_norm=None, dual=None).to_dict()
     with pytest.raises(ValueError):
-        validate_line(fs)  # stagewise records carry l1 and l0
+        parse_line(fs)  # stagewise records carry l1 and l0
     fs["l1"] = 0.0
     fs["l0"] = 0
-    validate_line(fs)
+    parse_line(fs)
+
+
+@pytest.mark.parametrize("sign", [7.5, 0.0, -0.0, 0.5, -2, 1e-300])
+def test_parse_line_refuses_a_sign_other_than_one(sign):
+    parse_line({**_record(0).to_dict(), "sign": -1})
+    with pytest.raises(ValueError, match="record line field 'sign' must be 1.0 or -1.0"):
+        parse_line({**_record(0).to_dict(), "sign": sign})
+
+
+def test_parse_line_refuses_unknown_terminal_keys():
+    line = {"type": "terminal", "k": 2, "reason": "stopped"}
+    assert parse_line(line) == Terminal(k=2, reason="stopped")
+    with pytest.raises(ValueError, match=r"terminal line has unknown keys: \['extra'\]"):
+        parse_line({**line, "extra": 1})
+    with pytest.raises(ValueError, match="terminal line must carry k and reason"):
+        parse_line({"type": "terminal", "k": 2})
+
+
+def test_a_record_must_carry_the_headers_algorithm(tmp_path):
+    path = tmp_path / "run.trace.jsonl"
+    records = [_record(0), _record(1, algorithm="mirror-descent", grad_norm=None)]
+    with pytest.raises(ValueError, match="record line k=1: record algorithm 'mirror-descent' "
+                                         "differs from the header's 'adaboost'"):
+        write_trace(path, _header(), records)
+    assert not path.exists()
+    head = json.dumps(_header().to_dict())
+    good, bad = (json.dumps(rec.to_dict()) for rec in records)
+    path.write_text("\n".join([head, good, bad]) + "\n")
+    with pytest.raises(ValueError, match="line 3: record algorithm 'mirror-descent' differs "
+                                         "from the header's 'adaboost'"):
+        read_trace(path)
+
+
+# every float a trace may hold, the extremes of the double range among them,
+# and integers, which a float field reads back as floats
+finite = st.one_of(st.sampled_from((-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                    -1.7976931348623157e308)),
+                   st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(-2**60, 2**60))
+nullable = st.one_of(st.none(), finite)
+text = st.text(max_size=8)
+small_dicts = st.dictionaries(text, st.one_of(finite, st.none(), text, st.booleans()),
+                              max_size=3)
+
+
+@st.composite
+def traces(draw):
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    header = TraceHeader(
+        algorithm=algorithm, schedule_kind=draw(text), schedule=draw(small_dicts),
+        iterations=draw(st.integers(0, 2**40)), shape=draw(small_dicts),
+        lipschitz=draw(nullable), diameter=draw(nullable), f_star=draw(nullable),
+        dist0=draw(nullable), eps=draw(nullable),
+        horizon=draw(st.one_of(st.none(), st.integers(-5, 2**40))),
+        dual_defined=draw(st.booleans()), config=draw(st.one_of(st.none(), small_dicts)))
+    records = []
+    for k in range(draw(st.integers(0, 4))):
+        stagewise = algorithm == "stagewise"
+        records.append(IterationRecord(
+            k=k, algorithm=algorithm, index=draw(st.integers(0, 2**40)),
+            sign=draw(st.sampled_from((1.0, -1.0, 1, -1))), alpha=draw(finite),
+            primal=draw(finite), best_primal=draw(finite), dual=draw(nullable),
+            grad_norm=draw(finite if algorithm == "adaboost" else nullable),
+            l1=draw(finite if stagewise else nullable),
+            l0=draw(st.integers(0, 99) if stagewise else st.one_of(st.none(),
+                                                                   st.integers(0, 99)))))
+    slacks = draw(st.one_of(st.none(), st.dictionaries(
+        st.integers(0, 4), st.dictionaries(text, finite, max_size=2), max_size=3)))
+    terminated = draw(st.one_of(st.none(), text))
+    return header, records, terminated, slacks
+
+
+def _as_read(line):
+    """The line read_trace gives back for `line`: float fields hold floats."""
+    types = trace._LINES[line.kind][1]
+    return dataclasses.replace(line, **{key: float(value) for key, value in vars(line).items()
+                                        if types[key][0] is float and value is not None})
+
+
+def _exactly(value):
+    """A line's fields, or a dict's items, with their types and reprs, so that
+    -0.0 differs from 0.0 and 1 from 1.0; the order of a dict's keys is not."""
+    if isinstance(value, dict):
+        return sorted((key, type(item), repr(item)) for key, item in value.items())
+    return [(key, type(item), _exactly(item) if isinstance(item, dict) else repr(item))
+            for key, item in vars(value).items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces())
+def test_read_trace_gives_back_what_format_trace_wrote(case):
+    header, records, terminated, slacks = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.trace.jsonl"
+        path.write_text(format_trace(header, records, terminated, slacks), encoding="utf-8")
+        back_header, back_records, back_terminated = read_trace(path)
+    assert _exactly(back_header) == _exactly(_as_read(header))
+    assert [_exactly(r) for r in back_records] == [_exactly(_as_read(r)) for r in records]
+    assert back_terminated == terminated
+
+
+def test_read_trace_gives_back_nulls_and_extreme_floats(tmp_path):
+    header = _header(lipschitz=None, diameter=None, f_star=None, dist0=None, eps=None,
+                     horizon=None, config=None)
+    records = [_record(0, alpha=5e-324, primal=1.7976931348623157e308,
+                       best_primal=1.7976931348623157e308, dual=None, grad_norm=-0.0),
+               _record(1, sign=-1, alpha=3, primal=-0.0, best_primal=-0.0, dual=None,
+                       grad_norm=0, l1=None, l0=None)]
+    path = tmp_path / "run.trace.jsonl"
+    write_trace(path, header, records, terminated="stopped")
+    back_header, back_records, terminated = read_trace(path)
+    assert _exactly(back_header) == _exactly(header)
+    assert [_exactly(r) for r in back_records] == [_exactly(_as_read(r)) for r in records]
+    assert back_records[1].sign == -1.0 and type(back_records[1].alpha) is float
+    assert repr(back_records[1].primal) == "-0.0" and terminated == "stopped"
 
 
 def test_write_read_round_trip(tmp_path):
