@@ -143,7 +143,10 @@ def parse_data_spec(spec: str):
             except ValueError:
                 raise ConfigError(f"bad numeric value in data spec token {token!r}") from None
         if key == "seed":
-            seed = int(value)
+            if type(value) is not int or value < 0:
+                raise ConfigError(f"seed must be a non-negative integer, got data spec "
+                                  f"token {token!r}")
+            seed = value
         else:
             sizes[key] = value
     if seed is None:

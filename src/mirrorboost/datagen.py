@@ -4,7 +4,9 @@ A classification instance is the matrix of every decision stump's outputs
 times the labels. The build allocates that matrix once: build_stumps finds
 the distinct stump columns from their bit patterns and then fills the matrix,
 training_set_from_features multiplies it by the labels in place, and
-TrainingSet keeps it, as it is closed under negation already.
+TrainingSet keeps it. It is closed under negation by construction: stump
+column 2j + 1 is the negation of column 2j. A matrix-level instance (`game`)
+is [A, -A] of its draw A, from TrainingSet.from_margin_matrix.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ def build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
     Returns the output matrix (one column per kept stump, C-contiguous) and the
     stump descriptors in column order: per feature, each midpoint in
     increasing order with sign +1 then -1; then the constants +1 and -1; a
-    column equal to an earlier one is left out.
+    column equal to an earlier one is left out. The patterns seen come in
+    complementary pairs, so a duplicate's negation is a duplicate too: columns
+    are left out in pairs, and column 2j + 1 is the negation of column 2j.
 
     Every output is +1 or -1, so a column is fixed by the pattern of examples
     where it is +1. One feature's patterns come from one comparison of the
@@ -106,13 +110,14 @@ def _unseen_patterns(patterns: np.ndarray, seen: set[bytes]) -> tuple[np.ndarray
 
 def training_set_from_features(features, labels) -> TrainingSet:
     """The stump training set: build_stumps' outputs, multiplied row by row by
-    the labels in place, become the margin matrix. It is closed under
-    negation already, so the set keeps it without a copy, unless a zero label
-    leaves a -0.0 in it."""
+    the labels in place, become the margin matrix, which is closed under
+    negation as built. A zero label's row is made 0.0 in place, where the
+    product leaves -0.0 beside 0.0."""
     features = np.asarray(features, dtype=float)
     outputs, _ = build_stumps(features)
     labels = _checked_labels(labels, outputs.shape[0])
     outputs *= labels[:, None]
+    outputs[labels == 0.0] = 0.0
     return TrainingSet(margins=outputs, features=features, labels=labels)
 
 
@@ -224,9 +229,10 @@ def make_nonseparable_classification(m: int = 40, d: int = 4, seed: int = 0) -> 
 
 def make_margin_matrix(m: int = 20, n: int = 15, seed: int = 0,
                        planted_margin: float | None = None) -> TrainingSet:
-    """Confidence-rated instance defined directly at the matrix level, entries
-    uniform in [-1, 1]. With `planted_margin` the first column is drawn from
-    [planted_margin, 1), certifying a strictly positive best margin."""
+    """Confidence-rated instance defined directly at the matrix level: the
+    m x n draw A, entries uniform in [-1, 1], and its negations, [A, -A].
+    With `planted_margin` the first column is drawn from [planted_margin, 1),
+    certifying a strictly positive best margin."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     rng = np.random.default_rng(seed)

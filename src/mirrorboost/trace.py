@@ -231,8 +231,22 @@ def _dumps(obj: dict) -> str:
                          "are strict JSON") from None
 
 
-def _differs_from_header(algorithm: str, header: TraceHeader) -> str:
-    return f"record algorithm {algorithm!r} differs from the header's {header.algorithm!r}"
+def _contradiction(rec: IterationRecord, header: TraceHeader) -> str | None:
+    """How a record contradicts the header, if it does: another algorithm, or
+    an index that names no column. The column count is the header's
+    shape["p"] for stagewise, the design's columns, and shape["n"] otherwise,
+    the payoff's; a shape without it as an int has no column to name."""
+    if rec.algorithm != header.algorithm:
+        return (f"record algorithm {rec.algorithm!r} differs from the header's "
+                f"{header.algorithm!r}")
+    key = "p" if header.algorithm == "stagewise" else "n"
+    columns = header.shape.get(key)
+    if type(columns) is not int:
+        return (f"record index {rec.index} names no column: the header's shape has no "
+                f"int {key!r}")
+    if not 0 <= rec.index < columns:
+        return f"record index {rec.index} names no column: the header's shape has {key}={columns}"
+    return None
 
 
 def format_trace(header: TraceHeader, records: Iterable[IterationRecord],
@@ -240,16 +254,16 @@ def format_trace(header: TraceHeader, records: Iterable[IterationRecord],
                  slacks: dict[int, dict[str, float]] | None = None) -> str:
     """The text of a trace file; optional per-iteration certificate slacks are
     merged in. Every line passes parse_line and every record carries the
-    header's algorithm, as read_trace requires; the terminal line counts the
-    records. A non-finite value in any field raises ValueError naming the
-    field."""
+    header's algorithm and an index below its column count, as read_trace
+    requires; the terminal line counts the records. A non-finite value in any
+    field raises ValueError naming the field."""
     head = header.to_dict()
     parse_line(head)
     lines = [_dumps(head)]
     for rec in records:
-        if rec.algorithm != header.algorithm:
-            raise ValueError(f"record line k={rec.k}: "
-                             + _differs_from_header(rec.algorithm, header))
+        problem = _contradiction(rec, header)
+        if problem is not None:
+            raise ValueError(f"record line k={rec.k}: {problem}")
         obj = rec.to_dict()
         if slacks is not None and rec.k in slacks:
             obj["slacks"] = {tag: float(v) for tag, v in sorted(slacks[rec.k].items())}
@@ -285,9 +299,9 @@ def read_trace(path) -> tuple[TraceHeader, list[IterationRecord], str | None]:
     """The header, records and terminal reason (None without a terminal line)
     of a trace file. Raises ValueError, naming the line, for a line that is
     not strict JSON or that parse_line refuses, for a record whose algorithm
-    is not the header's, and unless the header is the first non-empty line
-    and at most one terminal line ends the trace, with k equal to the number
-    of records before it."""
+    is not the header's or whose index names no column of its shape, and
+    unless the header is the first non-empty line and at most one terminal
+    line ends the trace, with k equal to the number of records before it."""
     header = None
     records: list[IterationRecord] = []
     terminated = None
@@ -317,9 +331,9 @@ def read_trace(path) -> tuple[TraceHeader, list[IterationRecord], str | None]:
                 raise ValueError(f"{path}: missing header line: line {lineno} is a {kind} "
                                  "line, and the header must come first")
             elif kind == "record":
-                if line.algorithm != header.algorithm:
-                    raise ValueError(f"{path}: line {lineno}: "
-                                     + _differs_from_header(line.algorithm, header))
+                problem = _contradiction(line, header)
+                if problem is not None:
+                    raise ValueError(f"{path}: line {lineno}: {problem}")
                 records.append(line)
             else:
                 if line.k != len(records):

@@ -13,7 +13,9 @@ from mirrorboost.trace import TraceHeader
 def certificate_header(**fields) -> TraceHeader:
     """A trace header with the given fields: the certificate constants, at
     least the algorithm and schedule kind. The schedule, iteration count and
-    shape, which bounds.check does not read, default to {}, 1 and {}."""
+    shape, which bounds.check does not read, default to {}, 1 and {}. A
+    header that a trace is written with needs the run's shape: format_trace
+    refuses a record whose index names no column of it."""
     return TraceHeader(**{"schedule": {}, "iterations": 1, "shape": {}, **fields})
 
 

@@ -7,8 +7,7 @@ multiplicative weight update over an exact best-column weak learner with the
 log-exponential loss, and the stagewise residual update. Only the step-size
 rule (StepSchedule) and the data containers are shared with the library.
 
-The data build has its loop versions here too: one stump column at a time,
-and the negation closure over a set of every column's bytes.
+The stump build has its loop version here too, one stump column at a time.
 """
 
 from __future__ import annotations
@@ -337,18 +336,3 @@ def classical_build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
         keep(stump.outputs(features), stump)
     return np.column_stack(columns), stumps
 
-
-def classical_close_under_negation(matrix: np.ndarray) -> np.ndarray:
-    """Append the negation of every column whose negation is not present."""
-    matrix = matrix + 0.0  # normalizes -0.0 so byte-level column lookups work
-    present = {matrix[:, j].tobytes() for j in range(matrix.shape[1])}
-    extra = []
-    for j in range(matrix.shape[1]):
-        neg = -matrix[:, j] + 0.0
-        key = neg.tobytes()
-        if key not in present:
-            present.add(key)
-            extra.append(neg)
-    if not extra:
-        return matrix
-    return np.hstack([matrix, np.column_stack(extra)])

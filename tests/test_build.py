@@ -1,12 +1,12 @@
-"""The data build against its loop versions in tests/oracles.py: the stump
-matrix and the negation closure are equal byte for byte, the stump matrix is
-C-contiguous, no array a caller hands in is written, and the build keeps about
-one matrix in memory.
+"""The data build: the stump matrix equals its loop version in
+tests/oracles.py byte for byte, is C-contiguous and comes in negation pairs;
+a matrix-level set is [A, -A] of its matrix byte for byte; no array a caller
+hands in is written; and the build keeps about one matrix in memory.
 
 The feature draws cover ties (values from a coarse grid), duplicate and
-constant features, a single example and a single feature; the closure draws
-cover planted negations, duplicate columns, zero and -0.0 columns and a single
-column.
+constant features, a single example and a single feature; the matrix draws
+cover planted negations, duplicate columns, zero and -0.0 columns, a single
+column and a single example.
 """
 
 import tracemalloc
@@ -17,10 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mirrorboost import boosting
-from mirrorboost.boosting import TrainingSet, _close_under_negation
+from mirrorboost.boosting import TrainingSet
 from mirrorboost.datagen import build_stumps, generate_synthetic, training_set_from_features
-from oracles import classical_build_stumps, classical_close_under_negation
+from oracles import classical_build_stumps
 
 feature_values = st.one_of(st.sampled_from((-1.0, 0.0, 0.5, 2.0)),
                            st.floats(allow_nan=False, allow_infinity=False))
@@ -47,6 +46,15 @@ def test_build_stumps_equals_the_loop_build(features):
     assert outputs.tobytes() == want_outputs.tobytes()
     assert outputs.flags.c_contiguous
     assert stumps == want_stumps
+
+
+@given(feature_matrices())
+@settings(max_examples=300, deadline=None)
+def test_stump_columns_come_in_negation_pairs(features):
+    outputs, stumps = build_stumps(features)
+    assert outputs.shape[1] % 2 == 0
+    assert np.array_equal(outputs[:, 1::2], -outputs[:, 0::2])
+    assert [s.sign for s in stumps] == [1, -1] * (len(stumps) // 2)
 
 
 def _assert_thresholds_separate_adjacent_values(features):
@@ -103,49 +111,95 @@ def margin_matrices(draw) -> np.ndarray:
     return np.ascontiguousarray(matrix[:, order])
 
 
-def _assert_closure_equals_the_loop_closure(matrix, width=None):
-    """With `width` columns to a block, where given, so that candidates fall
-    inside and outside the block at hand."""
+def _has_negative_zero(matrix) -> bool:
+    return bool(np.signbit(matrix[matrix == 0.0]).any())
+
+
+def _assert_is_closed(margins, matrix) -> None:
+    """`margins` is [matrix + 0.0, 0.0 - matrix] byte for byte, and so holds
+    no -0.0."""
+    want = np.hstack([matrix + 0.0, 0.0 - matrix])
+    assert margins.shape == want.shape
+    assert margins.tobytes() == want.tobytes()
+    assert not _has_negative_zero(margins)
+
+
+@given(margin_matrices())
+@settings(max_examples=300, deadline=None)
+def test_a_matrix_level_set_is_the_matrix_and_its_negation(matrix):
     given_bytes = matrix.tobytes()
-    default = boosting._BLOCK_ENTRIES
-    if width is not None:
-        boosting._BLOCK_ENTRIES = width * matrix.shape[0]
-    try:
-        closed = _close_under_negation(matrix)
-    finally:
-        boosting._BLOCK_ENTRIES = default
-    want = classical_close_under_negation(matrix)
+    ts = TrainingSet.from_margin_matrix(matrix)
     assert matrix.tobytes() == given_bytes
-    assert closed.shape == want.shape
-    assert closed.tobytes() == want.tobytes()
-    signed_zero = bool(np.signbit(matrix[matrix == 0.0]).any())
-    assert (closed is matrix) == (closed.shape == matrix.shape and not signed_zero)
+    _assert_is_closed(ts.margins, matrix)
+    assert ts.num_classifiers == 2 * matrix.shape[1]  # duplicates and negations kept
 
 
-block_widths = st.one_of(st.none(), st.integers(1, 3))
+@given(margin_matrices(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_set_from_outputs_is_their_margins_and_its_negation(outputs, data):
+    labels = data.draw(arrays(float, outputs.shape[0], elements=margin_values))
+    given_bytes = outputs.tobytes()
+    ts = TrainingSet.from_outputs(outputs, labels)
+    assert outputs.tobytes() == given_bytes
+    _assert_is_closed(ts.margins, labels[:, None] * outputs)
 
 
-@given(margin_matrices(), block_widths)
-@settings(max_examples=500, deadline=None)
-def test_closure_equals_the_loop_closure(matrix, width):
-    _assert_closure_equals_the_loop_closure(matrix, width)
+@pytest.mark.parametrize("matrix", [
+    [[0.5], [-1.0]],  # a single column
+    [[0.0], [-0.0]],
+    [[0.25, -0.5, 0.5]],  # a single example, with a planted negation
+    [[0.0, -0.0, 0.0]],
+    [[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]],  # closed already, and a duplicate
+])
+def test_matrix_level_sets_at_the_edges(matrix):
+    matrix = np.array(matrix)
+    _assert_is_closed(TrainingSet.from_margin_matrix(matrix).margins, matrix)
+    ones = np.ones(matrix.shape[0])
+    _assert_is_closed(TrainingSet.from_outputs(matrix, ones).margins, matrix)
+    _assert_is_closed(TrainingSet.from_outputs(matrix, -ones).margins, -matrix)
 
 
-@given(margin_matrices(), block_widths)
-@settings(max_examples=200, deadline=None)
-def test_closure_confirms_every_hash_match(matrix, width):
-    # with every column hashing alike each lookup meets every column as a
-    # candidate: only the comparisons decide, so the result must not change
-    boosting.hash = lambda _: 0
-    try:
-        _assert_closure_equals_the_loop_closure(matrix, width)
-    finally:
-        del boosting.hash
+def test_a_zero_label_leaves_no_negative_zero_in_the_stump_margins():
+    features = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 0.0], [3.0, 2.0]])
+    for labels in ([1.0, 0.0, -1.0, 1.0], [-0.0, -1.0, 0.0, 1.0], [0.0] * 4):
+        labels = np.array(labels)
+        outputs, _ = build_stumps(features)
+        margins = training_set_from_features(features, labels).margins
+        assert margins.tobytes() == (labels[:, None] * outputs + 0.0).tobytes()
+        assert not _has_negative_zero(margins)
 
 
-def test_closure_of_a_single_column():
-    for column in ([[0.5], [-1.0]], [[0.0], [-0.0]], [[0.0], [0.0]]):
-        _assert_closure_equals_the_loop_closure(np.array(column))
+@pytest.mark.parametrize("seed, sizes", [
+    (1, {"m": 20, "n": 15}), (7, {"m": 1, "n": 50}), (41, {"m": 3, "n": 4}),
+    (3, {"m": 6, "n": 5, "planted_margin": 0.25}),
+])
+def test_the_game_is_its_documented_draw_and_its_negation(seed, sizes):
+    rng = np.random.default_rng(seed)
+    draw = rng.uniform(-1.0, 1.0, size=(sizes["m"], sizes["n"]))
+    if "planted_margin" in sizes:
+        draw[:, 0] = rng.uniform(sizes["planted_margin"], 1.0, size=sizes["m"])
+    _assert_is_closed(generate_synthetic("game", seed, **sizes).margins, draw)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TrainingSet.from_margin_matrix([0.5, -0.5]), "margins must be a nonempty 2-D"),
+    (lambda: TrainingSet.from_margin_matrix(np.zeros((0, 3))), "margins must be a nonempty 2-D"),
+    (lambda: TrainingSet.from_margin_matrix(np.zeros((3, 0))), "margins must be a nonempty 2-D"),
+    (lambda: TrainingSet.from_margin_matrix([[0.5, np.nan]]), "margin entries must be finite"),
+    (lambda: TrainingSet.from_margin_matrix([[-np.inf]]), "margin entries must be finite"),
+    (lambda: TrainingSet.from_margin_matrix([[0.5], [-1.5]]),
+     r"margin entries must lie in \[-1, 1\]"),
+    (lambda: TrainingSet(margins=np.zeros(3)), "margins must be a nonempty 2-D"),
+    (lambda: TrainingSet(margins=[[2.0]]), r"margin entries must lie in \[-1, 1\]"),
+    (lambda: TrainingSet.from_outputs([0.5], [1.0]), "outputs must be a 2-D matrix"),
+    (lambda: TrainingSet.from_outputs(np.zeros((0, 2)), []), "margins must be a nonempty 2-D"),
+    (lambda: TrainingSet.from_outputs([[np.nan]], [1.0]), "outputs and labels must be finite"),
+    (lambda: TrainingSet.from_outputs([[2.0]], [1.0]), r"outputs and labels must lie in \[-1"),
+    (lambda: TrainingSet.from_outputs([[1.0]], [1.0, 1.0]), "labels must have one entry per"),
+])
+def test_bad_matrix_level_inputs_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def _read_only(array) -> np.ndarray:
@@ -190,20 +244,20 @@ def test_stump_build_keeps_about_one_matrix():
     """Beside the matrix M (8 bytes per entry, n = 2d(m - 1) + 2 columns) the
     build keeps only: the kept columns' patterns, packed, M/64; the last
     feature's boolean patterns and one feature's patterns unpacked for the
-    fill, 4m^2 bytes, M/(4d) here; the closure's blocks of columns, three of
-    1 MiB at most, as the matrix is closed already; and one descriptor and one
-    packed key per column, a few hundred bytes each. At m = 600, d = 3
-    (M = 17 MB) that sums to about 1.4 M, while one more float temporary as
-    large as the matrix (the loop build made three) would pass 2 M."""
+    fill, 4m^2 bytes, M/(4d) here; and one descriptor and one packed key per
+    column, a few hundred bytes each. The training set keeps the matrix as
+    built. At m = 600, d = 3 (M = 17 MB) that sums to about 1.2 M, while one
+    more float temporary as large as the matrix (the loop build made three)
+    would pass 2 M."""
     peak, matrix = _build_peak("nonseparable", m=600, d=3)
     assert peak <= 2.0 * matrix
 
 
 def test_game_build_keeps_the_draw_and_the_closed_matrix():
     """The closed matrix M holds the m x n draw and its n negations: the draw,
-    M/2, stays alive beside the closed matrix, allocated once, and the
-    closure's blocks of columns, three of 1 MiB at most, 0.2 M here (m = n =
-    1000, M = 16 MB), so about 1.7 M; one more float temporary as large as M
-    (the loop closure made two, besides copies of the draw) would pass 2.5 M."""
+    M/2, stays alive beside the closed matrix, which is allocated once and
+    filled from the draw by two ufunc writes, so about 1.5 M (m = n = 1000,
+    M = 16 MB); one more float temporary as large as M (the loop closure made
+    two, besides copies of the draw) would pass 2.5 M."""
     peak, matrix = _build_peak("game", m=1000, n=1000)
     assert peak <= 2.5 * matrix

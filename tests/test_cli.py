@@ -342,6 +342,51 @@ def test_check_refuses_records_that_contradict_their_header(tmp_path, capsys, ca
     assert list(trace.parent.iterdir()) == [trace]
 
 
+@pytest.mark.parametrize("index", [99999, -1, 20])
+def test_check_refuses_a_record_whose_index_names_no_column(tmp_path, capsys, index):
+    # the game's payoff is its 10 columns and their negations: 20
+    out = tmp_path / "run"
+    assert main(["run", "minmax-game", "--data", "synthetic:game:seed=1:m=20:n=10",
+                 "--schedule", "dynamic", "--iters", "30",
+                 "--out", str(out), "--prefix", "g"]) == EXIT_OK
+    lines = (out / "g.trace.jsonl").read_text().splitlines()
+    assert json.loads(lines[0])["shape"] == {"m": 20, "n": 20}
+    lines[7] = _relabelled(lines[7], index=index)
+    trace = _alone_in_a_directory(tmp_path, lines)
+    capsys.readouterr()
+    assert main(["check", str(trace)]) == EXIT_USAGE
+    assert (f"line 8: record index {index} names no column: the header's shape has n=20"
+            in capsys.readouterr().err)
+    assert list(trace.parent.iterdir()) == [trace]
+
+
+@pytest.mark.parametrize("shape", [{"m": 20}, {"m": 20, "n": 20.0}, {"m": 20, "n": "20"},
+                                   {"m": 20, "n": True}])
+def test_check_refuses_a_header_without_an_int_column_count(tmp_path, capsys, shape):
+    out = tmp_path / "run"
+    assert main(["run", "minmax-game", "--data", "synthetic:game:seed=1:m=20:n=10",
+                 "--schedule", "dynamic", "--iters", "30",
+                 "--out", str(out), "--prefix", "g"]) == EXIT_OK
+    header, *records = (out / "g.trace.jsonl").read_text().splitlines()
+    trace = _alone_in_a_directory(tmp_path, [_relabelled(header, shape=shape)] + records)
+    capsys.readouterr()
+    assert main(["check", str(trace)]) == EXIT_USAGE
+    assert "line 2: record index" in capsys.readouterr().err
+    assert list(trace.parent.iterdir()) == [trace]
+
+
+@pytest.mark.parametrize("token", ["seed=1.9", "seed=-3"])
+def test_a_seed_that_is_no_non_negative_integer_is_refused(tmp_path, capsys, token):
+    out = tmp_path / "never"
+    assert main(["run", "minmax-game", "--data", f"synthetic:game:{token}:m=5:n=4",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert main(["gen", f"synthetic:separable:{token}:m=5:d=2",
+                 "--out", str(out / "data.csv")]) == EXIT_USAGE
+    assert not out.exists()
+    assert capsys.readouterr().err.count(
+        f"seed must be a non-negative integer, got data spec token {token!r}") == 2
+
+
 def _malformed_traces(lines: list[str]) -> list[list[str]]:
     """Traces that break the trace schema, each from the lines of a good one."""
     header, record = json.loads(lines[0]), json.loads(lines[1])

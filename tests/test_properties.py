@@ -169,7 +169,8 @@ def test_check_rebuilds_an_adaboost_report_from_its_trace(case):
     ts, schedule = case
     header = certificate_header(
         algorithm="adaboost", schedule_kind=schedule.kind, schedule=schedule.describe(),
-        iterations=ITERATIONS, lipschitz=ts.lipschitz, diameter=math.log(ts.num_examples),
+        iterations=ITERATIONS, shape={"m": ts.num_examples, "n": ts.num_classifiers},
+        lipschitz=ts.lipschitz, diameter=math.log(ts.num_examples),
         horizon=ITERATIONS if schedule.kind == "constant" else None)
     _assert_check_rebuilds_the_report(run_adaboost(ts, schedule, ITERATIONS), header)
 
@@ -182,7 +183,8 @@ def test_check_rebuilds_a_stagewise_report_from_its_trace(case):
     fixed = schedule.kind == "fixed"
     header = certificate_header(
         algorithm="stagewise", schedule_kind="constant" if fixed else "linesearch",
-        schedule=schedule.describe(), iterations=ITERATIONS, lipschitz=rp.design_norm,
+        schedule=schedule.describe(), iterations=ITERATIONS,
+        shape={"n": rp.num_samples, "p": rp.num_columns}, lipschitz=rp.design_norm,
         diameter=0.5 * dist0 * dist0, f_star=0.0, dist0=dist0,
         eps=schedule.alpha if fixed else None, dual_defined=False)
     _assert_check_rebuilds_the_report(run_fs(rp, schedule, ITERATIONS), header)

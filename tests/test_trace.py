@@ -181,6 +181,32 @@ def test_a_record_must_carry_the_headers_algorithm(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("algorithm, shape, index, message", [
+    ("adaboost", {"m": 4, "n": 3}, 3, "shape has n=3"),
+    ("adaboost", {"m": 4, "n": 3}, -1, "shape has n=3"),
+    ("stagewise", {"n": 4, "p": 2}, 2, "shape has p=2"),
+    ("adaboost", {"m": 4}, 0, "shape has no int 'n'"),
+    ("stagewise", {"n": 4, "p": 2.0}, 0, "shape has no int 'p'"),
+])
+def test_a_record_must_name_a_column_of_the_headers_shape(tmp_path, algorithm, shape, index,
+                                                          message):
+    # the first record names column 0, the second `index`
+    path = tmp_path / "run.trace.jsonl"
+    fs = algorithm == "stagewise"
+    first = _record(0, algorithm=algorithm, index=0, l1=0.0 if fs else None,
+                    l0=0 if fs else None)
+    records = [first, dataclasses.replace(first, k=1, index=index)]
+    header = _header(algorithm=algorithm, shape=shape)
+    k = 0 if index == 0 else 1
+    message = f"record index {index} names no column: the header's {message}"
+    with pytest.raises(ValueError, match=f"record line k={k}: {message}"):
+        write_trace(path, header, records)
+    assert not path.exists()
+    path.write_text("\n".join(json.dumps(line.to_dict()) for line in [header, *records]) + "\n")
+    with pytest.raises(ValueError, match=f"line {k + 2}: {message}"):
+        read_trace(path)
+
+
 # every float a trace may hold, the extremes of the double range among them,
 # and integers, which a float field reads back as floats
 finite = st.one_of(st.sampled_from((-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
@@ -195,10 +221,14 @@ small_dicts = st.dictionaries(text, st.one_of(finite, st.none(), text, st.boolea
 
 @st.composite
 def traces(draw):
+    """A header and records that agree: each record carries the header's
+    algorithm and an index below the column count of the header's shape."""
     algorithm = draw(st.sampled_from(ALGORITHMS))
+    columns = draw(st.integers(1, 2**40))
+    shape = {**draw(small_dicts), "p" if algorithm == "stagewise" else "n": columns}
     header = TraceHeader(
         algorithm=algorithm, schedule_kind=draw(text), schedule=draw(small_dicts),
-        iterations=draw(st.integers(0, 2**40)), shape=draw(small_dicts),
+        iterations=draw(st.integers(0, 2**40)), shape=shape,
         lipschitz=draw(nullable), diameter=draw(nullable), f_star=draw(nullable),
         dist0=draw(nullable), eps=draw(nullable),
         horizon=draw(st.one_of(st.none(), st.integers(-5, 2**40))),
@@ -207,7 +237,7 @@ def traces(draw):
     for k in range(draw(st.integers(0, 4))):
         stagewise = algorithm == "stagewise"
         records.append(IterationRecord(
-            k=k, algorithm=algorithm, index=draw(st.integers(0, 2**40)),
+            k=k, algorithm=algorithm, index=draw(st.integers(0, columns - 1)),
             sign=draw(st.sampled_from((1.0, -1.0, 1, -1))), alpha=draw(finite),
             primal=draw(finite), best_primal=draw(finite), dual=draw(nullable),
             grad_norm=draw(finite if algorithm == "adaboost" else nullable),
