@@ -2,22 +2,26 @@
 
 Every bound the runners are entitled to is evaluated numerically against the
 observed trace, one certificate record per (iteration, bound). A record
-passes when observed <= bound + TOLERANCE; when a bound cannot be evaluated
-(missing constants, undefined dual average, unreached horizon) the record is
-marked not evaluable rather than silently passed. The checker is a pure
-function of the trace, its header's problem constants and its records, so
-re-running it on a serialized trace reproduces the report exactly.
+passes when observed <= bound + TOLERANCE (sparsity-l1 adds the rounding of
+its float sum); when a bound cannot be evaluated (missing constants, undefined
+dual average, unreached horizon, a bound that overflows from finite step
+sums) the record is marked not evaluable rather than silently passed. The
+checker is a pure function of the trace, its header's problem constants and
+its records, so re-running it on a serialized trace reproduces the report
+exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .trace import TraceHeader
 
 TOLERANCE = 1e-9
+_EPS = sys.float_info.epsilon  # twice the unit roundoff
 
 # certificate tags
 WEAK_DUALITY = "weak-duality"          # dual average value <= best primal value
@@ -102,10 +106,35 @@ class CertificateRecord:
         }
 
 
-def _evaluated(k: int, tag: str, observed: float, bound: float) -> CertificateRecord:
+def _evaluated(k: int, tag: str, observed: float, bound: float, allowance: float = 0.0,
+               steps_finite: bool = True) -> CertificateRecord:
+    """The record of observed <= bound, with TOLERANCE and the tag's rounding
+    `allowance` to spare. A bound that overflows from finite step sums (a
+    subnormal step sum, say) is not evaluable. Steps whose squares sum past
+    the float range (`steps_finite` false) are refused, as the schedules'
+    no-finite-square rule refuses them: their record keeps the infinite bound
+    and slack, which the strict trace and report writers reject."""
+    if steps_finite and not math.isfinite(bound):
+        return _not_evaluable(k, tag, "bound is not finite")
     slack = bound - observed
-    return CertificateRecord(k=k, tag=tag, observed=observed, bound=bound,
-                             slack=slack, passed=bool(observed <= bound + TOLERANCE))
+    return CertificateRecord(k=k, tag=tag, observed=observed, bound=bound, slack=slack,
+                             passed=bool(observed <= bound + TOLERANCE + allowance))
+
+
+def _shrinkage_rounding(t: int, eps: float) -> float:
+    """Rounding allowance of sparsity-l1 at iteration t: how far the float l1
+    norm of t shrinkage steps of size eps may exceed the float t * eps.
+
+    The coefficients are sums of t terms +-eps, each added to one entry, and
+    the l1 norm adds their magnitudes: one tree of at most t - 1 additions
+    over the t terms (an addition of a zero is exact). Each sum is at most
+    t * eps in magnitude, so each addition rounds by at most u t eps (u the
+    unit roundoff), and the norm exceeds its exact value, at most t * eps, by
+    at most (t - 1) u t eps. The bound fl(t * eps) is at least (1 - u) t eps.
+    Together the excess is at most t^2 u eps to first order; EPS = 2u in
+    place of u covers the second-order terms.
+    """
+    return t * t * _EPS * eps
 
 
 def _not_evaluable(k: int, tag: str, note: str) -> CertificateRecord:
@@ -326,7 +355,8 @@ def check(records, header: TraceHeader) -> CertificateReport:
                 report.records.append(_not_evaluable(t, GAP_RUNNING, "zero step-size sum"))
             else:
                 bound = _ratio_bound(header.diameter, header.lipschitz, step_sum, step_sq_sum)
-                report.records.append(_evaluated(t, GAP_RUNNING, gap_ref - rec.dual, bound))
+                report.records.append(_evaluated(t, GAP_RUNNING, gap_ref - rec.dual, bound,
+                                                 steps_finite=math.isfinite(step_sq_sum)))
             if header.schedule_kind == "dynamic":
                 if missing_dl:
                     report.records.append(_not_evaluable(
@@ -348,7 +378,8 @@ def check(records, header: TraceHeader) -> CertificateReport:
                 report.records.append(_not_evaluable(t, OPT_RUNNING, "zero step-size sum"))
             else:
                 bound = _ratio_bound(header.diameter, header.lipschitz, step_sum, step_sq_sum)
-                report.records.append(_evaluated(t, OPT_RUNNING, observed, bound))
+                report.records.append(_evaluated(t, OPT_RUNNING, observed, bound,
+                                                 steps_finite=math.isfinite(step_sq_sum)))
             if header.schedule_kind in ("polyak", "linesearch"):
                 if header.dist0 is None or header.lipschitz is None:
                     report.records.append(_not_evaluable(
@@ -367,7 +398,8 @@ def check(records, header: TraceHeader) -> CertificateReport:
                     report.records.append(_not_evaluable(
                         t, SPARSITY_L1, "no constant shrinkage for this run"))
                 else:
-                    report.records.append(_evaluated(t, SPARSITY_L1, rec.l1, t * header.eps))
+                    report.records.append(_evaluated(t, SPARSITY_L1, rec.l1, t * header.eps,
+                                                     _shrinkage_rounding(t, header.eps)))
 
     # horizon-tied closed forms: one record per run, at the planned final iteration
     final = records[-1]

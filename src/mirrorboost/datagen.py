@@ -40,7 +40,8 @@ def build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
     """All midpoint-threshold stumps over every feature, both orientations,
     plus the two constant classifiers, with exact duplicate columns removed.
     Each threshold t between adjacent distinct values a < b of its feature
-    satisfies a <= t < b.
+    satisfies a <= t < b, so every feature value must be finite: a nan or an
+    infinity raises ValueError.
 
     Returns the output matrix (one column per kept stump, C-contiguous) and the
     stump descriptors in column order: per feature, each midpoint in
@@ -58,13 +59,18 @@ def build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError("features must be a 2-D matrix with at least one row")
+    finite = np.isfinite(features)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"features must be finite, got {float(features[row, col])!r} "
+                         f"in row {row}, feature {col}")
     m = features.shape[0]
     stumps: list[Stump] = []
     kept: list[np.ndarray] = []  # per feature, the packed patterns of its kept columns
     seen: set[bytes] = set()
     for f in range(features.shape[1]):
         x = features[:, f]
-        values = np.unique(x)
+        values = _distinct(x)
         lower, upper = values[:-1], values[1:]
         # halves first, so that no sum overflows; a midpoint that rounds up to
         # the upper value is replaced by the lower one, which splits the same way
@@ -92,6 +98,16 @@ def build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
     outputs *= 2.0  # 0/1 to -1/+1, exactly
     outputs -= 1.0
     return outputs, stumps
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """np.unique(x) of a finite vector: its sorted values, each once. A sort
+    and a neighbour compare, without np.unique, which imports numpy.ma."""
+    values = np.sort(x)
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _unseen_patterns(patterns: np.ndarray, seen: set[bytes]) -> tuple[np.ndarray, list[int]]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import ProxFunction, prox_solve
+from .prox import ProxFunction, _as_vector, _step, prox_solve
 from .trace import ALGORITHMS, IterationRecord, RunResult
 
 PRIMAL_SIMPLEX = "simplex"
@@ -116,10 +116,10 @@ def _respond(problem: MinmaxProblem, x: np.ndarray) -> tuple[int, float, float, 
     domain, unchecked: one A^T x scan and its argmax."""
     scores = problem.payoff.T @ x
     if problem.dual_domain == DUAL_SIMPLEX:
-        j = int(np.argmax(scores))
+        j = int(scores.argmax())
         return j, 1.0, float(scores[j]), problem.payoff[:, j]
     magnitudes = np.abs(scores)
-    j = int(np.argmax(magnitudes))
+    j = int(magnitudes.argmax())
     sign = float(np.sign(scores[j]))
     return j, sign, float(magnitudes[j]), sign * problem.payoff[:, j]
 
@@ -184,7 +184,11 @@ def md_step(state: MirrorDescentState, grad, alpha: float, prox_fn: ProxFunction
     """One prox step from the current iterate, in place; a rejected argument
     raises before `state` changes.
 
-    The iterate becomes the prox_solve result, and prox_solve checks `grad`.
+    Every call checks `alpha` and `grad`, the prox step's cost vector (shape
+    and finiteness). The anchor is checked on a state's first step only, by
+    prox_solve: every later anchor is the previous step's result, which lies
+    in the domain, so later steps go straight to the prox arithmetic. A state
+    is stepped with one prox function throughout.
     `vertex` is the dual response that produced `grad`, as the (index, sign)
     of the signed coordinate vector it is: the dual sum gains alpha * sign at
     that index and the step sum gains alpha. `value` (the primal objective at
@@ -194,7 +198,10 @@ def md_step(state: MirrorDescentState, grad, alpha: float, prox_fn: ProxFunction
     alpha = float(alpha)
     if alpha < 0.0 or not math.isfinite(alpha):
         raise ValueError("alpha must be a finite nonnegative step size")
-    x = prox_solve(prox_fn, grad, state.x, alpha)
+    if state.k == 0:
+        x = prox_solve(prox_fn, grad, state.x, alpha)
+    else:
+        x = _step(prox_fn.kind, _as_vector(grad, prox_fn.dim, "c"), state.x, alpha)
     value = None if value is None else float(value)
     if vertex is not None:
         # a dense add of alpha * lam would add +0.0 to every other entry,
@@ -337,10 +344,12 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, prox_fn: ProxFunction,
     tag the records carry; "adaboost" records also carry the edge as the
     loss-gradient norm, which equals it by the AdaBoost identity. Under the
     l1-ball dual the records carry the l1 norm and support size of the
-    pre-step dual sum, which is the stagewise coefficient vector.
+    pre-step dual sum, which is the stagewise coefficient vector; the support
+    size is a running count, updated from the one entry each round changes.
 
-    `x0` is checked once, here: every later iterate is a prox_solve result,
-    which lies in the domain. Each round md_step advances one state in place.
+    `x0` is checked once, here, and as the anchor of the first md_step: every
+    later iterate is a prox step's result, which lies in the domain. Each
+    round md_step advances one state in place.
     `sink`, when given, is called after each round with the record and the
     pre-step iterate, which the round leaves unwritten; records do not keep
     iterates.
@@ -361,6 +370,8 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, prox_fn: ProxFunction,
         x0 = np.full(problem.m, 1.0 / problem.m)
     state = MirrorDescentState.initial(_checked_point(problem, x0, "x0"), problem.n)
     l1_ball = problem.dual_domain == DUAL_L1_BALL
+    # support_size(dual_sum), kept up to date from the one entry a round changes
+    dual_sum, support = state.dual_weighted_sum, 0
     # A @ dual_weighted_sum; the residual-space domain has no dual value
     margins = np.zeros(problem.m) if problem.primal_domain == PRIMAL_SIMPLEX else None
     records: list[IterationRecord] = []
@@ -378,9 +389,12 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, prox_fn: ProxFunction,
             break
         l1 = l0 = None
         if l1_ball:
-            l1 = float(np.sum(np.abs(state.dual_weighted_sum)))
-            l0 = support_size(state.dual_weighted_sum)
+            l1 = float(np.sum(np.abs(dual_sum)))
+            l0 = support
+            was_in = abs(float(dual_sum[index])) > NNZ_TOLERANCE
         md_step(state, grad, alpha, prox_fn, vertex=(index, sign), value=value)
+        if l1_ball:
+            support += (abs(float(dual_sum[index])) > NNZ_TOLERANCE) - was_in
         dual = None
         if margins is not None:
             margins += alpha * grad

@@ -55,7 +55,7 @@ def _as_vector(v, dim: int, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (dim,):
         raise ValueError(f"{name} must have shape ({dim},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -117,19 +117,27 @@ def prox_solve(prox: ProxFunction, c, anchor, alpha: float) -> np.ndarray:
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    if prox.kind == EUCLIDEAN:
+    if prox.kind == ENTROPY and (np.any(anchor < 0.0) or not float(anchor.sum()) > 0.0):
+        raise ValueError("anchor must be nonnegative with a positive sum for the entropy prox")
+    return _step(prox.kind, c, anchor, alpha)
+
+
+def _step(kind: str, c: np.ndarray, anchor: np.ndarray, alpha: float) -> np.ndarray:
+    """prox_solve's step from arguments it would accept, unchecked: float
+    vectors of the prox dimension, finite, with an entropy anchor nonnegative
+    with a positive sum, and a finite alpha. Only the result is checked. A
+    previous step's result is such an anchor."""
+    if kind == EUCLIDEAN:
         out = anchor - alpha * c
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise ValueError(f"the Euclidean prox step of size {alpha!r} overflows")
         return out
-    if np.any(anchor < 0.0) or not float(anchor.sum()) > 0.0:
-        raise ValueError("anchor must be nonnegative with a positive sum for the entropy prox")
     t = alpha * c
     lo = float(t.min())
     if abs(lo) > _EXP_SHIFT_LIMIT:
         t = t - lo
     u = anchor * np.exp(-t)
-    s = float(np.sum(u))
+    s = float(u.sum())
     if not (s > 0.0 and math.isfinite(s)):
         raise ValueError(f"the entropy prox step of size {alpha!r} has normalizer {s!r}: "
                          "every weight underflowed or the sum overflowed")

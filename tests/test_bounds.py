@@ -4,6 +4,7 @@ applicability rules."""
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -277,6 +278,39 @@ def test_check_stagewise_sparsity_certificates():
                                 dual_defined=False)
     report2 = check(recs, no_eps)
     assert all(r.passed is None for r in report2.records if r.tag == "sparsity-l1")
+
+
+def test_check_sparsity_l1_allows_the_rounding_of_its_sum_and_no_more():
+    # the l1 norm of t steps of eps may exceed the float t * eps by the
+    # rounding of its float sum, at most t^2 * EPS * eps; beyond that it fails
+    eps, t = 228217732293.8192, 7
+    allowance = t * t * sys.float_info.epsilon * eps
+    header = certificate_header(algorithm="stagewise", schedule_kind="constant", eps=eps,
+                                dual_defined=False)
+    for excess, passed in ((0.0, True), (0.5 * allowance, True), (2.0 * allowance, False)):
+        recs = [_rec(k, eps, 1.0, 1.0, l1=0.0, algorithm="stagewise") for k in range(t)]
+        recs.append(_rec(t, eps, 1.0, 1.0, l1=t * eps + excess, algorithm="stagewise"))
+        (l1,) = [r for r in check(recs, header).records if r.tag == "sparsity-l1" and r.k == t]
+        # the allowance moves the verdict only: observed, bound and slack keep their values
+        assert (l1.observed, l1.bound, l1.slack) == (t * eps + excess, t * eps,
+                                                      t * eps - (t * eps + excess))
+        assert l1.passed is passed, excess
+
+
+def test_check_a_bound_that_overflows_from_finite_steps_is_not_evaluable():
+    # a subnormal step sum puts the running bound past the largest float
+    header = certificate_header(algorithm="stagewise", schedule_kind="constant", lipschitz=1.0,
+                               diameter=0.5, f_star=0.0, dist0=1.0, eps=5e-324,
+                               dual_defined=False)
+    report = check([_rec(0, 5e-324, 1.0, 1.0, algorithm="stagewise")], header)
+    (opt,) = [r for r in report.records if r.tag == "opt-running"]
+    assert (opt.passed, opt.bound, opt.slack, opt.note) == (None, None, None,
+                                                            "bound is not finite")
+    # steps whose squares overflow keep the infinite bound, which the strict
+    # writers refuse, as the schedules refuse such steps
+    report = check([_rec(0, 1e300, 1.0, 1.0, algorithm="stagewise")], header)
+    (opt,) = [r for r in report.records if r.tag == "opt-running"]
+    assert opt.bound == math.inf and opt.slack == math.inf
 
 
 def test_check_optimal_schedule_horizon_record():

@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mirrorboost.boosting import TrainingSet
-from mirrorboost.datagen import build_stumps, generate_synthetic, training_set_from_features
+from mirrorboost.datagen import (
+    _distinct,
+    build_stumps,
+    generate_synthetic,
+    training_set_from_features,
+)
 from oracles import classical_build_stumps
 
 feature_values = st.one_of(st.sampled_from((-1.0, 0.0, 0.5, 2.0)),
@@ -85,6 +90,25 @@ def test_extreme_thresholds_lie_between_the_values_they_separate(features):
     outputs, _ = build_stumps(features)
     # every split of m examples on one feature gives a distinct column
     assert outputs.shape[1] == 2 * len(features)
+
+
+@given(arrays(float, st.integers(1, 30),
+              elements=st.one_of(st.sampled_from((-1.0, -0.0, 0.0, 0.5)),
+                                 st.floats(allow_nan=False, allow_infinity=False))))
+@settings(max_examples=300, deadline=None)
+def test_distinct_values_are_np_unique_byte_for_byte(values):
+    # ties, and -0.0 beside 0.0, which compare equal: one of them is kept
+    assert _distinct(values).tobytes() == np.unique(values).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_feature_that_is_not_finite_is_refused(bad):
+    features = np.array([[0.0, 1.0], [2.0, bad], [1.0, 0.0]])
+    with pytest.raises(ValueError, match=f"features must be finite, got {bad!r} in row 1, "
+                                         "feature 1"):
+        build_stumps(features)
+    with pytest.raises(ValueError, match="features must be finite"):
+        training_set_from_features(features, [1.0, -1.0, 1.0])
 
 
 margin_values = st.one_of(st.sampled_from((-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)),

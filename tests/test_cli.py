@@ -148,6 +148,33 @@ def test_dynamic_run_whose_square_sum_overflows_is_a_usage_error(tmp_path, monke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_run_refuses_a_feature_csv_with_a_non_finite_cell(tmp_path, capsys, cell):
+    # a non-finite feature would make a stump with an infinite threshold
+    data = tmp_path / "bad.csv"
+    data.write_text(f"f0,f1,label\n1.0,{cell},1\n2.0,3.0,-1\n")
+    out = tmp_path / "never"
+    assert main(["run", "adaboost", "--data", str(data), "--out", str(out)]) == EXIT_USAGE
+    assert f"features must be finite, got {float(cell)!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_whose_running_bound_overflows_agrees_with_check(tmp_path):
+    # a subnormal shrinkage puts the running bound past the largest float: the
+    # certificate is not evaluable, in run's report and in check's alike
+    out = tmp_path / "out"
+    assert main(["run", "fs", "--data", "synthetic:regression:seed=1:n=30:p=20",
+                 "--schedule", "constant", "--epsilon", "5e-324", "--iters", "5",
+                 "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "fs.report.json").read_text())
+    assert report["by_tag"]["opt-running"]["not_evaluable"] == 5
+    assert {r["note"] for r in report["records"] if r["tag"] == "opt-running"} == {
+        "bound is not finite"}
+    assert main(["check", str(out / "fs.trace.jsonl"), "--out", str(tmp_path / "re")]) == EXIT_OK
+    for name in ("fs.report.json", "fs.report.txt"):
+        assert (tmp_path / "re" / name).read_bytes() == (out / name).read_bytes()
+
+
 def test_run_missing_csv_is_io_error(tmp_path):
     out = tmp_path / "never"
     code = main(["run", "fs", "--data", str(tmp_path / "absent.csv"),

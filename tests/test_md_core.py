@@ -154,6 +154,35 @@ def test_md_step_leaves_the_state_unchanged_when_it_raises():
         np.testing.assert_array_equal(state.dual_weighted_sum, dual_sum)
 
 
+@pytest.mark.parametrize("anchor", [[-0.5, 1.5], [0.0, 0.0], [np.nan, 1.0], [0.5, 0.5, 0.0]])
+def test_md_step_checks_a_fresh_states_anchor(anchor):
+    # the first step's anchor is whatever the state was made with; later
+    # anchors are prox results and go unchecked
+    state = MirrorDescentState.initial(np.array(anchor), dual_dim=2)
+    with pytest.raises(ValueError, match="anchor"):
+        md_step(state, np.zeros(2), 0.5, prox.entropy(2))
+    assert state.k == 0 and state.x.tobytes() == np.array(anchor).tobytes()
+
+
+@pytest.mark.parametrize("grad, message", [
+    (np.array([np.inf, 0.0]), "c must be finite"),
+    (np.array([0.0, np.nan]), "c must be finite"),
+    (np.zeros(3), r"c must have shape \(2,\), got \(3,\)"),
+])
+def test_md_step_checks_grad_after_several_steps(grad, message):
+    for prox_fn in (prox.entropy(2), prox.euclidean(2)):
+        state = MirrorDescentState.initial(np.array([0.5, 0.5]), dual_dim=2)
+        for j in range(3):
+            md_step(state, PENNIES[:, j % 2], 0.3, prox_fn, vertex=(j % 2, 1.0), value=1.0 - j)
+        x, x_bytes, dual_sum = state.x, state.x.tobytes(), state.dual_weighted_sum.copy()
+        scalars = (state.k, state.step_sum, state.best_value, state.best_index)
+        with pytest.raises(ValueError, match=message):
+            md_step(state, grad, 0.3, prox_fn, vertex=(0, 1.0), value=-5.0)
+        assert state.x is x and state.x.tobytes() == x_bytes
+        assert (state.k, state.step_sum, state.best_value, state.best_index) == scalars
+        np.testing.assert_array_equal(state.dual_weighted_sum, dual_sum)
+
+
 def test_schedule_constant_formula_and_validation():
     s = StepSchedule.constant(2.0, math.log(4.0), 25)
     assert s.step_size(0) == math.sqrt(2.0 * math.log(4.0) / 25) / 2.0

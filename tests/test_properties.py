@@ -4,9 +4,12 @@ AdaBoost's dual value, which the engine keeps in running margins and the
 oracle recomputes densely; the two agree within oracles.dual_rounding_bound.
 
 A run's report also survives the round trip through its trace: `check`
-rebuilds the same report.json bytes from the written trace. And on random
+rebuilds the same report.json bytes from the written trace. On random
 instances of every task and schedule the command line offers, prepared as
-`run` prepares them, no certificate of the paper fails.
+`run` prepares them, no certificate of the paper fails. And the engine loop,
+which checks a step's anchor only on the first round and keeps the support
+size as a running count, equals a replay through the public, fully checked
+dual_response and prox_solve bit for bit.
 
 The instances cover ties (entries drawn from a coarse grid), duplicate
 columns, zero margin columns, a single example or sample, and large fixed
@@ -22,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -30,7 +33,7 @@ from conftest import certificate_header
 from mirrorboost import cli, md_core, prox
 from mirrorboost.boosting import TrainingSet, run_adaboost
 from mirrorboost.bounds import check, check_trace
-from mirrorboost.md_core import StepSchedule
+from mirrorboost.md_core import MinmaxProblem, StepSchedule, dual_response, support_size
 from mirrorboost.stagewise import RegressionProblem, least_squares_norm, run_fs
 from mirrorboost.trace import TraceHeader, read_trace, write_trace
 from oracles import (
@@ -163,8 +166,11 @@ def _assert_check_rebuilds_the_report(result, header: TraceHeader) -> None:
                                  allow_nan=False) + "\n"
 
 
+# a subnormal step sum: the running bounds overflow, and are not evaluable
 @settings(max_examples=100, deadline=None)
 @given(boost_cases())
+@example((TrainingSet.from_margin_matrix(np.array([[-1.0, 1.0], [-1.0, 1.0]])),
+          StepSchedule.fixed(2.225073858507e-311)))
 def test_check_rebuilds_an_adaboost_report_from_its_trace(case):
     ts, schedule = case
     header = certificate_header(
@@ -177,6 +183,8 @@ def test_check_rebuilds_an_adaboost_report_from_its_trace(case):
 
 @settings(max_examples=100, deadline=None)
 @given(fs_cases())
+@example((RegressionProblem(design=np.array([[-1.0]]), response=np.array([-1.0])),
+          StepSchedule.fixed(5e-324)))
 def test_check_rebuilds_a_stagewise_report_from_its_trace(case):
     rp, schedule = case
     dist0 = least_squares_norm(rp)
@@ -216,8 +224,12 @@ def certified_runs(draw):
     return config, RegressionProblem(design=matrix, response=response)
 
 
+# sparsity-l1 at k=7 exceeds the float 7 * eps by one rounding unit of its sum
 @settings(max_examples=400, deadline=None)
 @given(certified_runs())
+@example((cli.ExperimentConfig(task="fs", data="", schedule="optimal", iterations=12),
+          RegressionProblem(design=np.array([[0.0, 1e-12], [1e-12, 1e-12]]),
+                            response=np.array([-1.0, -0.5]))))
 def test_no_certificate_fails_on_a_random_instance(case):
     config, instance = case
     try:  # `run` refuses these set-ups with exit 2: a zero Lipschitz constant or diameter
@@ -234,3 +246,64 @@ def test_no_certificate_fails_on_a_random_instance(case):
     assume(result.records)  # `run` refuses a run that stopped before its first round
     report = check(result.records, header)
     assert report.failures() == []
+
+
+def _replay(problem: MinmaxProblem, schedule: StepSchedule, prox_fn, iterations: int, x0):
+    """The engine's loop through public calls only: dual_response, the
+    schedule and prox_solve. Returns per round the pre-step iterate, the
+    (index, sign, value, alpha) and the support size of the pre-step dual sum,
+    and the final iterate."""
+    x, dual_sum, rounds = x0, np.zeros(problem.n), []
+    for k in range(iterations):
+        resp = dual_response(problem, x)
+        if resp.sign == 0.0:
+            break
+        try:
+            alpha = schedule.step_size(k, value=resp.value, grad=resp.grad)
+        except md_core.UndefinedStepError:
+            break
+        rounds.append((x, (resp.index, resp.sign, resp.value, alpha), support_size(dual_sum)))
+        x = prox.prox_solve(prox_fn, resp.grad, x, alpha)
+        dual_sum[resp.index] += alpha * resp.sign
+    return rounds, x
+
+
+def _assert_run_equals_replay(problem, schedule, prox_fn, x0=None) -> None:
+    """run's records, pre-step iterates and final iterate equal the replay's
+    bit for bit, and under the l1-ball dual each record's l0 is the support
+    size of the replayed pre-step dual sum."""
+    result, iterates = run_with_iterates(md_core.run, problem, schedule, prox_fn, ITERATIONS, x0)
+    start = np.full(problem.m, 1.0 / problem.m) if x0 is None else np.asarray(x0, dtype=float)
+    rounds, final = _replay(problem, schedule, prox_fn, ITERATIONS, start)
+    assert len(result.records) == len(iterates) == len(rounds)
+    for rec, x, (pre, step, support) in zip(result.records, iterates, rounds):
+        assert x.tobytes() == pre.tobytes(), rec.k
+        assert (rec.index, rec.sign, rec.primal, rec.alpha) == step, rec.k
+        if problem.dual_domain == md_core.DUAL_L1_BALL:
+            assert rec.l0 == support, rec.k
+    assert result.state.x.tobytes() == final.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(boost_cases())
+def test_run_equals_a_replay_through_prox_solve_on_games(case):
+    ts, schedule = case
+    _assert_run_equals_replay(ts.to_minmax(), schedule, prox.entropy(ts.num_examples))
+
+
+# steps of 1e-15 leave coefficients below NNZ_TOLERANCE, and grid entries and
+# repeated steps cancel some coefficients to zero, so the support also shrinks
+fs_steps = st.one_of(st.sampled_from((1e-15, 0.5, 1.0)), st.floats(1e-16, 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(zero_columns=True), st.data())
+def test_run_equals_a_replay_through_prox_solve_on_fs(design, data):
+    response = data.draw(arrays(float, design.shape[0], elements=entries))
+    schedule = data.draw(st.one_of(
+        st.builds(StepSchedule.fixed, fs_steps),
+        st.builds(StepSchedule.from_sequence, st.lists(fs_steps, min_size=ITERATIONS,
+                                                       max_size=ITERATIONS))))
+    problem = MinmaxProblem(design, primal_domain=md_core.PRIMAL_RESIDUAL,
+                            dual_domain=md_core.DUAL_L1_BALL)
+    _assert_run_equals_replay(problem, schedule, prox.euclidean(design.shape[0]), x0=response)
