@@ -1,6 +1,7 @@
-"""Mirror descent with pluggable prox functions, step-size schedules, and
-runtime convergence certificates. AdaBoost and incremental forward stagewise
-regression are thin views that run the same engine.
+"""Mirror descent with the prox function its primal domain dictates,
+step-size schedules, and runtime convergence certificates. AdaBoost and
+incremental forward stagewise regression are thin views that run the same
+engine.
 
 The public names below are resolved on first use (PEP 562), so importing the
 package, as `python -m mirrorboost check` does, loads neither numpy nor the

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import md_core
 from .md_core import MinmaxProblem, StepSchedule
-from .prox import entropy
 from .trace import RunResult
 
 
@@ -146,5 +145,4 @@ def run_adaboost(ts: TrainingSet, schedule: StepSchedule, iterations: int,
     `sink`, when given, gets each record and the example weights before its
     round, which the records do not keep.
     """
-    return md_core.run(ts.to_minmax(), schedule, entropy(ts.num_examples), iterations,
-                       sink=sink, algorithm="adaboost")
+    return md_core.run(ts.to_minmax(), schedule, iterations, sink=sink, algorithm="adaboost")

@@ -1,7 +1,7 @@
 """Command-line harness: run experiments, re-check saved traces, generate data.
 
 Exit codes: 0 success, 1 at least one certificate failed, 2 usage or
-configuration error, 3 I/O error.
+configuration error (an instance too large to allocate included), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -106,6 +106,10 @@ class ExperimentConfig:
                 f"got {self.schedule!r}")
         if self.iterations < 1:
             raise ConfigError("iterations must be at least 1")
+        for name in ("epsilon", "f_star"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.task == "fs" and self.schedule == "constant":
             if self.epsilon is None or self.epsilon <= 0.0:
                 raise ConfigError("fs with the constant schedule needs --epsilon > 0")
@@ -169,6 +173,14 @@ def _build_instance(config: ExperimentConfig):
         raise ConfigError(f"task 'fs' needs regression data, got kind {kind!r}")
     if config.task != "fs" and canonical == "regression":
         raise ConfigError(f"task {config.task!r} needs classification data, got kind {kind!r}")
+    return _generate(kind, seed, sizes)
+
+
+def _generate(kind: str, seed: int, sizes: dict):
+    """datagen.generate_synthetic, with size parameters it does not take as a
+    ConfigError."""
+    from . import datagen
+
     try:
         return datagen.generate_synthetic(kind, seed, **sizes)
     except TypeError as exc:
@@ -387,7 +399,7 @@ def _resolve_out_dir(configured: str | None) -> Path:
 
 
 def _cmd_run(args) -> int:
-    from . import datagen, md_core, prox
+    from . import datagen, md_core
 
     config = _config_from_args(args)
     instance = _build_instance(config)
@@ -396,12 +408,12 @@ def _cmd_run(args) -> int:
             instance = datagen.center_scale(instance, center=config.center,
                                             scale=config.scale)
         schedule, header = _prepare_fs_run(config, instance)
-        prox_fn, x0 = prox.euclidean(instance.num_samples), instance.response.copy()
+        x0 = instance.response.copy()
     else:
         schedule, header = _prepare_boost_run(config, instance)
-        prox_fn, x0 = prox.entropy(instance.num_examples), None
-    result = md_core.run(instance.to_minmax(), schedule, prox_fn, config.iterations,
-                         x0=x0, algorithm=header.algorithm)
+        x0 = None
+    result = md_core.run(instance.to_minmax(), schedule, config.iterations, x0=x0,
+                         algorithm=header.algorithm)
     if not result.records:
         raise ConfigError(f"run produced no iterations: {result.terminated}")
     report = bounds.check(result.records, header)
@@ -449,10 +461,7 @@ def _cmd_gen(args) -> int:
     if canonical == "game":
         raise ConfigError("kind 'game' is matrix-level and has no CSV form; "
                           "use separable, nonseparable, or regression")
-    try:
-        instance = datagen.generate_synthetic(kind, seed, **sizes)
-    except TypeError as exc:
-        raise ConfigError(f"bad size parameters for kind {kind!r}: {exc}") from None
+    instance = _generate(kind, seed, sizes)
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -521,7 +530,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # a MemoryError here is an instance too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import ProxFunction, _as_vector, _step, prox_solve
+from .prox import ProxFunction, _as_vector, _checked_anchor, _step, entropy, euclidean
 from .trace import ALGORITHMS, IterationRecord, RunResult
 
 PRIMAL_SIMPLEX = "simplex"
@@ -149,21 +149,32 @@ def support_size(coefficients) -> int:
 
 @dataclass
 class MirrorDescentState:
-    """Iterate, dual running sums, and the best primal value seen so far."""
+    """Iterate, dual running sums, and the best primal value seen so far,
+    stepped with the prox function `prox` throughout.
+
+    Making a state checks its iterate as a prox step's anchor: the prox
+    dimension, finite, and for the entropy prox nonnegative with a positive
+    sum. Every later iterate is a prox step's result, which lies in the
+    domain, so md_step does not check it again.
+    """
 
     k: int
     x: np.ndarray
+    prox: ProxFunction
     dual_weighted_sum: np.ndarray
     step_sum: float
     best_value: float
     best_index: int
 
+    def __post_init__(self) -> None:
+        self.x = _checked_anchor(self.prox, self.x)
+
     @classmethod
-    def initial(cls, x0, dual_dim: int) -> "MirrorDescentState":
-        x0 = np.asarray(x0, dtype=float)
+    def initial(cls, x0, prox: ProxFunction, dual_dim: int) -> "MirrorDescentState":
         return cls(
             k=0,
             x=x0,
+            prox=prox,
             dual_weighted_sum=np.zeros(dual_dim),
             step_sum=0.0,
             best_value=math.inf,
@@ -179,37 +190,29 @@ class MirrorDescentState:
         return self.dual_weighted_sum / self.step_sum
 
 
-def md_step(state: MirrorDescentState, grad, alpha: float, prox_fn: ProxFunction,
-            vertex: tuple[int, float] | None = None, value: float | None = None) -> None:
-    """One prox step from the current iterate, in place; a rejected argument
-    raises before `state` changes.
+def md_step(state: MirrorDescentState, grad, alpha: float, vertex: tuple[int, float],
+            value: float) -> None:
+    """One step of the state's prox from the current iterate, in place; a
+    rejected argument raises before `state` changes.
 
     Every call checks `alpha` and `grad`, the prox step's cost vector (shape
-    and finiteness). The anchor is checked on a state's first step only, by
-    prox_solve: every later anchor is the previous step's result, which lies
-    in the domain, so later steps go straight to the prox arithmetic. A state
-    is stepped with one prox function throughout.
-    `vertex` is the dual response that produced `grad`, as the (index, sign)
-    of the signed coordinate vector it is: the dual sum gains alpha * sign at
-    that index and the step sum gains alpha. `value` (the primal objective at
-    the current iterate) feeds the best-so-far tracking. Both are optional so
-    the step can be driven manually.
+    and finiteness). `vertex` is the dual response that produced `grad`, as
+    the (index, sign) of the signed coordinate vector it is: the dual sum
+    gains alpha * sign at that index and the step sum gains alpha. `value`
+    (the primal objective at the current iterate) feeds the best-so-far
+    tracking.
     """
     alpha = float(alpha)
     if alpha < 0.0 or not math.isfinite(alpha):
         raise ValueError("alpha must be a finite nonnegative step size")
-    if state.k == 0:
-        x = prox_solve(prox_fn, grad, state.x, alpha)
-    else:
-        x = _step(prox_fn.kind, _as_vector(grad, prox_fn.dim, "c"), state.x, alpha)
-    value = None if value is None else float(value)
-    if vertex is not None:
-        # a dense add of alpha * lam would add +0.0 to every other entry,
-        # which leaves it unchanged
-        index, sign = vertex
-        state.dual_weighted_sum[index] += alpha * sign
-        state.step_sum += alpha
-    if value is not None and value < state.best_value:
+    x = _step(state.prox.kind, _as_vector(grad, state.prox.dim, "c"), state.x, alpha)
+    value = float(value)
+    # a dense add of alpha * lam would add +0.0 to every other entry, which
+    # leaves it unchanged
+    index, sign = vertex
+    state.dual_weighted_sum[index] += alpha * sign
+    state.step_sum += alpha
+    if value < state.best_value:
         state.best_value = value
         state.best_index = state.k
     state.x = x
@@ -267,12 +270,16 @@ class StepSchedule:
     def polyak(cls, f_star: float | None) -> "StepSchedule":
         if f_star is None:
             raise ValueError("the polyak schedule requires the optimal value f_star")
+        if not math.isfinite(f_star):
+            raise ValueError(f"the polyak schedule needs a finite f_star, got {f_star!r}")
         return cls(kind="polyak", f_star=float(f_star))
 
     @classmethod
     def fixed(cls, alpha: float) -> "StepSchedule":
         if alpha < 0.0:
             raise ValueError("fixed step size must be nonnegative")
+        if not math.isfinite(alpha):
+            raise ValueError(f"fixed step size must be finite, got {alpha!r}")
         return cls(kind="fixed", alpha=float(alpha))
 
     @classmethod
@@ -332,9 +339,12 @@ class StepSchedule:
         return out
 
 
-def run(problem: MinmaxProblem, schedule: StepSchedule, prox_fn: ProxFunction,
-        iterations: int, x0=None, sink=None, algorithm: str = "mirror-descent") -> RunResult:
+def run(problem: MinmaxProblem, schedule: StepSchedule, iterations: int, x0=None,
+        sink=None, algorithm: str = "mirror-descent") -> RunResult:
     """Run mirror descent, emitting one record per iteration.
+
+    The primal domain picks the prox: negative entropy on the simplex,
+    half the squared Euclidean norm in residual space.
 
     Each record carries the pre-step iterate values (objective, chosen column)
     and the post-step dual average value when it exists. The dual value is
@@ -347,9 +357,8 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, prox_fn: ProxFunction,
     pre-step dual sum, which is the stagewise coefficient vector; the support
     size is a running count, updated from the one entry each round changes.
 
-    `x0` is checked once, here, and as the anchor of the first md_step: every
-    later iterate is a prox step's result, which lies in the domain. Each
-    round md_step advances one state in place.
+    `x0` is checked once, here, against the primal domain and as the state's
+    anchor. Each round md_step advances that state in place.
     `sink`, when given, is called after each round with the record and the
     pre-step iterate, which the round leaves unwritten; records do not keep
     iterates.
@@ -362,13 +371,13 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, prox_fn: ProxFunction,
         raise ValueError("iterations must be at least 1")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm tag: {algorithm!r}")
-    if prox_fn.dim != problem.m:
-        raise ValueError("prox dimension must match the primal dimension")
     if x0 is None:
         if problem.primal_domain != PRIMAL_SIMPLEX:
             raise ValueError("x0 is required for a residual-space primal domain")
         x0 = np.full(problem.m, 1.0 / problem.m)
-    state = MirrorDescentState.initial(_checked_point(problem, x0, "x0"), problem.n)
+    geometry = entropy if problem.primal_domain == PRIMAL_SIMPLEX else euclidean
+    state = MirrorDescentState.initial(_checked_point(problem, x0, "x0"),
+                                       geometry(problem.m), problem.n)
     l1_ball = problem.dual_domain == DUAL_L1_BALL
     # support_size(dual_sum), kept up to date from the one entry a round changes
     dual_sum, support = state.dual_weighted_sum, 0
@@ -392,7 +401,7 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, prox_fn: ProxFunction,
             l1 = float(np.sum(np.abs(dual_sum)))
             l0 = support
             was_in = abs(float(dual_sum[index])) > NNZ_TOLERANCE
-        md_step(state, grad, alpha, prox_fn, vertex=(index, sign), value=value)
+        md_step(state, grad, alpha, (index, sign), value)
         if l1_ball:
             support += (abs(float(dual_sum[index])) > NNZ_TOLERANCE) - was_in
         dual = None

@@ -102,6 +102,16 @@ def bregman(prox: ProxFunction, x, y) -> float:
     return 0.5 * float(diff @ diff)
 
 
+def _checked_anchor(prox: ProxFunction, anchor) -> np.ndarray:
+    """`anchor` as a float vector a prox step may start from: of the prox
+    dimension, finite, and for the entropy prox nonnegative with a positive
+    sum."""
+    anchor = _as_vector(anchor, prox.dim, "anchor")
+    if prox.kind == ENTROPY and (np.any(anchor < 0.0) or not float(anchor.sum()) > 0.0):
+        raise ValueError("anchor must be nonnegative with a positive sum for the entropy prox")
+    return anchor
+
+
 def prox_solve(prox: ProxFunction, c, anchor, alpha: float) -> np.ndarray:
     """Exact minimizer of alpha * <c, x> + D(x, anchor) over the domain.
 
@@ -113,12 +123,10 @@ def prox_solve(prox: ProxFunction, c, anchor, alpha: float) -> np.ndarray:
     raises ValueError instead.
     """
     c = _as_vector(c, prox.dim, "c")
-    anchor = _as_vector(anchor, prox.dim, "anchor")
+    anchor = _checked_anchor(prox, anchor)
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    if prox.kind == ENTROPY and (np.any(anchor < 0.0) or not float(anchor.sum()) > 0.0):
-        raise ValueError("anchor must be nonnegative with a positive sum for the entropy prox")
     return _step(prox.kind, c, anchor, alpha)
 
 

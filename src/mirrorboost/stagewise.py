@@ -20,7 +20,6 @@ import numpy as np
 
 from . import md_core
 from .md_core import MinmaxProblem, StepSchedule
-from .prox import euclidean
 from .trace import RunResult
 
 
@@ -98,5 +97,5 @@ def run_fs(rp: RegressionProblem, schedule: StepSchedule, iterations: int,
     `dual_weighted_sum` the coefficients; `sink`, when given, gets each record
     and the residual before its round, which the records do not keep.
     """
-    return md_core.run(rp.to_minmax(), schedule, euclidean(rp.num_samples), iterations,
-                       x0=rp.response.copy(), sink=sink, algorithm="stagewise")
+    return md_core.run(rp.to_minmax(), schedule, iterations, x0=rp.response.copy(), sink=sink,
+                       algorithm="stagewise")

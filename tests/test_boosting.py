@@ -168,13 +168,12 @@ def test_run_adaboost_matches_engine_dual_average_exactly():
     prob = ts.to_minmax()
     sched = StepSchedule.dynamic(ts.lipschitz, math.log(12.0))
     boost = BoostState.initial(ts)
-    md_state = MirrorDescentState.initial(np.full(12, 1.0 / 12.0), prob.n)
+    md_state = MirrorDescentState.initial(np.full(12, 1.0 / 12.0), prox.entropy(12), prob.n)
     for k in range(40):
         resp = dual_response(prob, md_state.x)
         alpha = sched.step_size(k)
         boost = adaboost_step(boost, ts, alpha)
-        md_step(md_state, resp.grad, alpha, prox.entropy(12),
-                vertex=(resp.index, resp.sign), value=resp.value)
+        md_step(md_state, resp.grad, alpha, (resp.index, resp.sign), resp.value)
         assert boost.columns[-1] == resp.index
         np.testing.assert_array_equal(boost.weights, md_state.x)
         np.testing.assert_array_equal(boost.normalized_coefficients(),

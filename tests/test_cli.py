@@ -116,6 +116,50 @@ def test_run_usage_errors_write_nothing(tmp_path):
         assert not out.exists()
 
 
+def test_an_instance_too_large_to_allocate_is_a_usage_error(tmp_path, capsys):
+    # 10^18 float64 entries, 8e18 bytes, exceed any address space: numpy
+    # refuses the payoff before it allocates anything
+    out = tmp_path / "never"
+    assert main(["run", "minmax-game", "--data",
+                 "synthetic:game:seed=1:m=1000000000:n=1000000000",
+                 "--schedule", "dynamic", "--iters", "1", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["fs", "--data", "synthetic:regression:seed=1:n=30:p=20", "--schedule", "constant",
+     "--epsilon", "inf"],
+    ["fs", "--data", "synthetic:regression:seed=1:n=30:p=20", "--schedule", "constant",
+     "--epsilon", "nan"],
+    ["adaboost", "--data", "synthetic:nonseparable:seed=1:m=30:d=3", "--f-star", "nan"],
+    ["minmax-game", "--data", "synthetic:game:seed=1:m=20:n=10", "--schedule", "polyak",
+     "--f-star", "nan"],
+    ["minmax-game", "--data", "synthetic:game:seed=1:m=20:n=10", "--schedule", "polyak",
+     "--f-star=-inf"],
+    "config",
+])
+def test_a_non_finite_epsilon_or_f_star_is_refused_before_the_build(tmp_path, monkeypatch,
+                                                                   capsys, args):
+    def never(*args, **kwargs):
+        raise AssertionError("neither the build nor the engine may run")
+
+    monkeypatch.setattr(datagen, "generate_synthetic", never)
+    monkeypatch.setattr(md_core, "run", never)
+    out = tmp_path / "never"
+    if args == "config":  # json.load reads the NaN token json.dumps writes
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"task": "adaboost", "data": "synthetic:nonseparable:seed=1",
+                                    "f_star": math.nan, "out_dir": str(out)}))
+        argv = ["run", "--config", str(path)]
+    else:
+        argv = ["run", *args, "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_a_step_with_no_finite_square(tmp_path, monkeypatch, capsys):
     # a game whose largest entry is near the subnormal range: the tuned steps
     # would overflow, so the run stops with a usage error before it starts

@@ -92,63 +92,63 @@ def test_dual_value():
 
 
 def test_md_step_zero_alpha_keeps_anchor():
-    state = MirrorDescentState.initial(np.array([0.5, 0.5]), dual_dim=2)
-    md_step(state, np.array([3.0, -1.0]), 0.0, prox.entropy(2))
+    state = MirrorDescentState.initial(np.array([0.5, 0.5]), prox.entropy(2), dual_dim=2)
+    md_step(state, np.array([3.0, -1.0]), 0.0, (0, 1.0), 1.0)
     np.testing.assert_array_equal(state.x, [0.5, 0.5])
     assert state.k == 1
 
 
 def test_md_step_entropy_closed_form():
     # anchor (1/2, 1/2), cost (ln 2, 0), unit step: proportional to (1/4, 1/2)
-    state = MirrorDescentState.initial(np.array([0.5, 0.5]), dual_dim=2)
-    md_step(state, np.array([math.log(2.0), 0.0]), 1.0, prox.entropy(2))
+    state = MirrorDescentState.initial(np.array([0.5, 0.5]), prox.entropy(2), dual_dim=2)
+    md_step(state, np.array([math.log(2.0), 0.0]), 1.0, (0, 1.0), 1.0)
     np.testing.assert_allclose(state.x, [1.0 / 3.0, 2.0 / 3.0], rtol=1e-15)
 
 
 def test_md_step_euclidean_is_plain_subtraction():
-    state = MirrorDescentState.initial(np.array([1.0, 2.0]), dual_dim=2)
-    md_step(state, np.array([0.5, -1.0]), 2.0, prox.euclidean(2))
+    state = MirrorDescentState.initial(np.array([1.0, 2.0]), prox.euclidean(2), dual_dim=2)
+    md_step(state, np.array([0.5, -1.0]), 2.0, (0, 1.0), 1.0)
     np.testing.assert_array_equal(state.x, [0.0, 4.0])
 
 
 def test_md_step_accumulates_dual_average_and_best_value():
-    state = MirrorDescentState.initial(np.array([0.5, 0.5]), dual_dim=2)
+    state = MirrorDescentState.initial(np.array([0.5, 0.5]), prox.entropy(2), dual_dim=2)
     dual_sum = state.dual_weighted_sum
     assert state.dual_average is None
-    md_step(state, np.zeros(2), 0.5, prox.entropy(2), vertex=(0, 1.0), value=2.0)
-    md_step(state, np.zeros(2), 1.5, prox.entropy(2), vertex=(1, 1.0), value=1.0)
+    md_step(state, np.zeros(2), 0.5, (0, 1.0), 2.0)
+    md_step(state, np.zeros(2), 1.5, (1, 1.0), 1.0)
     np.testing.assert_allclose(state.dual_average, [0.25, 0.75], rtol=1e-15)
     assert state.best_value == 1.0 and state.best_index == 1
     assert state.dual_weighted_sum is dual_sum  # updated in place, never copied
     # a later, worse value does not displace the best
-    md_step(state, np.zeros(2), 0.1, prox.entropy(2), value=5.0)
+    md_step(state, np.zeros(2), 0.1, (0, 1.0), 5.0)
     assert state.best_value == 1.0 and state.best_index == 1 and state.k == 3
 
 
 def test_md_step_rejects_bad_alpha_and_grad():
-    state = MirrorDescentState.initial(np.array([0.5, 0.5]), dual_dim=2)
+    state = MirrorDescentState.initial(np.array([0.5, 0.5]), prox.entropy(2), dual_dim=2)
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            md_step(state, np.zeros(2), bad, prox.entropy(2))
+            md_step(state, np.zeros(2), bad, (0, 1.0), 1.0)
     with pytest.raises(ValueError):
-        md_step(state, np.array([np.nan, 0.0]), 1.0, prox.entropy(2))
+        md_step(state, np.array([np.nan, 0.0]), 1.0, (0, 1.0), 1.0)
 
 
 def test_md_step_leaves_the_state_unchanged_when_it_raises():
-    state = MirrorDescentState.initial(np.array([0.5, 0.5]), dual_dim=2)
-    md_step(state, np.array([1.0, 0.0]), 0.5, prox.entropy(2), vertex=(0, 1.0), value=1.0)
+    state = MirrorDescentState.initial(np.array([0.5, 0.5]), prox.entropy(2), dual_dim=2)
+    md_step(state, np.array([1.0, 0.0]), 0.5, (0, 1.0), 1.0)
     x, x_bytes, dual_sum = state.x, state.x.tobytes(), state.dual_weighted_sum.copy()
     scalars = (state.k, state.step_sum, state.best_value, state.best_index)
     bad_calls = [
-        (ValueError, (np.zeros(2), -1.0), {}),  # negative step
-        (ValueError, (np.array([np.inf, 0.0]), 1.0), {}),  # grad, checked by prox_solve
-        (ValueError, (np.zeros(3), 1.0), {}),  # grad of the wrong shape
-        (IndexError, (np.zeros(2), 1.0), {"vertex": (5, 1.0), "value": 0.0}),
-        (ValueError, (np.zeros(2), 1.0), {"vertex": (1, 1.0), "value": "x"}),
+        (ValueError, (np.zeros(2), -1.0, (0, 1.0), 0.0)),  # negative step
+        (ValueError, (np.array([np.inf, 0.0]), 1.0, (0, 1.0), 0.0)),  # grad not finite
+        (ValueError, (np.zeros(3), 1.0, (0, 1.0), 0.0)),  # grad of the wrong shape
+        (IndexError, (np.zeros(2), 1.0, (5, 1.0), 0.0)),
+        (ValueError, (np.zeros(2), 1.0, (1, 1.0), "x")),
     ]
-    for error, args, kwargs in bad_calls:
+    for error, args in bad_calls:
         with pytest.raises(error):
-            md_step(state, *args, prox.entropy(2), **kwargs)
+            md_step(state, *args)
         assert state.x is x and state.x.tobytes() == x_bytes
         assert (state.k, state.step_sum, state.best_value, state.best_index) == scalars
         np.testing.assert_array_equal(state.dual_weighted_sum, dual_sum)
@@ -156,12 +156,14 @@ def test_md_step_leaves_the_state_unchanged_when_it_raises():
 
 @pytest.mark.parametrize("anchor", [[-0.5, 1.5], [0.0, 0.0], [np.nan, 1.0], [0.5, 0.5, 0.0]])
 def test_md_step_checks_a_fresh_states_anchor(anchor):
-    # the first step's anchor is whatever the state was made with; later
-    # anchors are prox results and go unchecked
-    state = MirrorDescentState.initial(np.array(anchor), dual_dim=2)
+    # a state's first anchor is checked when the state is made, by every way
+    # of making one; later anchors are prox results and go unchecked
     with pytest.raises(ValueError, match="anchor"):
-        md_step(state, np.zeros(2), 0.5, prox.entropy(2))
-    assert state.k == 0 and state.x.tobytes() == np.array(anchor).tobytes()
+        MirrorDescentState.initial(np.array(anchor), prox.entropy(2), dual_dim=2)
+    with pytest.raises(ValueError, match="anchor"):
+        MirrorDescentState(k=0, x=np.array(anchor), prox=prox.entropy(2),
+                           dual_weighted_sum=np.zeros(2), step_sum=0.0,
+                           best_value=math.inf, best_index=-1)
 
 
 @pytest.mark.parametrize("grad, message", [
@@ -171,13 +173,13 @@ def test_md_step_checks_a_fresh_states_anchor(anchor):
 ])
 def test_md_step_checks_grad_after_several_steps(grad, message):
     for prox_fn in (prox.entropy(2), prox.euclidean(2)):
-        state = MirrorDescentState.initial(np.array([0.5, 0.5]), dual_dim=2)
+        state = MirrorDescentState.initial(np.array([0.5, 0.5]), prox_fn, dual_dim=2)
         for j in range(3):
-            md_step(state, PENNIES[:, j % 2], 0.3, prox_fn, vertex=(j % 2, 1.0), value=1.0 - j)
+            md_step(state, PENNIES[:, j % 2], 0.3, (j % 2, 1.0), 1.0 - j)
         x, x_bytes, dual_sum = state.x, state.x.tobytes(), state.dual_weighted_sum.copy()
         scalars = (state.k, state.step_sum, state.best_value, state.best_index)
         with pytest.raises(ValueError, match=message):
-            md_step(state, grad, 0.3, prox_fn, vertex=(0, 1.0), value=-5.0)
+            md_step(state, grad, 0.3, (0, 1.0), -5.0)
         assert state.x is x and state.x.tobytes() == x_bytes
         assert (state.k, state.step_sum, state.best_value, state.best_index) == scalars
         np.testing.assert_array_equal(state.dual_weighted_sum, dual_sum)
@@ -221,6 +223,9 @@ def test_schedule_polyak_formula_and_contracts():
     assert s.step_size(0, value=2.0, grad=np.zeros(2)) == 0.0
     with pytest.raises(ValueError):
         StepSchedule.polyak(None)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite f_star"):
+            StepSchedule.polyak(bad)
     with pytest.raises(ValueError):
         s.step_size(0)
 
@@ -229,6 +234,9 @@ def test_schedule_fixed_and_sequence():
     assert StepSchedule.fixed(0.25).step_size(99) == 0.25
     with pytest.raises(ValueError):
         StepSchedule.fixed(-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            StepSchedule.fixed(bad)
     seq = StepSchedule.from_sequence([0.1, 0.2])
     assert seq.step_size(1) == 0.2
     with pytest.raises(ValueError):
@@ -266,7 +274,7 @@ def test_schedule_describe_round_trips_parameters():
 def test_run_matching_pennies_closes_the_gap():
     prob = MinmaxProblem(PENNIES)
     sched = StepSchedule.constant(1.0, math.log(2.0), 100)
-    res = run(prob, sched, prox.entropy(2), 100)
+    res = run(prob, sched, 100)
     assert len(res.records) == 100 and res.terminated is None
     last = res.records[-1]
     assert last.best_primal - last.dual <= math.sqrt(2.0 * math.log(2.0) / 100) + 1e-9
@@ -275,7 +283,7 @@ def test_run_matching_pennies_closes_the_gap():
         assert rec.dual <= rec.best_primal + 1e-12
     # the sink gets each pre-step iterate; the first is the uniform start
     iterates = []
-    run(prob, sched, prox.entropy(2), 100, sink=lambda rec, x: iterates.append(x))
+    run(prob, sched, 100, sink=lambda rec, x: iterates.append(x))
     assert len(iterates) == 100
     np.testing.assert_array_equal(iterates[0], [0.5, 0.5])
 
@@ -287,7 +295,7 @@ def test_run_random_game_respects_gap_bound():
     lipschitz = prob.lipschitz()
     diameter = math.log(6.0)
     sched = StepSchedule.constant(lipschitz, diameter, 400)
-    res = run(prob, sched, prox.entropy(6), 400)
+    res = run(prob, sched, 400)
     last = res.records[-1]
     gap = last.best_primal - last.dual
     assert 0.0 <= gap + 1e-12
@@ -299,8 +307,8 @@ def test_run_is_deterministic_bitwise():
     payoff = rng.uniform(-1.0, 1.0, size=(8, 5))
     prob = MinmaxProblem(payoff)
     sched = StepSchedule.dynamic(prob.lipschitz(), math.log(8.0))
-    a, xa = run_with_iterates(run, prob, sched, prox.entropy(8), 50)
-    b, xb = run_with_iterates(run, prob, sched, prox.entropy(8), 50)
+    a, xa = run_with_iterates(run, prob, sched, 50)
+    b, xb = run_with_iterates(run, prob, sched, 50)
     assert len(xa) == len(xb) == len(a.records) == 50
     for ra, rb, x_a, x_b in zip(a.records, b.records, xa, xb):
         assert ra.to_dict() == rb.to_dict()
@@ -313,7 +321,7 @@ def test_run_matches_manual_multiplicative_replay():
     payoff = rng.uniform(-1.0, 1.0, size=(7, 4))
     prob = MinmaxProblem(payoff)
     sched = StepSchedule.dynamic(prob.lipschitz(), math.log(7.0))
-    res, iterates = run_with_iterates(run, prob, sched, prox.entropy(7), 60)
+    res, iterates = run_with_iterates(run, prob, sched, 60)
     assert len(iterates) == len(res.records) == 60
     x = np.full(7, 1.0 / 7.0)
     for k, (rec, pre) in enumerate(zip(res.records, iterates)):
@@ -330,7 +338,7 @@ def test_run_matches_manual_multiplicative_replay():
 def test_run_dual_absent_until_first_nonzero_step():
     prob = MinmaxProblem(PENNIES)
     sched = StepSchedule.from_sequence([0.0, 0.1, 0.1])
-    res = run(prob, sched, prox.entropy(2), 3)
+    res = run(prob, sched, 3)
     assert res.records[0].dual is None
     assert res.records[1].dual is not None
 
@@ -338,7 +346,7 @@ def test_run_dual_absent_until_first_nonzero_step():
 def test_run_calls_sink_per_record():
     seen = []
     prob = MinmaxProblem(PENNIES)
-    res = run(prob, StepSchedule.fixed(0.1), prox.entropy(2), 5,
+    res = run(prob, StepSchedule.fixed(0.1), 5,
               sink=lambda rec, x: seen.append(rec))
     assert [rec.k for rec in seen] == list(range(5))
     assert seen == res.records
@@ -353,7 +361,7 @@ def test_run_steps_through_md_step_once_per_round(monkeypatch):
                         lambda state, *args, **kwargs: steps.append(state.k)
                         or real_step(state, *args, **kwargs))
     monkeypatch.setattr(md_core, "dual_response", None)
-    res = run(MinmaxProblem(PENNIES), StepSchedule.fixed(0.1), prox.entropy(2), 7)
+    res = run(MinmaxProblem(PENNIES), StepSchedule.fixed(0.1), 7)
     assert steps == list(range(7)) and res.state.k == 7
 
 
@@ -361,19 +369,17 @@ def test_run_checks_x0_once_at_entry():
     prob = MinmaxProblem(PENNIES)
     for bad in ([0.7, 0.7], [1.5, -0.5], [np.nan, 1.0], [0.5, 0.5, 0.0]):
         with pytest.raises(ValueError, match="x0"):
-            run(prob, StepSchedule.fixed(0.1), prox.entropy(2), 3, x0=bad)
+            run(prob, StepSchedule.fixed(0.1), 3, x0=bad)
     res_prob = MinmaxProblem(PENNIES, primal_domain="residual-space", dual_domain="l1-ball")
     with pytest.raises(ValueError, match="x0 must be finite"):
-        run(res_prob, StepSchedule.fixed(0.1), prox.euclidean(2), 3, x0=[np.inf, 0.0])
+        run(res_prob, StepSchedule.fixed(0.1), 3, x0=[np.inf, 0.0])
 
 
 def test_run_argument_validation():
     prob = MinmaxProblem(PENNIES)
     with pytest.raises(ValueError):
-        run(prob, StepSchedule.fixed(0.1), prox.entropy(2), 0)
-    with pytest.raises(ValueError):
-        run(prob, StepSchedule.fixed(0.1), prox.entropy(3), 5)
+        run(prob, StepSchedule.fixed(0.1), 0)
     res_prob = MinmaxProblem(PENNIES, primal_domain="residual-space",
                              dual_domain="l1-ball")
     with pytest.raises(ValueError):
-        run(res_prob, StepSchedule.fixed(0.1), prox.euclidean(2), 5)  # x0 required
+        run(res_prob, StepSchedule.fixed(0.1), 5)  # x0 required

@@ -235,13 +235,13 @@ def test_no_certificate_fails_on_a_random_instance(case):
     try:  # `run` refuses these set-ups with exit 2: a zero Lipschitz constant or diameter
         if config.task == "fs":
             schedule, header = cli._prepare_fs_run(config, instance)
-            prox_fn, x0 = prox.euclidean(instance.num_samples), instance.response.copy()
+            x0 = instance.response.copy()
         else:
             schedule, header = cli._prepare_boost_run(config, instance)
-            prox_fn, x0 = prox.entropy(instance.num_examples), None
+            x0 = None
     except ValueError:
         reject()
-    result = md_core.run(instance.to_minmax(), schedule, prox_fn, config.iterations, x0=x0,
+    result = md_core.run(instance.to_minmax(), schedule, config.iterations, x0=x0,
                          algorithm=header.algorithm)
     assume(result.records)  # `run` refuses a run that stopped before its first round
     report = check(result.records, header)
@@ -270,9 +270,10 @@ def _replay(problem: MinmaxProblem, schedule: StepSchedule, prox_fn, iterations:
 
 def _assert_run_equals_replay(problem, schedule, prox_fn, x0=None) -> None:
     """run's records, pre-step iterates and final iterate equal the replay's
-    bit for bit, and under the l1-ball dual each record's l0 is the support
-    size of the replayed pre-step dual sum."""
-    result, iterates = run_with_iterates(md_core.run, problem, schedule, prox_fn, ITERATIONS, x0)
+    through `prox_fn` bit for bit, and under the l1-ball dual each record's
+    l0 is the support size of the replayed pre-step dual sum. run picks its
+    prox from the primal domain, so this checks that it picks `prox_fn`."""
+    result, iterates = run_with_iterates(md_core.run, problem, schedule, ITERATIONS, x0)
     start = np.full(problem.m, 1.0 / problem.m) if x0 is None else np.asarray(x0, dtype=float)
     rounds, final = _replay(problem, schedule, prox_fn, ITERATIONS, start)
     assert len(result.records) == len(iterates) == len(rounds)
@@ -282,6 +283,7 @@ def _assert_run_equals_replay(problem, schedule, prox_fn, x0=None) -> None:
         if problem.dual_domain == md_core.DUAL_L1_BALL:
             assert rec.l0 == support, rec.k
     assert result.state.x.tobytes() == final.tobytes()
+    assert result.state.prox == prox_fn
 
 
 @settings(max_examples=200, deadline=None)
