@@ -10,7 +10,8 @@ normalized coefficient vector is the step-weighted dual average, whose
 smallest margin is the dual value. The engine keeps the margins of the
 coefficients up to date in O(m) per round, adding the step times the chosen
 column, as classical AdaBoost does, so a round scans the margin matrix once.
-run_adaboost builds that problem and runs the engine.
+The training set makes that problem once, when it is made, and run_adaboost
+runs the engine on it.
 
 Closure is a property of how a matrix is built, not something a training set
 searches for. A matrix-level set of n columns A is [A, -A], 2n columns, so
@@ -22,7 +23,7 @@ the matrix it is given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,18 +81,30 @@ class TrainingSet:
     checks only its shape and entries: closing it under negation is the
     builder's part. from_margin_matrix and from_outputs give [A, -A]; the
     stump build of datagen gives each stump beside its negation.
+
+    Making the set makes its edge problem, once: the problem checks that the
+    entries are finite and computes the Lipschitz constant L = max |A_ij| in
+    the same scan, and the set then needs L <= 1. L, like these checks,
+    belongs to the matrix as it was when the set was made.
     """
 
     margins: np.ndarray
     features: np.ndarray | None = None
     labels: np.ndarray | None = None
+    _problem: MinmaxProblem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         margins = np.asarray(self.margins, dtype=float)
         if margins.ndim != 2 or margins.size == 0:
             raise ValueError("margins must be a nonempty 2-D matrix")
-        _check_entries(margins, "margin entries")
+        try:
+            problem = MinmaxProblem(payoff=margins)
+        except ValueError:  # with the shape checked, only a non-finite entry is left
+            raise ValueError("margin entries must be finite") from None
+        if problem.lipschitz() > 1.0:
+            raise ValueError("margin entries must lie in [-1, 1]")
         object.__setattr__(self, "margins", margins)
+        object.__setattr__(self, "_problem", problem)
 
     @classmethod
     def from_outputs(cls, outputs, labels, features=None) -> "TrainingSet":
@@ -124,13 +137,13 @@ class TrainingSet:
 
     @property
     def lipschitz(self) -> float:
-        # the largest entry magnitude, without an |margins| temporary as large
-        # as the matrix
-        return float(max(self.margins.max(), -self.margins.min()))
+        """The edge problem's Lipschitz constant, the largest entry magnitude."""
+        return self._problem.lipschitz()
 
     def to_minmax(self) -> MinmaxProblem:
-        """The equivalent simplex-vs-simplex payoff problem."""
-        return MinmaxProblem(payoff=self.margins)
+        """The equivalent simplex-vs-simplex payoff problem, the same object on
+        every call."""
+        return self._problem
 
 
 def run_adaboost(ts: TrainingSet, schedule: StepSchedule, iterations: int,

@@ -22,7 +22,7 @@ from . import bounds
 from .trace import TraceHeader, format_trace, read_trace, typed_fields
 
 if TYPE_CHECKING:
-    from .boosting import TrainingSet
+    from .md_core import MinmaxProblem
     from .stagewise import RegressionProblem
 
 EXIT_OK = 0
@@ -31,6 +31,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 OUTDIR_ENV = "MIRRORBOOST_OUTDIR"
+
+# options of `run` that take a number, which may be negative
+_NUMBER_FLAGS = ("--epsilon", "--f-star")
 
 TASKS = ("adaboost", "fs", "minmax-game")
 _TASK_SCHEDULES = {
@@ -187,14 +190,15 @@ def _generate(kind: str, seed: int, sizes: dict):
         raise ConfigError(f"bad size parameters for kind {kind!r}: {exc}") from None
 
 
-def _prepare_boost_run(config: ExperimentConfig, ts: TrainingSet):
-    """The schedule and the trace header of an adaboost or minmax-game run."""
+def _prepare_boost_run(config: ExperimentConfig, problem: MinmaxProblem):
+    """The schedule and the trace header of an adaboost or minmax-game run on
+    `problem`, whose shape and Lipschitz constant the header carries."""
     import numpy as np
 
     from . import md_core, prox
 
-    m = ts.num_examples
-    lipschitz = ts.lipschitz
+    m = problem.m
+    lipschitz = problem.lipschitz()
     diameter = prox.diameter_bound(prox.entropy(m), np.full(m, 1.0 / m))
     if config.schedule == "constant":
         schedule = md_core.StepSchedule.constant(lipschitz, diameter, config.iterations)
@@ -213,7 +217,7 @@ def _prepare_boost_run(config: ExperimentConfig, ts: TrainingSet):
         schedule_kind=config.schedule,
         schedule=schedule.describe(),
         iterations=config.iterations,
-        shape={"m": m, "n": ts.num_classifiers},
+        shape={"m": m, "n": problem.n},
         lipschitz=lipschitz,
         diameter=diameter,
         f_star=config.f_star,
@@ -224,18 +228,25 @@ def _prepare_boost_run(config: ExperimentConfig, ts: TrainingSet):
     return schedule, header
 
 
-def _prepare_fs_run(config: ExperimentConfig, rp: RegressionProblem):
-    """The schedule and the trace header of an fs run."""
+def _prepare_fs_run(config: ExperimentConfig, rp: RegressionProblem, problem: MinmaxProblem):
+    """The schedule and the trace header of an fs run of `rp` on `problem`,
+    its residual-space problem, whose shape and Lipschitz constant the header
+    carries.
+
+    A shrinkage whose square, summed over the planned iterations, overflows is
+    refused, as the constant schedule refuses such a step. A projection norm
+    that overflows is not: the header refuses it before the run."""
     import numpy as np
 
     from . import md_core
     from .stagewise import least_squares_norm, optimal_shrinkage
 
-    lipschitz = rp.design_norm
-    if config.use_response_bound:
-        projection_norm = float(np.linalg.norm(rp.response))
-    else:
-        projection_norm = least_squares_norm(rp)
+    lipschitz = problem.lipschitz()
+    with np.errstate(over="ignore"):
+        if config.use_response_bound:
+            projection_norm = float(np.linalg.norm(rp.response))
+        else:
+            projection_norm = least_squares_norm(rp)
     eps = None
     horizon = None
     if config.schedule == "constant":
@@ -247,12 +258,14 @@ def _prepare_fs_run(config: ExperimentConfig, rp: RegressionProblem):
         schedule = md_core.StepSchedule.fixed(eps)
     else:  # linesearch: the polyak step with the known optimal value 0
         schedule = md_core.StepSchedule.polyak(0.0)
+    if eps is not None:
+        md_core._check_square(eps, lipschitz, config.iterations)
     header = TraceHeader(
         algorithm="stagewise",
         schedule_kind=config.schedule,
         schedule=schedule.describe(),
         iterations=config.iterations,
-        shape={"n": rp.num_samples, "p": rp.num_columns},
+        shape={"n": problem.m, "p": problem.n},
         lipschitz=lipschitz,
         diameter=0.5 * projection_norm * projection_norm,
         f_star=0.0,
@@ -403,16 +416,18 @@ def _cmd_run(args) -> int:
 
     config = _config_from_args(args)
     instance = _build_instance(config)
+    if config.task == "fs" and (config.center or config.scale):
+        instance = datagen.center_scale(instance, center=config.center, scale=config.scale)
+    # the one problem of the run: the header's shape and constants are its own
+    problem = instance.to_minmax()
     if config.task == "fs":
-        if config.center or config.scale:
-            instance = datagen.center_scale(instance, center=config.center,
-                                            scale=config.scale)
-        schedule, header = _prepare_fs_run(config, instance)
+        schedule, header = _prepare_fs_run(config, instance, problem)
         x0 = instance.response.copy()
     else:
-        schedule, header = _prepare_boost_run(config, instance)
+        schedule, header = _prepare_boost_run(config, problem)
         x0 = None
-    result = md_core.run(instance.to_minmax(), schedule, config.iterations, x0=x0,
+    format_trace(header, ())  # the trace's header line, refused now if the writer would refuse it
+    result = md_core.run(problem, schedule, config.iterations, x0=x0,
                          algorithm=header.algorithm)
     if not result.records:
         raise ConfigError(f"run produced no iterations: {result.terminated}")
@@ -473,6 +488,27 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _joined_numbers(argv: list[str]) -> list[str]:
+    """`argv` with each number that follows one of _NUMBER_FLAGS, or a prefix
+    of one as argparse allows, as its own token joined to the flag, as
+    `--f-star=-1e-3`. argparse reads a token that starts with '-' as an option
+    unless it has the form -N or -N.N, so without this a value such as -1e-3
+    or -inf is "expected one argument"."""
+    joined: list[str] = []
+    for token in argv:
+        if (joined and len(joined[-1]) > 2 and token.startswith("-")
+                and any(flag.startswith(joined[-1]) for flag in _NUMBER_FLAGS)):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] = f"{joined[-1]}={token}"
+                continue
+        joined.append(token)
+    return joined
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mirrorboost",
@@ -516,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_numbers(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code
         if code is None:

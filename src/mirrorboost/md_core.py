@@ -17,7 +17,7 @@ response is a signed coordinate vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,24 +49,36 @@ class MinmaxProblem:
     min_i (A lam)_i exists); "residual-space" is an affine subspace measured in
     l2 (unbounded, no dual value). dual_domain "simplex" restricts lam to
     probability vectors, "l1-ball" to vectors of l1 norm at most one.
+
+    The problem owns the payoff's checks and its Lipschitz constant: both are
+    computed once, when the problem is made, from the payoff as it is then.
+    A float payoff is kept as given, neither copied nor written.
     """
 
     payoff: np.ndarray
     primal_domain: str = PRIMAL_SIMPLEX
     dual_domain: str = DUAL_SIMPLEX
+    _lipschitz: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         payoff = np.asarray(self.payoff, dtype=float)
         if payoff.ndim != 2 or payoff.size == 0:
             raise ValueError("payoff must be a nonempty 2-D matrix")
         # NaN propagates through max and min, and an infinity is one of them
-        if not (math.isfinite(payoff.max()) and math.isfinite(payoff.min())):
+        high, low = payoff.max(), payoff.min()
+        if not (math.isfinite(high) and math.isfinite(low)):
             raise ValueError("payoff entries must be finite")
         object.__setattr__(self, "payoff", payoff)
         if self.primal_domain not in (PRIMAL_SIMPLEX, PRIMAL_RESIDUAL):
             raise ValueError(f"unknown primal domain: {self.primal_domain!r}")
         if self.dual_domain not in (DUAL_SIMPLEX, DUAL_L1_BALL):
             raise ValueError(f"unknown dual domain: {self.dual_domain!r}")
+        if self.primal_domain == PRIMAL_SIMPLEX:
+            # max |A_ij| from the extremes just read, without an |A| temporary
+            lipschitz = max(high, -low)
+        else:
+            lipschitz = np.linalg.norm(payoff, axis=0).max()
+        object.__setattr__(self, "_lipschitz", float(lipschitz))
 
     @property
     def m(self) -> int:
@@ -84,10 +96,7 @@ class MinmaxProblem:
         largest entry magnitude. Residual-space primal domain: the reference
         norm is l2 and the constant is the largest column l2 norm.
         """
-        if self.primal_domain == PRIMAL_SIMPLEX:
-            # max |A_ij| without an |A| temporary as large as the payoff
-            return float(max(self.payoff.max(), -self.payoff.min()))
-        return float(np.linalg.norm(self.payoff, axis=0).max())
+        return self._lipschitz
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ coefficient. That is mirror descent with the Euclidean prox in residual space
 on the largest absolute column-residual correlation (the max-norm of the
 least-squares loss gradient), with the l1-ball dual: the residual update is
 the prox step, the chosen signed column is the dual response, and the
-coefficient vector is the engine's step-weighted dual sum. run_fs builds that
-problem and runs the engine from the response.
+coefficient vector is the engine's step-weighted dual sum. A regression
+problem makes that minmax problem once, on first use, and run_fs runs the
+engine on it from the response.
 """
 
 from __future__ import annotations
@@ -25,6 +26,14 @@ from .trace import RunResult
 
 @dataclass(frozen=True)
 class RegressionProblem:
+    """A design matrix and a response, each finite, the design without an
+    all-zero column.
+
+    Its residual-space problem is made on first use and kept, so the design's
+    Lipschitz constant, the largest column l2 norm, is computed once, by the
+    problem, and belongs to the design as it was then.
+    """
+
     design: np.ndarray
     response: np.ndarray
 
@@ -50,19 +59,20 @@ class RegressionProblem:
     def num_columns(self) -> int:
         return self.design.shape[1]
 
-    @cached_property
-    def column_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.design, axis=0)
-
-    @cached_property
+    @property
     def design_norm(self) -> float:
-        """Largest column l2 norm."""
-        return float(self.column_norms.max())
+        """Largest column l2 norm: the residual-space problem's Lipschitz constant."""
+        return self.to_minmax().lipschitz()
 
-    def to_minmax(self) -> MinmaxProblem:
-        """The residual-space formulation: minimize the max absolute correlation."""
+    @cached_property
+    def _problem(self) -> MinmaxProblem:
         return MinmaxProblem(payoff=self.design, primal_domain="residual-space",
                              dual_domain="l1-ball")
+
+    def to_minmax(self) -> MinmaxProblem:
+        """The residual-space formulation: minimize the max absolute correlation.
+        The same object on every call."""
+        return self._problem
 
 
 def least_squares_norm(rp: RegressionProblem) -> float:

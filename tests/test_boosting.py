@@ -54,6 +54,14 @@ def test_from_outputs_accepts_confidence_rated_values():
     assert ts.lipschitz == 0.7
 
 
+def test_to_minmax_is_one_problem_that_owns_the_constant():
+    ts = TrainingSet.from_margin_matrix(np.array([[0.3, -0.7], [-0.2, 0.5]]))
+    problem = ts.to_minmax()
+    assert ts.to_minmax() is problem
+    assert problem.payoff is ts.margins
+    assert ts.lipschitz == problem.lipschitz() == 0.7
+
+
 def test_training_set_validation():
     with pytest.raises(ValueError):
         TrainingSet.from_margin_matrix(np.array([[1.5]]))

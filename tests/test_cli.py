@@ -138,6 +138,11 @@ def test_an_instance_too_large_to_allocate_is_a_usage_error(tmp_path, capsys):
      "--f-star", "nan"],
     ["minmax-game", "--data", "synthetic:game:seed=1:m=20:n=10", "--schedule", "polyak",
      "--f-star=-inf"],
+    # a negative number after the flag, as its own token, is the flag's value
+    ["minmax-game", "--data", "synthetic:game:seed=1:m=20:n=10", "--schedule", "polyak",
+     "--f-star", "-inf"],
+    ["fs", "--data", "synthetic:regression:seed=1:n=30:p=20", "--schedule", "constant",
+     "--epsilon", "-inf"],
     "config",
 ])
 def test_a_non_finite_epsilon_or_f_star_is_refused_before_the_build(tmp_path, monkeypatch,
@@ -176,6 +181,94 @@ def test_run_rejects_a_step_with_no_finite_square(tmp_path, monkeypatch, capsys)
                      "--schedule", schedule, "--out", str(out)]) == EXIT_USAGE
         assert "no finite square" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("schedule, extra", [
+    ("constant", ["--epsilon", "1e300"]),  # the user's shrinkage
+    ("optimal", []),  # the tuned shrinkage, large because the design's norm is tiny
+])
+def test_fs_fixed_steps_with_no_finite_square_are_refused_before_the_run(
+        tmp_path, monkeypatch, capsys, schedule, extra):
+    from mirrorboost.stagewise import RegressionProblem
+
+    tiny = RegressionProblem(design=np.array([[1e-160, 0.0], [0.0, 2e-160], [1e-160, 1e-160]]),
+                             response=np.array([1.0, -2.0, 0.5]))
+    monkeypatch.setattr(datagen, "make_regression", lambda **_: tiny)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the engine must not run")
+
+    monkeypatch.setattr(md_core, "run", never)
+    out = tmp_path / "never"
+    assert main(["run", "fs", "--data", "synthetic:regression:seed=1", "--schedule", schedule,
+                 *extra, "--iters", "3", "--out", str(out)]) == EXIT_USAGE
+    assert "no finite square sum over 3 step(s)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bound", [[], ["--use-response-bound"]])
+def test_run_refuses_a_header_the_trace_would_refuse_before_the_run(tmp_path, monkeypatch,
+                                                                    capsys, bound):
+    # the fit's norm overflows, so the diameter 0.5 * ||fit||^2 is not finite;
+    # the norm is taken with overflow ignored, so no RuntimeWarning is raised
+    def never(*args, **kwargs):
+        raise AssertionError("the engine must not run")
+
+    monkeypatch.setattr(md_core, "run", never)
+    out = tmp_path / "never"
+    assert main(["run", "fs", "--data", "synthetic:regression:seed=1:n=5:p=3:noise=1e308",
+                 "--schedule", "linesearch", "--iters", "2", *bound,
+                 "--out", str(out)]) == EXIT_USAGE
+    assert "header line: field 'diameter' is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--f-star", "--f-s"])  # argparse takes a unique prefix
+def test_a_negative_f_star_after_the_flag_is_its_value(tmp_path, flag):
+    out = tmp_path / "out"
+    assert main(["run", "minmax-game", "--data", "synthetic:game:seed=1:m=5:n=4",
+                 "--schedule", "polyak", flag, "-1e-3", "--iters", "5",
+                 "--out", str(out)]) == EXIT_OK
+    header, _, _ = read_trace(out / "minmax-game.trace.jsonl")
+    assert header.f_star == -0.001
+    assert header.config["f_star"] == -0.001
+
+
+@pytest.mark.parametrize("args, problem_shape", [
+    (["adaboost", "--data", "synthetic:nonseparable:seed=1:m=30:d=3"], ("m", "n")),
+    (["minmax-game", "--data", "synthetic:game:seed=1:m=20:n=10"], ("m", "n")),
+    (["fs", "--data", "synthetic:regression:seed=1:n=30:p=20", "--schedule", "linesearch"],
+     ("n", "p")),
+    # center_scale makes a second regression problem; only its own payoff is made
+    (["fs", "--data", "synthetic:regression:seed=1:n=30:p=20", "--schedule", "optimal",
+      "--center", "--scale"], ("n", "p")),
+])
+def test_a_run_makes_one_problem_and_its_header_describes_it(tmp_path, monkeypatch, args,
+                                                              problem_shape):
+    made, ran = [], []
+    post_init = md_core.MinmaxProblem.__post_init__
+
+    def counted(self):
+        made.append(self)
+        post_init(self)
+
+    engine = md_core.run
+
+    def recorded(problem, *rest, **kwargs):
+        ran.append(problem)
+        return engine(problem, *rest, **kwargs)
+
+    monkeypatch.setattr(md_core.MinmaxProblem, "__post_init__", counted)
+    monkeypatch.setattr(md_core, "run", recorded)
+    out = tmp_path / "out"
+    assert main(["run", *args, "--iters", "20", "--out", str(out), "--prefix", "p"]) == EXIT_OK
+    assert len(made) == len(ran) == 1
+    problem = ran[0]
+    assert made[0] is problem
+    header, _, _ = read_trace(out / "p.trace.jsonl")
+    assert header.lipschitz == problem.lipschitz()
+    rows, columns = problem_shape
+    assert header.shape == {rows: problem.m, columns: problem.n}
 
 
 def test_dynamic_run_whose_square_sum_overflows_is_a_usage_error(tmp_path, monkeypatch, capsys):

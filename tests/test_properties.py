@@ -14,6 +14,11 @@ dual_response and prox_solve bit for bit.
 The instances cover ties (entries drawn from a coarse grid), duplicate
 columns, zero margin columns, a single example or sample, and large fixed
 steps that drive example weights to exactly zero.
+
+Every Lipschitz constant comes from the problem, which computes it once, when
+it is made; on matrices with ties, signed zeros, subnormals and entries of
++-1 it equals the direct formula of its domain bit for bit, through the
+problem and through both views.
 """
 
 import functools
@@ -232,16 +237,17 @@ def certified_runs(draw):
                             response=np.array([-1.0, -0.5]))))
 def test_no_certificate_fails_on_a_random_instance(case):
     config, instance = case
+    problem = instance.to_minmax()
     try:  # `run` refuses these set-ups with exit 2: a zero Lipschitz constant or diameter
         if config.task == "fs":
-            schedule, header = cli._prepare_fs_run(config, instance)
+            schedule, header = cli._prepare_fs_run(config, instance, problem)
             x0 = instance.response.copy()
         else:
-            schedule, header = cli._prepare_boost_run(config, instance)
+            schedule, header = cli._prepare_boost_run(config, problem)
             x0 = None
     except ValueError:
         reject()
-    result = md_core.run(instance.to_minmax(), schedule, config.iterations, x0=x0,
+    result = md_core.run(problem, schedule, config.iterations, x0=x0,
                          algorithm=header.algorithm)
     assume(result.records)  # `run` refuses a run that stopped before its first round
     report = check(result.records, header)
@@ -309,3 +315,28 @@ def test_run_equals_a_replay_through_prox_solve_on_fs(design, data):
     problem = MinmaxProblem(design, primal_domain=md_core.PRIMAL_RESIDUAL,
                             dual_domain=md_core.DUAL_L1_BALL)
     _assert_run_equals_replay(problem, schedule, prox.euclidean(design.shape[0]), x0=response)
+
+
+# ties, signed zeros, subnormals, the smallest normal and the ends of [-1, 1]
+lipschitz_entries = st.one_of(
+    st.sampled_from((-1.0, 1.0, 0.5, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                     2.2250738585072014e-308)),
+    st.floats(-1.0, 1.0, allow_nan=False))
+
+
+@settings(max_examples=500, deadline=None)
+@given(arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+              elements=lipschitz_entries))
+@example(np.array([[-0.0, -0.0], [-0.0, -0.0]]))
+@example(np.array([[5e-324, -0.0], [-5e-324, 1.0]]))
+def test_each_lipschitz_constant_is_its_domains_formula_bit_for_bit(matrix):
+    largest_entry = float(max(matrix.max(), -matrix.min()))
+    largest_column = float(np.linalg.norm(matrix, axis=0).max())
+    simplex = MinmaxProblem(matrix)
+    residual = MinmaxProblem(matrix, primal_domain="residual-space", dual_domain="l1-ball")
+    assert simplex.lipschitz().hex() == largest_entry.hex()
+    assert residual.lipschitz().hex() == largest_column.hex()
+    assert TrainingSet(margins=matrix).lipschitz.hex() == largest_entry.hex()
+    if np.all(np.linalg.norm(matrix, axis=0) > 0.0):  # a design has no zero column
+        rp = RegressionProblem(design=matrix, response=np.zeros(matrix.shape[0]))
+        assert rp.design_norm.hex() == largest_column.hex()

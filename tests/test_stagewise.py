@@ -37,9 +37,10 @@ def test_problem_validation():
 def test_problem_norms_and_minmax_view():
     rp = RegressionProblem(design=np.array([[3.0, 0.0], [4.0, 1.0]]),
                            response=np.array([1.0, 1.0]))
-    np.testing.assert_array_equal(rp.column_norms, [5.0, 1.0])
     assert rp.design_norm == 5.0
     prob = rp.to_minmax()
+    assert rp.to_minmax() is prob
+    assert prob.payoff is rp.design
     assert prob.primal_domain == "residual-space"
     assert prob.dual_domain == "l1-ball"
     assert prob.lipschitz() == 5.0
