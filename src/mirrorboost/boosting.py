@@ -150,12 +150,12 @@ def run_adaboost(ts: TrainingSet, schedule: StepSchedule, iterations: int,
                  sink=None) -> RunResult:
     """Run AdaBoost from uniform weights: the engine on the edge problem.
 
-    Records carry the edge as the objective and as the loss-gradient norm, and
-    the smallest margin of the normalized coefficients after the round as the
-    dual value. An undefined line-search step (edge equal to 1) stops the run
-    early with the reason on the result. The final state's `x` holds the
-    example weights and its `dual_weighted_sum` the classifier coefficients;
-    `sink`, when given, gets each record and the example weights before its
-    round, which the records do not keep.
+    Records carry the edge, by identity the loss gradient's max-norm, as the
+    objective, and the smallest margin of the normalized coefficients after
+    the round as the dual value. An undefined line-search step (edge equal to
+    1) stops the run early with the reason on the result. The final state's
+    `x` holds the example weights and its `dual_weighted_sum` the classifier
+    coefficients; `sink`, when given, gets each record and the example
+    weights before its round, which the records do not keep.
     """
     return md_core.run(ts.to_minmax(), schedule, iterations, sink=sink, algorithm="adaboost")

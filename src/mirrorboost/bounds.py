@@ -182,13 +182,6 @@ class CertificateReport:
                     entry["min_slack"] = r.slack
         return out
 
-    def slacks_by_iteration(self) -> dict[int, dict[str, float]]:
-        out: dict[int, dict[str, float]] = {}
-        for r in self.records:
-            if r.slack is not None:
-                out.setdefault(r.k, {})[r.tag] = r.slack
-        return out
-
     def to_dict(self) -> dict:
         return {
             "summary": self.summary(),
@@ -309,7 +302,7 @@ def _inconsistency(records) -> CertificateRecord | None:
 def check(records, header: TraceHeader) -> CertificateReport:
     """Evaluate every applicable bound against an iteration trace, with the
     problem constants its header holds: the algorithm, the schedule kind,
-    lipschitz, diameter, f_star, dist0, eps, horizon and dual_defined.
+    lipschitz, diameter, f_star, dist0, eps, horizon, dual_defined and format.
 
     The record produced at iteration k pairs the best pre-step value over
     iterations 0..k with the post-step dual average (or the known optimal
@@ -328,6 +321,9 @@ def check(records, header: TraceHeader) -> CertificateReport:
 
     step_sum = 0.0
     step_sq_sum = 0.0
+    # the gap certificates refer to best_primal; a format-1 adaboost trace's
+    # reports keep their bytes by referring to its running minimum grad_norm
+    by_grad_norm = algo == "adaboost" and header.format == 1
     best_grad_norm = math.inf
     dual_ref = " (dual average undefined: zero step-size mass)"
 
@@ -335,11 +331,9 @@ def check(records, header: TraceHeader) -> CertificateReport:
         t = rec.k
         step_sum += rec.alpha
         step_sq_sum += rec.alpha * rec.alpha
-        if rec.grad_norm is not None and rec.grad_norm < best_grad_norm:
+        if by_grad_norm and rec.grad_norm is not None and rec.grad_norm < best_grad_norm:
             best_grad_norm = rec.grad_norm
-        # best observed value the gap certificates refer to: for boosting the
-        # loss-gradient norm, otherwise the primal objective
-        gap_ref = best_grad_norm if algo == "adaboost" else rec.best_primal
+        gap_ref = best_grad_norm if by_grad_norm else rec.best_primal
 
         if header.dual_defined:
             if rec.dual is None:
@@ -415,7 +409,7 @@ def check(records, header: TraceHeader) -> CertificateReport:
         elif final.dual is None:
             report.records.append(_not_evaluable(final.k, GAP_CONSTANT, "no dual value" + dual_ref))
         else:
-            gap_ref = best_grad_norm if algo == "adaboost" else final.best_primal
+            gap_ref = best_grad_norm if by_grad_norm else final.best_primal
             bound = constant_bound(header.diameter, header.lipschitz, header.horizon)
             report.records.append(_evaluated(final.k, GAP_CONSTANT, gap_ref - final.dual, bound))
     if header.f_star is not None and header.schedule_kind == "optimal":

@@ -215,7 +215,6 @@ def _prepare_boost_run(config: ExperimentConfig, problem: MinmaxProblem):
     header = TraceHeader(
         algorithm="adaboost" if config.task == "adaboost" else "mirror-descent",
         schedule_kind=config.schedule,
-        schedule=schedule.describe(),
         iterations=config.iterations,
         shape={"m": m, "n": problem.n},
         lipschitz=lipschitz,
@@ -263,7 +262,6 @@ def _prepare_fs_run(config: ExperimentConfig, rp: RegressionProblem, problem: Mi
     header = TraceHeader(
         algorithm="stagewise",
         schedule_kind=config.schedule,
-        schedule=schedule.describe(),
         iterations=config.iterations,
         shape={"n": problem.m, "p": problem.n},
         lipschitz=lipschitz,
@@ -328,8 +326,7 @@ def _write_outputs(out_dir: Path, prefix: str, header: TraceHeader, result,
         "report_txt": out_dir / f"{prefix}.report.txt",
         "plot": out_dir / f"{prefix}.plot.csv",
     }
-    trace = format_trace(header, result.records, terminated=result.terminated,
-                         slacks=report.slacks_by_iteration())
+    trace = format_trace(header, result.records, terminated=result.terminated)
     _check_report_is_finite(report)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(paths["trace"], "w", encoding="utf-8") as fh:

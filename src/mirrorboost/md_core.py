@@ -77,7 +77,10 @@ class MinmaxProblem:
             # max |A_ij| from the extremes just read, without an |A| temporary
             lipschitz = max(high, -low)
         else:
-            lipschitz = np.linalg.norm(payoff, axis=0).max()
+            # a norm past the float range is an infinite constant, which the
+            # trace header refuses
+            with np.errstate(over="ignore"):
+                lipschitz = np.linalg.norm(payoff, axis=0).max()
         object.__setattr__(self, "_lipschitz", float(lipschitz))
 
     @property
@@ -335,18 +338,6 @@ class StepSchedule:
             return self.sequence[k]
         raise ValueError(f"unknown schedule kind: {self.kind!r}")
 
-    def describe(self) -> dict:
-        out = {"kind": self.kind}
-        for name in ("alpha", "lipschitz", "diameter", "f_star"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = float(v)
-        if self.kind == "edge-linesearch":
-            out["edge_cap"] = EDGE_CAP
-        if self.sequence is not None:
-            out["length"] = len(self.sequence)
-        return out
-
 
 def run(problem: MinmaxProblem, schedule: StepSchedule, iterations: int, x0=None,
         sink=None, algorithm: str = "mirror-descent") -> RunResult:
@@ -360,11 +351,10 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, iterations: int, x0=None
     read from running margins A @ dual_weighted_sum, to which each round adds
     alpha * g in O(m), so the payoff is scanned once per round, by the dual
     response; only a simplex primal domain keeps them. `algorithm` is the
-    tag the records carry; "adaboost" records also carry the edge as the
-    loss-gradient norm, which equals it by the AdaBoost identity. Under the
-    l1-ball dual the records carry the l1 norm and support size of the
-    pre-step dual sum, which is the stagewise coefficient vector; the support
-    size is a running count, updated from the one entry each round changes.
+    tag the records carry. Under the l1-ball dual the records carry the l1
+    norm and support size of the pre-step dual sum, which is the stagewise
+    coefficient vector; the support size is a running count, updated from the
+    one entry each round changes.
 
     `x0` is checked once, here, against the primal domain and as the state's
     anchor. Each round md_step advances that state in place.
@@ -427,7 +417,6 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, iterations: int, x0=None
             primal=value,
             best_primal=state.best_value,
             dual=dual,
-            grad_norm=value if algorithm == "adaboost" else None,
             l1=l1,
             l0=l0,
         )

@@ -46,7 +46,11 @@ class RegressionProblem:
             raise ValueError("response must have one entry per row of the design")
         if not np.all(np.isfinite(design)) or not np.all(np.isfinite(response)):
             raise ValueError("design and response must be finite")
-        if np.any(np.linalg.norm(design, axis=0) == 0.0):
+        # a column norm past the float range is no zero column, and the header
+        # refuses its non-finite Lipschitz constant
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(design, axis=0)
+        if np.any(norms == 0.0):
             raise ValueError("design must not contain an all-zero column")
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "response", response)

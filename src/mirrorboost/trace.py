@@ -7,11 +7,12 @@ sorted and floats keep full round-trip precision, so identical runs produce
 byte-identical files. Traces are strict JSON: a non-finite value is an error
 when writing, and a NaN or Infinity token is an error when reading.
 
-The tables `_HEADER_TYPES`, `_RECORD_TYPES` and `_TERMINAL_TYPES` are the
-schema: each maps a field of one kind of line to its JSON type and whether it
-may be null, and the keys a line may omit sit next to it. `to_dict` writes a
-line's fields as its table declares them, and `parse_line` reads one back in
-a single pass over them; nothing else names a field.
+The tables below are the schema: each maps a field of one kind of line, in
+one trace format, to its JSON type and whether it may be null, and the keys a
+line may omit sit next to it. `to_dict` writes a line's fields as the table
+of format 2 declares them, and `parse_line` reads one back in a single pass
+over the table of its format; nothing else names a field. Format 1, whose
+header has no `format` key, is read but not written.
 """
 
 from __future__ import annotations
@@ -23,11 +24,14 @@ from typing import Iterable
 
 ALGORITHMS = ("mirror-descent", "adaboost", "stagewise")
 
-# Apart from `type`, and a record's certificate `slacks`, which the report
-# owns and `check` recomputes, a table's keys are its line class's fields.
+# the trace format `format_trace` writes
+FORMAT = 2
+
+# Format 2. Apart from `type`, a table's keys are its line class's fields,
+# but for a record's grad_norm, which only format 1 holds.
 _HEADER_TYPES = {
-    "type": (str, False), "algorithm": (str, False), "schedule_kind": (str, False),
-    "schedule": (dict, False), "iterations": (int, False), "shape": (dict, False),
+    "type": (str, False), "format": (int, False), "algorithm": (str, False),
+    "schedule_kind": (str, False), "iterations": (int, False), "shape": (dict, False),
     "lipschitz": (float, True), "diameter": (float, True), "f_star": (float, True),
     "dist0": (float, True), "eps": (float, True), "horizon": (int, True),
     "dual_defined": (bool, False), "config": (dict, True),
@@ -37,12 +41,28 @@ _RECORD_TYPES = {
     "type": (str, False), "k": (int, False), "algorithm": (str, False),
     "index": (int, False), "sign": (float, False), "alpha": (float, False),
     "primal": (float, False), "best_primal": (float, False), "dual": (float, True),
-    "grad_norm": (float, True), "l1": (float, True), "l0": (int, True),
-    "slacks": (dict, False),
+    "l1": (float, True), "l0": (int, True),
 }
-_RECORD_OPTIONAL = frozenset({"l1", "l0", "slacks"})
+_RECORD_OPTIONAL = frozenset({"l1", "l0"})
 _TERMINAL_TYPES = {"type": (str, False), "k": (int, False), "reason": (str, False)}
 _TERMINAL_OPTIONAL = frozenset()
+
+# Format 1 repeats three facts: its header has a `schedule` dict in place of
+# `format`, and its records a `grad_norm` and, optionally, their certificate
+# `slacks`. The schedule dict and the slacks are checked, then dropped.
+_HEADER_TYPES_1 = {**{key: types for key, types in _HEADER_TYPES.items() if key != "format"},
+                   "schedule": (dict, False)}
+_RECORD_TYPES_1 = {**_RECORD_TYPES, "grad_norm": (float, True), "slacks": (dict, False)}
+_RECORD_OPTIONAL_1 = _RECORD_OPTIONAL | {"slacks"}
+# the table and optional keys of each kind of line that format 1 reads in its own way
+_FORMAT_1 = {"header": (_HEADER_TYPES_1, _HEADER_OPTIONAL),
+             "record": (_RECORD_TYPES_1, _RECORD_OPTIONAL_1)}
+
+# the schedule dict's kind of a format-1 header, by (algorithm, schedule_kind),
+# where it is not schedule_kind itself
+_SCHEDULE_KINDS = {("adaboost", "linesearch"): "edge-linesearch",
+                   ("stagewise", "constant"): "fixed", ("stagewise", "optimal"): "fixed",
+                   ("stagewise", "linesearch"): "polyak"}
 
 
 def typed_fields(obj: dict, types: dict[str, tuple[type, bool]], optional: frozenset,
@@ -84,15 +104,15 @@ class _Line:
     kind = ""
 
     def to_dict(self) -> dict:
-        """The line's JSON object: the fields its table types int, float or
-        bool are converted to that type, the others are written as they are."""
-        types = _LINES[self.kind][1]
+        """The line's format-2 JSON object: the fields its table types int,
+        float or bool are converted to that type, the others are written as
+        they are, and a field outside the table is not."""
         out = {"type": self.kind}
         # not self.__dict__: reading it would give every record a dict of its own
-        for key in self.__dataclass_fields__:
-            value = getattr(self, key)
-            kind = types[key][0]
-            out[key] = value if value is None or kind is str or kind is dict else kind(value)
+        for key, (kind, _) in _LINES[self.kind][1].items():
+            if key != "type":
+                value = getattr(self, key)
+                out[key] = value if value is None or kind is str or kind is dict else kind(value)
         return out
 
 
@@ -100,10 +120,11 @@ class _Line:
 class IterationRecord(_Line):
     """One iteration of any of the runners, iterate-side values first.
 
-    `primal`, `grad_norm`, `l1` and `l0` describe the iterate before the step;
-    `dual` is the value of the running dual average after the step, None when
-    the average is undefined (zero step mass) or the dual value does not exist
-    for the problem.
+    `primal`, `l1` and `l0` describe the iterate before the step; `dual` is
+    the value of the running dual average after the step, None when the
+    average is undefined (zero step mass) or the dual value does not exist
+    for the problem. `grad_norm` is the loss-gradient norm that format-1
+    traces carry; runs leave it None, and format 2 does not write it.
     """
 
     kind = "record"
@@ -132,14 +153,13 @@ class RunResult:
 
 @dataclass
 class TraceHeader(_Line):
-    """The first line of a trace: the run's schedule and size, and the
-    constants its certificates are evaluated with."""
+    """The first line of a trace: the run's schedule and size, the constants
+    its certificates are evaluated with, and the trace's format, 2 for a run."""
 
     kind = "header"
 
     algorithm: str
     schedule_kind: str
-    schedule: dict
     iterations: int
     shape: dict
     lipschitz: float | None = None
@@ -150,6 +170,7 @@ class TraceHeader(_Line):
     horizon: int | None = None
     dual_defined: bool = True
     config: dict | None = None
+    format: int = FORMAT
 
 
 @dataclass
@@ -163,8 +184,8 @@ class Terminal(_Line):
     reason: str
 
 
-# each kind of line: its class, its table, the keys it may omit, and the
-# texts of its errors for a field's type, missing keys and unknown keys
+# each kind of line: its class, its format-2 table, the keys it may omit, and
+# the texts of its errors for a field's type, missing keys and unknown keys
 _LINES = {
     "header": (TraceHeader, _HEADER_TYPES, _HEADER_OPTIONAL, "header line field",
                "header line missing keys: {}", "header line has unknown keys: {}"),
@@ -175,38 +196,79 @@ _LINES = {
 }
 
 
-def parse_line(obj) -> TraceHeader | IterationRecord | Terminal:
+def parse_line(obj, format: int = FORMAT) -> TraceHeader | IterationRecord | Terminal:
     """The header, record or terminal line that one decoded trace line holds.
 
-    One pass over the line's table checks that each key is known, each key
-    the line may not omit is there, and each value has its JSON type; a float
-    field's integer becomes a float. Records and the header must name a known
-    algorithm, a record's sign must be 1.0 or -1.0, and stagewise and adaboost
-    records must carry the fields their certificates read. Raises ValueError
-    on the first violation.
+    A record or terminal line is read in `format`, its header's; a header is
+    format 1 without a `format` key, and may say no format but 2. One pass
+    over the line's table checks that each key is known, each key the line
+    may not omit is there, and each value has its JSON type; a float field's
+    integer becomes a float. Records and the header must name a known
+    algorithm, a record's sign must be 1.0 or -1.0, and stagewise records and
+    format-1 adaboost records must carry the fields their certificates read.
+    A header's dual_defined and format-1 schedule dict must be what runs
+    write. Raises ValueError on the first violation.
     """
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("trace line must be an object with a 'type' key")
     kind = obj["type"]
     if type(kind) is not str or kind not in _LINES:
         raise ValueError(f"unknown trace line type: {kind!r}")
+    if kind == "header":
+        format = obj.get("format", 1)
+        if "format" in obj and (type(format) is not int or format != FORMAT):
+            raise ValueError(f"header line field 'format' must be {FORMAT}, got {format!r}")
     cls, types, optional, field, missing, unknown = _LINES[kind]
+    if format == 1:
+        types, optional = _FORMAT_1.get(kind, (types, optional))
     values = typed_fields(obj, types, optional, field, missing, unknown)
     del values["type"]
     values.pop("slacks", None)
+    schedule = values.pop("schedule", None)
+    if cls is TraceHeader:
+        values["format"] = format
     line = cls(**values)
     if cls is Terminal:
         return line
     if line.algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm tag: {line.algorithm!r}")
-    if cls is IterationRecord:
+    if cls is TraceHeader:
+        dual_defined = line.algorithm != "stagewise"
+        if line.dual_defined != dual_defined:
+            raise ValueError(f"header line field 'dual_defined' must be {dual_defined} for "
+                             f"algorithm {line.algorithm!r}, got {line.dual_defined!r}")
+        if schedule is not None:
+            _check_schedule(schedule, line)
+    else:
         if line.algorithm == "stagewise" and (line.l1 is None or line.l0 is None):
             raise ValueError("stagewise records must carry l1 and l0")
-        if line.algorithm == "adaboost" and line.grad_norm is None:
+        if format == 1 and line.algorithm == "adaboost" and line.grad_norm is None:
             raise ValueError("adaboost records must carry grad_norm")
         if line.sign != 1.0 and line.sign != -1.0:
             raise ValueError(f"record line field 'sign' must be 1.0 or -1.0, got {line.sign!r}")
     return line
+
+
+def _check_schedule(schedule: dict, header: TraceHeader) -> None:
+    """Refuse a format-1 header whose schedule dict contradicts its other
+    fields, as no run writes it: the dict's kind must be the one runs write
+    for the header's algorithm and schedule_kind, its lipschitz, diameter and
+    f_star, where it has them, the header's, and a fixed step's alpha the
+    header's eps."""
+    kind = _SCHEDULE_KINDS.get((header.algorithm, header.schedule_kind), header.schedule_kind)
+    if schedule.get("kind") != kind:
+        raise ValueError(f"header line field 'schedule.kind' must be {kind!r} for algorithm "
+                         f"{header.algorithm!r} and schedule_kind {header.schedule_kind!r}, "
+                         f"got {schedule.get('kind')!r}")
+    # each constant of the dict to check, and the header field it must equal
+    fields = {name: name for name in ("lipschitz", "diameter", "f_star") if name in schedule}
+    if kind == "fixed":
+        fields["alpha"] = "eps"
+    for name, field in fields.items():
+        value, want = schedule.get(name), getattr(header, field)
+        if type(value) not in (int, float) or want is None or value != want:
+            raise ValueError(f"header line field 'schedule.{name}' must equal the header's "
+                             f"{field} {want!r}, got {value!r}")
 
 
 def _non_finite_field(value, name: str = "") -> str | None:
@@ -250,13 +312,11 @@ def _contradiction(rec: IterationRecord, header: TraceHeader) -> str | None:
 
 
 def format_trace(header: TraceHeader, records: Iterable[IterationRecord],
-                 terminated: str | None = None,
-                 slacks: dict[int, dict[str, float]] | None = None) -> str:
-    """The text of a trace file; optional per-iteration certificate slacks are
-    merged in. Every line passes parse_line and every record carries the
-    header's algorithm and an index below its column count, as read_trace
-    requires; the terminal line counts the records. A non-finite value in any
-    field raises ValueError naming the field."""
+                 terminated: str | None = None) -> str:
+    """The text of a format-2 trace file. Every line passes parse_line and
+    every record carries the header's algorithm and an index below its column
+    count, as read_trace requires; the terminal line counts the records. A
+    non-finite value in any field raises ValueError naming the field."""
     head = header.to_dict()
     parse_line(head)
     lines = [_dumps(head)]
@@ -265,8 +325,6 @@ def format_trace(header: TraceHeader, records: Iterable[IterationRecord],
         if problem is not None:
             raise ValueError(f"record line k={rec.k}: {problem}")
         obj = rec.to_dict()
-        if slacks is not None and rec.k in slacks:
-            obj["slacks"] = {tag: float(v) for tag, v in sorted(slacks[rec.k].items())}
         parse_line(obj)
         lines.append(_dumps(obj))
     if terminated is not None:
@@ -278,11 +336,10 @@ def format_trace(header: TraceHeader, records: Iterable[IterationRecord],
 
 
 def write_trace(path, header: TraceHeader, records: Iterable[IterationRecord],
-                terminated: str | None = None,
-                slacks: dict[int, dict[str, float]] | None = None) -> None:
+                terminated: str | None = None) -> None:
     """Write format_trace's text to `path`; a non-finite field raises
     ValueError before the file is opened."""
-    text = format_trace(header, records, terminated=terminated, slacks=slacks)
+    text = format_trace(header, records, terminated=terminated)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.flush()
@@ -297,11 +354,12 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 def read_trace(path) -> tuple[TraceHeader, list[IterationRecord], str | None]:
     """The header, records and terminal reason (None without a terminal line)
-    of a trace file. Raises ValueError, naming the line, for a line that is
-    not strict JSON or that parse_line refuses, for a record whose algorithm
-    is not the header's or whose index names no column of its shape, and
-    unless the header is the first non-empty line and at most one terminal
-    line ends the trace, with k equal to the number of records before it."""
+    of a trace file, read in its header's format. Raises ValueError, naming
+    the line, for a line that is not strict JSON or that parse_line refuses,
+    for a record whose algorithm is not the header's or whose index names no
+    column of its shape, and unless the header is the first non-empty line
+    and at most one terminal line ends the trace, with k equal to the number
+    of records before it."""
     header = None
     records: list[IterationRecord] = []
     terminated = None
@@ -316,7 +374,7 @@ def read_trace(path) -> tuple[TraceHeader, list[IterationRecord], str | None]:
             except ValueError as exc:  # json.JSONDecodeError is one
                 raise ValueError(f"{path}: line {lineno} is not valid JSON: {exc}") from exc
             try:
-                line = parse_line(obj)
+                line = parse_line(obj, FORMAT if header is None else header.format)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             if terminal_line is not None:

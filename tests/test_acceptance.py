@@ -99,7 +99,7 @@ def test_03_boosting_gap_certificates():
 
     res = run_adaboost(ts, StepSchedule.constant(1.0, d, 100), 100)
     last = res.records[-1]
-    best_grad = min(rec.grad_norm for rec in res.records)
+    best_grad = min(rec.primal for rec in res.records)  # the edge is the gradient norm
     if best_grad - last.dual > math.sqrt(2.0 * d / 100.0) + 1e-9:
         failures.append("final gap exceeds the tuned-constant closed form")
     header = certificate_header(algorithm="adaboost", schedule_kind="constant",
@@ -111,7 +111,7 @@ def test_03_boosting_gap_certificates():
     res_dyn = run_adaboost(ts, StepSchedule.dynamic(1.0, d), 100)
     best = math.inf
     for rec in res_dyn.records:
-        best = min(best, rec.grad_norm)
+        best = min(best, rec.primal)
         if best - rec.dual > bounds.dynamic_bound(d, 1.0, rec.k) + 1e-9:
             failures.append(("dynamic closed form violated at", rec.k))
             break

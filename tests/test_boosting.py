@@ -228,8 +228,8 @@ def test_run_adaboost_records_pre_step_values():
     ts = datagen.make_margin_matrix(m=8, n=5, seed=11)
     res, weights = run_with_iterates(run_adaboost, ts, StepSchedule.fixed(0.3), 10)
     np.testing.assert_array_equal(weights[0], np.full(8, 1.0 / 8.0))
-    # the recorded loss-gradient norm is the edge
-    assert all(rec.grad_norm == rec.primal for rec in res.records)
+    # the edge is the loss-gradient norm, and the records state it once
+    assert all(rec.grad_norm is None for rec in res.records)
     # best_primal is the running minimum of the recorded primal values
     best = math.inf
     for rec in res.records:

@@ -202,7 +202,7 @@ def test_check_missing_constants_never_pass_silently():
 
 def test_check_adaboost_gap_uses_best_gradient_norm():
     header = certificate_header(algorithm="adaboost", schedule_kind="fixed",
-                                lipschitz=1.0, diameter=math.log(4.0))
+                                lipschitz=1.0, diameter=math.log(4.0), format=1)
     recs = [
         _rec(0, 0.5, 0.9, 0.9, dual=0.1, grad_norm=0.6, algorithm="adaboost"),
         _rec(1, 0.5, 0.8, 0.8, dual=0.2, grad_norm=0.7, algorithm="adaboost"),
@@ -212,6 +212,11 @@ def test_check_adaboost_gap_uses_best_gradient_norm():
     assert gaps[0].observed == pytest.approx(0.6 - 0.1, rel=1e-12)
     # the reference is the running minimum of the gradient norm, not 0.7
     assert gaps[1].observed == pytest.approx(0.6 - 0.2, rel=1e-12)
+    # format 2 holds no gradient norm: the reference is best_primal
+    report = check(recs, certificate_header(algorithm="adaboost", schedule_kind="fixed",
+                                            lipschitz=1.0, diameter=math.log(4.0)))
+    assert [r.observed for r in report.records if r.tag == "gap-running"] == [
+        0.9 - 0.1, 0.8 - 0.2]
 
 
 def test_check_dynamic_schedule_adds_per_record_closed_form():
@@ -353,9 +358,6 @@ def test_report_aggregations():
     wd = by_tag["weak-duality"]
     assert wd["total"] == 2 and wd["failed"] == 1
     assert wd["min_slack"] == pytest.approx(-0.05, rel=1e-12)
-    slacks = report.slacks_by_iteration()
-    assert set(slacks) == {0, 1}
-    assert "weak-duality" in slacks[0] and "gap-running" in slacks[0]
     d = report.to_dict()
     assert set(d) == {"summary", "by_tag", "records"}
     assert d["summary"]["total"] == len(report.records)

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,12 @@ from mirrorboost.cli import (
     parse_data_spec,
 )
 from mirrorboost.datagen import make_regression, write_regression_csv
+from mirrorboost.md_core import MinmaxProblem
+from mirrorboost.stagewise import RegressionProblem
 from mirrorboost.trace import read_trace
+
+# format-1 traces, as the parent fixtures of test_parent_outputs.py
+PARENT = Path(__file__).parent / "data" / "parent"
 
 
 def test_parse_data_spec_forms():
@@ -274,14 +280,14 @@ def test_a_run_makes_one_problem_and_its_header_describes_it(tmp_path, monkeypat
 def test_dynamic_run_whose_square_sum_overflows_is_a_usage_error(tmp_path, monkeypatch, capsys):
     # the dynamic schedule checks only its first step: here twice its square
     # is finite, but the squares summed over 10 rounds overflow, so the
-    # running-gap certificate's slack is not finite and the strict trace
-    # writer refuses it after the run
+    # running-gap certificate's bound is not finite and the strict report
+    # refuses it after the run
     tiny = TrainingSet.from_margin_matrix(np.array([[1.3e-154, -0.6e-154], [0.0, 1.3e-154]]))
     monkeypatch.setattr(datagen, "make_margin_matrix", lambda **_: tiny)
     out = tmp_path / "out"
     assert main(["run", "minmax-game", "--data", "synthetic:game:seed=1",
                  "--schedule", "dynamic", "--iters", "10", "--out", str(out)]) == EXIT_USAGE
-    assert "field 'slacks.gap-running' is not finite" in capsys.readouterr().err
+    assert "tag 'gap-running': field 'bound' is not finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -489,11 +495,10 @@ def test_check_refuses_records_that_contradict_their_header(tmp_path, capsys, ca
     header, *records = (out / "g.trace.jsonl").read_text().splitlines()
     lines, message = {
         "header relabelled stagewise": (
-            [_relabelled(header, algorithm="stagewise")] + records,
+            [_relabelled(header, algorithm="stagewise", dual_defined=False)] + records,
             "line 2: record algorithm 'mirror-descent' differs from the header's 'stagewise'"),
         "records relabelled adaboost": (
-            [header] + [_relabelled(line, algorithm="adaboost",
-                                    grad_norm=json.loads(line)["primal"]) for line in records],
+            [header] + [_relabelled(line, algorithm="adaboost") for line in records],
             "line 2: record algorithm 'adaboost' differs from the header's 'mirror-descent'"),
         "records with sign 7.5": (
             [header] + [_relabelled(line, sign=7.5) for line in records],
@@ -537,6 +542,106 @@ def test_check_refuses_a_header_without_an_int_column_count(tmp_path, capsys, sh
     assert main(["check", str(trace)]) == EXIT_USAGE
     assert "line 2: record index" in capsys.readouterr().err
     assert list(trace.parent.iterdir()) == [trace]
+
+
+def _without_the_dual(line: str) -> str:
+    """A trace line with the header's dual value undefined and every
+    objective forged to -5.0, where no certificate then looks."""
+    obj = json.loads(line)
+    if obj["type"] == "header":
+        return _relabelled(line, dual_defined=False)
+    forged = {key: -5.0 for key in ("primal", "best_primal", "grad_norm") if key in obj}
+    return _relabelled(line, **forged)
+
+
+@pytest.mark.parametrize("source", ["run", "format-1 fixture"])
+def test_check_refuses_a_header_whose_dual_defined_contradicts_its_algorithm(tmp_path, capsys,
+                                                                            source):
+    if source == "run":
+        out = tmp_path / "run"
+        assert main(["run", "adaboost", "--data", "synthetic:nonseparable:seed=1:m=20:d=2",
+                     "--schedule", "dynamic", "--iters", "30",
+                     "--out", str(out), "--prefix", "a"]) == EXIT_OK
+        lines = (out / "a.trace.jsonl").read_text().splitlines()
+    else:
+        lines = (PARENT / "adaboost.trace.jsonl").read_text().splitlines()
+    trace = _alone_in_a_directory(tmp_path, [_without_the_dual(line) for line in lines])
+    capsys.readouterr()
+    assert main(["check", str(trace)]) == EXIT_USAGE
+    assert ("line 1: header line field 'dual_defined' must be True for algorithm 'adaboost', "
+            "got False") in capsys.readouterr().err
+    assert list(trace.parent.iterdir()) == [trace]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("record with slacks", "line 2: record line has unknown keys: ['slacks']"),
+    ("record with grad_norm", "line 2: record line has unknown keys: ['grad_norm']"),
+    ("header with schedule", "line 1: header line has unknown keys: ['schedule']"),
+    ("format 1", "line 1: header line field 'format' must be 2, got 1"),
+    ("format 3", "line 1: header line field 'format' must be 2, got 3"),
+    ("format '2'", "line 1: header line field 'format' must be 2, got '2'"),
+    ("format 2.0", "line 1: header line field 'format' must be 2, got 2.0"),
+    ("format true", "line 1: header line field 'format' must be 2, got True"),
+])
+def test_check_refuses_a_format_2_trace_with_a_format_1_field_or_another_format(
+        tmp_path, capsys, case, message):
+    header, first, *rest = _game_trace_lines(tmp_path)
+    lines = {
+        "record with slacks": [header, _relabelled(first, slacks={"weak-duality": 1.0})],
+        "record with grad_norm": [header, _relabelled(first, grad_norm=0.5)],
+        "header with schedule": [_relabelled(header, schedule={"kind": "dynamic"}), first],
+        "format 1": [_relabelled(header, format=1), first],
+        "format 3": [_relabelled(header, format=3), first],
+        "format '2'": [_relabelled(header, format="2"), first],
+        "format 2.0": [_relabelled(header, format=2.0), first],
+        "format true": [_relabelled(header, format=True), first],
+    }[case] + rest
+    trace = _alone_in_a_directory(tmp_path, lines)
+    capsys.readouterr()
+    assert main(["check", str(trace)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert list(trace.parent.iterdir()) == [trace]
+
+
+@pytest.mark.parametrize("prefix, fields, message", [
+    ("game", {"schedule_kind": "polyak"}, "'schedule.kind' must be 'polyak'"),
+    ("adaboost", {"schedule_kind": "linesearch"}, "'schedule.kind' must be 'edge-linesearch'"),
+    ("fs", {"schedule_kind": "optimal"}, "'schedule.kind' must be 'fixed'"),
+    ("game", {"lipschitz": 9.98051764647875},
+     "'schedule.lipschitz' must equal the header's lipschitz 9.98051764647875"),
+    ("adaboost", {"diameter": 29.95732273553991},
+     "'schedule.diameter' must equal the header's diameter 29.95732273553991"),
+    ("fs", {"f_star": -1e-3}, "'schedule.f_star' must equal the header's f_star -0.001"),
+    ("fs", {"schedule_kind": "constant", "schedule": {"kind": "fixed", "alpha": 0.01},
+            "eps": 0.02}, "'schedule.alpha' must equal the header's eps 0.02"),
+])
+def test_check_refuses_a_format_1_schedule_that_contradicts_its_header(tmp_path, capsys, prefix,
+                                                                      fields, message):
+    header, *records = (PARENT / f"{prefix}.trace.jsonl").read_text().splitlines()
+    trace = _alone_in_a_directory(tmp_path, [_relabelled(header, **fields)] + records)
+    capsys.readouterr()
+    assert main(["check", str(trace)]) == EXIT_USAGE
+    assert f"line 1: header line field {message}" in capsys.readouterr().err
+    assert list(trace.parent.iterdir()) == [trace]
+
+
+def test_a_column_norm_past_the_float_range_is_refused_by_the_header_alone(tmp_path, capsys):
+    design = np.array([[1e200, 1.0], [3.0, 4.0], [1.0, 0.5]])
+    response = np.array([2.0, 5.0, 1.0])
+    data = tmp_path / "big.csv"
+    write_regression_csv(data, design, response)
+    out = tmp_path / "never"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert RegressionProblem(design=design, response=response).design_norm == math.inf
+        assert MinmaxProblem(design, primal_domain="residual-space",
+                             dual_domain="l1-ball").lipschitz() == math.inf
+        capsys.readouterr()
+        assert main(["run", "fs", "--data", str(data), "--schedule", "linesearch",
+                     "--iters", "3", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == ("error: header line: field 'lipschitz' is not finite, "
+                                       "and traces are strict JSON\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("token", ["seed=1.9", "seed=-3"])

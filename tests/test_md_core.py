@@ -260,17 +260,6 @@ def test_schedule_edge_linesearch():
         s.step_size(0)
 
 
-def test_schedule_describe_round_trips_parameters():
-    assert StepSchedule.constant(1.0, math.log(2.0), 100).describe() == {
-        "kind": "constant",
-        "alpha": math.sqrt(2.0 * math.log(2.0) / 100),
-        "lipschitz": 1.0,
-        "diameter": math.log(2.0),
-    }
-    assert StepSchedule.edge_linesearch().describe() == {
-        "kind": "edge-linesearch", "edge_cap": 1e-12}
-
-
 def test_run_matching_pennies_closes_the_gap():
     prob = MinmaxProblem(PENNIES)
     sched = StepSchedule.constant(1.0, math.log(2.0), 100)

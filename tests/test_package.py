@@ -1,5 +1,6 @@
 """The package's public names, and what importing it loads: the names are
-resolved on first use, so `mirrorboost check` runs without numpy."""
+resolved on first use, so `mirrorboost check` runs without numpy. The
+README's Library example runs as written."""
 
 import os
 import subprocess
@@ -53,3 +54,10 @@ def test_check_never_imports_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "summary: " in proc.stdout
     assert proc.stdout.splitlines()[-1] == f"exit {EXIT_OK} False"
+
+
+def test_the_readmes_library_example_runs():
+    readme = Path(__file__).parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, str(readme), "exec"), {})

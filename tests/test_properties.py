@@ -3,8 +3,8 @@ run_fs reproduce the classical loops of tests/oracles.py bit for bit, except
 AdaBoost's dual value, which the engine keeps in running margins and the
 oracle recomputes densely; the two agree within oracles.dual_rounding_bound.
 
-A run's report also survives the round trip through its trace: `check`
-rebuilds the same report.json bytes from the written trace. On random
+A run's records survive the round trip through its trace bit for bit, and
+`check` rebuilds the same report.json bytes from the written trace. On random
 instances of every task and schedule the command line offers, prepared as
 `run` prepares them, no certificate of the paper fails. And the engine loop,
 which checks a step's anchor only on the first round and keeps the support
@@ -155,16 +155,26 @@ def _report_json(report) -> str:
     return fh.getvalue()
 
 
+def _fields(line) -> list:
+    """A trace line's fields with their types and reprs, so that -0.0 differs
+    from 0.0 and 1 from 1.0."""
+    return [(key, type(value), repr(value)) for key, value in vars(line).items()]
+
+
 def _assert_check_rebuilds_the_report(result, header: TraceHeader) -> None:
-    """Write the run's trace as `run` does, read it back and check it again:
-    the report.json bytes must match, and must be json.dump's."""
+    """Write the run's trace as `run` does and read it back: the header, the
+    records and the terminal reason come back bit for bit. Checking it again
+    gives the same report.json bytes, which must be json.dump's."""
     assume(result.records)  # `run` refuses a run that stopped before its first round
     report = check(result.records, header)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.trace.jsonl"
-        write_trace(path, header, result.records, terminated=result.terminated,
-                    slacks=report.slacks_by_iteration())
-        again = check_trace(*read_trace(path))
+        write_trace(path, header, result.records, terminated=result.terminated)
+        back = read_trace(path)
+    assert _fields(back[0]) == _fields(header)
+    assert [_fields(r) for r in back[1]] == [_fields(r) for r in result.records]
+    assert back[2] == result.terminated
+    again = check_trace(*back)
     written = _report_json(report)
     assert _report_json(again) == written
     assert written == json.dumps(report.to_dict(), sort_keys=True, indent=2,
@@ -179,8 +189,8 @@ def _assert_check_rebuilds_the_report(result, header: TraceHeader) -> None:
 def test_check_rebuilds_an_adaboost_report_from_its_trace(case):
     ts, schedule = case
     header = certificate_header(
-        algorithm="adaboost", schedule_kind=schedule.kind, schedule=schedule.describe(),
-        iterations=ITERATIONS, shape={"m": ts.num_examples, "n": ts.num_classifiers},
+        algorithm="adaboost", schedule_kind=schedule.kind, iterations=ITERATIONS,
+        shape={"m": ts.num_examples, "n": ts.num_classifiers},
         lipschitz=ts.lipschitz, diameter=math.log(ts.num_examples),
         horizon=ITERATIONS if schedule.kind == "constant" else None)
     _assert_check_rebuilds_the_report(run_adaboost(ts, schedule, ITERATIONS), header)
@@ -196,7 +206,7 @@ def test_check_rebuilds_a_stagewise_report_from_its_trace(case):
     fixed = schedule.kind == "fixed"
     header = certificate_header(
         algorithm="stagewise", schedule_kind="constant" if fixed else "linesearch",
-        schedule=schedule.describe(), iterations=ITERATIONS,
+        iterations=ITERATIONS,
         shape={"n": rp.num_samples, "p": rp.num_columns}, lipschitz=rp.design_norm,
         diameter=0.5 * dist0 * dist0, f_star=0.0, dist0=dist0,
         eps=schedule.alpha if fixed else None, dual_defined=False)

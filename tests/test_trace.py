@@ -1,6 +1,8 @@
 """Trace serialization: schema validation, round trips, byte-level determinism.
 
-The test_validate_line_* tests check the validation parse_line does."""
+The test_validate_line_* tests check the validation parse_line does. Traces
+are written in format 2; format 1, which the parent fixtures of
+tests/data/parent are written in, is still read."""
 
 import dataclasses
 import json
@@ -27,20 +29,36 @@ from mirrorboost.trace import (
 
 
 def _header(**overrides) -> TraceHeader:
-    base = dict(algorithm="adaboost", schedule_kind="constant",
-                schedule={"kind": "constant", "alpha": 0.25}, iterations=2,
+    """A header; dual_defined is what runs of its algorithm write."""
+    base = dict(algorithm="adaboost", schedule_kind="constant", iterations=2,
                 shape={"m": 4, "n": 3}, lipschitz=1.0, diameter=math.log(4.0),
-                horizon=2, dual_defined=True, config={"task": "adaboost"})
+                horizon=2, config={"task": "adaboost"})
     base.update(overrides)
+    base.setdefault("dual_defined", base["algorithm"] != "stagewise")
     return TraceHeader(**base)
 
 
 def _record(k: int, **overrides) -> IterationRecord:
     base = dict(k=k, algorithm="adaboost", index=1, sign=1.0, alpha=0.25,
-                primal=0.5 - 0.1 * k, best_primal=0.5 - 0.1 * k, dual=-0.2,
-                grad_norm=0.4)
+                primal=0.5 - 0.1 * k, best_primal=0.5 - 0.1 * k, dual=-0.2)
     base.update(overrides)
     return IterationRecord(**base)
+
+
+def _header_1(**overrides) -> dict:
+    """A format-1 header line: no `format`, and the schedule dict that runs
+    wrote for _header()'s constant schedule."""
+    line = {key: value for key, value in _header().to_dict().items() if key != "format"}
+    line["schedule"] = {"kind": "constant", "alpha": 0.25, "lipschitz": 1.0,
+                        "diameter": math.log(4.0)}
+    line.update(overrides)
+    return line
+
+
+def _record_1(k: int, **overrides) -> dict:
+    """A format-1 record line, with the loss-gradient norm and the slacks."""
+    return {**_record(k).to_dict(), "grad_norm": 0.4, "slacks": {"weak-duality": 0.7},
+            **overrides}
 
 
 def test_record_round_trip_preserves_floats_exactly():
@@ -70,15 +88,24 @@ def test_header_round_trip():
 
 
 def test_each_table_declares_its_line_class_fields():
-    for cls, types, extra in ((TraceHeader, trace._HEADER_TYPES, {"type"}),
-                              (IterationRecord, trace._RECORD_TYPES, {"type", "slacks"}),
-                              (Terminal, trace._TERMINAL_TYPES, {"type"})):
-        assert set(types) == {f.name for f in dataclasses.fields(cls)} | extra
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    # format 2 writes every field but a record's grad_norm; format 1 has no
+    # `format`, and holds a schedule dict and a record's slacks besides
+    assert set(trace._HEADER_TYPES) == fields(TraceHeader) | {"type"}
+    assert set(trace._RECORD_TYPES) == fields(IterationRecord) - {"grad_norm"} | {"type"}
+    assert set(trace._TERMINAL_TYPES) == fields(Terminal) | {"type"}
+    assert set(trace._HEADER_TYPES_1) == fields(TraceHeader) - {"format"} | {"type", "schedule"}
+    assert set(trace._RECORD_TYPES_1) == fields(IterationRecord) | {"type", "slacks"}
     assert trace._HEADER_OPTIONAL == {"config"}
-    assert trace._RECORD_OPTIONAL == {"l1", "l0", "slacks"}
+    assert trace._RECORD_OPTIONAL == {"l1", "l0"}
+    assert trace._RECORD_OPTIONAL_1 == {"l1", "l0", "slacks"}
     assert trace._TERMINAL_OPTIONAL == set()
     for kind, (cls, types, optional, *_texts) in trace._LINES.items():
         assert cls.kind == kind and optional <= types.keys()
+    for kind, (types, optional) in trace._FORMAT_1.items():
+        assert optional <= types.keys() and types.keys() - trace._LINES[kind][1].keys()
 
 
 def test_validate_line_rejects_malformed_objects():
@@ -110,11 +137,14 @@ def test_validate_line_rejects_malformed_objects():
     ("terminal", "k", "2"), ("terminal", "reason", None),
 ])
 def test_validate_line_checks_field_types(kind, key, bad):
-    line = {"header": _header().to_dict(), "record": _record(0).to_dict(),
+    # a schedule dict and slacks are format-1 fields, type-checked on read
+    format = 1 if key in ("schedule", "slacks") else 2
+    line = {"header": _header_1() if format == 1 else _header().to_dict(),
+            "record": _record_1(0) if format == 1 else _record(0).to_dict(),
             "terminal": {"type": "terminal", "k": 2, "reason": "stopped"}}[kind]
-    parse_line(line)
+    parse_line(line, format)
     with pytest.raises(ValueError, match=f"{kind} line field {key!r} must be"):
-        parse_line({**line, key: bad})
+        parse_line({**line, key: bad}, format)
 
 
 def test_parse_line_names_the_first_mistyped_field_in_the_tables_order():
@@ -138,11 +168,16 @@ def test_validate_line_takes_integers_for_floats_and_null_where_optional():
 
 
 def test_validate_line_per_algorithm_requirements():
-    rec = _record(0).to_dict()
-    rec["grad_norm"] = None
-    with pytest.raises(ValueError):
-        parse_line(rec)  # adaboost records carry the loss-gradient norm
-    fs = _record(0, algorithm="stagewise", grad_norm=None, dual=None).to_dict()
+    # format-1 adaboost records carry the loss-gradient norm; format 2 has none
+    parse_line(_record_1(0), 1)
+    with pytest.raises(ValueError, match="adaboost records must carry grad_norm"):
+        parse_line(_record_1(0, grad_norm=None), 1)
+    no_grad_norm = _record_1(0)
+    del no_grad_norm["grad_norm"]
+    with pytest.raises(ValueError, match=r"record line missing keys: \['grad_norm'\]"):
+        parse_line(no_grad_norm, 1)
+    parse_line(_record(0).to_dict())
+    fs = _record(0, algorithm="stagewise", dual=None).to_dict()
     with pytest.raises(ValueError):
         parse_line(fs)  # stagewise records carry l1 and l0
     fs["l1"] = 0.0
@@ -168,7 +203,7 @@ def test_parse_line_refuses_unknown_terminal_keys():
 
 def test_a_record_must_carry_the_headers_algorithm(tmp_path):
     path = tmp_path / "run.trace.jsonl"
-    records = [_record(0), _record(1, algorithm="mirror-descent", grad_norm=None)]
+    records = [_record(0), _record(1, algorithm="mirror-descent")]
     with pytest.raises(ValueError, match="record line k=1: record algorithm 'mirror-descent' "
                                          "differs from the header's 'adaboost'"):
         write_trace(path, _header(), records)
@@ -222,17 +257,19 @@ small_dicts = st.dictionaries(text, st.one_of(finite, st.none(), text, st.boolea
 @st.composite
 def traces(draw):
     """A header and records that agree: each record carries the header's
-    algorithm and an index below the column count of the header's shape."""
+    algorithm and an index below the column count of the header's shape, and
+    the header's dual_defined is what runs of its algorithm write."""
     algorithm = draw(st.sampled_from(ALGORITHMS))
     columns = draw(st.integers(1, 2**40))
     shape = {**draw(small_dicts), "p" if algorithm == "stagewise" else "n": columns}
     header = TraceHeader(
-        algorithm=algorithm, schedule_kind=draw(text), schedule=draw(small_dicts),
+        algorithm=algorithm, schedule_kind=draw(text),
         iterations=draw(st.integers(0, 2**40)), shape=shape,
         lipschitz=draw(nullable), diameter=draw(nullable), f_star=draw(nullable),
         dist0=draw(nullable), eps=draw(nullable),
         horizon=draw(st.one_of(st.none(), st.integers(-5, 2**40))),
-        dual_defined=draw(st.booleans()), config=draw(st.one_of(st.none(), small_dicts)))
+        dual_defined=algorithm != "stagewise",
+        config=draw(st.one_of(st.none(), small_dicts)))
     records = []
     for k in range(draw(st.integers(0, 4))):
         stagewise = algorithm == "stagewise"
@@ -240,21 +277,19 @@ def traces(draw):
             k=k, algorithm=algorithm, index=draw(st.integers(0, columns - 1)),
             sign=draw(st.sampled_from((1.0, -1.0, 1, -1))), alpha=draw(finite),
             primal=draw(finite), best_primal=draw(finite), dual=draw(nullable),
-            grad_norm=draw(finite if algorithm == "adaboost" else nullable),
             l1=draw(finite if stagewise else nullable),
             l0=draw(st.integers(0, 99) if stagewise else st.one_of(st.none(),
                                                                    st.integers(0, 99)))))
-    slacks = draw(st.one_of(st.none(), st.dictionaries(
-        st.integers(0, 4), st.dictionaries(text, finite, max_size=2), max_size=3)))
     terminated = draw(st.one_of(st.none(), text))
-    return header, records, terminated, slacks
+    return header, records, terminated
 
 
 def _as_read(line):
     """The line read_trace gives back for `line`: float fields hold floats."""
     types = trace._LINES[line.kind][1]
-    return dataclasses.replace(line, **{key: float(value) for key, value in vars(line).items()
-                                        if types[key][0] is float and value is not None})
+    return dataclasses.replace(line, **{key: float(getattr(line, key)) for key, (kind, _) in
+                                        types.items()
+                                        if kind is float and getattr(line, key) is not None})
 
 
 def _exactly(value):
@@ -269,10 +304,10 @@ def _exactly(value):
 @settings(max_examples=300, deadline=None)
 @given(traces())
 def test_read_trace_gives_back_what_format_trace_wrote(case):
-    header, records, terminated, slacks = case
+    header, records, terminated = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.trace.jsonl"
-        path.write_text(format_trace(header, records, terminated, slacks), encoding="utf-8")
+        path.write_text(format_trace(header, records, terminated), encoding="utf-8")
         back_header, back_records, back_terminated = read_trace(path)
     assert _exactly(back_header) == _exactly(_as_read(header))
     assert [_exactly(r) for r in back_records] == [_exactly(_as_read(r)) for r in records]
@@ -283,9 +318,9 @@ def test_read_trace_gives_back_nulls_and_extreme_floats(tmp_path):
     header = _header(lipschitz=None, diameter=None, f_star=None, dist0=None, eps=None,
                      horizon=None, config=None)
     records = [_record(0, alpha=5e-324, primal=1.7976931348623157e308,
-                       best_primal=1.7976931348623157e308, dual=None, grad_norm=-0.0),
+                       best_primal=1.7976931348623157e308, dual=None),
                _record(1, sign=-1, alpha=3, primal=-0.0, best_primal=-0.0, dual=None,
-                       grad_norm=0, l1=None, l0=None)]
+                       l1=None, l0=None)]
     path = tmp_path / "run.trace.jsonl"
     write_trace(path, header, records, terminated="stopped")
     back_header, back_records, terminated = read_trace(path)
@@ -298,16 +333,15 @@ def test_read_trace_gives_back_nulls_and_extreme_floats(tmp_path):
 def test_write_read_round_trip(tmp_path):
     path = tmp_path / "run.trace.jsonl"
     records = [_record(0), _record(1, primal=0.4, best_primal=0.4)]
-    write_trace(path, _header(), records, terminated="stopped for testing",
-                slacks={0: {"weak-duality": 0.7}})
+    write_trace(path, _header(), records, terminated="stopped for testing")
     header, back, terminated = read_trace(path)
     assert header == _header()
     assert back == records
     assert terminated == "stopped for testing"
-    # the slack annotation lands on the k=0 line only
+    # format 2: the header says so, and states no fact twice
     lines = [json.loads(s) for s in path.read_text().splitlines()]
-    assert lines[1]["slacks"] == {"weak-duality": 0.7}
-    assert "slacks" not in lines[2]
+    assert lines[0]["format"] == 2 and "schedule" not in lines[0]
+    assert all("slacks" not in line and "grad_norm" not in line for line in lines[1:3])
     assert lines[3] == {"type": "terminal", "k": 2, "reason": "stopped for testing"}
 
 
@@ -326,18 +360,16 @@ def test_read_trace_rejects_non_finite_tokens(tmp_path):
 def test_write_trace_rejects_non_finite_fields(tmp_path):
     path = tmp_path / "run.trace.jsonl"
     cases = [
-        (_header(), [_record(0, dual=math.nan)], None, "record line k=0: field 'dual'"),
-        (_header(), [_record(0), _record(1, alpha=math.inf)], None,
-         "record line k=1: field 'alpha'"),
-        (_header(), [_record(0)], {0: {"gap-running": -math.inf}},
-         "field 'slacks.gap-running'"),
-        (_header(lipschitz=math.inf), [_record(0)], None, "header line: field 'lipschitz'"),
-        (_header(schedule={"kind": "constant", "alpha": math.nan}), [_record(0)], None,
-         "field 'schedule.alpha'"),
+        (_header(), [_record(0, dual=math.nan)], "record line k=0: field 'dual'"),
+        (_header(), [_record(0), _record(1, alpha=math.inf)], "record line k=1: field 'alpha'"),
+        (_header(lipschitz=math.inf), [_record(0)], "header line: field 'lipschitz'"),
+        # a non-finite value in a dict field is named by its dotted path
+        (_header(config={"task": "fs", "epsilon": -math.inf}), [_record(0)],
+         "header line: field 'config.epsilon'"),
     ]
-    for header, records, slacks, message in cases:
+    for header, records, message in cases:
         with pytest.raises(ValueError, match=message):
-            write_trace(path, header, records, slacks=slacks)
+            write_trace(path, header, records)
         assert not path.exists()
 
 
@@ -364,3 +396,86 @@ def test_read_trace_error_reporting(tmp_path):
     path.write_text(head + "\n\n" + json.dumps({**_record(0).to_dict(), "k": 0.5}) + "\n")
     with pytest.raises(ValueError, match="line 3: record line field 'k' must be int"):
         read_trace(path)
+
+
+def test_a_format_1_trace_is_read_with_its_grad_norm_and_without_its_schedule_and_slacks(
+        tmp_path):
+    path = tmp_path / "old.trace.jsonl"
+    lines = [_header_1(), _record_1(0), _record_1(1, grad_norm=0.3)]
+    path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    header, records, terminated = read_trace(path)
+    assert header == _header(format=1)
+    assert records == [_record(0, grad_norm=0.4), _record(1, grad_norm=0.3)]
+    assert terminated is None
+    # format 1 is read, never written
+    with pytest.raises(ValueError, match="header line field 'format' must be 2, got 1"):
+        format_trace(header, records)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_dual_defined_must_be_what_runs_of_the_algorithm_write(tmp_path, algorithm):
+    dual_defined = algorithm != "stagewise"
+    header = _header(algorithm=algorithm, dual_defined=not dual_defined)
+    message = (f"header line field 'dual_defined' must be {dual_defined} for algorithm "
+               f"{algorithm!r}, got {not dual_defined}")
+    with pytest.raises(ValueError, match=message):
+        format_trace(header, ())
+    parse_line(_header(algorithm=algorithm).to_dict())
+    with pytest.raises(ValueError, match=message):
+        parse_line(header.to_dict() | {"dual_defined": not dual_defined})
+    kind = {"adaboost": "constant", "stagewise": "linesearch"}.get(algorithm, "constant")
+    schedule = {"kind": "polyak" if algorithm == "stagewise" else "constant"}
+    old = _header_1(algorithm=algorithm, schedule_kind=kind, schedule=schedule)
+    parse_line({**old, "dual_defined": dual_defined}, 1)
+    with pytest.raises(ValueError, match=message):
+        parse_line({**old, "dual_defined": not dual_defined}, 1)
+
+
+# (algorithm, schedule_kind, the schedule dict's kind that runs wrote)
+RUN_SCHEDULE_KINDS = [
+    ("adaboost", "constant", "constant"), ("adaboost", "dynamic", "dynamic"),
+    ("adaboost", "linesearch", "edge-linesearch"), ("stagewise", "constant", "fixed"),
+    ("stagewise", "optimal", "fixed"), ("stagewise", "linesearch", "polyak"),
+    ("mirror-descent", "constant", "constant"), ("mirror-descent", "dynamic", "dynamic"),
+    ("mirror-descent", "polyak", "polyak"),
+]
+
+
+def _header_1_for(algorithm: str, schedule_kind: str, kind: str, **schedule) -> dict:
+    """A format-1 header whose schedule dict has `kind`, its constants the
+    header's (f_star -0.5, eps 0.1) and the fields in `schedule`."""
+    constants = {"lipschitz": 1.0, "diameter": math.log(4.0), "f_star": -0.5}
+    if kind == "fixed":
+        constants = {"alpha": 0.1}
+    return _header_1(algorithm=algorithm, schedule_kind=schedule_kind, f_star=-0.5, eps=0.1,
+                     dual_defined=algorithm != "stagewise",
+                     schedule={"kind": kind, **constants, **schedule})
+
+
+@pytest.mark.parametrize("algorithm, schedule_kind, kind", RUN_SCHEDULE_KINDS)
+def test_a_format_1_schedule_dict_must_agree_with_its_header(algorithm, schedule_kind, kind):
+    assert parse_line(_header_1_for(algorithm, schedule_kind, kind), 1).format == 1
+    for other in {"constant", "fixed", "polyak", "dynamic", "edge-linesearch", 3} - {kind}:
+        with pytest.raises(ValueError, match=f"header line field 'schedule.kind' must be "
+                                             f"{kind!r} for algorithm {algorithm!r} and "
+                                             f"schedule_kind {schedule_kind!r}, got {other!r}"):
+            parse_line(_header_1_for(algorithm, schedule_kind, other), 1)
+    names = ["alpha"] if kind == "fixed" else ["lipschitz", "diameter", "f_star"]
+    for name in names:
+        field = "eps" if name == "alpha" else name
+        for bad in (0.25, True, "1.0", None):
+            with pytest.raises(ValueError, match=f"header line field 'schedule.{name}' must "
+                                                 f"equal the header's {field}"):
+                parse_line(_header_1_for(algorithm, schedule_kind, kind, **{name: bad}), 1)
+    header = _header_1_for(algorithm, schedule_kind, kind)
+    with pytest.raises(ValueError, match=f"schedule.{names[0]}' must equal the header's "
+                                         f"{'eps' if kind == 'fixed' else names[0]} None"):
+        parse_line({**header, "eps" if kind == "fixed" else names[0]: None}, 1)
+    # a fixed step names its alpha; the dict of another kind may omit its constants
+    header["schedule"] = {"kind": kind}
+    if kind == "fixed":
+        with pytest.raises(ValueError, match="'schedule.alpha' must equal the header's eps 0.1, "
+                                             "got None"):
+            parse_line(header, 1)
+    else:
+        parse_line(header, 1)
