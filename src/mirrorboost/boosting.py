@@ -56,15 +56,15 @@ def _checked_labels(labels, num_examples: int) -> np.ndarray:
     return labels
 
 
-def _with_negations(matrix: np.ndarray) -> np.ndarray:
-    """[matrix, -matrix] with 0.0 for every -0.0, allocated once and filled
-    by two ufunc writes; `matrix` is not written."""
-    if matrix.ndim != 2:
-        raise ValueError("margins must be a nonempty 2-D matrix")
-    n = matrix.shape[1]
-    closed = np.empty((matrix.shape[0], 2 * n))
-    np.add(matrix, 0.0, out=closed[:, :n])
-    np.subtract(0.0, matrix, out=closed[:, n:])  # 0.0 - x is 0.0, not -0.0, at x = 0.0
+def _closed(m: int, n: int, fill) -> np.ndarray:
+    """[A, -A] for the m x n matrix A, with 0.0 for every -0.0, built in one
+    m x 2n buffer: `fill(left)` writes A into the buffer's left half, which
+    is then made free of -0.0 and negated into the right half in place."""
+    closed = np.empty((m, 2 * n))
+    left = closed[:, :n]
+    fill(left)
+    np.add(left, 0.0, out=left)
+    np.subtract(0.0, left, out=closed[:, n:])  # 0.0 - x is 0.0, not -0.0, at x = 0.0
     return closed
 
 
@@ -79,8 +79,10 @@ class TrainingSet:
     The set keeps a float array of margins as given, neither copied nor
     written (so a caller that later writes into it changes the set), and
     checks only its shape and entries: closing it under negation is the
-    builder's part. from_margin_matrix and from_outputs give [A, -A]; the
-    stump build of datagen gives each stump beside its negation.
+    builder's part. from_margin_matrix, from_outputs and the game draw of
+    datagen give [A, -A], each allocating the m x 2n matrix once and writing
+    A into its left half, so no copy of A is held beside it; the stump build
+    of datagen gives each stump beside its negation.
 
     Making the set makes its edge problem, once: the problem checks that the
     entries are finite and computes the Lipschitz constant L = max |A_ij| in
@@ -111,21 +113,26 @@ class TrainingSet:
         """Build from classifier outputs (m x n, entries in [-1, 1]) and labels:
         the margins A = labels * outputs, as [A, -A].
 
-        The margins are a new array; `outputs` is not written.
+        The product is written straight into the left half of the new closed
+        matrix, with no temporary of its size; `outputs` is not written.
         """
         outputs = np.asarray(outputs, dtype=float)
         if outputs.ndim != 2:
             raise ValueError("outputs must be a 2-D matrix")
         labels = _checked_labels(labels, outputs.shape[0])
         _check_entries(outputs, "outputs and labels")
-        return cls(margins=_with_negations(labels[:, None] * outputs), features=features,
-                   labels=labels)
+        margins = _closed(*outputs.shape,
+                          lambda left: np.multiply(labels[:, None], outputs, out=left))
+        return cls(margins=margins, features=features, labels=labels)
 
     @classmethod
     def from_margin_matrix(cls, margins) -> "TrainingSet":
         """The set of the m x n matrix `margins` and its negations: [A, -A],
         2n columns, with 0.0 for every -0.0. `margins` is not written."""
-        return cls(margins=_with_negations(np.asarray(margins, dtype=float)))
+        margins = np.asarray(margins, dtype=float)
+        if margins.ndim != 2:
+            raise ValueError("margins must be a nonempty 2-D matrix")
+        return cls(margins=_closed(*margins.shape, lambda left: np.copyto(left, margins)))
 
     @property
     def num_examples(self) -> int:

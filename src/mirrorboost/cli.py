@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 # `check` needs only bounds and trace. numpy and the modules built on it are
 # imported by the functions that use them, so `check` never loads them.
 from . import bounds
-from .trace import TraceHeader, format_trace, read_trace, typed_fields
+from .trace import RUN_SCHEDULES, TraceHeader, format_trace, read_trace, typed_fields
 
 if TYPE_CHECKING:
     from .md_core import MinmaxProblem
@@ -35,12 +35,11 @@ OUTDIR_ENV = "MIRRORBOOST_OUTDIR"
 # options of `run` that take a number, which may be negative
 _NUMBER_FLAGS = ("--epsilon", "--f-star")
 
-TASKS = ("adaboost", "fs", "minmax-game")
-_TASK_SCHEDULES = {
-    "adaboost": ("constant", "dynamic", "linesearch"),
-    "fs": ("constant", "optimal", "linesearch"),
-    "minmax-game": ("constant", "dynamic", "polyak"),
-}
+# each task's algorithm, which names it in the trace
+_TASK_ALGORITHMS = {"adaboost": "adaboost", "fs": "stagewise", "minmax-game": "mirror-descent"}
+TASKS = tuple(_TASK_ALGORITHMS)
+_TASK_SCHEDULES = {task: tuple(RUN_SCHEDULES[algorithm])
+                   for task, algorithm in _TASK_ALGORITHMS.items()}
 
 
 class ConfigError(Exception):
@@ -213,7 +212,7 @@ def _prepare_boost_run(config: ExperimentConfig, problem: MinmaxProblem):
         schedule = md_core.StepSchedule.polyak(config.f_star)
         horizon = None
     header = TraceHeader(
-        algorithm="adaboost" if config.task == "adaboost" else "mirror-descent",
+        algorithm=_TASK_ALGORITHMS[config.task],
         schedule_kind=config.schedule,
         iterations=config.iterations,
         shape={"m": m, "n": problem.n},
@@ -232,15 +231,19 @@ def _prepare_fs_run(config: ExperimentConfig, rp: RegressionProblem, problem: Mi
     its residual-space problem, whose shape and Lipschitz constant the header
     carries.
 
-    A shrinkage whose square, summed over the planned iterations, overflows is
-    refused, as the constant schedule refuses such a step. A projection norm
-    that overflows is not: the header refuses it before the run."""
+    A design whose Lipschitz constant underflows to 0.0 is refused, and so is a
+    shrinkage whose square, summed over the planned iterations, overflows, as
+    the constant schedule refuses such a step. A projection norm that
+    overflows is not: the header refuses it before the run."""
     import numpy as np
 
     from . import md_core
     from .stagewise import least_squares_norm, optimal_shrinkage
 
     lipschitz = problem.lipschitz()
+    if lipschitz == 0.0:  # every column's norm underflows; nothing may divide by it
+        raise ConfigError("the design's column l2 norms all underflow to 0.0, so its "
+                          "Lipschitz constant is 0.0: rescale the design")
     with np.errstate(over="ignore"):
         if config.use_response_bound:
             projection_norm = float(np.linalg.norm(rp.response))

@@ -6,7 +6,9 @@ the distinct stump columns from their bit patterns and then fills the matrix,
 training_set_from_features multiplies it by the labels in place, and
 TrainingSet keeps it. It is closed under negation by construction: stump
 column 2j + 1 is the negation of column 2j. A matrix-level instance (`game`)
-is [A, -A] of its draw A, from TrainingSet.from_margin_matrix.
+is [A, -A] of its draw A: the closed matrix is allocated once, A is drawn
+into its left half a row block at a time, and the right half is negated from
+it in place, so the build holds the closed matrix and one row block.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import TrainingSet, _checked_labels
+from .boosting import TrainingSet, _checked_labels, _closed
 from .stagewise import RegressionProblem
+
+# the most bytes of a matrix-level draw held apart from the matrix it fills
+_DRAW_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -248,16 +253,27 @@ def make_margin_matrix(m: int = 20, n: int = 15, seed: int = 0,
     """Confidence-rated instance defined directly at the matrix level: the
     m x n draw A, entries uniform in [-1, 1], and its negations, [A, -A].
     With `planted_margin` the first column is drawn from [planted_margin, 1),
-    certifying a strictly positive best margin."""
+    certifying a strictly positive best margin.
+
+    A is drawn into the closed matrix's left half a block of rows at a time,
+    each block at most _DRAW_BLOCK_BYTES or one row, so no copy of A is held
+    beside the closed matrix. The generator's stream is sequential, so the
+    entries are those of one rng.uniform(-1.0, 1.0, size=(m, n)) draw."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
+    if planted_margin is not None and not 0.0 < planted_margin < 1.0:
+        raise ValueError("planted_margin must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    matrix = rng.uniform(-1.0, 1.0, size=(m, n))
-    if planted_margin is not None:
-        if not 0.0 < planted_margin < 1.0:
-            raise ValueError("planted_margin must lie in (0, 1)")
-        matrix[:, 0] = rng.uniform(planted_margin, 1.0, size=m)
-    return TrainingSet.from_margin_matrix(matrix)
+    rows = max(1, _DRAW_BLOCK_BYTES // (8 * n))
+
+    def draw(left: np.ndarray) -> None:
+        for start in range(0, m, rows):
+            stop = min(start + rows, m)
+            left[start:stop] = rng.uniform(-1.0, 1.0, size=(stop - start, n))
+        if planted_margin is not None:
+            left[:, 0] = rng.uniform(planted_margin, 1.0, size=m)
+
+    return TrainingSet(margins=_closed(m, n, draw))
 
 
 def make_regression(n: int = 50, p: int = 30, seed: int = 0,

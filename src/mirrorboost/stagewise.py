@@ -44,13 +44,13 @@ class RegressionProblem:
             raise ValueError("design must be a nonempty 2-D matrix")
         if response.shape != (design.shape[0],):
             raise ValueError("response must have one entry per row of the design")
-        if not np.all(np.isfinite(design)) or not np.all(np.isfinite(response)):
+        # NaN propagates through max and min, and an infinity is one of them
+        high, low = design.max(axis=0), design.min(axis=0)
+        if not (math.isfinite(high.max()) and math.isfinite(low.min())
+                and math.isfinite(response.max()) and math.isfinite(response.min())):
             raise ValueError("design and response must be finite")
-        # a column norm past the float range is no zero column, and the header
-        # refuses its non-finite Lipschitz constant
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(design, axis=0)
-        if np.any(norms == 0.0):
+        # a column is zero exactly when its largest and smallest entries are
+        if np.any((high == 0.0) & (low == 0.0)):
             raise ValueError("design must not contain an all-zero column")
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "response", response)

@@ -27,6 +27,14 @@ ALGORITHMS = ("mirror-descent", "adaboost", "stagewise")
 # the trace format `format_trace` writes
 FORMAT = 2
 
+# the schedule kinds a run of each algorithm writes, in the command line's
+# order, each with whether the kind is tied to the run's horizon
+RUN_SCHEDULES = {
+    "adaboost": {"constant": True, "dynamic": False, "linesearch": False},
+    "mirror-descent": {"constant": True, "dynamic": False, "polyak": False},
+    "stagewise": {"constant": False, "optimal": True, "linesearch": False},
+}
+
 # Format 2. Apart from `type`, a table's keys are its line class's fields,
 # but for a record's grad_norm, which only format 1 holds.
 _HEADER_TYPES = {
@@ -206,8 +214,9 @@ def parse_line(obj, format: int = FORMAT) -> TraceHeader | IterationRecord | Ter
     integer becomes a float. Records and the header must name a known
     algorithm, a record's sign must be 1.0 or -1.0, and stagewise records and
     format-1 adaboost records must carry the fields their certificates read.
-    A header's dual_defined and format-1 schedule dict must be what runs
-    write. Raises ValueError on the first violation.
+    A header's dual_defined, schedule kind, horizon, diameter and format-1
+    schedule dict must be what runs write. Raises ValueError on the first
+    violation.
     """
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("trace line must be an object with a 'type' key")
@@ -239,6 +248,7 @@ def parse_line(obj, format: int = FORMAT) -> TraceHeader | IterationRecord | Ter
                              f"algorithm {line.algorithm!r}, got {line.dual_defined!r}")
         if schedule is not None:
             _check_schedule(schedule, line)
+        _check_run_constants(line)
     else:
         if line.algorithm == "stagewise" and (line.l1 is None or line.l0 is None):
             raise ValueError("stagewise records must carry l1 and l0")
@@ -247,6 +257,32 @@ def parse_line(obj, format: int = FORMAT) -> TraceHeader | IterationRecord | Ter
         if line.sign != 1.0 and line.sign != -1.0:
             raise ValueError(f"record line field 'sign' must be 1.0 or -1.0, got {line.sign!r}")
     return line
+
+
+def _check_run_constants(header: TraceHeader) -> None:
+    """Refuse a header whose schedule kind, horizon or diameter is not what
+    `run` writes for it: a kind of RUN_SCHEDULES for the algorithm; the
+    iteration count as the horizon of a horizon-tied kind, and no horizon
+    otherwise; and the diameter by the expression `run` computes it with,
+    log(m) over the simplex and half the squared dist0 in residual space."""
+    kinds = RUN_SCHEDULES[header.algorithm]
+    if header.schedule_kind not in kinds:
+        raise ValueError(f"header line field 'schedule_kind' must be one of {tuple(kinds)} "
+                         f"for algorithm {header.algorithm!r}, got {header.schedule_kind!r}")
+    horizon = header.iterations if kinds[header.schedule_kind] else None
+    if header.horizon != horizon:
+        raise ValueError(f"header line field 'horizon' must be {horizon!r} for algorithm "
+                         f"{header.algorithm!r} and schedule_kind {header.schedule_kind!r}, "
+                         f"got {header.horizon!r}")
+    if header.algorithm == "stagewise":
+        rule, name, value = "0.5 * dist0 * dist0", "dist0", header.dist0
+        diameter = None if value is None else 0.5 * value * value
+    else:
+        rule, name, value = "log(shape['m'])", "m", header.shape.get("m")
+        diameter = math.log(value) if type(value) is int and value >= 1 else None
+    if diameter is None or header.diameter != diameter:
+        raise ValueError(f"header line field 'diameter' must be {rule} with {name} {value!r}, "
+                         f"got {header.diameter!r}")
 
 
 def _check_schedule(schedule: dict, header: TraceHeader) -> None:
@@ -318,8 +354,8 @@ def format_trace(header: TraceHeader, records: Iterable[IterationRecord],
     count, as read_trace requires; the terminal line counts the records. A
     non-finite value in any field raises ValueError naming the field."""
     head = header.to_dict()
+    lines = [_dumps(head)]  # a non-finite field is named before parse_line's rules
     parse_line(head)
-    lines = [_dumps(head)]
     for rec in records:
         problem = _contradiction(rec, header)
         if problem is not None:

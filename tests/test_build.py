@@ -196,6 +196,9 @@ def test_a_zero_label_leaves_no_negative_zero_in_the_stump_margins():
 @pytest.mark.parametrize("seed, sizes", [
     (1, {"m": 20, "n": 15}), (7, {"m": 1, "n": 50}), (41, {"m": 3, "n": 4}),
     (3, {"m": 6, "n": 5, "planted_margin": 0.25}),
+    # 512 KiB holds 1310 rows of 50: two full row blocks and a remainder of 7
+    (5, {"m": 2627, "n": 50}), (6, {"m": 2627, "n": 50, "planted_margin": 0.5}),
+    (8, {"m": 3, "n": 70000}),  # a row past 512 KiB: one row a block
 ])
 def test_the_game_is_its_documented_draw_and_its_negation(seed, sizes):
     rng = np.random.default_rng(seed)
@@ -277,11 +280,28 @@ def test_stump_build_keeps_about_one_matrix():
     assert peak <= 2.0 * matrix
 
 
-def test_game_build_keeps_the_draw_and_the_closed_matrix():
-    """The closed matrix M holds the m x n draw and its n negations: the draw,
-    M/2, stays alive beside the closed matrix, which is allocated once and
-    filled from the draw by two ufunc writes, so about 1.5 M (m = n = 1000,
-    M = 16 MB); one more float temporary as large as M (the loop closure made
-    two, besides copies of the draw) would pass 2.5 M."""
+def test_game_build_keeps_only_the_closed_matrix():
+    """The closed matrix M holds the m x n draw and its n negations. The draw
+    is made into M's left half a row block of at most 512 KiB at a time and
+    negated into the right half in place, so the build holds M and one block,
+    about 1.03 M at m = n = 1000 (M = 16 MB); a copy of the draw beside M, as
+    a draw made whole and then closed keeps, would pass 1.5 M."""
     peak, matrix = _build_peak("game", m=1000, n=1000)
-    assert peak <= 2.5 * matrix
+    assert peak <= 1.1 * matrix
+
+
+def test_a_set_from_outputs_holds_nothing_beside_its_inputs_but_the_closed_matrix():
+    """The product labels * outputs is written into the closed matrix's left
+    half, so no temporary of its size is made beside it."""
+    rng = np.random.default_rng(1)
+    outputs = rng.uniform(-1.0, 1.0, size=(1000, 1000))
+    labels = np.where(rng.random(1000) < 0.5, -1.0, 1.0)
+    TrainingSet.from_outputs(outputs[:4, :3], labels[:4])  # warm up
+    tracemalloc.start()
+    try:
+        ts = TrainingSet.from_outputs(outputs, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * ts.margins.nbytes
+    _assert_is_closed(ts.margins, labels[:, None] * outputs)

@@ -495,7 +495,8 @@ def test_check_refuses_records_that_contradict_their_header(tmp_path, capsys, ca
     header, *records = (out / "g.trace.jsonl").read_text().splitlines()
     lines, message = {
         "header relabelled stagewise": (
-            [_relabelled(header, algorithm="stagewise", dual_defined=False)] + records,
+            [_relabelled(header, algorithm="stagewise", dual_defined=False,
+                         schedule_kind="linesearch", dist0=1.0, diameter=0.5)] + records,
             "line 2: record algorithm 'mirror-descent' differs from the header's 'stagewise'"),
         "records relabelled adaboost": (
             [header] + [_relabelled(line, algorithm="adaboost") for line in records],
@@ -623,6 +624,93 @@ def test_check_refuses_a_format_1_schedule_that_contradicts_its_header(tmp_path,
     assert main(["check", str(trace)]) == EXIT_USAGE
     assert f"line 1: header line field {message}" in capsys.readouterr().err
     assert list(trace.parent.iterdir()) == [trace]
+
+
+def _game_30_lines(tmp_path, schedule: str) -> list[str]:
+    out = tmp_path / "run"
+    assert main(["run", "minmax-game", "--data", "synthetic:game:seed=1:m=20:n=10",
+                 "--schedule", schedule, "--iters", "30", "--out", str(out),
+                 "--prefix", "g"]) == EXIT_OK
+    return (out / "g.trace.jsonl").read_text().splitlines()
+
+
+# each header forgery that `check` once certified, and the refusal it now gets
+@pytest.mark.parametrize("schedule, forge, message", [
+    ("dynamic", lambda h: {"schedule_kind": "linesearch"},
+     "'schedule_kind' must be one of ('constant', 'dynamic', 'polyak') for algorithm "
+     "'mirror-descent', got 'linesearch'"),
+    ("constant", lambda h: {"horizon": None},
+     "'horizon' must be 30 for algorithm 'mirror-descent' and schedule_kind 'constant', "
+     "got None"),
+    ("dynamic", lambda h: {"horizon": 30},
+     "'horizon' must be None for algorithm 'mirror-descent' and schedule_kind 'dynamic', "
+     "got 30"),
+    ("dynamic", lambda h: {"diameter": 10.0 * h["diameter"]},
+     f"'diameter' must be log(shape['m']) with m 20, got {10.0 * math.log(20)!r}"),
+])
+def test_check_refuses_a_header_that_run_would_not_write(tmp_path, capsys, schedule, forge,
+                                                         message):
+    header, *records = _game_30_lines(tmp_path, schedule)
+    forged = _relabelled(header, **forge(json.loads(header)))
+    trace = _alone_in_a_directory(tmp_path, [forged] + records)
+    capsys.readouterr()
+    assert main(["check", str(trace)]) == EXIT_USAGE
+    assert f"line 1: header line field {message}" in capsys.readouterr().err
+    assert list(trace.parent.iterdir()) == [trace]
+
+
+def test_check_refuses_an_fs_diameter_that_is_not_half_the_squared_dist0(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "fs", "--data", "synthetic:regression:seed=1:n=30:p=20",
+                 "--schedule", "optimal", "--iters", "20", "--out", str(out),
+                 "--prefix", "f"]) == EXIT_OK
+    header, *records = (out / "f.trace.jsonl").read_text().splitlines()
+    dist0 = json.loads(header)["dist0"]
+    assert json.loads(header)["diameter"] == 0.5 * dist0 * dist0
+    for forged in ({"diameter": 2.0 * dist0 * dist0}, {"dist0": 2.0 * dist0},
+                   {"horizon": None}, {"schedule_kind": "dynamic"}):
+        trace = tmp_path / "alone" / "f.trace.jsonl"
+        trace.parent.mkdir(exist_ok=True)
+        trace.write_text("\n".join([_relabelled(header, **forged)] + records) + "\n")
+        capsys.readouterr()
+        assert main(["check", str(trace)]) == EXIT_USAGE
+        assert "line 1: header line field" in capsys.readouterr().err
+        assert list(trace.parent.iterdir()) == [trace]
+
+
+TINY_COLUMN = np.array([[1e-200, 1.0], [3e-200, -2.0], [1e-200, 0.5]])
+
+
+@pytest.mark.parametrize("schedule", [["linesearch"], ["optimal"],
+                                      ["constant", "--epsilon", "0.1"]])
+def test_a_nonzero_column_whose_norm_underflows_runs_and_is_checked(tmp_path, schedule):
+    data = tmp_path / "tiny.csv"
+    write_regression_csv(data, TINY_COLUMN, np.array([1.0, 2.0, -1.0]))
+    out = tmp_path / "run"
+    assert main(["run", "fs", "--data", str(data), "--schedule", *schedule, "--iters", "3",
+                 "--out", str(out), "--prefix", "t"]) == EXIT_OK
+    assert main(["check", str(out / "t.trace.jsonl"), "--out", str(tmp_path / "check")]) \
+        == EXIT_OK
+    for name in ("t.report.json", "t.report.txt"):
+        assert (tmp_path / "check" / name).read_bytes() == (out / name).read_bytes()
+
+
+@pytest.mark.parametrize("schedule", [["linesearch"], ["optimal"],
+                                      ["constant", "--epsilon", "0.1"]])
+def test_a_design_whose_column_norms_all_underflow_is_a_usage_error(tmp_path, capsys,
+                                                                    schedule):
+    data = tmp_path / "tiny.csv"
+    write_regression_csv(data, np.array([[1e-200, 0.0], [3e-200, 2e-200], [1e-200, 0.0]]),
+                         np.array([1.0, 2.0, -1.0]))
+    assert datagen.load_regression_csv(data).design_norm == 0.0  # nonzero, but underflows
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert main(["run", "fs", "--data", str(data), "--schedule", *schedule, "--iters", "3",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: the design's column l2 norms all underflow to 0.0, so its Lipschitz constant "
+        "is 0.0: rescale the design\n")
+    assert not out.exists()
 
 
 def test_a_column_norm_past_the_float_range_is_refused_by_the_header_alone(tmp_path, capsys):

@@ -3,6 +3,7 @@ tests/oracles.py, sparsity accounting, projection norms, and exact agreement
 of the engine view with the classical update."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,28 @@ def test_problem_validation():
         RegressionProblem(design=np.eye(3), response=np.zeros(2))
     with pytest.raises(ValueError):
         RegressionProblem(design=np.array([[np.inf]]), response=np.array([1.0]))
+
+
+@pytest.mark.parametrize("design, response, message", [
+    ([[0.0, 1.0], [-0.0, 2.0]], [1.0, 2.0], "design must not contain an all-zero column"),
+    ([[1.0, np.nan], [0.0, 2.0]], [1.0, 2.0], "design and response must be finite"),
+    ([[1.0, 0.0], [np.inf, 2.0]], [1.0, 2.0], "design and response must be finite"),
+    ([[1.0, 0.0], [-np.inf, 0.0]], [1.0, 2.0], "design and response must be finite"),
+    ([[1.0, 1.0], [0.0, 2.0]], [np.nan, 2.0], "design and response must be finite"),
+    ([[1.0, 1.0], [0.0, 2.0]], [1.0, -np.inf], "design and response must be finite"),
+])
+def test_problem_refusals_name_the_rule(design, response, message):
+    with pytest.raises(ValueError, match=message):
+        RegressionProblem(design=np.array(design), response=np.array(response))
+
+
+def test_a_column_is_zero_exactly_when_every_entry_is():
+    for tiny in (5e-324, -5e-324, 1e-200):
+        design = np.array([[tiny, 1.0], [0.0, 2.0], [-0.0, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rp = RegressionProblem(design=design, response=np.ones(3))
+        assert rp.design_norm == np.linalg.norm(design, axis=0).max()
 
 
 def test_problem_norms_and_minmax_view():

@@ -7,6 +7,7 @@ tests/data/parent are written in, is still read."""
 import dataclasses
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -29,12 +30,23 @@ from mirrorboost.trace import (
 
 
 def _header(**overrides) -> TraceHeader:
-    """A header; dual_defined is what runs of its algorithm write."""
+    """A header with the constants runs write: unless given, dual_defined,
+    the horizon and the diameter follow from the algorithm, the schedule
+    kind, the iteration count, the shape's m and dist0, as `run` derives
+    them."""
     base = dict(algorithm="adaboost", schedule_kind="constant", iterations=2,
-                shape={"m": 4, "n": 3}, lipschitz=1.0, diameter=math.log(4.0),
-                horizon=2, config={"task": "adaboost"})
+                shape={"m": 4, "n": 3}, lipschitz=1.0, config={"task": "adaboost"})
     base.update(overrides)
-    base.setdefault("dual_defined", base["algorithm"] != "stagewise")
+    algorithm = base["algorithm"]
+    if algorithm == "stagewise":
+        base.setdefault("dist0", 1.5)
+        if base["dist0"] is not None:
+            base.setdefault("diameter", 0.5 * base["dist0"] * base["dist0"])
+    elif type(base["shape"].get("m")) is int:
+        base.setdefault("diameter", math.log(base["shape"]["m"]))
+    tied = trace.RUN_SCHEDULES.get(algorithm, {}).get(base["schedule_kind"], False)
+    base.setdefault("horizon", base["iterations"] if tied else None)
+    base.setdefault("dual_defined", algorithm != "stagewise")
     return TraceHeader(**base)
 
 
@@ -45,13 +57,14 @@ def _record(k: int, **overrides) -> IterationRecord:
     return IterationRecord(**base)
 
 
-def _header_1(**overrides) -> dict:
-    """A format-1 header line: no `format`, and the schedule dict that runs
-    wrote for _header()'s constant schedule."""
-    line = {key: value for key, value in _header().to_dict().items() if key != "format"}
-    line["schedule"] = {"kind": "constant", "alpha": 0.25, "lipschitz": 1.0,
-                        "diameter": math.log(4.0)}
-    line.update(overrides)
+def _header_1(schedule: dict | None = None, **overrides) -> dict:
+    """A format-1 header line: _header(**overrides) without `format`, and
+    `schedule` as its schedule dict, by default the one runs wrote for
+    _header()'s constant schedule."""
+    line = {key: value for key, value in _header(**overrides).to_dict().items()
+            if key != "format"}
+    line["schedule"] = schedule if schedule is not None else {
+        "kind": "constant", "alpha": 0.25, "lipschitz": 1.0, "diameter": math.log(4.0)}
     return line
 
 
@@ -158,9 +171,9 @@ def test_parse_line_names_the_first_mistyped_field_in_the_tables_order():
 
 
 def test_validate_line_takes_integers_for_floats_and_null_where_optional():
-    header = parse_line({**_header().to_dict(), "lipschitz": 1, "diameter": None,
-                         "horizon": None})
-    assert header == _header(lipschitz=1.0, diameter=None, horizon=None)
+    header = parse_line({**_header(schedule_kind="dynamic").to_dict(), "lipschitz": 1,
+                         "f_star": None, "horizon": None})
+    assert header == _header(schedule_kind="dynamic", lipschitz=1.0, f_star=None, horizon=None)
     assert type(header.lipschitz) is float
     record = parse_line({**_record(0).to_dict(), "alpha": 0, "sign": -1, "dual": None, "l1": 2})
     assert record == _record(0, alpha=0.0, sign=-1.0, dual=None, l1=2.0)
@@ -258,16 +271,25 @@ small_dicts = st.dictionaries(text, st.one_of(finite, st.none(), text, st.boolea
 def traces(draw):
     """A header and records that agree: each record carries the header's
     algorithm and an index below the column count of the header's shape, and
-    the header's dual_defined is what runs of its algorithm write."""
+    the header's dual_defined, schedule kind, horizon and diameter are what
+    runs of its algorithm write."""
     algorithm = draw(st.sampled_from(ALGORITHMS))
+    stagewise = algorithm == "stagewise"
     columns = draw(st.integers(1, 2**40))
-    shape = {**draw(small_dicts), "p" if algorithm == "stagewise" else "n": columns}
+    shape = {**draw(small_dicts), "p" if stagewise else "n": columns}
+    if stagewise:  # diameter 0.5 * dist0 * dist0, which must be finite
+        dist0 = draw(st.one_of(st.integers(-2**60, 2**60), st.floats(-1e154, 1e154)))
+        diameter = 0.5 * dist0 * dist0
+    else:  # diameter log(m)
+        dist0 = draw(nullable)
+        shape["m"] = draw(st.integers(1, 2**40))
+        diameter = math.log(shape["m"])
+    schedule_kind, tied = draw(st.sampled_from(sorted(trace.RUN_SCHEDULES[algorithm].items())))
+    iterations = draw(st.integers(0, 2**40))
     header = TraceHeader(
-        algorithm=algorithm, schedule_kind=draw(text),
-        iterations=draw(st.integers(0, 2**40)), shape=shape,
-        lipschitz=draw(nullable), diameter=draw(nullable), f_star=draw(nullable),
-        dist0=draw(nullable), eps=draw(nullable),
-        horizon=draw(st.one_of(st.none(), st.integers(-5, 2**40))),
+        algorithm=algorithm, schedule_kind=schedule_kind, iterations=iterations, shape=shape,
+        lipschitz=draw(nullable), diameter=diameter, f_star=draw(nullable), dist0=dist0,
+        eps=draw(nullable), horizon=iterations if tied else None,
         dual_defined=algorithm != "stagewise",
         config=draw(st.one_of(st.none(), small_dicts)))
     records = []
@@ -315,7 +337,7 @@ def test_read_trace_gives_back_what_format_trace_wrote(case):
 
 
 def test_read_trace_gives_back_nulls_and_extreme_floats(tmp_path):
-    header = _header(lipschitz=None, diameter=None, f_star=None, dist0=None, eps=None,
+    header = _header(schedule_kind="dynamic", lipschitz=None, f_star=None, dist0=None, eps=None,
                      horizon=None, config=None)
     records = [_record(0, alpha=5e-324, primal=1.7976931348623157e308,
                        best_primal=1.7976931348623157e308, dual=None),
@@ -444,12 +466,11 @@ RUN_SCHEDULE_KINDS = [
 def _header_1_for(algorithm: str, schedule_kind: str, kind: str, **schedule) -> dict:
     """A format-1 header whose schedule dict has `kind`, its constants the
     header's (f_star -0.5, eps 0.1) and the fields in `schedule`."""
-    constants = {"lipschitz": 1.0, "diameter": math.log(4.0), "f_star": -0.5}
+    fields = dict(algorithm=algorithm, schedule_kind=schedule_kind, f_star=-0.5, eps=0.1)
+    constants = {"lipschitz": 1.0, "diameter": _header(**fields).diameter, "f_star": -0.5}
     if kind == "fixed":
         constants = {"alpha": 0.1}
-    return _header_1(algorithm=algorithm, schedule_kind=schedule_kind, f_star=-0.5, eps=0.1,
-                     dual_defined=algorithm != "stagewise",
-                     schedule={"kind": kind, **constants, **schedule})
+    return _header_1(schedule={"kind": kind, **constants, **schedule}, **fields)
 
 
 @pytest.mark.parametrize("algorithm, schedule_kind, kind", RUN_SCHEDULE_KINDS)
@@ -479,3 +500,38 @@ def test_a_format_1_schedule_dict_must_agree_with_its_header(algorithm, schedule
             parse_line(header, 1)
     else:
         parse_line(header, 1)
+
+
+@pytest.mark.parametrize("algorithm, schedule_kind, kind", RUN_SCHEDULE_KINDS)
+def test_a_header_must_carry_the_kind_horizon_and_diameter_that_run_writes(
+        algorithm, schedule_kind, kind):
+    tied = trace.RUN_SCHEDULES[algorithm][schedule_kind]
+    header = _header(algorithm=algorithm, schedule_kind=schedule_kind, iterations=7)
+    assert header.horizon == (7 if tied else None)
+    # format 1, with a schedule dict that names no constant the forgeries change
+    old = {**_header_1_for(algorithm, schedule_kind, kind), "iterations": 7,
+           "horizon": header.horizon, "schedule": {"kind": kind}}
+    if kind == "fixed":
+        old["schedule"]["alpha"] = 0.1
+    format_trace(header, ())
+    parse_line(old, 1)
+    others = {"constant", "dynamic", "linesearch", "optimal", "polyak", "fixed"} - {
+        *trace.RUN_SCHEDULES[algorithm]}
+    forgeries = [({"schedule_kind": other}, "'schedule_kind' must be one of") for other in others]
+    forgeries += [({"horizon": horizon}, f"'horizon' must be {header.horizon!r}")
+                  for horizon in ([None, 6, 8] if tied else [7, 0])]
+    forgeries.append(({"diameter": math.nextafter(header.diameter, math.inf)},
+                      "'diameter' must be"))
+    if algorithm == "stagewise":
+        forgeries.append(({"dist0": -2.0 * header.dist0}, "'diameter' must be 0.5 * dist0"))
+    else:
+        forgeries += [({"shape": {**header.shape, "m": m}}, "'diameter' must be log")
+                      for m in (5, 0, 4.0, None)]
+    for fields, message in forgeries:
+        with pytest.raises(ValueError, match="header line field " + re.escape(message)):
+            format_trace(dataclasses.replace(header, **fields), ())
+        pattern = "header line field " + re.escape(message)
+        if "schedule_kind" in fields:  # unless the dict's kind is refused first
+            pattern = "header line field 'schedule[._]kind'"
+        with pytest.raises(ValueError, match=pattern):
+            parse_line({**old, **fields}, 1)
