@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .trace import TraceHeader
 
@@ -80,8 +81,11 @@ def polyak_bound(lipschitz: float, dist0: float, k: int) -> float:
     return lipschitz * dist0 / math.sqrt(k + 1.0)
 
 
-@dataclass(frozen=True)
-class CertificateRecord:
+class CertificateRecord(NamedTuple):
+    """One bound at one iteration. A named tuple, not a frozen dataclass: a
+    long run's report holds tens of thousands, and a tuple is made at a
+    fraction of the cost."""
+
     k: int
     tag: str
     observed: float | None
@@ -116,9 +120,8 @@ def _evaluated(k: int, tag: str, observed: float, bound: float, allowance: float
     and slack, which the strict trace and report writers reject."""
     if steps_finite and not math.isfinite(bound):
         return _not_evaluable(k, tag, "bound is not finite")
-    slack = bound - observed
-    return CertificateRecord(k=k, tag=tag, observed=observed, bound=bound, slack=slack,
-                             passed=bool(observed <= bound + TOLERANCE + allowance))
+    return CertificateRecord(k, tag, observed, bound, bound - observed,
+                             bool(observed <= bound + TOLERANCE + allowance))
 
 
 def _shrinkage_rounding(t: int, eps: float) -> float:
@@ -138,25 +141,46 @@ def _shrinkage_rounding(t: int, eps: float) -> float:
 
 
 def _not_evaluable(k: int, tag: str, note: str) -> CertificateRecord:
-    return CertificateRecord(k=k, tag=tag, observed=None, bound=None,
-                             slack=None, passed=None, note=note)
+    return CertificateRecord(k, tag, None, None, None, None, note)
 
 
 @dataclass
 class CertificateReport:
     records: list[CertificateRecord] = field(default_factory=list)
 
+    def tally(self) -> tuple[dict, dict, str | None]:
+        """summary(), by_tag() and what is wrong with the first record whose
+        observed, bound or slack is not finite (None when every one is), in
+        one pass over the records."""
+        summary = {"total": len(self.records), "passed": 0, "failed": 0, "not_evaluable": 0}
+        by_tag: dict[str, dict] = {}
+        non_finite = None
+        isfinite = math.isfinite
+        for k, tag, observed, bound, slack, passed, _ in self.records:
+            entry = by_tag.get(tag)
+            if entry is None:
+                entry = by_tag[tag] = {"total": 0, "passed": 0, "failed": 0,
+                                       "not_evaluable": 0, "min_slack": None}
+            entry["total"] += 1
+            outcome = "passed" if passed is True else "failed" if passed is False else \
+                "not_evaluable"
+            entry[outcome] += 1
+            summary[outcome] += 1
+            if slack is not None and (entry["min_slack"] is None or slack < entry["min_slack"]):
+                entry["min_slack"] = slack
+            if non_finite is None and not ((observed is None or isfinite(observed))
+                                           and (bound is None or isfinite(bound))
+                                           and (slack is None or isfinite(slack))):
+                name = next(name for name, value in
+                            (("observed", observed), ("bound", bound), ("slack", slack))
+                            if value is not None and not isfinite(value))
+                non_finite = (f"report record k={k}, tag {tag!r}: field {name!r} is not "
+                              "finite, and reports are strict JSON")
+        summary["all_passed"] = summary["failed"] == 0
+        return summary, by_tag, non_finite
+
     def summary(self) -> dict:
-        passed = sum(1 for r in self.records if r.passed is True)
-        failed = sum(1 for r in self.records if r.passed is False)
-        skipped = sum(1 for r in self.records if r.passed is None)
-        return {
-            "total": len(self.records),
-            "passed": passed,
-            "failed": failed,
-            "not_evaluable": skipped,
-            "all_passed": failed == 0,
-        }
+        return self.tally()[0]
 
     @property
     def all_passed(self) -> bool:
@@ -166,26 +190,13 @@ class CertificateReport:
         return [r for r in self.records if r.passed is False]
 
     def by_tag(self) -> dict[str, dict]:
-        out: dict[str, dict] = {}
-        for r in self.records:
-            entry = out.setdefault(r.tag, {"total": 0, "passed": 0, "failed": 0,
-                                           "not_evaluable": 0, "min_slack": None})
-            entry["total"] += 1
-            if r.passed is True:
-                entry["passed"] += 1
-            elif r.passed is False:
-                entry["failed"] += 1
-            else:
-                entry["not_evaluable"] += 1
-            if r.slack is not None:
-                if entry["min_slack"] is None or r.slack < entry["min_slack"]:
-                    entry["min_slack"] = r.slack
-        return out
+        return self.tally()[1]
 
     def to_dict(self) -> dict:
+        summary, by_tag, _ = self.tally()
         return {
-            "summary": self.summary(),
-            "by_tag": self.by_tag(),
+            "summary": summary,
+            "by_tag": by_tag,
             "records": [r.to_dict() for r in self.records],
         }
 
@@ -200,8 +211,8 @@ class CertificateReport:
         pass over the records. A non-finite value raises ValueError, as
         json.dump's does, but only after the records before it are written.
         """
-        summary = self.summary() if summary is None else summary
-        by_tag = self.by_tag() if by_tag is None else by_tag
+        if summary is None or by_tag is None:
+            summary, by_tag, _ = self.tally()
         fh.write("{\n")
         if by_tag:
             fh.write('  "by_tag": {\n')
@@ -217,11 +228,7 @@ class CertificateReport:
             for start in range(0, len(self.records), _CHUNK_RECORDS):
                 if start:
                     fh.write(",\n")
-                fh.write(",\n".join(
-                    _RECORD_TEMPLATE % (_json_num(r.bound), r.k, _json_str(r.note),
-                                        _json_num(r.observed), _JSON_LITERALS[r.passed],
-                                        _json_num(r.slack), _json_str(r.tag))
-                    for r in self.records[start:start + _CHUNK_RECORDS]))
+                fh.write(_record_texts(self.records[start:start + _CHUNK_RECORDS]))
             fh.write("\n  ],\n")
         else:
             fh.write('  "records": [],\n')
@@ -264,6 +271,34 @@ _SUMMARY_TEMPLATE = """\
 _CHUNK_RECORDS = 2048
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
 _json_str = json.encoder.encode_basestring_ascii  # the C encoder json.dump uses for strings
+
+
+# the record template with a float's repr in place of _json_num's text, which
+# is the same for a finite float
+_FLOAT_RECORD_TEMPLATE = (_RECORD_TEMPLATE.replace('"bound": %s', '"bound": %r')
+                          .replace('"observed": %s', '"observed": %r')
+                          .replace('"slack": %s', '"slack": %r'))
+
+
+def _record_text(r: CertificateRecord) -> str:
+    """A certificate record's text in report.json, as json.dump writes it."""
+    return _RECORD_TEMPLATE % (_json_num(r.bound), r.k, _json_str(r.note), _json_num(r.observed),
+                               _JSON_LITERALS[r.passed], _json_num(r.slack), _json_str(r.tag))
+
+
+def _record_texts(records) -> str:
+    """The report.json texts of `records`, joined by ",\n", each the bytes
+    of _record_text. A record whose observed, bound and slack are floats with
+    a finite sum, so finite each, is formatted with _FLOAT_RECORD_TEMPLATE,
+    with no call per value; _record_text formats any other, and raises what
+    json.dump would."""
+    isfinite = math.isfinite
+    return ",\n".join(
+        _FLOAT_RECORD_TEMPLATE % (r.bound, r.k, _json_str(r.note), r.observed,
+                                  _JSON_LITERALS[r.passed], r.slack, _json_str(r.tag))
+        if type(r.observed) is type(r.bound) is type(r.slack) is float
+        and isfinite(r.observed + r.bound + r.slack) else _record_text(r)
+        for r in records)
 
 
 def _json_num(value) -> str:

@@ -10,15 +10,19 @@ when writing, and a NaN or Infinity token is an error when reading.
 The tables below are the schema: each maps a field of one kind of line, in
 one trace format, to its JSON type and whether it may be null, and the keys a
 line may omit sit next to it. `to_dict` writes a line's fields as the table
-of format 2 declares them, and `parse_line` reads one back in a single pass
-over the table of its format; nothing else names a field. Format 1, whose
-header has no `format` key, is read but not written.
+of format 2 declares them, a record line is formatted from a template built
+from its table, and `parse_line` reads a line back in a single pass over the
+table of its format, which a format-2 record line with exactly the table's
+keys and types skips; only the rules on a line's values name a field. Format
+1, whose header has no `format` key, is read but not written.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -132,7 +136,8 @@ class IterationRecord(_Line):
     the value of the running dual average after the step, None when the
     average is undefined (zero step mass) or the dual value does not exist
     for the problem. `grad_norm` is the loss-gradient norm that format-1
-    traces carry; runs leave it None, and format 2 does not write it.
+    traces carry; runs leave it None, and format 2 does not write it. The
+    fields before it are format 2's, in its table's order.
     """
 
     kind = "record"
@@ -145,9 +150,9 @@ class IterationRecord(_Line):
     primal: float
     best_primal: float
     dual: float | None = None
-    grad_norm: float | None = None
     l1: float | None = None
     l0: int | None = None
+    grad_norm: float | None = None
 
 
 @dataclass
@@ -212,9 +217,8 @@ def parse_line(obj, format: int = FORMAT) -> TraceHeader | IterationRecord | Ter
     over the line's table checks that each key is known, each key the line
     may not omit is there, and each value has its JSON type; a float field's
     integer becomes a float. Records and the header must name a known
-    algorithm, a record's sign must be 1.0 or -1.0, and stagewise records and
-    format-1 adaboost records must carry the fields their certificates read.
-    A header's dual_defined, schedule kind, horizon, diameter and format-1
+    algorithm, and a record must keep _check_record's rules on its sign and
+    on the fields its certificates read. A header's dual_defined, schedule kind, horizon, diameter and format-1
     schedule dict must be what runs write. Raises ValueError on the first
     violation.
     """
@@ -239,24 +243,39 @@ def parse_line(obj, format: int = FORMAT) -> TraceHeader | IterationRecord | Ter
     line = cls(**values)
     if cls is Terminal:
         return line
+    if cls is IterationRecord:
+        _check_record(line.algorithm, line.sign, line.l1, line.l0, format, line.grad_norm)
+        return line
     if line.algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm tag: {line.algorithm!r}")
-    if cls is TraceHeader:
-        dual_defined = line.algorithm != "stagewise"
-        if line.dual_defined != dual_defined:
-            raise ValueError(f"header line field 'dual_defined' must be {dual_defined} for "
-                             f"algorithm {line.algorithm!r}, got {line.dual_defined!r}")
-        if schedule is not None:
-            _check_schedule(schedule, line)
-        _check_run_constants(line)
-    else:
-        if line.algorithm == "stagewise" and (line.l1 is None or line.l0 is None):
-            raise ValueError("stagewise records must carry l1 and l0")
-        if format == 1 and line.algorithm == "adaboost" and line.grad_norm is None:
-            raise ValueError("adaboost records must carry grad_norm")
-        if line.sign != 1.0 and line.sign != -1.0:
-            raise ValueError(f"record line field 'sign' must be 1.0 or -1.0, got {line.sign!r}")
+    dual_defined = line.algorithm != "stagewise"
+    if line.dual_defined != dual_defined:
+        raise ValueError(f"header line field 'dual_defined' must be {dual_defined} for "
+                         f"algorithm {line.algorithm!r}, got {line.dual_defined!r}")
+    if schedule is not None:
+        _check_schedule(schedule, line)
+    _check_run_constants(line)
     return line
+
+
+def _check_record(algorithm: str, sign: float, l1, l0, format: int = FORMAT,
+                  grad_norm: float | None = None) -> None:
+    """Refuse the fields of a record that no run writes, in this order: an
+    unknown algorithm, a stagewise record without l1 and l0, a format-1
+    adaboost record without grad_norm, and a sign other than 1.0 or -1.0. In
+    format 1 the sign must be 1.0 under the simplex dual of adaboost and
+    mirror-descent; format 2 takes -1.0 from every algorithm."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm tag: {algorithm!r}")
+    if algorithm == "stagewise" and (l1 is None or l0 is None):
+        raise ValueError("stagewise records must carry l1 and l0")
+    if format == 1 and algorithm == "adaboost" and grad_norm is None:
+        raise ValueError("adaboost records must carry grad_norm")
+    if sign != 1.0 and sign != -1.0:
+        raise ValueError(f"record line field 'sign' must be 1.0 or -1.0, got {sign!r}")
+    if format == 1 and sign != 1.0 and algorithm != "stagewise":
+        raise ValueError(f"record line field 'sign' must be 1.0 under the simplex dual of a "
+                         f"format-1 {algorithm} trace, got {sign!r}")
 
 
 def _check_run_constants(header: TraceHeader) -> None:
@@ -319,6 +338,9 @@ def _non_finite_field(value, name: str = "") -> str | None:
     return None
 
 
+_json_str = json.encoder.encode_basestring_ascii  # the C encoder json.dumps uses for strings
+
+
 def _dumps(obj: dict) -> str:
     try:
         return json.dumps(obj, sort_keys=True, allow_nan=False)
@@ -347,6 +369,57 @@ def _contradiction(rec: IterationRecord, header: TraceHeader) -> str | None:
     return None
 
 
+# A format-2 record line: the record's fields in the table's order, without
+# `type`, and the template of the line, its keys sorted as json.dumps sorts
+# them, each value slot named by its field.
+_RECORD_FIELDS = tuple((key, kind, nullable) for key, (kind, nullable) in _RECORD_TYPES.items()
+                       if key != "type")
+_record_values = operator.attrgetter(*(key for key, _, _ in _RECORD_FIELDS))
+_RECORD_LINE = "{{" + ", ".join(
+    f"{_json_str(key)}: " + (_json_str("record") if key == "type" else f"{{{key}}}")
+    for key in sorted(_RECORD_TYPES)) + "}}"
+
+
+def _record_line(rec: IterationRecord) -> str:
+    """The bytes of _dumps(rec.to_dict()), from _RECORD_LINE, after the
+    refusals parse_line makes of that dict, with its messages and in its
+    order: a conversion that raises, in the table's order; a null where the
+    table allows none, or an algorithm that is no str; then _check_record's
+    rules; then a non-finite value, named by its field. A float is written by
+    float.__repr__ after float(), an int by int.__repr__ after int()."""
+    values = {}
+    texts = {}
+    mistyped = non_finite = None
+    for (key, kind, nullable), value in zip(_RECORD_FIELDS, _record_values(rec)):
+        if value is None:
+            if not nullable and mistyped is None:
+                mistyped = key
+            texts[key] = "null"
+        elif kind is float:
+            value = float(value)
+            if non_finite is None and not math.isfinite(value):
+                non_finite = key
+            texts[key] = float.__repr__(value)
+        elif kind is int:
+            value = int(value)
+            texts[key] = int.__repr__(value)
+        elif type(value) is str:
+            texts[key] = _json_str(value)
+        elif mistyped is None:
+            mistyped = key
+        values[key] = value
+    if mistyped is not None:
+        kind, nullable = _RECORD_TYPES[mistyped]
+        expected = kind.__name__ + (" or null" if nullable else "")
+        raise ValueError(f"record line field {mistyped!r} must be {expected}, "
+                         f"got {values[mistyped]!r}")
+    _check_record(values["algorithm"], values["sign"], values["l1"], values["l0"])
+    if non_finite is not None:
+        raise ValueError(f"record line k={values['k']}: field {non_finite!r} is not finite, "
+                         "and traces are strict JSON")
+    return _RECORD_LINE.format_map(texts)
+
+
 def format_trace(header: TraceHeader, records: Iterable[IterationRecord],
                  terminated: str | None = None) -> str:
     """The text of a format-2 trace file. Every line passes parse_line and
@@ -360,9 +433,7 @@ def format_trace(header: TraceHeader, records: Iterable[IterationRecord],
         problem = _contradiction(rec, header)
         if problem is not None:
             raise ValueError(f"record line k={rec.k}: {problem}")
-        obj = rec.to_dict()
-        parse_line(obj)
-        lines.append(_dumps(obj))
+        lines.append(_record_line(rec))
     if terminated is not None:
         term = Terminal(k=len(lines) - 1, reason=terminated).to_dict()  # the record count
         parse_line(term)
@@ -386,6 +457,41 @@ def _reject_constant(token: str):
 
 
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_scan = _DECODER.scan_once  # decode() without its checks for surrounding whitespace
+
+# A format-2 record line that the fast path of read_trace takes: its keys are
+# the table's, and each value has exactly the JSON type the table gives it,
+# null only where the table allows null. Its values after `type`, in the
+# table's order, are IterationRecord's arguments.
+_RECORD_KEYS = _RECORD_TYPES.keys()
+_record_items = operator.itemgetter(*_RECORD_TYPES)
+_RECORD_ROWS = frozenset(itertools.product(*(
+    (kind, type(None)) if nullable else (kind,) for kind, nullable in _RECORD_TYPES.values())))
+
+
+def _decoded(text: str):
+    """The JSON value of a stripped trace line; a line that is not strict JSON
+    raises decode()'s error."""
+    try:
+        obj, end = _scan(text, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    if end != len(text):
+        obj = _DECODER.decode(text)  # raises the error the scan met
+    return obj
+
+
+def _read_line(obj, format: int) -> TraceHeader | IterationRecord | Terminal:
+    """parse_line(obj, format), through a direct IterationRecord(...) for a
+    format-2 record line with the table's keys and types, which parse_line
+    would return unchanged but for its refusals of the record's fields."""
+    if format == FORMAT and type(obj) is dict and obj.keys() == _RECORD_KEYS:
+        values = _record_items(obj)
+        if values[0] == "record" and tuple(map(type, values)) in _RECORD_ROWS:
+            line = IterationRecord(*values[1:])
+            _check_record(line.algorithm, line.sign, line.l1, line.l0)
+            return line
+    return parse_line(obj, format)
 
 
 def read_trace(path) -> tuple[TraceHeader, list[IterationRecord], str | None]:
@@ -406,11 +512,11 @@ def read_trace(path) -> tuple[TraceHeader, list[IterationRecord], str | None]:
             if not text:
                 continue
             try:
-                obj = _DECODER.decode(text)
+                obj = _decoded(text)
             except ValueError as exc:  # json.JSONDecodeError is one
                 raise ValueError(f"{path}: line {lineno} is not valid JSON: {exc}") from exc
             try:
-                line = parse_line(obj, FORMAT if header is None else header.format)
+                line = _read_line(obj, FORMAT if header is None else header.format)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             if terminal_line is not None:

@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, output files, and byte-level reproducibility."""
 
 import dataclasses
+import gc
 import json
 import math
 import subprocess
@@ -574,6 +575,20 @@ def test_check_refuses_a_header_whose_dual_defined_contradicts_its_algorithm(tmp
     assert list(trace.parent.iterdir()) == [trace]
 
 
+@pytest.mark.parametrize("prefix", ["adaboost", "game"])
+def test_check_refuses_a_format_1_simplex_trace_with_a_negated_sign(tmp_path, capsys, prefix):
+    # a format-1 simplex dual has no negated column; format 2 records one as -1.0
+    header, *records = (PARENT / f"{prefix}.trace.jsonl").read_text().splitlines()
+    trace = _alone_in_a_directory(tmp_path, [header, *(_relabelled(line, sign=-1.0)
+                                                       for line in records)])
+    algorithm = json.loads(header)["algorithm"]
+    capsys.readouterr()
+    assert main(["check", str(trace)]) == EXIT_USAGE
+    assert (f"line 2: record line field 'sign' must be 1.0 under the simplex dual of a "
+            f"format-1 {algorithm} trace, got -1.0") in capsys.readouterr().err
+    assert list(trace.parent.iterdir()) == [trace]
+
+
 @pytest.mark.parametrize("case, message", [
     ("record with slacks", "line 2: record line has unknown keys: ['slacks']"),
     ("record with grad_norm", "line 2: record line has unknown keys: ['grad_norm']"),
@@ -813,6 +828,27 @@ def test_check_io_and_usage_errors(tmp_path):
     empty = tmp_path / "empty.trace.jsonl"
     empty.write_text("")
     assert main(["check", str(empty)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_a_command_runs_without_the_cyclic_collector_and_restores_it(tmp_path, monkeypatch,
+                                                                     collecting):
+    seen = []
+    checker = bounds.check
+
+    def checking(records, header):
+        seen.append(gc.isenabled())
+        return checker(records, header)
+
+    monkeypatch.setattr(bounds, "check", checking)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        trace = _alone_in_a_directory(tmp_path, _game_trace_lines(tmp_path))
+        assert main(["check", str(trace)]) == EXIT_OK
+        assert main(["check", str(tmp_path / "absent.trace.jsonl")]) == EXIT_IO
+        assert seen == [False, False] and gc.isenabled() is collecting
+    finally:
+        gc.enable()
 
 
 def test_gen_round_trips_through_run(tmp_path):

@@ -1,6 +1,7 @@
 """Mirror descent engine: dual responses, single steps, schedules, full runs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,40 @@ def test_lipschitz_constants():
     res = MinmaxProblem(np.array([[3.0, 0.0], [4.0, 1.0]]),
                         primal_domain="residual-space", dual_domain="l1-ball")
     assert res.lipschitz() == 5.0  # largest column l2 norm
+
+
+def _residual(matrix) -> MinmaxProblem:
+    return MinmaxProblem(matrix, primal_domain="residual-space", dual_domain="l1-ball")
+
+
+def test_the_residual_space_constant_holds_no_design_sized_temporary():
+    design = np.random.default_rng(1).standard_normal((1000, 500))  # fs-path's shape
+    tracemalloc.start()
+    try:
+        problem = _residual(design)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert problem.lipschitz() == float(np.linalg.norm(design, axis=0).max())
+    assert peak < design.nbytes // 4
+
+
+_DRAW = np.random.default_rng(2).standard_normal(210000)
+_TALL = _DRAW.reshape(70000, 3)
+
+
+# shapes whose squares span several column blocks, or would leave a
+# single-column last block, in layouts that numpy sums in different orders
+@pytest.mark.parametrize("matrix", [
+    _TALL, np.asfortranarray(_TALL), _TALL[:, :2], _TALL[:, ::-1], _TALL[::7],
+    _DRAW[:140000].reshape(20000, 7), _DRAW[:180000].reshape(3, 60000), _TALL[::2, :1],
+    1e200 * _DRAW[:140000].reshape(20000, 7),
+], ids=["tall", "tall-fortran", "two-columns", "reversed", "strided", "seven-columns", "wide",
+        "one-column", "overflowing"])
+def test_the_blocked_column_norm_is_numpys_bit_for_bit(matrix):
+    with np.errstate(over="ignore"):
+        want = float(np.linalg.norm(matrix, axis=0).max())
+    assert _residual(matrix).lipschitz().hex() == want.hex()
 
 
 def test_dual_response_simplex_prefers_lowest_index_on_ties():

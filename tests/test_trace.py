@@ -535,3 +535,171 @@ def test_a_header_must_carry_the_kind_horizon_and_diameter_that_run_writes(
             pattern = "header line field 'schedule[._]kind'"
         with pytest.raises(ValueError, match=pattern):
             parse_line({**old, **fields}, 1)
+
+
+# The record writer formats a line from one template; json.dumps of the
+# record's to_dict() is its byte-for-byte oracle.
+REPR_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+              1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16, 1e-4,
+              9.999999999999999e-05, 0.00010000000000000002, -1e-4, 1.7976931348623157e308,
+              -1.7976931348623157e308, 0.1, 1.0 / 3.0)
+written_floats = st.one_of(st.sampled_from(REPR_EDGES),
+                           st.floats(allow_nan=False, allow_infinity=False),
+                           st.integers(-2**60, 2**60),
+                           st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+                           st.floats(allow_nan=False, allow_infinity=False,
+                                     width=32).map(np.float32))
+written_ints = st.one_of(st.integers(0, 2**62), st.integers(0, 2**62).map(np.int64))
+
+
+@st.composite
+def records_to_write(draw):
+    """A header and a record it admits, in any algorithm, with numpy scalars
+    among the values; stagewise records carry l1 and l0, the others may."""
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    stagewise = algorithm == "stagewise"
+    header = _header(algorithm=algorithm, shape={"m": 4, "n": 2**63, "p": 2**63})
+    nullable_float = st.one_of(st.none(), written_floats)
+    record = IterationRecord(
+        k=draw(written_ints), algorithm=algorithm, index=draw(written_ints),
+        sign=draw(st.sampled_from((1.0, -1.0, 1, -1, np.float64(-1.0), np.int64(1)))),
+        alpha=draw(written_floats), primal=draw(written_floats),
+        best_primal=draw(written_floats), dual=draw(nullable_float),
+        l1=draw(written_floats if stagewise else nullable_float),
+        l0=draw(written_ints if stagewise else st.one_of(st.none(), written_ints)))
+    return header, record
+
+
+@settings(max_examples=400, deadline=None)
+@given(records_to_write())
+def test_a_record_line_is_the_bytes_of_json_dumps(case):
+    header, record = case
+    line = format_trace(header, [record]).splitlines()[1]
+    assert line == json.dumps(record.to_dict(), sort_keys=True, allow_nan=False)
+
+
+class _Str(str):
+    """A str that is not exactly a str, as a trace's algorithm must be."""
+
+
+# each record the writer refuses, with the message it gives: the message
+# that reading the record's dict back through parse_line gives
+@pytest.mark.parametrize("fields, message", [
+    ({"algorithm": "mirror-descent"},
+     "record line k=0: record algorithm 'mirror-descent' differs from the header's 'adaboost'"),
+    ({"index": 3}, "record line k=0: record index 3 names no column: the header's shape has n=3"),
+    ({"index": -1}, "record index -1 names no column"),
+    ({"algorithm": "mirror-descent", "index": 9}, "record algorithm 'mirror-descent' differs"),
+    ({"sign": 0.5}, "record line field 'sign' must be 1.0 or -1.0, got 0.5"),
+    ({"sign": np.float64(-0.0)}, "record line field 'sign' must be 1.0 or -1.0, got -0.0"),
+    ({"sign": math.nan}, "record line field 'sign' must be 1.0 or -1.0, got nan"),
+    ({"sign": 0.5, "dual": math.nan}, "field 'sign' must be 1.0 or -1.0, got 0.5"),
+    ({"sign": None}, "record line field 'sign' must be float, got None"),
+    ({"k": None, "alpha": None}, "record line field 'k' must be int, got None"),
+    ({"primal": None, "sign": 0.5}, "record line field 'primal' must be float, got None"),
+    ({"algorithm": _Str("adaboost")}, "record line field 'algorithm' must be str, got 'adaboost'"),
+    ({"alpha": "x", "k": "y"}, "invalid literal for int() with base 10: 'y'"),
+    ({"dual": math.nan}, "record line k=0: field 'dual' is not finite, and traces are strict JSON"),
+    ({"alpha": math.inf, "dual": math.nan}, "record line k=0: field 'alpha' is not finite"),
+    ({"k": np.int64(4), "best_primal": -math.inf}, "record line k=4: field 'best_primal'"),
+    ({"l1": np.float32("inf"), "l0": 2}, "record line k=0: field 'l1' is not finite"),
+])
+def test_format_trace_refuses_each_record_as_reading_it_back_does(fields, message):
+    record = dataclasses.replace(_record(0), **fields)
+    with pytest.raises((TypeError, ValueError), match=re.escape(message)) as refused:
+        format_trace(_header(), [record])
+    assert str(refused.value) == _refusal_by_reading_back(_header(), record)
+
+
+def _refusal_by_reading_back(header: TraceHeader, record: IterationRecord) -> str:
+    """The message for `record` from reading its dict back: the header's
+    contradictions, then parse_line's refusals of the record's dict, then a
+    non-finite value named by json.dumps's failure; empty if none refuses."""
+    problem = trace._contradiction(record, header)
+    if problem is not None:
+        return f"record line k={record.k}: {problem}"
+    try:
+        obj = record.to_dict()
+        parse_line(obj)
+        trace._dumps(obj)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    return ""
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"l1": None, "l0": 0}, "stagewise records must carry l1 and l0"),
+    ({"l1": 0.5, "l0": None, "sign": 0.5}, "stagewise records must carry l1 and l0"),
+    ({"l1": 0.5, "l0": 1.5}, ""),  # l0 is written as int(1.5), as to_dict converts it
+])
+def test_format_trace_refuses_a_stagewise_record_without_l1_and_l0(fields, message):
+    header = _header(algorithm="stagewise", shape={"n": 4, "p": 3})
+    record = _record(0, algorithm="stagewise", dual=None, **fields)
+    assert _refusal_by_reading_back(header, record) == message
+    if message:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            format_trace(header, [record])
+    else:
+        assert '"l0": 1,' in format_trace(header, [record])
+
+
+def test_a_record_line_is_read_by_the_fast_path_or_by_parse_line(tmp_path, monkeypatch):
+    # a line with the table's keys and exact JSON types skips parse_line; any
+    # other is read by it, with its conversions and messages
+    parsed = []
+    monkeypatch.setattr(trace, "parse_line",
+                        lambda obj, format=2: parsed.append(obj) or parse_line(obj, format))
+    path = tmp_path / "run.trace.jsonl"
+    records = [_record(0), _record(1, dual=None, l1=0.5, l0=3)]
+    write_trace(path, _header(), records)
+    parsed.clear()
+    assert read_trace(path)[1] == records
+    assert [line["type"] for line in parsed] == ["header"]
+    head, first, second = path.read_text().splitlines()
+
+    def read(line: str):
+        parsed.clear()
+        path.write_text("\n".join([head, first, line]) + "\n")
+        return read_trace(path)[1][1]
+
+    as_int = read(second.replace('"alpha": 0.25', '"alpha": 1'))
+    assert as_int == dataclasses.replace(records[1], alpha=1.0) and type(as_int.alpha) is float
+    assert len(parsed) == 2  # the header and the converted record
+    for line, message in [
+        (second[:-1] + ', "extra": 1}', r"line 3: record line has unknown keys: \['extra'\]"),
+        (second.replace('"alpha": 0.25', '"alpha": null'),
+         "line 3: record line field 'alpha' must be float, got None"),
+        (second.replace('"k": 1', '"k": 1.0'), "line 3: record line field 'k' must be int"),
+        (second.replace('"sign": 1.0', '"sign": true'), "field 'sign' must be float, got True"),
+        (second.replace('"type": "record"', '"type": "terminal"'),
+         "line 3: terminal line must carry k and reason"),
+        (second.replace('"sign": 1.0', '"sign": 2.0'),
+         "line 3: record line field 'sign' must be 1.0 or -1.0, got 2.0"),
+        (second.replace('"algorithm": "adaboost"', '"algorithm": "boost"'),
+         "line 3: unknown algorithm tag: 'boost'"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            read(line)
+
+
+def test_a_format_2_record_holds_its_lines_values_in_the_tables_order():
+    # the fast path passes a line's values to IterationRecord by position
+    names = [field.name for field in dataclasses.fields(IterationRecord)]
+    assert names[:len(trace._RECORD_TYPES) - 1] == list(trace._RECORD_TYPES)[1:]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_negated_sign_is_a_format_2_record_or_a_stagewise_one(algorithm):
+    fs = algorithm == "stagewise"
+    record = {**_record_1(0), "algorithm": algorithm, "sign": -1.0,
+              **({"l1": 0.5, "l0": 1} if fs else {})}
+    format_2 = {key: value for key, value in record.items() if key not in ("grad_norm", "slacks")}
+    assert parse_line(format_2).sign == -1.0
+    if fs:
+        assert parse_line(record, 1).sign == -1.0
+    else:
+        with pytest.raises(ValueError, match="record line field 'sign' must be 1.0 under the "
+                                             f"simplex dual of a format-1 {algorithm} trace, "
+                                             "got -1.0"):
+            parse_line(record, 1)
+    assert parse_line({**record, "sign": 1.0}, 1).sign == 1.0
