@@ -15,13 +15,13 @@ __version__ = "0.1.0"
 # the public names, by the submodule that defines them
 _SUBMODULE_NAMES = {
     "bounds": ("CertificateRecord", "CertificateReport", "check", "constant_bound",
-               "dynamic_bound", "md_gap_bound", "polyak_bound"),
+               "dynamic_bound", "polyak_bound"),
     "boosting": ("TrainingSet", "run_adaboost"),
-    "md_core": ("DualResponse", "MinmaxProblem", "MirrorDescentState", "StepSchedule",
-                "UndefinedStepError", "dual_response", "dual_value", "md_step", "support_size"),
-    "prox": ("ProxFunction", "bregman", "diameter_bound", "entropy", "euclidean", "prox_solve"),
+    "md_core": ("MinmaxProblem", "MirrorDescentState", "StepSchedule", "UndefinedStepError",
+                "md_step"),
+    "prox": ("ProxFunction", "entropy", "euclidean", "prox_solve"),
     "stagewise": ("RegressionProblem", "least_squares_norm", "optimal_shrinkage", "run_fs"),
-    "trace": ("IterationRecord", "RunResult", "TraceHeader", "read_trace", "write_trace"),
+    "trace": ("IterationRecord", "RunResult", "TraceHeader", "read_trace"),
 }
 # public name -> (submodule, attribute of that submodule)
 _ORIGIN = {name: (module, name) for module, names in _SUBMODULE_NAMES.items() for name in names}

@@ -41,23 +41,6 @@ def _ratio_bound(offset: float, lipschitz: float, step_sum: float, step_sq_sum: 
     return (offset + 0.5 * lipschitz * lipschitz * step_sq_sum) / step_sum
 
 
-def md_gap_bound(diameter: float, lipschitz: float, steps) -> float:
-    """Step-sum bound (diameter + L^2/2 * sum a_i^2) / sum a_i.
-
-    `diameter` is the Bregman diameter of the primal domain for duality-gap
-    certificates, or the Bregman distance from the start to a reference point
-    when the bound is used against a known optimal value.
-    """
-    sa = 0.0
-    sa2 = 0.0
-    for a in steps:
-        sa += a
-        sa2 += a * a
-    if sa <= 0.0:
-        raise ValueError("the step-sum bound is undefined for a zero step-size sum")
-    return _ratio_bound(diameter, lipschitz, sa, sa2)
-
-
 def constant_bound(diameter: float, lipschitz: float, num_steps: int) -> float:
     """Closed form of the step-sum bound under the tuned constant schedule."""
     if num_steps < 1:
@@ -338,6 +321,8 @@ def check(records, header: TraceHeader) -> CertificateReport:
     """Evaluate every applicable bound against an iteration trace, with the
     problem constants its header holds: the algorithm, the schedule kind,
     lipschitz, diameter, f_star, dist0, eps, horizon, dual_defined and format.
+    A header is checked when it is made, so lipschitz and the diameter are
+    always there, and so is the horizon of a kind tied to it.
 
     The record produced at iteration k pairs the best pre-step value over
     iterations 0..k with the post-step dual average (or the known optimal
@@ -352,7 +337,6 @@ def check(records, header: TraceHeader) -> CertificateReport:
         raise ValueError("cannot check an empty trace")
     report = CertificateReport()
     algo = header.algorithm
-    missing_dl = header.diameter is None or header.lipschitz is None
 
     step_sum = 0.0
     step_sq_sum = 0.0
@@ -375,10 +359,7 @@ def check(records, header: TraceHeader) -> CertificateReport:
                 report.records.append(_not_evaluable(t, WEAK_DUALITY, "no dual value" + dual_ref))
             else:
                 report.records.append(_evaluated(t, WEAK_DUALITY, rec.dual, rec.best_primal))
-            if missing_dl:
-                report.records.append(_not_evaluable(
-                    t, GAP_RUNNING, "missing diameter or lipschitz constant"))
-            elif rec.dual is None:
+            if rec.dual is None:
                 report.records.append(_not_evaluable(t, GAP_RUNNING, "no dual value" + dual_ref))
             elif step_sum <= 0.0:  # only in a tampered trace: runs record no dual then
                 report.records.append(_not_evaluable(t, GAP_RUNNING, "zero step-size sum"))
@@ -387,10 +368,7 @@ def check(records, header: TraceHeader) -> CertificateReport:
                 report.records.append(_evaluated(t, GAP_RUNNING, gap_ref - rec.dual, bound,
                                                  steps_finite=math.isfinite(step_sq_sum)))
             if header.schedule_kind == "dynamic":
-                if missing_dl:
-                    report.records.append(_not_evaluable(
-                        t, GAP_DYNAMIC, "missing diameter or lipschitz constant"))
-                elif rec.dual is None:
+                if rec.dual is None:
                     report.records.append(_not_evaluable(t, GAP_DYNAMIC, "no dual value" + dual_ref))
                 elif t < 0:  # only in a tampered trace, which fails trace-integrity
                     report.records.append(_not_evaluable(t, GAP_DYNAMIC, "negative iteration"))
@@ -400,17 +378,14 @@ def check(records, header: TraceHeader) -> CertificateReport:
 
         if header.f_star is not None:
             observed = rec.best_primal - header.f_star
-            if missing_dl:
-                report.records.append(_not_evaluable(
-                    t, OPT_RUNNING, "missing diameter or lipschitz constant"))
-            elif step_sum <= 0.0:
+            if step_sum <= 0.0:
                 report.records.append(_not_evaluable(t, OPT_RUNNING, "zero step-size sum"))
             else:
                 bound = _ratio_bound(header.diameter, header.lipschitz, step_sum, step_sq_sum)
                 report.records.append(_evaluated(t, OPT_RUNNING, observed, bound,
                                                  steps_finite=math.isfinite(step_sq_sum)))
             if header.schedule_kind in ("polyak", "linesearch"):
-                if header.dist0 is None or header.lipschitz is None:
+                if header.dist0 is None:  # the game's simplex header has none
                     report.records.append(_not_evaluable(
                         t, OPT_POLYAK, "missing dist0 or lipschitz constant"))
                 elif t < 0:  # only in a tampered trace, which fails trace-integrity
@@ -433,14 +408,9 @@ def check(records, header: TraceHeader) -> CertificateReport:
     # horizon-tied closed forms: one record per run, at the planned final iteration
     final = records[-1]
     if header.dual_defined and header.schedule_kind == "constant":
-        if header.horizon is None:
-            report.records.append(_not_evaluable(-1, GAP_CONSTANT, "no planned horizon"))
-        elif final.k != header.horizon - 1:
+        if final.k != header.horizon - 1:
             report.records.append(_not_evaluable(
                 header.horizon - 1, GAP_CONSTANT, "run ended before the planned horizon"))
-        elif missing_dl:
-            report.records.append(_not_evaluable(
-                final.k, GAP_CONSTANT, "missing diameter or lipschitz constant"))
         elif final.dual is None:
             report.records.append(_not_evaluable(final.k, GAP_CONSTANT, "no dual value" + dual_ref))
         else:
@@ -448,14 +418,9 @@ def check(records, header: TraceHeader) -> CertificateReport:
             bound = constant_bound(header.diameter, header.lipschitz, header.horizon)
             report.records.append(_evaluated(final.k, GAP_CONSTANT, gap_ref - final.dual, bound))
     if header.f_star is not None and header.schedule_kind == "optimal":
-        if header.horizon is None:
-            report.records.append(_not_evaluable(-1, OPT_HORIZON, "no planned horizon"))
-        elif final.k != header.horizon - 1:
+        if final.k != header.horizon - 1:
             report.records.append(_not_evaluable(
                 header.horizon - 1, OPT_HORIZON, "run ended before the planned horizon"))
-        elif header.dist0 is None or header.lipschitz is None:
-            report.records.append(_not_evaluable(
-                final.k, OPT_HORIZON, "missing dist0 or lipschitz constant"))
         else:
             observed = final.best_primal - header.f_star
             bound = polyak_bound(header.lipschitz, header.dist0, header.horizon - 1)

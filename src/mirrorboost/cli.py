@@ -192,38 +192,29 @@ def _generate(kind: str, seed: int, sizes: dict):
 
 def _prepare_boost_run(config: ExperimentConfig, problem: MinmaxProblem):
     """The schedule and the trace header of an adaboost or minmax-game run on
-    `problem`, whose shape and Lipschitz constant the header carries."""
-    import numpy as np
+    `problem`, whose shape and Lipschitz constant the header carries. The
+    constant and dynamic schedules take the header's diameter, log(m) from
+    the uniform start."""
+    from . import md_core
 
-    from . import md_core, prox
-
-    m = problem.m
-    lipschitz = problem.lipschitz()
-    diameter = prox.diameter_bound(prox.entropy(m), np.full(m, 1.0 / m))
-    if config.schedule == "constant":
-        schedule = md_core.StepSchedule.constant(lipschitz, diameter, config.iterations)
-        horizon = config.iterations
-    elif config.schedule == "dynamic":
-        schedule = md_core.StepSchedule.dynamic(lipschitz, diameter)
-        horizon = None
-    elif config.schedule == "linesearch":
-        schedule = md_core.StepSchedule.edge_linesearch()
-        horizon = None
-    else:  # polyak, minmax-game only
-        schedule = md_core.StepSchedule.polyak(config.f_star)
-        horizon = None
     header = TraceHeader(
         algorithm=_TASK_ALGORITHMS[config.task],
         schedule_kind=config.schedule,
         iterations=config.iterations,
-        shape={"m": m, "n": problem.n},
-        lipschitz=lipschitz,
-        diameter=diameter,
+        shape={"m": problem.m, "n": problem.n},
+        lipschitz=problem.lipschitz(),
         f_star=config.f_star,
-        horizon=horizon,
-        dual_defined=True,
         config=config.experiment_dict(),
     )
+    if config.schedule == "constant":
+        schedule = md_core.StepSchedule.constant(header.lipschitz, header.diameter,
+                                                 config.iterations)
+    elif config.schedule == "dynamic":
+        schedule = md_core.StepSchedule.dynamic(header.lipschitz, header.diameter)
+    elif config.schedule == "linesearch":
+        schedule = md_core.StepSchedule.edge_linesearch()
+    else:  # polyak, minmax-game only
+        schedule = md_core.StepSchedule.polyak(config.f_star)
     return schedule, header
 
 
@@ -251,13 +242,11 @@ def _prepare_fs_run(config: ExperimentConfig, rp: RegressionProblem, problem: Mi
         else:
             projection_norm = least_squares_norm(rp)
     eps = None
-    horizon = None
     if config.schedule == "constant":
         eps = float(config.epsilon)
         schedule = md_core.StepSchedule.fixed(eps)
     elif config.schedule == "optimal":
         eps = optimal_shrinkage(rp, config.iterations, projection_norm=projection_norm)
-        horizon = config.iterations
         schedule = md_core.StepSchedule.fixed(eps)
     else:  # linesearch: the polyak step with the known optimal value 0
         schedule = md_core.StepSchedule.polyak(0.0)
@@ -269,12 +258,9 @@ def _prepare_fs_run(config: ExperimentConfig, rp: RegressionProblem, problem: Mi
         iterations=config.iterations,
         shape={"n": problem.m, "p": problem.n},
         lipschitz=lipschitz,
-        diameter=0.5 * projection_norm * projection_norm,
         f_star=0.0,
         dist0=projection_norm,
         eps=eps,
-        horizon=horizon,
-        dual_defined=False,
         config=config.experiment_dict(),
     )
     return schedule, header
@@ -417,7 +403,6 @@ def _cmd_run(args) -> int:
     else:
         schedule, header = _prepare_boost_run(config, problem)
         x0 = None
-    format_trace(header, ())  # the trace's header line, refused now if the writer would refuse it
     result = md_core.run(problem, schedule, config.iterations, x0=x0,
                          algorithm=header.algorithm)
     if not result.records:

@@ -128,14 +128,6 @@ class MinmaxProblem:
         return self._lipschitz
 
 
-@dataclass(frozen=True)
-class DualResponse:
-    index: int
-    sign: float
-    value: float
-    grad: np.ndarray
-
-
 def _checked_point(problem: MinmaxProblem, x, name: str) -> np.ndarray:
     """`x` as a float vector, after checking that it lies in the primal domain."""
     x = np.asarray(x, dtype=float)
@@ -150,8 +142,10 @@ def _checked_point(problem: MinmaxProblem, x, name: str) -> np.ndarray:
 
 
 def _respond(problem: MinmaxProblem, x: np.ndarray) -> tuple[int, float, float, np.ndarray]:
-    """dual_response's (index, sign, value, grad) at a point of the primal
-    domain, unchecked: one A^T x scan and its argmax."""
+    """The dual response at a point of the primal domain, unchecked: one
+    A^T x scan and its argmax, ties to the lowest column index. Returns the
+    maximizing vertex lam of Q, a signed coordinate vector, as its index and
+    sign, the achieved value f(x), and the subgradient g = A lam."""
     scores = problem.payoff.T @ x
     if problem.dual_domain == DUAL_SIMPLEX:
         j = int(scores.argmax())
@@ -160,29 +154,6 @@ def _respond(problem: MinmaxProblem, x: np.ndarray) -> tuple[int, float, float, 
     j = int(magnitudes.argmax())
     sign = float(np.sign(scores[j]))
     return j, sign, float(magnitudes[j]), sign * problem.payoff[:, j]
-
-
-def dual_response(problem: MinmaxProblem, x) -> DualResponse:
-    """Maximize x^T A lam over Q; ties resolve to the lowest column index.
-
-    Returns the maximizing vertex lam, a signed coordinate vector, as its
-    index and sign, the achieved value f(x), and the subgradient g = A lam.
-    """
-    return DualResponse(*_respond(problem, _checked_point(problem, x, "x")))
-
-
-def dual_value(problem: MinmaxProblem, lam) -> float | None:
-    """min over the primal domain of x^T A lam; None when the domain is unbounded."""
-    if problem.primal_domain != PRIMAL_SIMPLEX:
-        return None
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (problem.n,):
-        raise ValueError(f"lam must have shape ({problem.n},), got {lam.shape}")
-    return float(np.min(problem.payoff @ lam))
-
-
-def support_size(coefficients) -> int:
-    return int(np.count_nonzero(np.abs(np.asarray(coefficients, dtype=float)) > NNZ_TOLERANCE))
 
 
 @dataclass
@@ -273,9 +244,8 @@ class StepSchedule:
 
     Kinds: "constant" (tuned to a fixed number of planned steps), "dynamic"
     (horizon-free decay), "polyak" (requires the optimal value), "fixed"
-    (a plain constant value), "edge-linesearch" (the classical boosting
-    line-search step computed from the current edge), and "sequence"
-    (user-supplied values).
+    (a plain constant value), and "edge-linesearch" (the classical boosting
+    line-search step computed from the current edge).
     """
 
     kind: str
@@ -283,7 +253,6 @@ class StepSchedule:
     lipschitz: float | None = None
     diameter: float | None = None
     f_star: float | None = None
-    sequence: tuple[float, ...] | None = None
 
     @classmethod
     def constant(cls, lipschitz: float, diameter: float, num_steps: int) -> "StepSchedule":
@@ -324,13 +293,6 @@ class StepSchedule:
     def edge_linesearch(cls) -> "StepSchedule":
         return cls(kind="edge-linesearch")
 
-    @classmethod
-    def from_sequence(cls, alphas) -> "StepSchedule":
-        seq = tuple(float(a) for a in alphas)
-        if any(a < 0.0 for a in seq):
-            raise ValueError("step sizes must be nonnegative")
-        return cls(kind="sequence", sequence=seq)
-
     def step_size(self, k: int, value: float | None = None, grad=None) -> float:
         if self.kind in ("constant", "fixed"):
             return self.alpha
@@ -358,10 +320,6 @@ class StepSchedule:
                 )
             r = min(r, 1.0 - EDGE_CAP)
             return 0.5 * math.log((1.0 + r) / (1.0 - r))
-        if self.kind == "sequence":
-            if k >= len(self.sequence):
-                raise ValueError(f"step sequence exhausted at iteration {k}")
-            return self.sequence[k]
         raise ValueError(f"unknown schedule kind: {self.kind!r}")
 
 
@@ -404,7 +362,8 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, iterations: int, x0=None
     state = MirrorDescentState.initial(_checked_point(problem, x0, "x0"),
                                        geometry(problem.m), problem.n)
     l1_ball = problem.dual_domain == DUAL_L1_BALL
-    # support_size(dual_sum), kept up to date from the one entry a round changes
+    # the support size of dual_sum, its entries above NNZ_TOLERANCE, kept up to
+    # date from the one entry a round changes
     dual_sum, support = state.dual_weighted_sum, 0
     # A @ dual_weighted_sum; the residual-space domain has no dual value
     margins = np.zeros(problem.m) if problem.primal_domain == PRIMAL_SIMPLEX else None

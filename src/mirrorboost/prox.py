@@ -1,4 +1,4 @@
-"""Prox functions and their Bregman geometry.
+"""Prox functions and their prox steps.
 
 Two geometries are provided: negative entropy on the probability simplex
 (reference norm l1) and the squared Euclidean norm on a vector space
@@ -19,8 +19,6 @@ EUCLIDEAN = "euclidean"
 # exp() leaves double range near +-709; beyond this the linear term is shifted
 # before exponentiation, which normalization cancels.
 _EXP_SHIFT_LIMIT = 700.0
-
-_SIMPLEX_SUM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -58,48 +56,6 @@ def _as_vector(v, dim: int, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
-
-
-def _check_simplex(x: np.ndarray, name: str, strict: bool) -> None:
-    if strict:
-        if np.any(x <= 0.0):
-            raise ValueError(f"{name} must be strictly positive inside the simplex")
-    elif np.any(x < 0.0):
-        raise ValueError(f"{name} must be nonnegative")
-    if abs(float(x.sum()) - 1.0) > _SIMPLEX_SUM_TOL:
-        raise ValueError(f"{name} must sum to 1")
-
-
-def _entropy_value(x: np.ndarray) -> float:
-    # 0 * log(0) is taken as 0 on the simplex boundary.
-    positive = x[x > 0.0]
-    return float(positive @ np.log(positive)) + math.log(x.size)
-
-
-def value(prox: ProxFunction, x) -> float:
-    """Evaluate the prox function at a point of its domain."""
-    x = _as_vector(x, prox.dim, "x")
-    if prox.kind == ENTROPY:
-        _check_simplex(x, "x", strict=False)
-        return _entropy_value(x)
-    return 0.5 * float(x @ x)
-
-
-def bregman(prox: ProxFunction, x, y) -> float:
-    """Bregman distance d(x) - d(y) - <grad d(y), x - y>.
-
-    For the entropy geometry both points must lie on the simplex and y must be
-    strictly positive, since the entropy gradient is undefined on the boundary.
-    """
-    x = _as_vector(x, prox.dim, "x")
-    y = _as_vector(y, prox.dim, "y")
-    if prox.kind == ENTROPY:
-        _check_simplex(x, "x", strict=False)
-        _check_simplex(y, "y", strict=True)
-        grad_y = 1.0 + np.log(y)
-        return _entropy_value(x) - _entropy_value(y) - float(grad_y @ (x - y))
-    diff = x - y
-    return 0.5 * float(diff @ diff)
 
 
 def _checked_anchor(prox: ProxFunction, anchor) -> np.ndarray:
@@ -150,27 +106,3 @@ def _step(kind: str, c: np.ndarray, anchor: np.ndarray, alpha: float) -> np.ndar
         raise ValueError(f"the entropy prox step of size {alpha!r} has normalizer {s!r}: "
                          "every weight underflowed or the sum overflowed")
     return u / s
-
-
-def diameter_bound(prox: ProxFunction, x0, optimum=None) -> float:
-    """Upper bound on the Bregman distance from x0 to any point of the domain.
-
-    Entropy geometry: the maximum over the simplex is attained at a vertex and
-    equals -log(min_i x0_i); for the uniform anchor this is exactly log(dim).
-    Euclidean geometry: the domain is unbounded, so the caller must supply the
-    point (typically an optimum) whose distance should be bounded.
-    """
-    x0 = _as_vector(x0, prox.dim, "x0")
-    if prox.kind == ENTROPY:
-        _check_simplex(x0, "x0", strict=True)
-        if np.all(x0 == x0[0]):
-            return math.log(prox.dim)
-        return -math.log(float(x0.min()))
-    if optimum is None:
-        raise ValueError(
-            "the Euclidean domain is unbounded: supply the optimum so that "
-            "the distance from x0 to it can be used as the bound"
-        )
-    opt = _as_vector(optimum, prox.dim, "optimum")
-    diff = opt - x0
-    return 0.5 * float(diff @ diff)

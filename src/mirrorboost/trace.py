@@ -22,8 +22,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 ALGORITHMS = ("mirror-descent", "adaboost", "stagewise")
@@ -44,11 +45,18 @@ RUN_SCHEDULES = {
 _HEADER_TYPES = {
     "type": (str, False), "format": (int, False), "algorithm": (str, False),
     "schedule_kind": (str, False), "iterations": (int, False), "shape": (dict, False),
-    "lipschitz": (float, True), "diameter": (float, True), "f_star": (float, True),
+    "lipschitz": (float, False), "diameter": (float, False), "f_star": (float, True),
     "dist0": (float, True), "eps": (float, True), "horizon": (int, True),
     "dual_defined": (bool, False), "config": (dict, True),
 }
 _HEADER_OPTIONAL = frozenset({"config"})
+# the header fields TraceHeader derives, which a header line states, and the
+# others, which it is made of
+_DERIVED = ("dual_defined", "horizon", "diameter")
+_HEADER_ARGUMENTS = {key: types for key, types in _HEADER_TYPES.items()
+                     if key not in ("type", *_DERIVED)}
+# the numbers a header converts to each JSON number type
+_NUMBERS = {int: numbers.Integral, float: numbers.Real}
 _RECORD_TYPES = {
     "type": (str, False), "k": (int, False), "algorithm": (str, False),
     "index": (int, False), "sign": (float, False), "alpha": (float, False),
@@ -164,10 +172,23 @@ class RunResult:
     terminated: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceHeader(_Line):
     """The first line of a trace: the run's schedule and size, the constants
-    its certificates are evaluated with, and the trace's format, 2 for a run."""
+    its certificates are evaluated with, and the trace's format, 2 for a run.
+
+    A header is valid when it is made, and frozen. The diameter, the horizon
+    and dual_defined are not arguments: each is derived as `run` derives it,
+    the diameter by _diameter_rule, the horizon as the iteration count of a
+    kind RUN_SCHEDULES ties to it and None otherwise, and dual_defined as
+    whether the algorithm has a dual value, which stagewise has not. Making a
+    header converts its numbers to their JSON types and refuses, in this
+    order and with the messages parse_line gives: a field of another JSON
+    type, named first in _HEADER_TYPES's order; an unknown algorithm; a
+    schedule kind that `run` does not write for it; a shape or dist0 that
+    gives no diameter; a non-finite value, named first in _HEADER_TYPES's
+    order; and a negative dist0.
+    """
 
     kind = "header"
 
@@ -175,15 +196,56 @@ class TraceHeader(_Line):
     schedule_kind: str
     iterations: int
     shape: dict
-    lipschitz: float | None = None
-    diameter: float | None = None
+    lipschitz: float
     f_star: float | None = None
     dist0: float | None = None
     eps: float | None = None
-    horizon: int | None = None
-    dual_defined: bool = True
     config: dict | None = None
     format: int = FORMAT
+    diameter: float = field(init=False)
+    horizon: int | None = field(init=False)
+    dual_defined: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        for key, (kind, nullable) in _HEADER_ARGUMENTS.items():
+            value = getattr(self, key)
+            if kind in _NUMBERS and isinstance(value, _NUMBERS[kind]) and type(value) is not bool:
+                object.__setattr__(self, key, kind(value))
+            elif not (type(value) is kind or value is None and nullable):
+                expected = kind.__name__ + (" or null" if nullable else "")
+                raise ValueError(f"header line field {key!r} must be {expected}, got {value!r}")
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm tag: {self.algorithm!r}")
+        kinds = RUN_SCHEDULES[self.algorithm]
+        if self.schedule_kind not in kinds:
+            raise ValueError(f"header line field 'schedule_kind' must be one of {tuple(kinds)} "
+                             f"for algorithm {self.algorithm!r}, got {self.schedule_kind!r}")
+        object.__setattr__(self, "horizon",
+                           self.iterations if kinds[self.schedule_kind] else None)
+        object.__setattr__(self, "dual_defined", self.algorithm != "stagewise")
+        rule, name, value, diameter = _diameter_rule(self)
+        object.__setattr__(self, "diameter", diameter)
+        if diameter is None:
+            raise ValueError(f"header line field 'diameter' must be {rule}, which {name} "
+                             f"{value!r} does not give")
+        non_finite = _non_finite_field(self.to_dict())
+        if non_finite is not None:
+            raise ValueError(f"header line: field {non_finite!r} is not finite, and traces "
+                             "are strict JSON")
+        if self.dist0 is not None and self.dist0 < 0.0:
+            raise ValueError(f"header line field 'dist0' must be nonnegative, got {self.dist0!r}")
+
+
+def _diameter_rule(header: TraceHeader) -> tuple[str, str, object, float | None]:
+    """The expression `run` computes a header's diameter by, the name and the
+    value of what it reads, and the diameter, None when that value gives
+    none: half the squared dist0 in residual space, and log(m) over the
+    simplex from its uniform start, for an int m of at least 1."""
+    if header.algorithm == "stagewise":
+        d = header.dist0
+        return "0.5 * dist0 * dist0", "dist0", d, None if d is None else 0.5 * d * d
+    m = header.shape.get("m")
+    return "log(shape['m'])", "m", m, math.log(m) if type(m) is int and m >= 1 else None
 
 
 @dataclass
@@ -216,11 +278,11 @@ def parse_line(obj, format: int = FORMAT) -> TraceHeader | IterationRecord | Ter
     format 1 without a `format` key, and may say no format but 2. One pass
     over the line's table checks that each key is known, each key the line
     may not omit is there, and each value has its JSON type; a float field's
-    integer becomes a float. Records and the header must name a known
-    algorithm, and a record must keep _check_record's rules on its sign and
-    on the fields its certificates read. A header's dual_defined, schedule kind, horizon, diameter and format-1
-    schedule dict must be what runs write. Raises ValueError on the first
-    violation.
+    integer becomes a float. A record must keep _check_record's rules on its
+    algorithm, its sign and the fields its certificates read. A header must
+    be one TraceHeader makes, its dual_defined, format-1 schedule dict,
+    horizon and diameter, in that order, what runs write. Raises ValueError
+    on the first violation.
     """
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("trace line must be an object with a 'type' key")
@@ -231,30 +293,35 @@ def parse_line(obj, format: int = FORMAT) -> TraceHeader | IterationRecord | Ter
         format = obj.get("format", 1)
         if "format" in obj and (type(format) is not int or format != FORMAT):
             raise ValueError(f"header line field 'format' must be {FORMAT}, got {format!r}")
-    cls, types, optional, field, missing, unknown = _LINES[kind]
+    cls, types, optional, named, missing, unknown = _LINES[kind]
     if format == 1:
         types, optional = _FORMAT_1.get(kind, (types, optional))
-    values = typed_fields(obj, types, optional, field, missing, unknown)
+    values = typed_fields(obj, types, optional, named, missing, unknown)
     del values["type"]
     values.pop("slacks", None)
-    schedule = values.pop("schedule", None)
-    if cls is TraceHeader:
-        values["format"] = format
-    line = cls(**values)
     if cls is Terminal:
-        return line
+        return Terminal(**values)
     if cls is IterationRecord:
+        line = IterationRecord(**values)
         _check_record(line.algorithm, line.sign, line.l1, line.l0, format, line.grad_norm)
         return line
-    if line.algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm tag: {line.algorithm!r}")
-    dual_defined = line.algorithm != "stagewise"
-    if line.dual_defined != dual_defined:
-        raise ValueError(f"header line field 'dual_defined' must be {dual_defined} for "
-                         f"algorithm {line.algorithm!r}, got {line.dual_defined!r}")
+    schedule = values.pop("schedule", None)
+    stated = {key: values.pop(key) for key in _DERIVED}
+    values["format"] = format
+    line = TraceHeader(**values)
+    if stated["dual_defined"] != line.dual_defined:
+        raise ValueError(f"header line field 'dual_defined' must be {line.dual_defined} for "
+                         f"algorithm {line.algorithm!r}, got {stated['dual_defined']!r}")
     if schedule is not None:
-        _check_schedule(schedule, line)
-    _check_run_constants(line)
+        _check_schedule(schedule, {**values, **stated})
+    if stated["horizon"] != line.horizon:
+        raise ValueError(f"header line field 'horizon' must be {line.horizon!r} for algorithm "
+                         f"{line.algorithm!r} and schedule_kind {line.schedule_kind!r}, "
+                         f"got {stated['horizon']!r}")
+    if stated["diameter"] != line.diameter:
+        rule, name, value, _ = _diameter_rule(line)
+        raise ValueError(f"header line field 'diameter' must be {rule} with {name} {value!r}, "
+                         f"got {stated['diameter']!r}")
     return line
 
 
@@ -262,9 +329,10 @@ def _check_record(algorithm: str, sign: float, l1, l0, format: int = FORMAT,
                   grad_norm: float | None = None) -> None:
     """Refuse the fields of a record that no run writes, in this order: an
     unknown algorithm, a stagewise record without l1 and l0, a format-1
-    adaboost record without grad_norm, and a sign other than 1.0 or -1.0. In
-    format 1 the sign must be 1.0 under the simplex dual of adaboost and
-    mirror-descent; format 2 takes -1.0 from every algorithm."""
+    adaboost record without grad_norm, and a sign other than 1.0 or -1.0. The
+    sign must be 1.0 under the simplex dual of adaboost and mirror-descent,
+    over a matrix closed under negation; only stagewise's l1-ball dual
+    negates a column."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm tag: {algorithm!r}")
     if algorithm == "stagewise" and (l1 is None or l0 is None):
@@ -273,82 +341,51 @@ def _check_record(algorithm: str, sign: float, l1, l0, format: int = FORMAT,
         raise ValueError("adaboost records must carry grad_norm")
     if sign != 1.0 and sign != -1.0:
         raise ValueError(f"record line field 'sign' must be 1.0 or -1.0, got {sign!r}")
-    if format == 1 and sign != 1.0 and algorithm != "stagewise":
+    if sign != 1.0 and algorithm != "stagewise":
         raise ValueError(f"record line field 'sign' must be 1.0 under the simplex dual of a "
-                         f"format-1 {algorithm} trace, got {sign!r}")
+                         f"format-{format} {algorithm} trace, got {sign!r}")
 
 
-def _check_run_constants(header: TraceHeader) -> None:
-    """Refuse a header whose schedule kind, horizon or diameter is not what
-    `run` writes for it: a kind of RUN_SCHEDULES for the algorithm; the
-    iteration count as the horizon of a horizon-tied kind, and no horizon
-    otherwise; and the diameter by the expression `run` computes it with,
-    log(m) over the simplex and half the squared dist0 in residual space."""
-    kinds = RUN_SCHEDULES[header.algorithm]
-    if header.schedule_kind not in kinds:
-        raise ValueError(f"header line field 'schedule_kind' must be one of {tuple(kinds)} "
-                         f"for algorithm {header.algorithm!r}, got {header.schedule_kind!r}")
-    horizon = header.iterations if kinds[header.schedule_kind] else None
-    if header.horizon != horizon:
-        raise ValueError(f"header line field 'horizon' must be {horizon!r} for algorithm "
-                         f"{header.algorithm!r} and schedule_kind {header.schedule_kind!r}, "
-                         f"got {header.horizon!r}")
-    if header.algorithm == "stagewise":
-        rule, name, value = "0.5 * dist0 * dist0", "dist0", header.dist0
-        diameter = None if value is None else 0.5 * value * value
-    else:
-        rule, name, value = "log(shape['m'])", "m", header.shape.get("m")
-        diameter = math.log(value) if type(value) is int and value >= 1 else None
-    if diameter is None or header.diameter != diameter:
-        raise ValueError(f"header line field 'diameter' must be {rule} with {name} {value!r}, "
-                         f"got {header.diameter!r}")
-
-
-def _check_schedule(schedule: dict, header: TraceHeader) -> None:
-    """Refuse a format-1 header whose schedule dict contradicts its other
-    fields, as no run writes it: the dict's kind must be the one runs write
-    for the header's algorithm and schedule_kind, its lipschitz, diameter and
-    f_star, where it has them, the header's, and a fixed step's alpha the
-    header's eps."""
-    kind = _SCHEDULE_KINDS.get((header.algorithm, header.schedule_kind), header.schedule_kind)
+def _check_schedule(schedule: dict, header: dict) -> None:
+    """Refuse a format-1 header line whose schedule dict contradicts the
+    line's other fields `header`, as no run writes it: the dict's kind must
+    be the one runs write for the line's algorithm and schedule_kind, its
+    lipschitz, diameter and f_star, where it has them, the line's, and a
+    fixed step's alpha the line's eps."""
+    algorithm, schedule_kind = header["algorithm"], header["schedule_kind"]
+    kind = _SCHEDULE_KINDS.get((algorithm, schedule_kind), schedule_kind)
     if schedule.get("kind") != kind:
         raise ValueError(f"header line field 'schedule.kind' must be {kind!r} for algorithm "
-                         f"{header.algorithm!r} and schedule_kind {header.schedule_kind!r}, "
+                         f"{algorithm!r} and schedule_kind {schedule_kind!r}, "
                          f"got {schedule.get('kind')!r}")
     # each constant of the dict to check, and the header field it must equal
-    fields = {name: name for name in ("lipschitz", "diameter", "f_star") if name in schedule}
+    keys = {name: name for name in ("lipschitz", "diameter", "f_star") if name in schedule}
     if kind == "fixed":
-        fields["alpha"] = "eps"
-    for name, field in fields.items():
-        value, want = schedule.get(name), getattr(header, field)
+        keys["alpha"] = "eps"
+    for name, key in keys.items():
+        value, want = schedule.get(name), header[key]
         if type(value) not in (int, float) or want is None or value != want:
             raise ValueError(f"header line field 'schedule.{name}' must equal the header's "
-                             f"{field} {want!r}, got {value!r}")
+                             f"{key} {want!r}, got {value!r}")
 
 
 def _non_finite_field(value, name: str = "") -> str | None:
-    """Dotted name of the first non-finite float in a line's fields, if any."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else name
-    if isinstance(value, dict):
-        for key, item in value.items():
-            found = _non_finite_field(item, f"{name}.{key}" if name else key)
-            if found is not None:
-                return found
+    """Dotted name of the first non-finite float in a line's fields, if any.
+    The walk keeps its own stack: a header's config may nest dicts as deeply
+    as json decodes them, deeper than Python would recurse."""
+    stack = [(name, value)]
+    while stack:
+        name, value = stack.pop()
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                return name
+        elif isinstance(value, dict):
+            stack.extend((f"{name}.{key}" if name else key, item)
+                         for key, item in reversed(value.items()))
     return None
 
 
 _json_str = json.encoder.encode_basestring_ascii  # the C encoder json.dumps uses for strings
-
-
-def _dumps(obj: dict) -> str:
-    try:
-        return json.dumps(obj, sort_keys=True, allow_nan=False)
-    except ValueError:
-        field_name = _non_finite_field(obj)
-        where = f"{obj['type']} line" + (f" k={obj['k']}" if obj["type"] == "record" else "")
-        raise ValueError(f"{where}: field {field_name!r} is not finite, and traces "
-                         "are strict JSON") from None
 
 
 def _contradiction(rec: IterationRecord, header: TraceHeader) -> str | None:
@@ -381,12 +418,13 @@ _RECORD_LINE = "{{" + ", ".join(
 
 
 def _record_line(rec: IterationRecord) -> str:
-    """The bytes of _dumps(rec.to_dict()), from _RECORD_LINE, after the
-    refusals parse_line makes of that dict, with its messages and in its
-    order: a conversion that raises, in the table's order; a null where the
-    table allows none, or an algorithm that is no str; then _check_record's
-    rules; then a non-finite value, named by its field. A float is written by
-    float.__repr__ after float(), an int by int.__repr__ after int()."""
+    """The bytes of json.dumps(rec.to_dict(), sort_keys=True, allow_nan=False),
+    from _RECORD_LINE, after the refusals parse_line makes of that dict, with
+    its messages and in its order: a conversion that raises, in the table's
+    order; a null where the table allows none, or an algorithm that is no
+    str; then _check_record's rules; then a non-finite value, named by its
+    field. A float is written by float.__repr__ after float(), an int by
+    int.__repr__ after int()."""
     values = {}
     texts = {}
     mistyped = non_finite = None
@@ -422,13 +460,14 @@ def _record_line(rec: IterationRecord) -> str:
 
 def format_trace(header: TraceHeader, records: Iterable[IterationRecord],
                  terminated: str | None = None) -> str:
-    """The text of a format-2 trace file. Every line passes parse_line and
-    every record carries the header's algorithm and an index below its column
-    count, as read_trace requires; the terminal line counts the records. A
-    non-finite value in any field raises ValueError naming the field."""
-    head = header.to_dict()
-    lines = [_dumps(head)]  # a non-finite field is named before parse_line's rules
-    parse_line(head)
+    """The text of a format-2 trace file; the header must be format 2. Every
+    line passes parse_line and every record carries the header's algorithm
+    and an index below its column count, as read_trace requires; the terminal
+    line counts the records. A record field that is not finite raises
+    ValueError naming the field."""
+    if header.format != FORMAT:
+        raise ValueError(f"header line field 'format' must be {FORMAT}, got {header.format!r}")
+    lines = [json.dumps(header.to_dict(), sort_keys=True, allow_nan=False)]
     for rec in records:
         problem = _contradiction(rec, header)
         if problem is not None:
@@ -437,19 +476,9 @@ def format_trace(header: TraceHeader, records: Iterable[IterationRecord],
     if terminated is not None:
         term = Terminal(k=len(lines) - 1, reason=terminated).to_dict()  # the record count
         parse_line(term)
-        lines.append(_dumps(term))
+        lines.append(json.dumps(term, sort_keys=True, allow_nan=False))
     lines.append("")  # the final newline, without a second copy of the whole text
     return "\n".join(lines)
-
-
-def write_trace(path, header: TraceHeader, records: Iterable[IterationRecord],
-                terminated: str | None = None) -> None:
-    """Write format_trace's text to `path`; a non-finite field raises
-    ValueError before the file is opened."""
-    text = format_trace(header, records, terminated=terminated)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
 
 
 def _reject_constant(token: str):
@@ -471,13 +500,17 @@ _RECORD_ROWS = frozenset(itertools.product(*(
 
 def _decoded(text: str):
     """The JSON value of a stripped trace line; a line that is not strict JSON
-    raises decode()'s error."""
+    raises decode()'s error, and a line nested deeper than the decoder can
+    recurse a ValueError with the RecursionError's text."""
     try:
-        obj, end = _scan(text, 0)
-    except (StopIteration, ValueError):
-        end = -1
-    if end != len(text):
-        obj = _DECODER.decode(text)  # raises the error the scan met
+        try:
+            obj, end = _scan(text, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(text):
+            obj = _DECODER.decode(text)  # raises the error the scan met
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
     return obj
 
 

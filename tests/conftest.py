@@ -10,13 +10,22 @@ import numpy as np
 from mirrorboost.trace import TraceHeader
 
 
-def certificate_header(**fields) -> TraceHeader:
-    """A trace header with the given fields: the certificate constants, at
-    least the algorithm and schedule kind. The iteration count and shape,
-    which bounds.check does not read, default to 1 and {}. A header that a
-    trace is written with needs the run's shape: format_trace refuses a
-    record whose index names no column of it."""
-    return TraceHeader(**{"iterations": 1, "shape": {}, **fields})
+def certificate_header(algorithm: str, schedule_kind: str, *, m: int | None = None,
+                       n: int = 1, lipschitz: float = 1.0, iterations: int = 1,
+                       f_star: float | None = None, dist0: float | None = None,
+                       eps: float | None = None, format: int = 2) -> TraceHeader:
+    """The trace header of a run with these inputs: `m` examples (or samples,
+    for stagewise) and `n` columns, the Lipschitz constant, the iteration
+    count, f* and, for stagewise, the distance dist0 from the start to an
+    optimum and the constant shrinkage eps. The diameter, the horizon and
+    dual_defined follow from them, as TraceHeader derives them: the diameter
+    is log(m) over the simplex and 0.5 * dist0 * dist0 for stagewise. A
+    header that a trace is written with needs the run's shape: format_trace
+    refuses a record whose index names no column of it."""
+    shape = {"n": m, "p": n} if algorithm == "stagewise" else {"m": m, "n": n}
+    return TraceHeader(algorithm=algorithm, schedule_kind=schedule_kind, iterations=iterations,
+                       shape=shape, lipschitz=lipschitz, f_star=f_star, dist0=dist0, eps=eps,
+                       format=format)
 
 
 def simplex_grid(dim: int, steps: int) -> np.ndarray:

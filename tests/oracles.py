@@ -8,6 +8,10 @@ log-exponential loss, and the stagewise residual update. Only the step-size
 rule (StepSchedule) and the data containers are shared with the library.
 
 The stump build has its loop version here too, one stump column at a time.
+So do the quantities the engine only keeps as running values or never forms:
+the step-sum bound over a list of steps, the dense dual value and support
+size, the Bregman distance of a prox function, a schedule of given steps, and
+the engine's dual response with its point checked on every call.
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from mirrorboost import md_core
 from mirrorboost.boosting import TrainingSet
 from mirrorboost.datagen import Stump
-from mirrorboost.md_core import StepSchedule, UndefinedStepError
+from mirrorboost.md_core import MinmaxProblem, StepSchedule, UndefinedStepError
+from mirrorboost.prox import ENTROPY, ProxFunction, _as_vector
 from mirrorboost.stagewise import RegressionProblem
 from mirrorboost.trace import IterationRecord, RunResult
 
@@ -336,3 +342,96 @@ def classical_build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
         keep(stump.outputs(features), stump)
     return np.column_stack(columns), stumps
 
+
+def md_gap_bound(diameter: float, lipschitz: float, steps) -> float:
+    """Step-sum bound (diameter + L^2/2 * sum a_i^2) / sum a_i.
+
+    `diameter` is the Bregman diameter of the primal domain for duality-gap
+    certificates, or the Bregman distance from the start to a reference point
+    when the bound is used against a known optimal value.
+    """
+    sa = 0.0
+    sa2 = 0.0
+    for a in steps:
+        sa += a
+        sa2 += a * a
+    if sa <= 0.0:
+        raise ValueError("the step-sum bound is undefined for a zero step-size sum")
+    return (diameter + 0.5 * lipschitz * lipschitz * sa2) / sa
+
+
+def dual_value(problem: MinmaxProblem, lam) -> float | None:
+    """min over the primal domain of x^T A lam; None when the domain is unbounded."""
+    if problem.primal_domain != md_core.PRIMAL_SIMPLEX:
+        return None
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (problem.n,):
+        raise ValueError(f"lam must have shape ({problem.n},), got {lam.shape}")
+    return float(np.min(problem.payoff @ lam))
+
+
+def support_size(coefficients) -> int:
+    """The number of coefficients above NNZ_TOLERANCE in magnitude."""
+    return int(np.count_nonzero(np.abs(np.asarray(coefficients, dtype=float)) > NNZ_TOLERANCE))
+
+
+SIMPLEX_SUM_TOL = 1e-8
+
+
+def _check_simplex(x: np.ndarray, name: str, strict: bool) -> None:
+    if strict:
+        if np.any(x <= 0.0):
+            raise ValueError(f"{name} must be strictly positive inside the simplex")
+    elif np.any(x < 0.0):
+        raise ValueError(f"{name} must be nonnegative")
+    if abs(float(x.sum()) - 1.0) > SIMPLEX_SUM_TOL:
+        raise ValueError(f"{name} must sum to 1")
+
+
+def _entropy_value(x: np.ndarray) -> float:
+    # 0 * log(0) is taken as 0 on the simplex boundary.
+    positive = x[x > 0.0]
+    return float(positive @ np.log(positive)) + math.log(x.size)
+
+
+def bregman(prox: ProxFunction, x, y) -> float:
+    """Bregman distance d(x) - d(y) - <grad d(y), x - y>.
+
+    For the entropy geometry both points must lie on the simplex and y must be
+    strictly positive, since the entropy gradient is undefined on the boundary.
+    """
+    x = _as_vector(x, prox.dim, "x")
+    y = _as_vector(y, prox.dim, "y")
+    if prox.kind == ENTROPY:
+        _check_simplex(x, "x", strict=False)
+        _check_simplex(y, "y", strict=True)
+        grad_y = 1.0 + np.log(y)
+        return _entropy_value(x) - _entropy_value(y) - float(grad_y @ (x - y))
+    diff = x - y
+    return 0.5 * float(diff @ diff)
+
+
+@dataclass(frozen=True)
+class SequenceSchedule:
+    """The steps of a given sequence, one per iteration, as a schedule: the
+    engine only calls a schedule's step_size."""
+
+    steps: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        steps = tuple(float(a) for a in self.steps)
+        if any(a < 0.0 for a in steps):
+            raise ValueError("step sizes must be nonnegative")
+        object.__setattr__(self, "steps", steps)
+
+    def step_size(self, k: int, value: float | None = None, grad=None) -> float:
+        if k >= len(self.steps):
+            raise ValueError(f"step sequence exhausted at iteration {k}")
+        return self.steps[k]
+
+
+def checked_response(problem: MinmaxProblem, x) -> tuple[int, float, float, np.ndarray]:
+    """The engine's dual response at `x`, (index, sign, value, grad), after
+    the check the engine makes of its start point only: the point is a
+    finite vector of the primal domain."""
+    return md_core._respond(problem, md_core._checked_point(problem, x, "x"))

@@ -27,7 +27,15 @@ from mirrorboost.cli import main
 from mirrorboost.md_core import StepSchedule
 from mirrorboost.stagewise import least_squares_norm, optimal_shrinkage, run_fs
 from mirrorboost.trace import read_trace
-from oracles import classical_adaboost, classical_fs, log_exp_loss, margin, run_with_iterates
+from oracles import (
+    bregman,
+    classical_adaboost,
+    classical_fs,
+    log_exp_loss,
+    margin,
+    md_gap_bound,
+    run_with_iterates,
+)
 
 
 def _verdict(name: str, failures: list) -> None:
@@ -102,8 +110,7 @@ def test_03_boosting_gap_certificates():
     best_grad = min(rec.primal for rec in res.records)  # the edge is the gradient norm
     if best_grad - last.dual > math.sqrt(2.0 * d / 100.0) + 1e-9:
         failures.append("final gap exceeds the tuned-constant closed form")
-    header = certificate_header(algorithm="adaboost", schedule_kind="constant",
-                                lipschitz=1.0, diameter=d, horizon=100, dual_defined=True)
+    header = certificate_header("adaboost", "constant", m=10, lipschitz=1.0, iterations=100)
     report = bounds.check(res.records, header)
     if not report.all_passed or report.summary()["not_evaluable"] > 0:
         failures.append(("constant-run certificates", report.summary()))
@@ -115,8 +122,7 @@ def test_03_boosting_gap_certificates():
         if best - rec.dual > bounds.dynamic_bound(d, 1.0, rec.k) + 1e-9:
             failures.append(("dynamic closed form violated at", rec.k))
             break
-    header_dyn = certificate_header(algorithm="adaboost", schedule_kind="dynamic",
-                                    lipschitz=1.0, diameter=d, dual_defined=True)
+    header_dyn = certificate_header("adaboost", "dynamic", m=10, lipschitz=1.0)
     report_dyn = bounds.check(res_dyn.records, header_dyn)
     if not report_dyn.all_passed or report_dyn.summary()["not_evaluable"] > 0:
         failures.append(("dynamic-run certificates", report_dyn.summary()))
@@ -158,7 +164,7 @@ def test_05_stagewise_objective_certificates():
             if rec.best_primal > direct + 1e-9:
                 failures.append((seed, "constant", rec.k))
                 break
-            running = bounds.md_gap_bound(0.5 * b * b, lip, [eps] * (rec.k + 1))
+            running = md_gap_bound(0.5 * b * b, lip, [eps] * (rec.k + 1))
             if abs(running - direct) > 1e-9 * max(1.0, direct):
                 failures.append((seed, "two-term form mismatch", rec.k))
                 break
@@ -235,14 +241,14 @@ def test_08_entropy_prox_matches_grid_oracle():
             grid = grid_prox_entropy(c, anchor, alpha, steps=1000)
             if float(np.max(np.abs(closed - grid))) > 1e-3:
                 failures.append(("grid disagreement", dim))
+    # the diameter a header holds for a run on m examples, from the uniform start
     for m in (2, 3, 10, 50):
-        if prox.diameter_bound(prox.entropy(m), np.full(m, 1.0 / m)) != math.log(m):
+        if certificate_header("adaboost", "dynamic", m=m).diameter != math.log(m):
             failures.append(("diameter not exactly log m", m))
     for dim in (2, 3):
         anchor = np.full(dim, 1.0 / dim)
-        worst = max(prox.bregman(prox.entropy(dim), x, anchor)
-                    for x in simplex_grid(dim, 300))
-        if worst > math.log(dim) + 1e-12:
+        worst = max(bregman(prox.entropy(dim), x, anchor) for x in simplex_grid(dim, 300))
+        if worst > certificate_header("adaboost", "dynamic", m=dim).diameter + 1e-12:
             failures.append(("grid point beyond the diameter", dim))
     _verdict("08 entropy prox and diameter match the grid oracle", failures)
 
@@ -275,14 +281,14 @@ def test_10_closed_forms_match_the_step_sum_bound():
     d, lip = math.log(10.0), 1.0
     for n in (1, 2, 5, 10, 100, 1000):
         tuned = math.sqrt(2.0 * d / n) / lip
-        running = bounds.md_gap_bound(d, lip, [tuned] * n)
+        running = md_gap_bound(d, lip, [tuned] * n)
         closed = bounds.constant_bound(d, lip, n)
         if abs(running - closed) > 1e-12 * closed:
             failures.append(("constant form mismatch", n))
     alphas = []
     for k in range(1001):
         alphas.append(math.sqrt(2.0 * d / (k + 1.0)) / lip)
-        if bounds.md_gap_bound(d, lip, alphas) > bounds.dynamic_bound(d, lip, k) + 1e-12:
+        if md_gap_bound(d, lip, alphas) > bounds.dynamic_bound(d, lip, k) + 1e-12:
             failures.append(("dynamic form does not dominate", k))
             break
     _verdict("10 closed-form bounds agree with the step-sum bound", failures)

@@ -8,20 +8,15 @@ import numpy as np
 import pytest
 
 from conftest import central_difference_gradient
-from mirrorboost import datagen, prox
+from mirrorboost import datagen, md_core, prox
 from mirrorboost.boosting import TrainingSet, run_adaboost
-from mirrorboost.md_core import (
-    MirrorDescentState,
-    StepSchedule,
-    dual_response,
-    dual_value,
-    md_step,
-)
+from mirrorboost.md_core import MirrorDescentState, StepSchedule, md_step
 from oracles import (
     BoostState,
     adaboost_step,
     assert_duals_within_rounding,
     classical_adaboost,
+    dual_value,
     edge,
     log_exp_loss,
     margin,
@@ -178,11 +173,11 @@ def test_run_adaboost_matches_engine_dual_average_exactly():
     boost = BoostState.initial(ts)
     md_state = MirrorDescentState.initial(np.full(12, 1.0 / 12.0), prox.entropy(12), prob.n)
     for k in range(40):
-        resp = dual_response(prob, md_state.x)
+        index, sign, value, grad = md_core._respond(prob, md_state.x)
         alpha = sched.step_size(k)
         boost = adaboost_step(boost, ts, alpha)
-        md_step(md_state, resp.grad, alpha, (resp.index, resp.sign), resp.value)
-        assert boost.columns[-1] == resp.index
+        md_step(md_state, grad, alpha, (index, sign), value)
+        assert boost.columns[-1] == index
         np.testing.assert_array_equal(boost.weights, md_state.x)
         np.testing.assert_array_equal(boost.normalized_coefficients(),
                                       md_state.dual_average)

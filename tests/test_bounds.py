@@ -19,10 +19,10 @@ from mirrorboost.bounds import (
     check,
     constant_bound,
     dynamic_bound,
-    md_gap_bound,
     polyak_bound,
 )
 from mirrorboost.trace import IterationRecord
+from oracles import md_gap_bound
 
 
 def _rec(k, alpha, primal, best, dual=None, grad_norm=None, l1=None, l0=None,
@@ -112,15 +112,16 @@ def test_step_sum_bound_two_term_form_for_fixed_shrinkage():
         assert got == pytest.approx(expect, rel=1e-12)
 
 
+# A kind that run writes and that adds no closed form of its own: a
+# mirror-descent polyak header without f*, and an adaboost line search.
 def test_check_rejects_empty_trace():
-    header = certificate_header(algorithm="mirror-descent", schedule_kind="fixed")
+    header = certificate_header("mirror-descent", "polyak", m=2)
     with pytest.raises(ValueError):
         check([], header)
 
 
 def test_check_weak_duality_and_gap_running():
-    header = certificate_header(algorithm="mirror-descent", schedule_kind="fixed",
-                                lipschitz=1.0, diameter=math.log(2.0))
+    header = certificate_header("mirror-descent", "polyak", m=2, lipschitz=1.0)
     recs = [_rec(0, 0.5, 1.0, 1.0, dual=0.2), _rec(1, 0.5, 0.8, 0.8, dual=0.5)]
     report = check(recs, header)
     by_tag = report.by_tag()
@@ -129,14 +130,13 @@ def test_check_weak_duality_and_gap_running():
     # the k=1 gap record compares against the two-step bound
     gap1 = [r for r in report.records if r.tag == "gap-running" and r.k == 1][0]
     assert gap1.observed == pytest.approx(0.3, rel=1e-12)
-    assert gap1.bound == pytest.approx(md_gap_bound(math.log(2.0), 1.0, [0.5, 0.5]),
+    assert gap1.bound == pytest.approx(md_gap_bound(header.diameter, 1.0, [0.5, 0.5]),
                                        rel=1e-15)
     assert report.all_passed and report.summary()["failed"] == 0
 
 
 def test_check_flags_violations():
-    header = certificate_header(algorithm="mirror-descent", schedule_kind="fixed",
-                                lipschitz=1.0, diameter=math.log(2.0))
+    header = certificate_header("mirror-descent", "polyak", m=2, lipschitz=1.0)
     recs = [_rec(0, 0.5, 1.0, 1.0, dual=1.5)]  # dual above the primal: impossible run
     report = check(recs, header)
     failures = report.failures()
@@ -146,23 +146,23 @@ def test_check_flags_violations():
 
 
 def test_check_fails_inconsistent_traces_once():
-    fixed, dynamic, polyak = (
-        certificate_header(algorithm="mirror-descent", schedule_kind=kind, lipschitz=1.0,
-                           diameter=math.log(2.0), f_star=0.0, dist0=1.0)
-        for kind in ("fixed", "dynamic", "polyak"))
+    plain = certificate_header("mirror-descent", "polyak", m=2, lipschitz=1.0)
+    dynamic, polyak = (
+        certificate_header("mirror-descent", kind, m=2, lipschitz=1.0, f_star=0.0, dist0=1.0)
+        for kind in ("dynamic", "polyak"))
     first, second, third = (_rec(0, 0.5, 1.0, 1.0, dual=0.2), _rec(1, 0.5, 0.8, 0.8, dual=0.5),
                             _rec(2, 0.5, 0.9, 0.8, dual=0.5))
-    report = check([first, second, third], fixed)
+    report = check([first, second, third], plain)
     assert all(r.tag != bounds.TRACE_INTEGRITY for r in report.records)
     cases = [
-        (fixed, [first, third, second], "record 1 has k=2"),  # reordered
-        (fixed, [first, first, second], "record 1 has k=0"),  # repeated
-        (fixed, [first, third], "record 1 has k=2"),  # a gap
-        (fixed, [first, _rec(1, 0.5, 0.8, 1.0, dual=0.5)], "not the running minimum"),
-        (fixed, [first, _rec(1, 0.5, 1.2, 1.2, dual=0.5)], "not the running minimum"),
-        (fixed, [first, _rec(1, -0.5, 0.8, 0.8, dual=0.5)], "alpha -0.5 is not finite"),
-        (fixed, [first, _rec(1, math.inf, 0.8, 0.8, dual=0.5)], "alpha inf is not finite"),
-        (fixed, [_rec(0, math.nan, 1.0, 1.0, dual=0.2)], "alpha nan is not finite"),
+        (plain, [first, third, second], "record 1 has k=2"),  # reordered
+        (plain, [first, first, second], "record 1 has k=0"),  # repeated
+        (plain, [first, third], "record 1 has k=2"),  # a gap
+        (plain, [first, _rec(1, 0.5, 0.8, 1.0, dual=0.5)], "not the running minimum"),
+        (plain, [first, _rec(1, 0.5, 1.2, 1.2, dual=0.5)], "not the running minimum"),
+        (plain, [first, _rec(1, -0.5, 0.8, 0.8, dual=0.5)], "alpha -0.5 is not finite"),
+        (plain, [first, _rec(1, math.inf, 0.8, 0.8, dual=0.5)], "alpha inf is not finite"),
+        (plain, [_rec(0, math.nan, 1.0, 1.0, dual=0.2)], "alpha nan is not finite"),
         # the per-record closed forms are undefined at a negative k and skip it
         (dynamic, [_rec(-1, 0.5, 1.0, 1.0, dual=0.2)], "record 0 has k=-1"),
         (polyak, [_rec(-1, 0.5, 1.0, 1.0, dual=0.2)], "record 0 has k=-1"),
@@ -176,8 +176,7 @@ def test_check_fails_inconsistent_traces_once():
 
 
 def test_check_zero_first_step_is_not_evaluable_not_passed():
-    header = certificate_header(algorithm="mirror-descent", schedule_kind="fixed",
-                                lipschitz=1.0, diameter=math.log(2.0))
+    header = certificate_header("mirror-descent", "polyak", m=2, lipschitz=1.0)
     recs = [_rec(0, 0.0, 1.0, 1.0, dual=None), _rec(1, 0.5, 0.8, 0.8, dual=0.1)]
     report = check(recs, header)
     k0 = [r for r in report.records if r.k == 0]
@@ -189,20 +188,19 @@ def test_check_zero_first_step_is_not_evaluable_not_passed():
 
 
 def test_check_missing_constants_never_pass_silently():
-    header = certificate_header(algorithm="mirror-descent", schedule_kind="fixed",
-                                lipschitz=None, diameter=None)
+    # a game's polyak header has f* but no dist0, which opt-polyak needs
+    header = certificate_header("mirror-descent", "polyak", m=2, f_star=0.0)
     recs = [_rec(0, 0.5, 1.0, 1.0, dual=0.2)]
     report = check(recs, header)
-    gap = [r for r in report.records if r.tag == "gap-running"][0]
-    assert gap.passed is None and "missing" in gap.note
+    opt = [r for r in report.records if r.tag == "opt-polyak"][0]
+    assert opt.passed is None and opt.note == "missing dist0 or lipschitz constant"
     # weak duality needs no constants and still evaluates
     wd = [r for r in report.records if r.tag == "weak-duality"][0]
     assert wd.passed is True
 
 
 def test_check_adaboost_gap_uses_best_gradient_norm():
-    header = certificate_header(algorithm="adaboost", schedule_kind="fixed",
-                                lipschitz=1.0, diameter=math.log(4.0), format=1)
+    header = certificate_header("adaboost", "linesearch", m=4, lipschitz=1.0, format=1)
     recs = [
         _rec(0, 0.5, 0.9, 0.9, dual=0.1, grad_norm=0.6, algorithm="adaboost"),
         _rec(1, 0.5, 0.8, 0.8, dual=0.2, grad_norm=0.7, algorithm="adaboost"),
@@ -213,36 +211,32 @@ def test_check_adaboost_gap_uses_best_gradient_norm():
     # the reference is the running minimum of the gradient norm, not 0.7
     assert gaps[1].observed == pytest.approx(0.6 - 0.2, rel=1e-12)
     # format 2 holds no gradient norm: the reference is best_primal
-    report = check(recs, certificate_header(algorithm="adaboost", schedule_kind="fixed",
-                                            lipschitz=1.0, diameter=math.log(4.0)))
+    report = check(recs, certificate_header("adaboost", "linesearch", m=4, lipschitz=1.0))
     assert [r.observed for r in report.records if r.tag == "gap-running"] == [
         0.9 - 0.1, 0.8 - 0.2]
 
 
 def test_check_dynamic_schedule_adds_per_record_closed_form():
-    header = certificate_header(algorithm="mirror-descent", schedule_kind="dynamic",
-                                lipschitz=1.0, diameter=math.log(2.0))
+    header = certificate_header("mirror-descent", "dynamic", m=2, lipschitz=1.0)
     recs = [_rec(0, 1.0, 1.0, 1.0, dual=0.0), _rec(1, 0.7, 0.9, 0.9, dual=0.1)]
     report = check(recs, header)
     dyn = [r for r in report.records if r.tag == "gap-dynamic"]
     assert len(dyn) == 2
-    assert dyn[1].bound == pytest.approx(dynamic_bound(math.log(2.0), 1.0, 1), rel=1e-15)
+    assert dyn[1].bound == pytest.approx(dynamic_bound(header.diameter, 1.0, 1), rel=1e-15)
 
 
 def test_check_constant_schedule_horizon_record():
-    header = certificate_header(algorithm="mirror-descent", schedule_kind="constant",
-                                lipschitz=1.0, diameter=math.log(2.0), horizon=2)
+    header = certificate_header("mirror-descent", "constant", m=2, lipschitz=1.0, iterations=2)
     recs = [_rec(0, 0.8, 1.0, 1.0, dual=0.0), _rec(1, 0.8, 0.9, 0.9, dual=0.4)]
     report = check(recs, header)
     gc = [r for r in report.records if r.tag == "gap-constant"]
     assert len(gc) == 1 and gc[0].k == 1
     assert gc[0].observed == pytest.approx(0.5, rel=1e-12)
-    assert gc[0].bound == constant_bound(math.log(2.0), 1.0, 2)
+    assert gc[0].bound == constant_bound(header.diameter, 1.0, 2)
 
 
 def test_check_constant_schedule_short_run_not_evaluable():
-    header = certificate_header(algorithm="mirror-descent", schedule_kind="constant",
-                                lipschitz=1.0, diameter=math.log(2.0), horizon=5)
+    header = certificate_header("mirror-descent", "constant", m=2, lipschitz=1.0, iterations=5)
     recs = [_rec(0, 0.8, 1.0, 1.0, dual=0.0)]
     report = check(recs, header)
     gc = [r for r in report.records if r.tag == "gap-constant"][0]
@@ -250,9 +244,9 @@ def test_check_constant_schedule_short_run_not_evaluable():
 
 
 def test_check_f_star_certificates():
-    header = certificate_header(algorithm="mirror-descent", schedule_kind="polyak",
-                                lipschitz=2.0, diameter=4.5, f_star=0.25, dist0=3.0,
-                                dual_defined=False)
+    # the stagewise line search: its dist0 3.0 gives the diameter 4.5, and it has no dual
+    header = certificate_header("stagewise", "linesearch", lipschitz=2.0, f_star=0.25,
+                                dist0=3.0)
     recs = [_rec(0, 1.0, 1.0, 1.0), _rec(1, 0.5, 0.75, 0.75)]
     report = check(recs, header)
     tags = {r.tag for r in report.records}
@@ -264,9 +258,8 @@ def test_check_f_star_certificates():
 
 
 def test_check_stagewise_sparsity_certificates():
-    header = certificate_header(algorithm="stagewise", schedule_kind="constant",
-                                lipschitz=2.0, diameter=4.5, f_star=0.0, dist0=3.0,
-                                eps=0.1, dual_defined=False)
+    header = certificate_header("stagewise", "constant", lipschitz=2.0, f_star=0.0, dist0=3.0,
+                                eps=0.1)
     recs = [
         _rec(0, 0.1, 2.0, 2.0, l1=0.0, l0=0, algorithm="stagewise"),
         _rec(1, 0.1, 1.5, 1.5, l1=0.1, l0=1, algorithm="stagewise"),
@@ -278,9 +271,8 @@ def test_check_stagewise_sparsity_certificates():
     assert l1[1].bound == pytest.approx(0.1, rel=1e-15)
     assert [r.bound for r in l0] == [0.0, 1.0]
     # without a constant shrinkage the l1 certificate cannot be evaluated
-    no_eps = certificate_header(algorithm="stagewise", schedule_kind="linesearch",
-                                lipschitz=2.0, diameter=4.5, f_star=0.0, dist0=3.0,
-                                dual_defined=False)
+    no_eps = certificate_header("stagewise", "linesearch", lipschitz=2.0, f_star=0.0,
+                                dist0=3.0)
     report2 = check(recs, no_eps)
     assert all(r.passed is None for r in report2.records if r.tag == "sparsity-l1")
 
@@ -290,8 +282,7 @@ def test_check_sparsity_l1_allows_the_rounding_of_its_sum_and_no_more():
     # rounding of its float sum, at most t^2 * EPS * eps; beyond that it fails
     eps, t = 228217732293.8192, 7
     allowance = t * t * sys.float_info.epsilon * eps
-    header = certificate_header(algorithm="stagewise", schedule_kind="constant", eps=eps,
-                                dual_defined=False)
+    header = certificate_header("stagewise", "constant", dist0=1.0, eps=eps)
     for excess, passed in ((0.0, True), (0.5 * allowance, True), (2.0 * allowance, False)):
         recs = [_rec(k, eps, 1.0, 1.0, l1=0.0, algorithm="stagewise") for k in range(t)]
         recs.append(_rec(t, eps, 1.0, 1.0, l1=t * eps + excess, algorithm="stagewise"))
@@ -304,9 +295,8 @@ def test_check_sparsity_l1_allows_the_rounding_of_its_sum_and_no_more():
 
 def test_check_a_bound_that_overflows_from_finite_steps_is_not_evaluable():
     # a subnormal step sum puts the running bound past the largest float
-    header = certificate_header(algorithm="stagewise", schedule_kind="constant", lipschitz=1.0,
-                               diameter=0.5, f_star=0.0, dist0=1.0, eps=5e-324,
-                               dual_defined=False)
+    header = certificate_header("stagewise", "constant", lipschitz=1.0, f_star=0.0, dist0=1.0,
+                                eps=5e-324)
     report = check([_rec(0, 5e-324, 1.0, 1.0, algorithm="stagewise")], header)
     (opt,) = [r for r in report.records if r.tag == "opt-running"]
     assert (opt.passed, opt.bound, opt.slack, opt.note) == (None, None, None,
@@ -319,9 +309,8 @@ def test_check_a_bound_that_overflows_from_finite_steps_is_not_evaluable():
 
 
 def test_check_optimal_schedule_horizon_record():
-    header = certificate_header(algorithm="stagewise", schedule_kind="optimal",
-                                lipschitz=2.0, diameter=4.5, f_star=0.0, dist0=3.0,
-                                eps=0.1, horizon=2, dual_defined=False)
+    header = certificate_header("stagewise", "optimal", lipschitz=2.0, iterations=2,
+                                f_star=0.0, dist0=3.0, eps=0.1)
     recs = [
         _rec(0, 0.1, 2.0, 2.0, l1=0.0, l0=0, algorithm="stagewise"),
         _rec(1, 0.1, 1.5, 1.5, l1=0.1, l0=1, algorithm="stagewise"),
@@ -334,8 +323,7 @@ def test_check_optimal_schedule_horizon_record():
 
 
 def test_check_is_pure_and_reproducible():
-    header = certificate_header(algorithm="mirror-descent", schedule_kind="dynamic",
-                                lipschitz=1.0, diameter=math.log(8.0))
+    header = certificate_header("mirror-descent", "dynamic", m=8, lipschitz=1.0)
     rng = np.random.default_rng(2)
     recs = []
     best = math.inf
@@ -350,8 +338,7 @@ def test_check_is_pure_and_reproducible():
 
 
 def test_report_aggregations():
-    header = certificate_header(algorithm="mirror-descent", schedule_kind="fixed",
-                                lipschitz=1.0, diameter=1.0)
+    header = certificate_header("mirror-descent", "polyak", m=2, lipschitz=1.0)
     recs = [_rec(0, 0.5, 1.0, 1.0, dual=0.9), _rec(1, 0.5, 0.9, 0.9, dual=0.95)]
     report = check(recs, header)
     by_tag = report.by_tag()

@@ -487,7 +487,7 @@ def _relabelled(line: str, **fields) -> str:
 
 
 @pytest.mark.parametrize("case", ["header relabelled stagewise", "records relabelled adaboost",
-                                  "records with sign 7.5"])
+                                  "records with sign 7.5", "records with sign -1.0"])
 def test_check_refuses_records_that_contradict_their_header(tmp_path, capsys, case):
     out = tmp_path / "run"
     assert main(["run", "minmax-game", "--data", "synthetic:game:seed=1:m=20:n=10",
@@ -505,6 +505,11 @@ def test_check_refuses_records_that_contradict_their_header(tmp_path, capsys, ca
         "records with sign 7.5": (
             [header] + [_relabelled(line, sign=7.5) for line in records],
             "line 2: record line field 'sign' must be 1.0 or -1.0, got 7.5"),
+        # the game's simplex dual negates no column, in format 2 as in format 1
+        "records with sign -1.0": (
+            [header] + [_relabelled(line, sign=-1.0) for line in records],
+            "line 2: record line field 'sign' must be 1.0 under the simplex dual of a format-2 "
+            "mirror-descent trace, got -1.0"),
     }[case]
     trace = _alone_in_a_directory(tmp_path, lines)
     capsys.readouterr()

@@ -1,4 +1,7 @@
-"""Mirror descent engine: dual responses, single steps, schedules, full runs."""
+"""Mirror descent engine: dual responses, single steps, schedules, full runs.
+
+The dual response is the engine's private scan, md_core._respond, and its
+point check md_core._checked_point, which the engine applies to its start."""
 
 import math
 import tracemalloc
@@ -12,12 +15,10 @@ from mirrorboost.md_core import (
     MirrorDescentState,
     StepSchedule,
     UndefinedStepError,
-    dual_response,
-    dual_value,
     md_step,
     run,
 )
-from oracles import run_with_iterates
+from oracles import SequenceSchedule, checked_response, dual_value, run_with_iterates
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -77,45 +78,47 @@ def test_the_blocked_column_norm_is_numpys_bit_for_bit(matrix):
 
 def test_dual_response_simplex_prefers_lowest_index_on_ties():
     prob = MinmaxProblem(PENNIES)
-    resp = dual_response(prob, np.array([0.5, 0.5]))
-    assert resp.index == 0 and resp.sign == 1.0 and resp.value == 0.0
-    np.testing.assert_array_equal(resp.grad, PENNIES[:, 0])
+    index, sign, value, grad = md_core._respond(prob, np.array([0.5, 0.5]))
+    assert index == 0 and sign == 1.0 and value == 0.0
+    np.testing.assert_array_equal(grad, PENNIES[:, 0])
 
 
 def test_dual_response_simplex_picks_best_column():
     prob = MinmaxProblem(PENNIES)
-    resp = dual_response(prob, np.array([0.9, 0.1]))
-    assert resp.index == 0
-    assert resp.value == pytest.approx(0.8, rel=1e-15)
-    resp2 = dual_response(prob, np.array([0.1, 0.9]))
-    assert resp2.index == 1
-    assert resp2.value == pytest.approx(0.8, rel=1e-15)
+    index, _, value, _ = md_core._respond(prob, np.array([0.9, 0.1]))
+    assert index == 0
+    assert value == pytest.approx(0.8, rel=1e-15)
+    index, _, value, _ = md_core._respond(prob, np.array([0.1, 0.9]))
+    assert index == 1
+    assert value == pytest.approx(0.8, rel=1e-15)
 
 
 def test_dual_response_identity_matrix():
     prob = MinmaxProblem(np.eye(3))
-    resp = dual_response(prob, np.array([0.0, 1.0, 0.0]))
-    assert resp.index == 1 and resp.value == 1.0
-    np.testing.assert_array_equal(resp.grad, [0.0, 1.0, 0.0])
+    index, _, value, grad = md_core._respond(prob, np.array([0.0, 1.0, 0.0]))
+    assert index == 1 and value == 1.0
+    np.testing.assert_array_equal(grad, [0.0, 1.0, 0.0])
 
 
 def test_dual_response_l1_ball_uses_signed_columns():
     prob = MinmaxProblem(np.array([[1.0, 0.0], [0.0, -2.0]]),
                          primal_domain="residual-space", dual_domain="l1-ball")
-    resp = dual_response(prob, np.array([0.5, 0.5]))
-    assert resp.index == 1 and resp.sign == -1.0
-    assert resp.value == pytest.approx(1.0, rel=1e-15)
-    np.testing.assert_array_equal(resp.grad, [0.0, 2.0])
-    # the response value is f(x) = max over the ball, never negative
-    assert dual_response(prob, np.zeros(2)).value == 0.0
+    index, sign, value, grad = md_core._respond(prob, np.array([0.5, 0.5]))
+    assert index == 1 and sign == -1.0
+    assert value == pytest.approx(1.0, rel=1e-15)
+    np.testing.assert_array_equal(grad, [0.0, 2.0])
+    # the response value is f(x) = max over the ball, never negative; at a
+    # zero response the sign is 0.0, where run stops
+    index, sign, value, _ = md_core._respond(prob, np.zeros(2))
+    assert (index, sign, value) == (0, 0.0, 0.0)
 
 
 def test_dual_response_rejects_points_off_the_simplex():
     prob = MinmaxProblem(PENNIES)
-    with pytest.raises(ValueError):
-        dual_response(prob, np.array([0.7, 0.7]))
-    with pytest.raises(ValueError):
-        dual_response(prob, np.array([1.5, -0.5]))
+    with pytest.raises(ValueError, match="x must lie on the probability simplex"):
+        checked_response(prob, np.array([0.7, 0.7]))
+    with pytest.raises(ValueError, match="x must lie on the probability simplex"):
+        checked_response(prob, np.array([1.5, -0.5]))
 
 
 def test_dual_value():
@@ -272,12 +275,13 @@ def test_schedule_fixed_and_sequence():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="must be finite"):
             StepSchedule.fixed(bad)
-    seq = StepSchedule.from_sequence([0.1, 0.2])
+    # the tests' schedule of given steps
+    seq = SequenceSchedule((0.1, 0.2))
     assert seq.step_size(1) == 0.2
     with pytest.raises(ValueError):
         seq.step_size(2)
     with pytest.raises(ValueError):
-        StepSchedule.from_sequence([0.1, -0.2])
+        SequenceSchedule((0.1, -0.2))
 
 
 def test_schedule_edge_linesearch():
@@ -361,7 +365,7 @@ def test_run_matches_manual_multiplicative_replay():
 
 def test_run_dual_absent_until_first_nonzero_step():
     prob = MinmaxProblem(PENNIES)
-    sched = StepSchedule.from_sequence([0.0, 0.1, 0.1])
+    sched = SequenceSchedule((0.0, 0.1, 0.1))
     res = run(prob, sched, 3)
     assert res.records[0].dual is None
     assert res.records[1].dual is not None
@@ -378,13 +382,12 @@ def test_run_calls_sink_per_record():
 
 def test_run_steps_through_md_step_once_per_round(monkeypatch):
     # the loop calls md_step by its module name, so a wrapper set on the
-    # module sees every round; it scans through no public dual_response
+    # module sees every round
     steps = []
     real_step = md_core.md_step
     monkeypatch.setattr(md_core, "md_step",
                         lambda state, *args, **kwargs: steps.append(state.k)
                         or real_step(state, *args, **kwargs))
-    monkeypatch.setattr(md_core, "dual_response", None)
     res = run(MinmaxProblem(PENNIES), StepSchedule.fixed(0.1), 7)
     assert steps == list(range(7)) and res.state.k == 7
 

@@ -1,8 +1,10 @@
 """The package's public names, and what importing it loads: the names are
 resolved on first use, so `mirrorboost check` runs without numpy. The
-README's Library example runs as written."""
+README's Library example runs as written, and the README lists the public
+names."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,3 +63,7 @@ def test_the_readmes_library_example_runs():
     section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(code, str(readme), "exec"), {})
+    surface = section.split("public surface is these ", 1)[1].split(". A trace", 1)[0]
+    count, names = surface.split(" names", 1)
+    assert int(count) == len(mirrorboost.__all__) == 26
+    assert re.findall(r"`(\w+)`", names) == mirrorboost.__all__

@@ -8,8 +8,9 @@ A run's records survive the round trip through its trace bit for bit, and
 instances of every task and schedule the command line offers, prepared as
 `run` prepares them, no certificate of the paper fails. And the engine loop,
 which checks a step's anchor only on the first round and keeps the support
-size as a running count, equals a replay through the public, fully checked
-dual_response and prox_solve bit for bit.
+size as a running count, equals bit for bit a replay that checks every
+round: oracles.checked_response, the public prox_solve and a dense support
+size.
 
 The instances cover ties (entries drawn from a coarse grid), duplicate
 columns, zero margin columns, a single example or sample, and large fixed
@@ -38,14 +39,17 @@ from conftest import certificate_header
 from mirrorboost import cli, md_core, prox
 from mirrorboost.boosting import TrainingSet, run_adaboost
 from mirrorboost.bounds import check, check_trace
-from mirrorboost.md_core import MinmaxProblem, StepSchedule, dual_response, support_size
+from mirrorboost.md_core import MinmaxProblem, StepSchedule
 from mirrorboost.stagewise import RegressionProblem, least_squares_norm, run_fs
-from mirrorboost.trace import TraceHeader, read_trace, write_trace
+from mirrorboost.trace import TraceHeader, format_trace, read_trace
 from oracles import (
+    SequenceSchedule,
     assert_duals_within_rounding,
+    checked_response,
     classical_adaboost,
     classical_fs,
     run_with_iterates,
+    support_size,
 )
 
 ITERATIONS = 40
@@ -169,7 +173,8 @@ def _assert_check_rebuilds_the_report(result, header: TraceHeader) -> None:
     report = check(result.records, header)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.trace.jsonl"
-        write_trace(path, header, result.records, terminated=result.terminated)
+        path.write_text(format_trace(header, result.records, result.terminated),
+                        encoding="utf-8")
         back = read_trace(path)
     assert _fields(back[0]) == _fields(header)
     assert [_fields(r) for r in back[1]] == [_fields(r) for r in result.records]
@@ -191,11 +196,8 @@ def test_check_rebuilds_an_adaboost_report_from_its_trace(case):
     # run writes no fixed-step adaboost header, and a fixed step's records get
     # the same certificates as a line search's: those of every step sequence
     kind = schedule.kind if schedule.kind in ("constant", "dynamic") else "linesearch"
-    header = certificate_header(
-        algorithm="adaboost", schedule_kind=kind, iterations=ITERATIONS,
-        shape={"m": ts.num_examples, "n": ts.num_classifiers},
-        lipschitz=ts.lipschitz, diameter=math.log(ts.num_examples),
-        horizon=ITERATIONS if schedule.kind == "constant" else None)
+    header = certificate_header("adaboost", kind, m=ts.num_examples, n=ts.num_classifiers,
+                                lipschitz=ts.lipschitz, iterations=ITERATIONS)
     _assert_check_rebuilds_the_report(run_adaboost(ts, schedule, ITERATIONS), header)
 
 
@@ -207,12 +209,10 @@ def test_check_rebuilds_a_stagewise_report_from_its_trace(case):
     rp, schedule = case
     dist0 = least_squares_norm(rp)
     fixed = schedule.kind == "fixed"
-    header = certificate_header(
-        algorithm="stagewise", schedule_kind="constant" if fixed else "linesearch",
-        iterations=ITERATIONS,
-        shape={"n": rp.num_samples, "p": rp.num_columns}, lipschitz=rp.design_norm,
-        diameter=0.5 * dist0 * dist0, f_star=0.0, dist0=dist0,
-        eps=schedule.alpha if fixed else None, dual_defined=False)
+    header = certificate_header("stagewise", "constant" if fixed else "linesearch",
+                                m=rp.num_samples, n=rp.num_columns, lipschitz=rp.design_norm,
+                                iterations=ITERATIONS, f_star=0.0, dist0=dist0,
+                                eps=schedule.alpha if fixed else None)
     _assert_check_rebuilds_the_report(run_fs(rp, schedule, ITERATIONS), header)
 
 
@@ -268,22 +268,22 @@ def test_no_certificate_fails_on_a_random_instance(case):
 
 
 def _replay(problem: MinmaxProblem, schedule: StepSchedule, prox_fn, iterations: int, x0):
-    """The engine's loop through public calls only: dual_response, the
-    schedule and prox_solve. Returns per round the pre-step iterate, the
-    (index, sign, value, alpha) and the support size of the pre-step dual sum,
-    and the final iterate."""
+    """The engine's loop through calls that check their arguments every
+    round: checked_response, the schedule and prox_solve. Returns per round
+    the pre-step iterate, the (index, sign, value, alpha) and the support size
+    of the pre-step dual sum, and the final iterate."""
     x, dual_sum, rounds = x0, np.zeros(problem.n), []
     for k in range(iterations):
-        resp = dual_response(problem, x)
-        if resp.sign == 0.0:
+        index, sign, value, grad = checked_response(problem, x)
+        if sign == 0.0:
             break
         try:
-            alpha = schedule.step_size(k, value=resp.value, grad=resp.grad)
+            alpha = schedule.step_size(k, value=value, grad=grad)
         except md_core.UndefinedStepError:
             break
-        rounds.append((x, (resp.index, resp.sign, resp.value, alpha), support_size(dual_sum)))
-        x = prox.prox_solve(prox_fn, resp.grad, x, alpha)
-        dual_sum[resp.index] += alpha * resp.sign
+        rounds.append((x, (index, sign, value, alpha), support_size(dual_sum)))
+        x = prox.prox_solve(prox_fn, grad, x, alpha)
+        dual_sum[index] += alpha * sign
     return rounds, x
 
 
@@ -323,8 +323,8 @@ def test_run_equals_a_replay_through_prox_solve_on_fs(design, data):
     response = data.draw(arrays(float, design.shape[0], elements=entries))
     schedule = data.draw(st.one_of(
         st.builds(StepSchedule.fixed, fs_steps),
-        st.builds(StepSchedule.from_sequence, st.lists(fs_steps, min_size=ITERATIONS,
-                                                       max_size=ITERATIONS))))
+        st.builds(SequenceSchedule, st.lists(fs_steps, min_size=ITERATIONS,
+                                             max_size=ITERATIONS).map(tuple))))
     problem = MinmaxProblem(design, primal_domain=md_core.PRIMAL_RESIDUAL,
                             dual_domain=md_core.DUAL_L1_BALL)
     _assert_run_equals_replay(problem, schedule, prox.euclidean(design.shape[0]), x0=response)

@@ -1,14 +1,14 @@
-"""Prox functions: divergence values, prox steps against a grid oracle, and
-diameter bounds."""
+"""Prox functions: the Bregman distance of tests/oracles.py, prox steps
+against a grid oracle, and the diameter log m that a header derives."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import grid_prox_entropy, simplex_grid
-from mirrorboost import prox
-from mirrorboost.prox import bregman, diameter_bound, entropy, euclidean, prox_solve, value
+from conftest import certificate_header, grid_prox_entropy, simplex_grid
+from mirrorboost.prox import entropy, euclidean, prox_solve
+from oracles import bregman
 
 
 def test_factories_and_reference_norms():
@@ -18,15 +18,6 @@ def test_factories_and_reference_norms():
     assert q.kind == "euclidean" and q.dim == 3 and q.reference_norm == "l2"
     with pytest.raises(ValueError):
         entropy(0)
-
-
-def test_entropy_value_zero_at_uniform_and_max_at_vertex():
-    m = 7
-    assert value(entropy(m), np.full(m, 1.0 / m)) == pytest.approx(0.0, abs=1e-15)
-    vertex = np.zeros(m)
-    vertex[2] = 1.0
-    # sum x ln x = 0 at a vertex, so the shifted value is log m
-    assert value(entropy(m), vertex) == pytest.approx(math.log(m), rel=1e-15)
 
 
 def test_bregman_entropy_closed_form_example():
@@ -143,36 +134,27 @@ def test_prox_solve_euclidean_is_gradient_step():
 
 
 def test_diameter_bound_entropy_uniform_is_log_m_exactly():
+    # a header on m examples holds log(m), which the distance from the uniform
+    # start to a vertex attains
     for m in (2, 5, 10, 64):
-        assert diameter_bound(entropy(m), np.full(m, 1.0 / m)) == math.log(m)
+        diameter = certificate_header("adaboost", "dynamic", m=m).diameter
+        assert diameter == math.log(m)
+        vertex = np.zeros(m)
+        vertex[m - 1] = 1.0
+        assert bregman(entropy(m), vertex, np.full(m, 1.0 / m)) == pytest.approx(diameter,
+                                                                                rel=1e-14)
 
 
 def test_diameter_bound_entropy_covers_all_grid_points():
-    # every simplex point has KL(x, uniform) <= log m; the bound must dominate
+    # every simplex point has KL(x, uniform) <= log m; the diameter must dominate
     for dim in (2, 3):
         anchor = np.full(dim, 1.0 / dim)
-        bound = diameter_bound(entropy(dim), anchor)
+        bound = certificate_header("adaboost", "dynamic", m=dim).diameter
         grid = simplex_grid(dim, 200)
         worst = 0.0
         for x in grid:
             worst = max(worst, bregman(entropy(dim), x, anchor))
         assert worst <= bound + 1e-12
-
-
-def test_diameter_bound_entropy_nonuniform_anchor():
-    anchor = np.array([0.1, 0.9])
-    bound = diameter_bound(entropy(2), anchor)
-    assert bound == pytest.approx(-math.log(0.1), rel=1e-15)
-    # the vertex over the smallest anchor mass attains it
-    assert bregman(entropy(2), np.array([1.0, 0.0]), anchor) <= bound + 1e-15
-
-
-def test_diameter_bound_euclidean_needs_optimum():
-    q = euclidean(2)
-    with pytest.raises(ValueError):
-        diameter_bound(q, np.zeros(2))
-    got = diameter_bound(q, np.zeros(2), optimum=np.array([3.0, 4.0]))
-    assert got == pytest.approx(12.5, rel=1e-15)
 
 
 def test_dimension_mismatch_rejected():

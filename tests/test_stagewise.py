@@ -10,7 +10,7 @@ import pytest
 
 from conftest import gram_schmidt_projection_norm
 from mirrorboost import datagen
-from mirrorboost.md_core import NNZ_TOLERANCE, StepSchedule, support_size
+from mirrorboost.md_core import NNZ_TOLERANCE, StepSchedule
 from mirrorboost.stagewise import (
     RegressionProblem,
     least_squares_norm,
@@ -23,6 +23,7 @@ from oracles import (
     correlation_objective,
     fs_step,
     run_with_iterates,
+    support_size,
 )
 
 

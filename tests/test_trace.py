@@ -8,6 +8,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -25,29 +26,23 @@ from mirrorboost.trace import (
     format_trace,
     parse_line,
     read_trace,
-    write_trace,
 )
 
 
 def _header(**overrides) -> TraceHeader:
-    """A header with the constants runs write: unless given, dual_defined,
-    the horizon and the diameter follow from the algorithm, the schedule
-    kind, the iteration count, the shape's m and dist0, as `run` derives
-    them."""
+    """A header of a run: dual_defined, the horizon and the diameter follow
+    from the algorithm, the schedule kind, the iteration count, the shape's m
+    and dist0, 1.5 for stagewise unless given."""
     base = dict(algorithm="adaboost", schedule_kind="constant", iterations=2,
                 shape={"m": 4, "n": 3}, lipschitz=1.0, config={"task": "adaboost"})
-    base.update(overrides)
-    algorithm = base["algorithm"]
-    if algorithm == "stagewise":
-        base.setdefault("dist0", 1.5)
-        if base["dist0"] is not None:
-            base.setdefault("diameter", 0.5 * base["dist0"] * base["dist0"])
-    elif type(base["shape"].get("m")) is int:
-        base.setdefault("diameter", math.log(base["shape"]["m"]))
-    tied = trace.RUN_SCHEDULES.get(algorithm, {}).get(base["schedule_kind"], False)
-    base.setdefault("horizon", base["iterations"] if tied else None)
-    base.setdefault("dual_defined", algorithm != "stagewise")
-    return TraceHeader(**base)
+    if overrides.get("algorithm") == "stagewise":
+        base["dist0"] = 1.5
+    return TraceHeader(**{**base, **overrides})
+
+
+def _write(path: Path, header: TraceHeader, records, terminated: str | None = None) -> None:
+    """Write format_trace's text to `path`; a refused trace writes no file."""
+    path.write_text(format_trace(header, records, terminated), encoding="utf-8")
 
 
 def _record(k: int, **overrides) -> IterationRecord:
@@ -82,16 +77,17 @@ def test_record_round_trip_preserves_floats_exactly():
 
 
 def test_to_dict_writes_numpy_scalars_as_python_numbers():
-    rec = _record(np.int64(3), index=np.int64(7), sign=np.float64(-1.0), alpha=np.float32(0.5),
-                  l0=np.int32(2), l1=np.float64(0.25))
+    rec = _record(np.int64(3), algorithm="stagewise", index=np.int64(7), sign=np.float64(-1.0),
+                  alpha=np.float32(0.5), dual=None, l0=np.int32(2), l1=np.float64(0.25))
     obj = rec.to_dict()
     assert [type(obj[key]) for key in ("k", "index", "sign", "alpha", "l0", "l1")] == \
         [int, int, float, float, int, float]
     assert parse_line(json.loads(json.dumps(obj))) == rec
-    header = _header(iterations=np.int64(2), lipschitz=np.float64(1.0),
-                     dual_defined=np.bool_(True))
+    # a header converts its numbers when it is made
+    header = _header(iterations=np.int64(2), lipschitz=np.float32(1.0), f_star=np.int64(0))
     assert [type(v) for v in header.to_dict().values()] == \
-        [type(v) for v in _header().to_dict().values()]
+        [type(v) for v in _header(f_star=0.0).to_dict().values()]
+    assert type(header.iterations) is int and type(header.f_star) is float
 
 
 def test_header_round_trip():
@@ -173,10 +169,10 @@ def test_parse_line_names_the_first_mistyped_field_in_the_tables_order():
 def test_validate_line_takes_integers_for_floats_and_null_where_optional():
     header = parse_line({**_header(schedule_kind="dynamic").to_dict(), "lipschitz": 1,
                          "f_star": None, "horizon": None})
-    assert header == _header(schedule_kind="dynamic", lipschitz=1.0, f_star=None, horizon=None)
+    assert header == _header(schedule_kind="dynamic", lipschitz=1.0, f_star=None)
     assert type(header.lipschitz) is float
-    record = parse_line({**_record(0).to_dict(), "alpha": 0, "sign": -1, "dual": None, "l1": 2})
-    assert record == _record(0, alpha=0.0, sign=-1.0, dual=None, l1=2.0)
+    record = parse_line({**_record(0).to_dict(), "alpha": 0, "sign": 1, "dual": None, "l1": 2})
+    assert record == _record(0, alpha=0.0, sign=1.0, dual=None, l1=2.0)
     assert type(record.alpha) is type(record.sign) is type(record.l1) is float
 
 
@@ -200,7 +196,7 @@ def test_validate_line_per_algorithm_requirements():
 
 @pytest.mark.parametrize("sign", [7.5, 0.0, -0.0, 0.5, -2, 1e-300])
 def test_parse_line_refuses_a_sign_other_than_one(sign):
-    parse_line({**_record(0).to_dict(), "sign": -1})
+    parse_line({**_record(0, algorithm="stagewise", l1=0.0, l0=0).to_dict(), "sign": -1})
     with pytest.raises(ValueError, match="record line field 'sign' must be 1.0 or -1.0"):
         parse_line({**_record(0).to_dict(), "sign": sign})
 
@@ -219,7 +215,7 @@ def test_a_record_must_carry_the_headers_algorithm(tmp_path):
     records = [_record(0), _record(1, algorithm="mirror-descent")]
     with pytest.raises(ValueError, match="record line k=1: record algorithm 'mirror-descent' "
                                          "differs from the header's 'adaboost'"):
-        write_trace(path, _header(), records)
+        _write(path, _header(), records)
     assert not path.exists()
     head = json.dumps(_header().to_dict())
     good, bad = (json.dumps(rec.to_dict()) for rec in records)
@@ -248,7 +244,7 @@ def test_a_record_must_name_a_column_of_the_headers_shape(tmp_path, algorithm, s
     k = 0 if index == 0 else 1
     message = f"record index {index} names no column: the header's {message}"
     with pytest.raises(ValueError, match=f"record line k={k}: {message}"):
-        write_trace(path, header, records)
+        _write(path, header, records)
     assert not path.exists()
     path.write_text("\n".join(json.dumps(line.to_dict()) for line in [header, *records]) + "\n")
     with pytest.raises(ValueError, match=f"line {k + 2}: {message}"):
@@ -271,33 +267,31 @@ small_dicts = st.dictionaries(text, st.one_of(finite, st.none(), text, st.boolea
 def traces(draw):
     """A header and records that agree: each record carries the header's
     algorithm and an index below the column count of the header's shape, and
-    the header's dual_defined, schedule kind, horizon and diameter are what
-    runs of its algorithm write."""
+    a negated sign only under stagewise's l1-ball dual. The header is one a
+    run may write: a kind of its algorithm, a finite lipschitz, a shape with
+    an int m of at least 1 for the simplex, and a dist0 that is null or
+    finite and nonnegative, and for stagewise not null, with a finite half
+    square."""
     algorithm = draw(st.sampled_from(ALGORITHMS))
     stagewise = algorithm == "stagewise"
     columns = draw(st.integers(1, 2**40))
     shape = {**draw(small_dicts), "p" if stagewise else "n": columns}
-    if stagewise:  # diameter 0.5 * dist0 * dist0, which must be finite
-        dist0 = draw(st.one_of(st.integers(-2**60, 2**60), st.floats(-1e154, 1e154)))
-        diameter = 0.5 * dist0 * dist0
+    if stagewise:  # diameter 0.5 * dist0 * dist0
+        dist0 = draw(st.one_of(st.integers(0, 2**60), st.floats(0.0, 1e154)))
     else:  # diameter log(m)
-        dist0 = draw(nullable)
+        dist0 = draw(st.one_of(st.none(), finite.map(abs)))
         shape["m"] = draw(st.integers(1, 2**40))
-        diameter = math.log(shape["m"])
-    schedule_kind, tied = draw(st.sampled_from(sorted(trace.RUN_SCHEDULES[algorithm].items())))
-    iterations = draw(st.integers(0, 2**40))
     header = TraceHeader(
-        algorithm=algorithm, schedule_kind=schedule_kind, iterations=iterations, shape=shape,
-        lipschitz=draw(nullable), diameter=diameter, f_star=draw(nullable), dist0=dist0,
-        eps=draw(nullable), horizon=iterations if tied else None,
-        dual_defined=algorithm != "stagewise",
-        config=draw(st.one_of(st.none(), small_dicts)))
+        algorithm=algorithm, schedule_kind=draw(st.sampled_from(
+            sorted(trace.RUN_SCHEDULES[algorithm]))), iterations=draw(st.integers(0, 2**40)),
+        shape=shape, lipschitz=draw(finite), f_star=draw(nullable), dist0=dist0,
+        eps=draw(nullable), config=draw(st.one_of(st.none(), small_dicts)))
+    signs = (1.0, -1.0, 1, -1) if stagewise else (1.0, 1)
     records = []
     for k in range(draw(st.integers(0, 4))):
-        stagewise = algorithm == "stagewise"
         records.append(IterationRecord(
             k=k, algorithm=algorithm, index=draw(st.integers(0, columns - 1)),
-            sign=draw(st.sampled_from((1.0, -1.0, 1, -1))), alpha=draw(finite),
+            sign=draw(st.sampled_from(signs)), alpha=draw(finite),
             primal=draw(finite), best_primal=draw(finite), dual=draw(nullable),
             l1=draw(finite if stagewise else nullable),
             l0=draw(st.integers(0, 99) if stagewise else st.one_of(st.none(),
@@ -307,11 +301,13 @@ def traces(draw):
 
 
 def _as_read(line):
-    """The line read_trace gives back for `line`: float fields hold floats."""
+    """The line read_trace gives back for `line`: float fields hold floats, as
+    a header's do from when it is made."""
     types = trace._LINES[line.kind][1]
+    arguments = {field.name for field in dataclasses.fields(line) if field.init}
     return dataclasses.replace(line, **{key: float(getattr(line, key)) for key, (kind, _) in
-                                        types.items()
-                                        if kind is float and getattr(line, key) is not None})
+                                        types.items() if kind is float and key in arguments
+                                        and getattr(line, key) is not None})
 
 
 def _exactly(value):
@@ -337,25 +333,26 @@ def test_read_trace_gives_back_what_format_trace_wrote(case):
 
 
 def test_read_trace_gives_back_nulls_and_extreme_floats(tmp_path):
-    header = _header(schedule_kind="dynamic", lipschitz=None, f_star=None, dist0=None, eps=None,
-                     horizon=None, config=None)
+    header = _header(schedule_kind="dynamic", lipschitz=1.7976931348623157e308, f_star=None,
+                     dist0=None, eps=None, config=None)
     records = [_record(0, alpha=5e-324, primal=1.7976931348623157e308,
                        best_primal=1.7976931348623157e308, dual=None),
-               _record(1, sign=-1, alpha=3, primal=-0.0, best_primal=-0.0, dual=None,
+               _record(1, sign=1, alpha=3, primal=-0.0, best_primal=-0.0, dual=None,
                        l1=None, l0=None)]
     path = tmp_path / "run.trace.jsonl"
-    write_trace(path, header, records, terminated="stopped")
+    _write(path, header, records, terminated="stopped")
     back_header, back_records, terminated = read_trace(path)
     assert _exactly(back_header) == _exactly(header)
     assert [_exactly(r) for r in back_records] == [_exactly(_as_read(r)) for r in records]
-    assert back_records[1].sign == -1.0 and type(back_records[1].alpha) is float
+    assert back_records[1].sign == 1.0 and type(back_records[1].sign) is float
+    assert type(back_records[1].alpha) is float
     assert repr(back_records[1].primal) == "-0.0" and terminated == "stopped"
 
 
 def test_write_read_round_trip(tmp_path):
     path = tmp_path / "run.trace.jsonl"
     records = [_record(0), _record(1, primal=0.4, best_primal=0.4)]
-    write_trace(path, _header(), records, terminated="stopped for testing")
+    _write(path, _header(), records, terminated="stopped for testing")
     header, back, terminated = read_trace(path)
     assert header == _header()
     assert back == records
@@ -369,7 +366,7 @@ def test_write_read_round_trip(tmp_path):
 
 def test_read_trace_rejects_non_finite_tokens(tmp_path):
     path = tmp_path / "run.trace.jsonl"
-    write_trace(path, _header(), [_record(0), _record(1)])
+    _write(path, _header(), [_record(0), _record(1)])
     lines = path.read_text().splitlines()
     for token in ("NaN", "Infinity", "-Infinity"):
         doctored = lines[2].replace('"dual": -0.2', f'"dual": {token}')
@@ -380,26 +377,33 @@ def test_read_trace_rejects_non_finite_tokens(tmp_path):
 
 
 def test_write_trace_rejects_non_finite_fields(tmp_path):
+    # a header is refused when it is made
     path = tmp_path / "run.trace.jsonl"
     cases = [
-        (_header(), [_record(0, dual=math.nan)], "record line k=0: field 'dual'"),
-        (_header(), [_record(0), _record(1, alpha=math.inf)], "record line k=1: field 'alpha'"),
-        (_header(lipschitz=math.inf), [_record(0)], "header line: field 'lipschitz'"),
+        (dict(), [_record(0, dual=math.nan)], "record line k=0: field 'dual'"),
+        (dict(), [_record(0), _record(1, alpha=math.inf)], "record line k=1: field 'alpha'"),
+        (dict(lipschitz=math.inf), [_record(0)], "header line: field 'lipschitz'"),
         # a non-finite value in a dict field is named by its dotted path
-        (_header(config={"task": "fs", "epsilon": -math.inf}), [_record(0)],
+        (dict(config={"task": "fs", "epsilon": -math.inf}), [_record(0)],
          "header line: field 'config.epsilon'"),
     ]
-    for header, records, message in cases:
+    # and so is one nested deeper than Python recurses, as json may read it
+    deep = -math.inf
+    for _ in range(sys.getrecursionlimit()):
+        deep = {"a": deep}
+    cases.append((dict(config={"task": "fs", "deep": deep}), [_record(0)],
+                  r"header line: field 'config\.deep(\.a)+' is not finite"))
+    for fields, records, message in cases:
         with pytest.raises(ValueError, match=message):
-            write_trace(path, header, records)
+            _write(path, _header(**fields), records)
         assert not path.exists()
 
 
 def test_write_trace_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     records = [_record(0, primal=math.pi / 4.0), _record(1, alpha=1e-17)]
-    write_trace(a, _header(), records)
-    write_trace(b, _header(), records)
+    _write(a, _header(), records)
+    _write(b, _header(), records)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -417,6 +421,10 @@ def test_read_trace_error_reporting(tmp_path):
         read_trace(path)
     path.write_text(head + "\n\n" + json.dumps({**_record(0).to_dict(), "k": 0.5}) + "\n")
     with pytest.raises(ValueError, match="line 3: record line field 'k' must be int"):
+        read_trace(path)
+    # a line nested deeper than the decoder recurses is refused like any other
+    path.write_text(head + "\n" + "[" * 100000 + "\n")
+    with pytest.raises(ValueError, match="line 2 is not valid JSON: maximum recursion depth"):
         read_trace(path)
 
 
@@ -436,13 +444,13 @@ def test_a_format_1_trace_is_read_with_its_grad_norm_and_without_its_schedule_an
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_dual_defined_must_be_what_runs_of_the_algorithm_write(tmp_path, algorithm):
+    # a header derives it; a header line must state what it derives
     dual_defined = algorithm != "stagewise"
-    header = _header(algorithm=algorithm, dual_defined=not dual_defined)
+    header = _header(algorithm=algorithm)
+    assert header.dual_defined is dual_defined
     message = (f"header line field 'dual_defined' must be {dual_defined} for algorithm "
                f"{algorithm!r}, got {not dual_defined}")
-    with pytest.raises(ValueError, match=message):
-        format_trace(header, ())
-    parse_line(_header(algorithm=algorithm).to_dict())
+    parse_line(header.to_dict())
     with pytest.raises(ValueError, match=message):
         parse_line(header.to_dict() | {"dual_defined": not dual_defined})
     kind = {"adaboost": "constant", "stagewise": "linesearch"}.get(algorithm, "constant")
@@ -489,9 +497,11 @@ def test_a_format_1_schedule_dict_must_agree_with_its_header(algorithm, schedule
                                                  f"equal the header's {field}"):
                 parse_line(_header_1_for(algorithm, schedule_kind, kind, **{name: bad}), 1)
     header = _header_1_for(algorithm, schedule_kind, kind)
-    with pytest.raises(ValueError, match=f"schedule.{names[0]}' must equal the header's "
-                                         f"{'eps' if kind == 'fixed' else names[0]} None"):
-        parse_line({**header, "eps" if kind == "fixed" else names[0]: None}, 1)
+    name = names[-1]  # alpha or f_star, whose header field may be null
+    field = "eps" if name == "alpha" else name
+    with pytest.raises(ValueError, match=f"schedule.{name}' must equal the header's "
+                                         f"{field} None"):
+        parse_line({**header, field: None}, 1)
     # a fixed step names its alpha; the dict of another kind may omit its constants
     header["schedule"] = {"kind": kind}
     if kind == "fixed":
@@ -504,7 +514,7 @@ def test_a_format_1_schedule_dict_must_agree_with_its_header(algorithm, schedule
 
 @pytest.mark.parametrize("algorithm, schedule_kind, kind", RUN_SCHEDULE_KINDS)
 def test_a_header_must_carry_the_kind_horizon_and_diameter_that_run_writes(
-        algorithm, schedule_kind, kind):
+        tmp_path, algorithm, schedule_kind, kind):
     tied = trace.RUN_SCHEDULES[algorithm][schedule_kind]
     header = _header(algorithm=algorithm, schedule_kind=schedule_kind, iterations=7)
     assert header.horizon == (7 if tied else None)
@@ -517,24 +527,48 @@ def test_a_header_must_carry_the_kind_horizon_and_diameter_that_run_writes(
     parse_line(old, 1)
     others = {"constant", "dynamic", "linesearch", "optimal", "polyak", "fixed"} - {
         *trace.RUN_SCHEDULES[algorithm]}
-    forgeries = [({"schedule_kind": other}, "'schedule_kind' must be one of") for other in others]
-    forgeries += [({"horizon": horizon}, f"'horizon' must be {header.horizon!r}")
-                  for horizon in ([None, 6, 8] if tied else [7, 0])]
-    forgeries.append(({"diameter": math.nextafter(header.diameter, math.inf)},
-                      "'diameter' must be"))
+    # each forgery: its fields, the refusal, and whether a header made with
+    # them is refused too; it is not when a field is one the header derives,
+    # or when the fields make another header that runs write
+    forgeries = [({"schedule_kind": other}, "header line field 'schedule_kind' must be one of",
+                  True) for other in others]
+    forgeries += [({"horizon": horizon}, f"header line field 'horizon' must be {header.horizon!r}",
+                   False) for horizon in ([None, 6, 8] if tied else [7, 0])]
+    forgeries += [
+        ({"diameter": math.nextafter(header.diameter, math.inf)},
+         "header line field 'diameter' must be", False),
+        ({"lipschitz": math.inf}, "header line: field 'lipschitz' is not finite", True),
+        ({"lipschitz": None}, "header line field 'lipschitz' must be float, got None", True),
+        # the diameter of a negated dist0 is the header's own
+        ({"dist0": -(header.dist0 or 1.0)},
+         f"header line field 'dist0' must be nonnegative, got {-(header.dist0 or 1.0)!r}", True),
+    ]
     if algorithm == "stagewise":
-        forgeries.append(({"dist0": -2.0 * header.dist0}, "'diameter' must be 0.5 * dist0"))
+        forgeries += [
+            ({"dist0": 2.0 * header.dist0}, "header line field 'diameter' must be 0.5 * dist0",
+             False),
+            ({"dist0": None}, "header line field 'diameter' must be 0.5 * dist0 * dist0, which "
+                              "dist0 None does not give", True)]
     else:
-        forgeries += [({"shape": {**header.shape, "m": m}}, "'diameter' must be log")
-                      for m in (5, 0, 4.0, None)]
-    for fields, message in forgeries:
-        with pytest.raises(ValueError, match="header line field " + re.escape(message)):
-            format_trace(dataclasses.replace(header, **fields), ())
-        pattern = "header line field " + re.escape(message)
-        if "schedule_kind" in fields:  # unless the dict's kind is refused first
-            pattern = "header line field 'schedule[._]kind'"
+        forgeries.append(({"shape": {**header.shape, "m": 5}},
+                          "header line field 'diameter' must be log(shape['m']) with m 5",
+                          False))
+        forgeries += [({"shape": {**header.shape, "m": m}},
+                       f"header line field 'diameter' must be log(shape['m']), which m {m!r} "
+                       "does not give", True) for m in (0, 4.0, None)]
+    path = tmp_path / "run.trace.jsonl"
+    for fields, message, made in forgeries:
+        pattern = re.escape(message)
+        if made:
+            with pytest.raises(ValueError, match=pattern):
+                dataclasses.replace(header, **fields)
         with pytest.raises(ValueError, match=pattern):
             parse_line({**old, **fields}, 1)
+        # a format-2 line as check reads it, where json reads 1e999 as inf
+        line = json.dumps({**header.to_dict(), **fields}, sort_keys=True)
+        path.write_text(line.replace("Infinity", "1e999") + "\n")
+        with pytest.raises(ValueError, match="line 1: " + pattern):
+            read_trace(path)
 
 
 # The record writer formats a line from one template; json.dumps of the
@@ -555,14 +589,16 @@ written_ints = st.one_of(st.integers(0, 2**62), st.integers(0, 2**62).map(np.int
 @st.composite
 def records_to_write(draw):
     """A header and a record it admits, in any algorithm, with numpy scalars
-    among the values; stagewise records carry l1 and l0, the others may."""
+    among the values; stagewise records carry l1 and l0, the others may, and
+    only they may negate their sign."""
     algorithm = draw(st.sampled_from(ALGORITHMS))
     stagewise = algorithm == "stagewise"
     header = _header(algorithm=algorithm, shape={"m": 4, "n": 2**63, "p": 2**63})
     nullable_float = st.one_of(st.none(), written_floats)
+    signs = (1.0, 1, np.int64(1)) + ((-1.0, -1, np.float64(-1.0)) if stagewise else ())
     record = IterationRecord(
         k=draw(written_ints), algorithm=algorithm, index=draw(written_ints),
-        sign=draw(st.sampled_from((1.0, -1.0, 1, -1, np.float64(-1.0), np.int64(1)))),
+        sign=draw(st.sampled_from(signs)),
         alpha=draw(written_floats), primal=draw(written_floats),
         best_primal=draw(written_floats), dual=draw(nullable_float),
         l1=draw(written_floats if stagewise else nullable_float),
@@ -603,6 +639,9 @@ class _Str(str):
     ({"alpha": math.inf, "dual": math.nan}, "record line k=0: field 'alpha' is not finite"),
     ({"k": np.int64(4), "best_primal": -math.inf}, "record line k=4: field 'best_primal'"),
     ({"l1": np.float32("inf"), "l0": 2}, "record line k=0: field 'l1' is not finite"),
+    ({"sign": -1.0}, "record line field 'sign' must be 1.0 under the simplex dual of a "
+                     "format-2 adaboost trace, got -1.0"),
+    ({"sign": np.int64(-1), "dual": math.nan}, "field 'sign' must be 1.0 under the simplex"),
 ])
 def test_format_trace_refuses_each_record_as_reading_it_back_does(fields, message):
     record = dataclasses.replace(_record(0), **fields)
@@ -613,17 +652,20 @@ def test_format_trace_refuses_each_record_as_reading_it_back_does(fields, messag
 
 def _refusal_by_reading_back(header: TraceHeader, record: IterationRecord) -> str:
     """The message for `record` from reading its dict back: the header's
-    contradictions, then parse_line's refusals of the record's dict, then a
-    non-finite value named by json.dumps's failure; empty if none refuses."""
+    contradictions, then parse_line's refusals of the record's dict, then its
+    first non-finite value; empty if none refuses."""
     problem = trace._contradiction(record, header)
     if problem is not None:
         return f"record line k={record.k}: {problem}"
     try:
         obj = record.to_dict()
         parse_line(obj)
-        trace._dumps(obj)
     except (TypeError, ValueError) as exc:
         return str(exc)
+    name = trace._non_finite_field(obj)
+    if name is not None:
+        return (f"record line k={obj['k']}: field {name!r} is not finite, and traces are "
+                "strict JSON")
     return ""
 
 
@@ -651,7 +693,7 @@ def test_a_record_line_is_read_by_the_fast_path_or_by_parse_line(tmp_path, monke
                         lambda obj, format=2: parsed.append(obj) or parse_line(obj, format))
     path = tmp_path / "run.trace.jsonl"
     records = [_record(0), _record(1, dual=None, l1=0.5, l0=3)]
-    write_trace(path, _header(), records)
+    _write(path, _header(), records)
     parsed.clear()
     assert read_trace(path)[1] == records
     assert [line["type"] for line in parsed] == ["header"]
@@ -689,17 +731,19 @@ def test_a_format_2_record_holds_its_lines_values_in_the_tables_order():
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_a_negated_sign_is_a_format_2_record_or_a_stagewise_one(algorithm):
+def test_a_negated_sign_is_a_stagewise_record(algorithm):
+    # only stagewise's l1-ball dual negates a column; adaboost and
+    # mirror-descent run a simplex dual over a matrix closed under negation
     fs = algorithm == "stagewise"
     record = {**_record_1(0), "algorithm": algorithm, "sign": -1.0,
               **({"l1": 0.5, "l0": 1} if fs else {})}
     format_2 = {key: value for key, value in record.items() if key not in ("grad_norm", "slacks")}
-    assert parse_line(format_2).sign == -1.0
-    if fs:
-        assert parse_line(record, 1).sign == -1.0
-    else:
-        with pytest.raises(ValueError, match="record line field 'sign' must be 1.0 under the "
-                                             f"simplex dual of a format-1 {algorithm} trace, "
-                                             "got -1.0"):
-            parse_line(record, 1)
-    assert parse_line({**record, "sign": 1.0}, 1).sign == 1.0
+    for line, format in ((format_2, 2), (record, 1)):
+        if fs:
+            assert parse_line(line, format).sign == -1.0
+        else:
+            with pytest.raises(ValueError, match="record line field 'sign' must be 1.0 under the "
+                                                 f"simplex dual of a format-{format} "
+                                                 f"{algorithm} trace, got -1.0"):
+                parse_line(line, format)
+        assert parse_line({**line, "sign": 1.0}, format).sign == 1.0
