@@ -13,11 +13,14 @@ exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .trace import TraceHeader
 
@@ -127,6 +130,122 @@ def _not_evaluable(k: int, tag: str, note: str) -> CertificateRecord:
     return CertificateRecord(k, tag, None, None, None, None, note)
 
 
+class _Tally:
+    """The summary counts, the by_tag entries, the failed records and what is
+    wrong with the first record whose observed, bound or slack is not finite
+    (None while every one is) of the certificate records added so far."""
+
+    def __init__(self) -> None:
+        self.counts = {"total": 0, "passed": 0, "failed": 0, "not_evaluable": 0}
+        self.by_tag: dict[str, dict] = {}
+        self.failures: list[CertificateRecord] = []
+        self.non_finite: str | None = None
+
+    def summary(self) -> dict:
+        return {**self.counts, "all_passed": self.counts["failed"] == 0}
+
+    def add(self, records) -> None:
+        counts, by_tag = self.counts, self.by_tag
+        isfinite = math.isfinite
+        for r in records:
+            k, tag, observed, bound, slack, passed, _ = r
+            entry = by_tag.get(tag)
+            if entry is None:
+                entry = by_tag[tag] = {"total": 0, "passed": 0, "failed": 0,
+                                       "not_evaluable": 0, "min_slack": None}
+            entry["total"] += 1
+            counts["total"] += 1
+            if passed is True:
+                outcome = "passed"
+            elif passed is False:
+                outcome = "failed"
+                self.failures.append(r)
+            else:
+                outcome = "not_evaluable"
+            entry[outcome] += 1
+            counts[outcome] += 1
+            if slack is not None and (entry["min_slack"] is None or slack < entry["min_slack"]):
+                entry["min_slack"] = slack
+            if self.non_finite is None and not ((observed is None or isfinite(observed))
+                                                and (bound is None or isfinite(bound))
+                                                and (slack is None or isfinite(slack))):
+                name = next(name for name, value in
+                            (("observed", observed), ("bound", bound), ("slack", slack))
+                            if value is not None and not isfinite(value))
+                self.non_finite = (f"report record k={k}, tag {tag!r}: field {name!r} is not "
+                                   "finite, and reports are strict JSON")
+
+
+class ReportWriter:
+    """The writer of report.json: json.dump(report.to_dict(), fh,
+    sort_keys=True, indent=2, allow_nan=False) and a newline, from fixed
+    templates, for certificate records that arrive as a stream.
+
+    report.json puts by_tag before the records, and by_tag is known only once
+    every record has arrived. So `add` takes the records _CHUNK_RECORDS at a
+    time, tallies them and spools their texts to an anonymous temporary file;
+    `finish` refuses a non-finite value; `write` writes by_tag, copies the
+    spooled texts _COPY_CHARS at a time, and writes the summary. No step
+    holds the records or the whole report. Closing the writer removes its
+    spool.
+    """
+
+    def __init__(self) -> None:
+        self.tally = _Tally()
+        self._spool = tempfile.TemporaryFile("w+", encoding="ascii", newline="")
+        self._spooled = False
+
+    def __enter__(self) -> "ReportWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._spool.close()
+
+    def add(self, records: Iterable[CertificateRecord]) -> None:
+        """Tally `records` and spool their texts, _CHUNK_RECORDS at a time."""
+        records = iter(records)
+        while batch := list(itertools.islice(records, _CHUNK_RECORDS)):
+            self.tally.add(batch)
+            # a report with a non-finite value is refused, so its texts are not needed
+            if self.tally.non_finite is None:
+                self._spool.write((",\n" if self._spooled else "") + _record_texts(batch))
+                self._spooled = True
+
+    def finish(self) -> None:
+        """Raise ValueError naming the first record with a value that is not
+        finite, if there is one."""
+        if self.tally.non_finite is not None:
+            raise ValueError(self.tally.non_finite)
+
+    def write(self, fh) -> None:
+        """Write report.json to `fh`, a text file, after finish()."""
+        self.finish()
+        summary, by_tag = self.tally.summary(), self.tally.by_tag
+        fh.write("{\n")
+        if by_tag:
+            fh.write('  "by_tag": {\n')
+            fh.write(",\n".join(
+                _TAG_TEMPLATE % (_json_str(tag), entry["failed"], _json_num(entry["min_slack"]),
+                                 entry["not_evaluable"], entry["passed"], entry["total"])
+                for tag, entry in sorted(by_tag.items())))
+            fh.write("\n  },\n")
+        else:
+            fh.write('  "by_tag": {},\n')
+        if self._spooled:
+            fh.write('  "records": [\n')
+            self._spool.seek(0)
+            shutil.copyfileobj(self._spool, fh, _COPY_CHARS)
+            fh.write("\n  ],\n")
+        else:
+            fh.write('  "records": [],\n')
+        fh.write(_SUMMARY_TEMPLATE % (
+            _JSON_LITERALS[summary["all_passed"]], summary["failed"],
+            summary["not_evaluable"], summary["passed"], summary["total"]))
+
+
 @dataclass
 class CertificateReport:
     records: list[CertificateRecord] = field(default_factory=list)
@@ -135,32 +254,9 @@ class CertificateReport:
         """summary(), by_tag() and what is wrong with the first record whose
         observed, bound or slack is not finite (None when every one is), in
         one pass over the records."""
-        summary = {"total": len(self.records), "passed": 0, "failed": 0, "not_evaluable": 0}
-        by_tag: dict[str, dict] = {}
-        non_finite = None
-        isfinite = math.isfinite
-        for k, tag, observed, bound, slack, passed, _ in self.records:
-            entry = by_tag.get(tag)
-            if entry is None:
-                entry = by_tag[tag] = {"total": 0, "passed": 0, "failed": 0,
-                                       "not_evaluable": 0, "min_slack": None}
-            entry["total"] += 1
-            outcome = "passed" if passed is True else "failed" if passed is False else \
-                "not_evaluable"
-            entry[outcome] += 1
-            summary[outcome] += 1
-            if slack is not None and (entry["min_slack"] is None or slack < entry["min_slack"]):
-                entry["min_slack"] = slack
-            if non_finite is None and not ((observed is None or isfinite(observed))
-                                           and (bound is None or isfinite(bound))
-                                           and (slack is None or isfinite(slack))):
-                name = next(name for name, value in
-                            (("observed", observed), ("bound", bound), ("slack", slack))
-                            if value is not None and not isfinite(value))
-                non_finite = (f"report record k={k}, tag {tag!r}: field {name!r} is not "
-                              "finite, and reports are strict JSON")
-        summary["all_passed"] = summary["failed"] == 0
-        return summary, by_tag, non_finite
+        tally = _Tally()
+        tally.add(self.records)
+        return tally.summary(), tally.by_tag, tally.non_finite
 
     def summary(self) -> dict:
         return self.tally()[0]
@@ -183,41 +279,14 @@ class CertificateReport:
             "records": [r.to_dict() for r in self.records],
         }
 
-    def write_json(self, fh, summary: dict | None = None, by_tag: dict | None = None) -> None:
+    def write_json(self, fh) -> None:
         """Write to `fh` the bytes of json.dump(self.to_dict(), fh, sort_keys=True,
-        indent=2, allow_nan=False) and a newline, from fixed templates.
-
-        json.dump with indent runs the pure-Python encoder; this writer
-        formats each record with one template and writes the records in
-        chunks, never the whole report as one string. `summary` and `by_tag`,
-        when given, must be self.summary() and self.by_tag(); they spare a
-        pass over the records. A non-finite value raises ValueError, as
-        json.dump's does, but only after the records before it are written.
-        """
-        if summary is None or by_tag is None:
-            summary, by_tag, _ = self.tally()
-        fh.write("{\n")
-        if by_tag:
-            fh.write('  "by_tag": {\n')
-            fh.write(",\n".join(
-                _TAG_TEMPLATE % (_json_str(tag), entry["failed"], _json_num(entry["min_slack"]),
-                                 entry["not_evaluable"], entry["passed"], entry["total"])
-                for tag, entry in sorted(by_tag.items())))
-            fh.write("\n  },\n")
-        else:
-            fh.write('  "by_tag": {},\n')
-        if self.records:
-            fh.write('  "records": [\n')
-            for start in range(0, len(self.records), _CHUNK_RECORDS):
-                if start:
-                    fh.write(",\n")
-                fh.write(_record_texts(self.records[start:start + _CHUNK_RECORDS]))
-            fh.write("\n  ],\n")
-        else:
-            fh.write('  "records": [],\n')
-        fh.write(_SUMMARY_TEMPLATE % (
-            _JSON_LITERALS[summary["all_passed"]], summary["failed"],
-            summary["not_evaluable"], summary["passed"], summary["total"]))
+        indent=2, allow_nan=False) and a newline, through ReportWriter. A
+        non-finite value raises ValueError, as json.dump's does, before
+        anything is written."""
+        with ReportWriter() as writer:
+            writer.add(self.records)
+            writer.write(fh)
 
 
 # report.json templates: json.dump(sort_keys=True, indent=2) of one by_tag
@@ -250,8 +319,10 @@ _SUMMARY_TEMPLATE = """\
   }
 }
 """
-# records per write: one string for a long run's whole report would raise its peak
-_CHUNK_RECORDS = 2048
+# records per text spooled, and characters per copy of the spool: one string
+# for a long run's whole report, or a large part of it, would raise its peak
+_CHUNK_RECORDS = 256
+_COPY_CHARS = 64 * 1024
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
 _json_str = json.encoder.encode_basestring_ascii  # the C encoder json.dump uses for strings
 
@@ -317,8 +388,9 @@ def _inconsistency(records) -> CertificateRecord | None:
     return None
 
 
-def check(records, header: TraceHeader) -> CertificateReport:
-    """Evaluate every applicable bound against an iteration trace, with the
+def certificates(records, header: TraceHeader) -> Iterator[CertificateRecord]:
+    """The certificate records of an iteration trace, in report order: every
+    applicable bound evaluated against the sequence `records`, with the
     problem constants its header holds: the algorithm, the schedule kind,
     lipschitz, diameter, f_star, dist0, eps, horizon, dual_defined and format.
     A header is checked when it is made, so lipschitz and the diameter are
@@ -331,11 +403,12 @@ def check(records, header: TraceHeader) -> CertificateReport:
     A trace whose records are out of order, repeated or self-contradictory
     gets one failed trace-integrity record, after the others; a consistent
     trace gets none, so its report is unchanged.
+
+    Records are made one iteration at a time, as the caller takes them; the
+    trace-integrity rule is a final pass over `records`.
     """
-    records = list(records)
     if not records:
         raise ValueError("cannot check an empty trace")
-    report = CertificateReport()
     algo = header.algorithm
 
     step_sum = 0.0
@@ -356,93 +429,101 @@ def check(records, header: TraceHeader) -> CertificateReport:
 
         if header.dual_defined:
             if rec.dual is None:
-                report.records.append(_not_evaluable(t, WEAK_DUALITY, "no dual value" + dual_ref))
+                yield _not_evaluable(t, WEAK_DUALITY, "no dual value" + dual_ref)
             else:
-                report.records.append(_evaluated(t, WEAK_DUALITY, rec.dual, rec.best_primal))
+                yield _evaluated(t, WEAK_DUALITY, rec.dual, rec.best_primal)
             if rec.dual is None:
-                report.records.append(_not_evaluable(t, GAP_RUNNING, "no dual value" + dual_ref))
+                yield _not_evaluable(t, GAP_RUNNING, "no dual value" + dual_ref)
             elif step_sum <= 0.0:  # only in a tampered trace: runs record no dual then
-                report.records.append(_not_evaluable(t, GAP_RUNNING, "zero step-size sum"))
+                yield _not_evaluable(t, GAP_RUNNING, "zero step-size sum")
             else:
                 bound = _ratio_bound(header.diameter, header.lipschitz, step_sum, step_sq_sum)
-                report.records.append(_evaluated(t, GAP_RUNNING, gap_ref - rec.dual, bound,
-                                                 steps_finite=math.isfinite(step_sq_sum)))
+                yield _evaluated(t, GAP_RUNNING, gap_ref - rec.dual, bound,
+                                 steps_finite=math.isfinite(step_sq_sum))
             if header.schedule_kind == "dynamic":
                 if rec.dual is None:
-                    report.records.append(_not_evaluable(t, GAP_DYNAMIC, "no dual value" + dual_ref))
+                    yield _not_evaluable(t, GAP_DYNAMIC, "no dual value" + dual_ref)
                 elif t < 0:  # only in a tampered trace, which fails trace-integrity
-                    report.records.append(_not_evaluable(t, GAP_DYNAMIC, "negative iteration"))
+                    yield _not_evaluable(t, GAP_DYNAMIC, "negative iteration")
                 else:
                     bound = dynamic_bound(header.diameter, header.lipschitz, t)
-                    report.records.append(_evaluated(t, GAP_DYNAMIC, gap_ref - rec.dual, bound))
+                    yield _evaluated(t, GAP_DYNAMIC, gap_ref - rec.dual, bound)
 
         if header.f_star is not None:
             observed = rec.best_primal - header.f_star
             if step_sum <= 0.0:
-                report.records.append(_not_evaluable(t, OPT_RUNNING, "zero step-size sum"))
+                yield _not_evaluable(t, OPT_RUNNING, "zero step-size sum")
             else:
                 bound = _ratio_bound(header.diameter, header.lipschitz, step_sum, step_sq_sum)
-                report.records.append(_evaluated(t, OPT_RUNNING, observed, bound,
-                                                 steps_finite=math.isfinite(step_sq_sum)))
+                yield _evaluated(t, OPT_RUNNING, observed, bound,
+                                 steps_finite=math.isfinite(step_sq_sum))
             if header.schedule_kind in ("polyak", "linesearch"):
                 if header.dist0 is None:  # the game's simplex header has none
-                    report.records.append(_not_evaluable(
-                        t, OPT_POLYAK, "missing dist0 or lipschitz constant"))
+                    yield _not_evaluable(t, OPT_POLYAK, "missing dist0 or lipschitz constant")
                 elif t < 0:  # only in a tampered trace, which fails trace-integrity
-                    report.records.append(_not_evaluable(t, OPT_POLYAK, "negative iteration"))
+                    yield _not_evaluable(t, OPT_POLYAK, "negative iteration")
                 else:
                     bound = polyak_bound(header.lipschitz, header.dist0, t)
-                    report.records.append(_evaluated(t, OPT_POLYAK, observed, bound))
+                    yield _evaluated(t, OPT_POLYAK, observed, bound)
 
         if algo == "stagewise":
             if rec.l0 is not None:
-                report.records.append(_evaluated(t, SPARSITY_L0, float(rec.l0), float(t)))
+                yield _evaluated(t, SPARSITY_L0, float(rec.l0), float(t))
             if rec.l1 is not None:
                 if header.eps is None:
-                    report.records.append(_not_evaluable(
-                        t, SPARSITY_L1, "no constant shrinkage for this run"))
+                    yield _not_evaluable(t, SPARSITY_L1, "no constant shrinkage for this run")
                 else:
-                    report.records.append(_evaluated(t, SPARSITY_L1, rec.l1, t * header.eps,
-                                                     _shrinkage_rounding(t, header.eps)))
+                    yield _evaluated(t, SPARSITY_L1, rec.l1, t * header.eps,
+                                     _shrinkage_rounding(t, header.eps))
 
     # horizon-tied closed forms: one record per run, at the planned final iteration
     final = records[-1]
     if header.dual_defined and header.schedule_kind == "constant":
         if final.k != header.horizon - 1:
-            report.records.append(_not_evaluable(
-                header.horizon - 1, GAP_CONSTANT, "run ended before the planned horizon"))
+            yield _not_evaluable(header.horizon - 1, GAP_CONSTANT,
+                                 "run ended before the planned horizon")
         elif final.dual is None:
-            report.records.append(_not_evaluable(final.k, GAP_CONSTANT, "no dual value" + dual_ref))
+            yield _not_evaluable(final.k, GAP_CONSTANT, "no dual value" + dual_ref)
         else:
             gap_ref = best_grad_norm if by_grad_norm else final.best_primal
             bound = constant_bound(header.diameter, header.lipschitz, header.horizon)
-            report.records.append(_evaluated(final.k, GAP_CONSTANT, gap_ref - final.dual, bound))
+            yield _evaluated(final.k, GAP_CONSTANT, gap_ref - final.dual, bound)
     if header.f_star is not None and header.schedule_kind == "optimal":
         if final.k != header.horizon - 1:
-            report.records.append(_not_evaluable(
-                header.horizon - 1, OPT_HORIZON, "run ended before the planned horizon"))
+            yield _not_evaluable(header.horizon - 1, OPT_HORIZON,
+                                 "run ended before the planned horizon")
         else:
             observed = final.best_primal - header.f_star
             bound = polyak_bound(header.lipschitz, header.dist0, header.horizon - 1)
-            report.records.append(_evaluated(final.k, OPT_HORIZON, observed, bound))
+            yield _evaluated(final.k, OPT_HORIZON, observed, bound)
     broken = _inconsistency(records)
     if broken is not None:
-        report.records.append(broken)
-    return report
+        yield broken
 
 
-def check_trace(header: TraceHeader, records, terminated: str | None) -> CertificateReport:
-    """check() on the header, records and terminal reason of a saved trace.
+def check(records, header: TraceHeader) -> CertificateReport:
+    """The report of certificates(), for any iterable of records."""
+    return CertificateReport(list(certificates(list(records), header)))
+
+
+def trace_certificates(header: TraceHeader, records,
+                       terminated: str | None) -> Iterator[CertificateRecord]:
+    """certificates() of the header, records and terminal reason of a saved
+    trace or a run.
 
     A trace with no terminal line ran its header's full count of iterations,
     so a record count that differs from it, in a trace that keeps every other
     invariant, gets one failed trace-integrity record, after the others.
     """
-    report = check(records, header)
+    yield from certificates(records, header)
     if (terminated is None and len(records) != header.iterations
-            and all(r.tag != TRACE_INTEGRITY for r in report.records)):
-        report.records.append(CertificateRecord(
+            and _inconsistency(records) is None):
+        yield CertificateRecord(
             k=len(records), tag=TRACE_INTEGRITY, observed=None, bound=None, slack=None,
             passed=False, note=f"{len(records)} records and no terminal line, but the "
-                               f"header asks for {header.iterations} iterations"))
-    return report
+                               f"header asks for {header.iterations} iterations")
+
+
+def check_trace(header: TraceHeader, records, terminated: str | None) -> CertificateReport:
+    """The report of trace_certificates()."""
+    return CertificateReport(list(trace_certificates(header, records, terminated)))

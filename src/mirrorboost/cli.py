@@ -12,7 +12,9 @@ import gc
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -20,7 +22,7 @@ from typing import TYPE_CHECKING
 # `check` needs only bounds and trace. numpy and the modules built on it are
 # imported by the functions that use them, so `check` never loads them.
 from . import bounds
-from .trace import RUN_SCHEDULES, TraceHeader, format_trace, read_trace, typed_fields
+from .trace import RUN_SCHEDULES, TraceHeader, read_trace, trace_lines, typed_fields
 
 if TYPE_CHECKING:
     from .md_core import MinmaxProblem
@@ -266,9 +268,8 @@ def _prepare_fs_run(config: ExperimentConfig, rp: RegressionProblem, problem: Mi
     return schedule, header
 
 
-def _render_report_text(header: TraceHeader, report: bounds.CertificateReport,
-                        summary: dict, by_tag: dict) -> str:
-    """report.txt; `summary` and `by_tag` are report.summary() and report.by_tag()."""
+def _render_report_text(header: TraceHeader, summary: dict, by_tag: dict, failures) -> str:
+    """report.txt, from a report's summary(), by_tag() and failures()."""
     lines = [
         f"certificate report: {header.algorithm}, schedule {header.schedule_kind}, "
         f"{header.iterations} iterations requested",
@@ -282,7 +283,7 @@ def _render_report_text(header: TraceHeader, report: bounds.CertificateReport,
     lines.append(
         f"summary: {summary['total']} checked, {summary['passed']} passed, "
         f"{summary['failed']} failed, {summary['not_evaluable']} not evaluable")
-    for rec in report.failures():
+    for rec in failures:
         if rec.observed is None:
             lines.append(f"  FAILED {rec.tag} at k={rec.k}: {rec.note}")
         else:
@@ -292,61 +293,107 @@ def _render_report_text(header: TraceHeader, report: bounds.CertificateReport,
     return "\n".join(lines) + "\n"
 
 
-def _write_outputs(out_dir: Path, prefix: str, header: TraceHeader, result,
-                   report: bounds.CertificateReport, summary: dict, by_tag: dict,
-                   non_finite: str | None) -> dict[str, Path]:
-    """Write the trace, both reports and the plot; `summary`, `by_tag` and
-    `non_finite` are report.tally()'s. The trace is serialized and the report
-    refused for its non-finite value, if it has one, before `out_dir` is
-    made, so a refused output leaves no directory behind."""
+# the certificate tags whose observed value and bound a plot row shows; the
+# later one wins when a record has both
+_PLOTTED = (bounds.GAP_RUNNING, bounds.OPT_RUNNING)
+
+
+def _certify(header: TraceHeader, records, terminated: str | None,
+             report: bounds.ReportWriter, trace=None, plot=None) -> None:
+    """The one pass over the records of a run or of a saved trace, which
+    holds none of what it makes: the records of bounds.trace_certificates go
+    to `report`, and for a run the trace lines to `trace` and the plot rows
+    to `plot`, text files, through _with_lines_and_rows. A trace line is
+    refused when it is made, and the report only by report.finish() after
+    the pass, so a refused trace is what a run reports, as when its trace
+    was made first."""
+    certificates = bounds.trace_certificates(header, records, terminated)
+    if trace is not None:
+        certificates = _with_lines_and_rows(header, records, terminated, certificates,
+                                            trace, plot)
+    report.add(certificates)
+
+
+def _with_lines_and_rows(header: TraceHeader, records, terminated: str | None, certificates,
+                         trace, plot):
+    """`certificates`, passed on as they are taken, while the trace lines go
+    to `trace` and the plot rows to `plot`, text files: each record's trace
+    line before its certificates, and its plot row after them. A record's
+    certificates carry its k; the last one with a _PLOTTED tag gives its
+    row's gap and bound."""
+    lines = trace_lines(header, records, terminated)
+    trace.write(next(lines))  # the header line
+    rows = csv.writer(plot)
+    rows.writerow(["k", "objective", "best_objective", "dual", "gap", "bound"])
+    cert = next(certificates, None)
+    for rec in records:
+        trace.write(next(lines))
+        plotted = None
+        while cert is not None and cert.k == rec.k:
+            yield cert
+            if cert.tag in _PLOTTED:
+                plotted = cert
+            cert = next(certificates, None)
+        rows.writerow([
+            rec.k,
+            repr(float(rec.primal)),
+            repr(float(rec.best_primal)),
+            "" if rec.dual is None else repr(float(rec.dual)),
+            "" if plotted is None or plotted.observed is None else repr(float(plotted.observed)),
+            "" if plotted is None or plotted.bound is None else repr(float(plotted.bound)),
+        ])
+    for line in lines:  # the terminal line
+        trace.write(line)
+    if cert is not None:  # the closed forms and the trace-integrity record
+        yield cert
+        yield from certificates
+
+
+def _spool():
+    """An anonymous temporary file, which an output is written to until every
+    refusal has had its chance, and which is gone once closed."""
+    return tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+
+
+def _copy(spool, path: Path, newline: str | None = None) -> None:
+    """Write `spool`'s text to `path`, a chunk at a time."""
+    spool.seek(0)
+    with open(path, "w", encoding="utf-8", newline=newline) as fh:
+        shutil.copyfileobj(spool, fh, bounds._COPY_CHARS)
+
+
+def _write_outputs(out_dir: Path, prefix: str, header: TraceHeader, result) -> tuple[dict, dict]:
+    """Write the trace, both reports and the plot, and return their paths
+    and the report's summary. The outputs are made in one pass over the
+    records into temporary files; `out_dir` is made, and the files are
+    copied to their names, only after the trace and the report have had
+    every refusal, so a refused output leaves no directory or file behind."""
     paths = {
         "trace": out_dir / f"{prefix}.trace.jsonl",
         "report_json": out_dir / f"{prefix}.report.json",
         "report_txt": out_dir / f"{prefix}.report.txt",
         "plot": out_dir / f"{prefix}.plot.csv",
     }
-    trace = format_trace(header, result.records, terminated=result.terminated)
-    if non_finite is not None:
-        raise ValueError(non_finite)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(paths["trace"], "w", encoding="utf-8") as fh:
-        fh.write(trace)
-        fh.flush()
-    del trace  # not held while the reports and the plot are written
-    _write_report_files(paths["report_json"], paths["report_txt"], header, report,
-                        summary, by_tag)
-    running = {}
-    for rec in report.records:
-        if rec.tag in (bounds.GAP_RUNNING, bounds.OPT_RUNNING):
-            running[rec.k] = (rec.observed, rec.bound)
-    with open(paths["plot"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "objective", "best_objective", "dual", "gap", "bound"])
-        for rec in result.records:
-            observed, bound = running.get(rec.k, (None, None))
-            writer.writerow([
-                rec.k,
-                repr(float(rec.primal)),
-                repr(float(rec.best_primal)),
-                "" if rec.dual is None else repr(float(rec.dual)),
-                "" if observed is None else repr(float(observed)),
-                "" if bound is None else repr(float(bound)),
-            ])
-        fh.flush()
-    return paths
+    with _spool() as trace, _spool() as plot, bounds.ReportWriter() as report:
+        _certify(header, result.records, result.terminated, report, trace, plot)
+        report.finish()
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _copy(trace, paths["trace"])
+        _write_report_files(paths["report_json"], paths["report_txt"], header, report)
+        _copy(plot, paths["plot"], newline="")
+    return paths, report.tally.summary()
 
 
 def _write_report_files(json_path: Path, txt_path: Path, header: TraceHeader,
-                        report: bounds.CertificateReport, summary: dict,
-                        by_tag: dict) -> str:
-    """Write report.json and report.txt, and return report.txt's text."""
+                        report: bounds.ReportWriter) -> str:
+    """Write report.json and report.txt of a finished `report`, and return
+    report.txt's text."""
     with open(json_path, "w", encoding="utf-8") as fh:
-        report.write_json(fh, summary, by_tag)
-        fh.flush()
-    text = _render_report_text(header, report, summary, by_tag)
+        report.write(fh)
+    tally = report.tally
+    text = _render_report_text(header, tally.summary(), tally.by_tag, tally.failures)
     with open(txt_path, "w", encoding="utf-8") as fh:
         fh.write(text)
-        fh.flush()
     return text
 
 
@@ -407,11 +454,9 @@ def _cmd_run(args) -> int:
                          algorithm=header.algorithm)
     if not result.records:
         raise ConfigError(f"run produced no iterations: {result.terminated}")
-    report = bounds.check(result.records, header)
-    summary, by_tag, non_finite = report.tally()
     out_dir = _resolve_out_dir(config.out_dir)
     prefix = config.prefix or config.task
-    paths = _write_outputs(out_dir, prefix, header, result, report, summary, by_tag, non_finite)
+    paths, summary = _write_outputs(out_dir, prefix, header, result)
     print(f"{config.task}: {len(result.records)} iterations"
           + (f" (stopped early: {result.terminated})" if result.terminated else ""))
     print(f"certificates: {summary['passed']} passed, {summary['failed']} failed, "
@@ -424,7 +469,6 @@ def _cmd_check(args) -> int:
     header, records, terminated = read_trace(args.trace)
     if not records:
         raise ConfigError(f"trace {args.trace} has no iteration records")
-    report = bounds.check_trace(header, records, terminated)
     trace_path = Path(args.trace)
     out_dir = Path(args.out) if args.out else trace_path.parent
     stem = trace_path.name
@@ -432,14 +476,14 @@ def _cmd_check(args) -> int:
         if stem.endswith(suffix):
             stem = stem[: -len(suffix)]
             break
-    summary, by_tag, non_finite = report.tally()
-    if non_finite is not None:  # the report is strict JSON; refused before anything is written
-        raise ValueError(non_finite)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text = _write_report_files(out_dir / f"{stem}.report.json",
-                               out_dir / f"{stem}.report.txt", header, report, summary, by_tag)
+    with bounds.ReportWriter() as report:
+        _certify(header, records, terminated, report)
+        report.finish()  # the report is strict JSON; refused before anything is written
+        out_dir.mkdir(parents=True, exist_ok=True)
+        text = _write_report_files(out_dir / f"{stem}.report.json",
+                                   out_dir / f"{stem}.report.txt", header, report)
     print(text, end="")
-    return EXIT_OK if summary["failed"] == 0 else EXIT_CERTIFICATE
+    return EXIT_OK if report.tally.counts["failed"] == 0 else EXIT_CERTIFICATE
 
 
 def _cmd_gen(args) -> int:

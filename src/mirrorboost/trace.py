@@ -25,7 +25,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 ALGORITHMS = ("mirror-descent", "adaboost", "stagewise")
 
@@ -407,24 +407,24 @@ def _contradiction(rec: IterationRecord, header: TraceHeader) -> str | None:
 
 
 # A format-2 record line: the record's fields in the table's order, without
-# `type`, and the template of the line, its keys sorted as json.dumps sorts
-# them, each value slot named by its field.
+# `type`, and the template of the line with its newline, its keys sorted as
+# json.dumps sorts them, each value slot named by its field.
 _RECORD_FIELDS = tuple((key, kind, nullable) for key, (kind, nullable) in _RECORD_TYPES.items()
                        if key != "type")
 _record_values = operator.attrgetter(*(key for key, _, _ in _RECORD_FIELDS))
 _RECORD_LINE = "{{" + ", ".join(
     f"{_json_str(key)}: " + (_json_str("record") if key == "type" else f"{{{key}}}")
-    for key in sorted(_RECORD_TYPES)) + "}}"
+    for key in sorted(_RECORD_TYPES)) + "}}\n"
 
 
 def _record_line(rec: IterationRecord) -> str:
-    """The bytes of json.dumps(rec.to_dict(), sort_keys=True, allow_nan=False),
-    from _RECORD_LINE, after the refusals parse_line makes of that dict, with
-    its messages and in its order: a conversion that raises, in the table's
-    order; a null where the table allows none, or an algorithm that is no
-    str; then _check_record's rules; then a non-finite value, named by its
-    field. A float is written by float.__repr__ after float(), an int by
-    int.__repr__ after int()."""
+    """The bytes of json.dumps(rec.to_dict(), sort_keys=True, allow_nan=False)
+    and a newline, from _RECORD_LINE, after the refusals parse_line makes of
+    that dict, with its messages and in its order: a conversion that raises,
+    in the table's order; a null where the table allows none, or an algorithm
+    that is no str; then _check_record's rules; then a non-finite value,
+    named by its field. A float is written by float.__repr__ after float(),
+    an int by int.__repr__ after int()."""
     values = {}
     texts = {}
     mistyped = non_finite = None
@@ -458,27 +458,34 @@ def _record_line(rec: IterationRecord) -> str:
     return _RECORD_LINE.format_map(texts)
 
 
-def format_trace(header: TraceHeader, records: Iterable[IterationRecord],
-                 terminated: str | None = None) -> str:
-    """The text of a format-2 trace file; the header must be format 2. Every
-    line passes parse_line and every record carries the header's algorithm
-    and an index below its column count, as read_trace requires; the terminal
-    line counts the records. A record field that is not finite raises
-    ValueError naming the field."""
+def trace_lines(header: TraceHeader, records: Iterable[IterationRecord],
+                terminated: str | None = None) -> Iterator[str]:
+    """The lines of a format-2 trace file, each with its newline, made one at
+    a time as the caller takes them; the header must be format 2. Every line
+    passes parse_line and every record carries the header's algorithm and an
+    index below its column count, as read_trace requires; the terminal line
+    counts the records. A record field that is not finite raises ValueError
+    naming the field, when its line is taken."""
     if header.format != FORMAT:
         raise ValueError(f"header line field 'format' must be {FORMAT}, got {header.format!r}")
-    lines = [json.dumps(header.to_dict(), sort_keys=True, allow_nan=False)]
+    yield json.dumps(header.to_dict(), sort_keys=True, allow_nan=False) + "\n"
+    count = 0
     for rec in records:
         problem = _contradiction(rec, header)
         if problem is not None:
             raise ValueError(f"record line k={rec.k}: {problem}")
-        lines.append(_record_line(rec))
+        yield _record_line(rec)
+        count += 1
     if terminated is not None:
-        term = Terminal(k=len(lines) - 1, reason=terminated).to_dict()  # the record count
+        term = Terminal(k=count, reason=terminated).to_dict()
         parse_line(term)
-        lines.append(json.dumps(term, sort_keys=True, allow_nan=False))
-    lines.append("")  # the final newline, without a second copy of the whole text
-    return "\n".join(lines)
+        yield json.dumps(term, sort_keys=True, allow_nan=False) + "\n"
+
+
+def format_trace(header: TraceHeader, records: Iterable[IterationRecord],
+                 terminated: str | None = None) -> str:
+    """The text of a format-2 trace file: the lines of trace_lines()."""
+    return "".join(trace_lines(header, records, terminated))
 
 
 def _reject_constant(token: str):

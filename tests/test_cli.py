@@ -6,6 +6,8 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -461,16 +463,16 @@ def test_a_non_finite_report_value_refuses_run_and_check(tmp_path, monkeypatch, 
     # a certificate at k=-1 puts no slack on any trace line, so the trace
     # writer passes it and only the report's own check can refuse it
     trace = _alone_in_a_directory(tmp_path, _game_trace_lines(tmp_path))
-    checker = bounds.check
+    checker = bounds.certificates
 
     def with_a_non_finite_record(records, header):
-        report = checker(records, header)
-        report.records.append(bounds.CertificateRecord(
+        yield from checker(records, header)
+        yield bounds.CertificateRecord(
             k=-1, tag=bounds.GAP_CONSTANT, observed=value, bound=1.0, slack=1.0 - value,
-            passed=False))
-        return report
+            passed=False)
 
-    monkeypatch.setattr(bounds, "check", with_a_non_finite_record)  # check_trace calls it too
+    # the one checker that run's and check's pass both take their records from
+    monkeypatch.setattr(bounds, "certificates", with_a_non_finite_record)
     capsys.readouterr()
     out = tmp_path / "never"
     assert main(["run", "minmax-game", "--data", "synthetic:game:seed=3:m=20:n=15",
@@ -480,6 +482,97 @@ def test_a_non_finite_report_value_refuses_run_and_check(tmp_path, monkeypatch, 
     assert list(trace.parent.iterdir()) == [trace]
     assert capsys.readouterr().err.count(
         "report record k=-1, tag 'gap-constant': field 'observed' is not finite") == 2
+
+
+def _non_finite_first(value: float):
+    """A stand-in for bounds.certificates that yields, before the checker's
+    own records, one whose observed value is `value`."""
+    checker = bounds.certificates
+
+    def certificates(records, header):
+        yield bounds.CertificateRecord(k=-1, tag=bounds.GAP_CONSTANT, observed=value, bound=1.0,
+                                       slack=1.0 - value, passed=False)
+        yield from checker(records, header)
+
+    return certificates
+
+
+def test_a_trace_refusal_beats_a_report_refusal_made_before_it(tmp_path, monkeypatch, capsys):
+    # the report's non-finite record comes first, the refused trace line last;
+    # the trace is refused, as when the whole trace was made before the report
+    engine = md_core.run
+
+    def with_a_non_finite_last_record(*args, **kwargs):
+        result = engine(*args, **kwargs)
+        result.records[-1] = dataclasses.replace(result.records[-1], primal=math.inf)
+        return result
+
+    monkeypatch.setattr(md_core, "run", with_a_non_finite_last_record)
+    monkeypatch.setattr(bounds, "certificates", _non_finite_first(math.nan))
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert main(["run", "minmax-game", "--data", "synthetic:game:seed=3:m=20:n=15",
+                 "--schedule", "dynamic", "--iters", "50", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "record line k=49: field 'primal' is not finite, and traces are strict JSON" in err
+    assert "report record" not in err
+    assert not out.exists()
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_a_refused_run_or_check_leaves_no_spool_and_no_file_in_a_shared_directory(
+        tmp_path, monkeypatch, capsys):
+    spools = tmp_path / "spools"  # where the temporary files of the pass are made
+    spools.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spools))
+    shared = tmp_path / "shared"
+    run = ["run", "minmax-game", "--data", "synthetic:game:seed=3:m=20:n=15",
+           "--schedule", "dynamic", "--iters", "50", "--out", str(shared), "--prefix", "g"]
+    assert main(run) == EXIT_OK
+    (shared / "notes.txt").write_text("not the run's\n")
+    before = _files(shared)
+    monkeypatch.setattr(bounds, "certificates", _non_finite_first(math.inf))
+    capsys.readouterr()
+    # the same run, refused for its report, and check of the earlier trace
+    # into the same directory, refused the same way
+    assert main(run) == EXIT_USAGE
+    assert main(["check", str(shared / "g.trace.jsonl")]) == EXIT_USAGE
+    assert capsys.readouterr().err.count(
+        "report record k=-1, tag 'gap-constant': field 'observed' is not finite") == 2
+    assert _files(shared) == before
+    out = tmp_path / "never"
+    assert main(run[:-4] + ["--out", str(out)]) == EXIT_USAGE
+    assert main(["check", str(shared / "g.trace.jsonl"), "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert list(spools.iterdir()) == []
+
+
+def test_the_output_pass_of_a_long_run_holds_no_copy_of_its_history(tmp_path, monkeypatch):
+    # from the end of the engine's run, the outputs may take little more memory
+    # than the run's records already hold: no certificate list, no trace text
+    engine = md_core.run
+    held = []
+
+    def marked(*args, **kwargs):
+        result = engine(*args, **kwargs)
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return result
+
+    monkeypatch.setattr(md_core, "run", marked)
+    tracemalloc.start()
+    try:
+        code = main(["run", "adaboost", "--data", "synthetic:nonseparable:seed=1:m=40:d=4",
+                     "--schedule", "dynamic", "--iters", "10000", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert len(held) == 1
+    assert peak - held[0] <= 2.5 * 2**20
 
 
 def _relabelled(line: str, **fields) -> str:
@@ -839,13 +932,13 @@ def test_check_io_and_usage_errors(tmp_path):
 def test_a_command_runs_without_the_cyclic_collector_and_restores_it(tmp_path, monkeypatch,
                                                                      collecting):
     seen = []
-    checker = bounds.check
+    checker = bounds.certificates
 
     def checking(records, header):
         seen.append(gc.isenabled())
-        return checker(records, header)
+        yield from checker(records, header)
 
-    monkeypatch.setattr(bounds, "check", checking)
+    monkeypatch.setattr(bounds, "certificates", checking)
     (gc.enable if collecting else gc.disable)()
     try:
         trace = _alone_in_a_directory(tmp_path, _game_trace_lines(tmp_path))

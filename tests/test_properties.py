@@ -22,12 +22,14 @@ it is made; on matrices with ties, signed zeros, subnormals and entries of
 problem and through both views.
 """
 
+import csv
 import functools
 import io
 import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import certificate_header
-from mirrorboost import cli, md_core, prox
+from mirrorboost import bounds, cli, md_core, prox
 from mirrorboost.boosting import TrainingSet, run_adaboost
 from mirrorboost.bounds import check, check_trace
 from mirrorboost.md_core import MinmaxProblem, StepSchedule
@@ -223,10 +225,11 @@ TASK_SCHEDULES = [(task, schedule) for task, schedules in cli._TASK_SCHEDULES.it
 
 
 @st.composite
-def certified_runs(draw):
-    """A config and an instance of at most 6 x 6 entries from [-1, 1], some
-    on a coarse grid, so that scores tie."""
-    task, schedule = draw(st.sampled_from(TASK_SCHEDULES))
+def certified_runs(draw, pairs=TASK_SCHEDULES):
+    """A config of one of the (task, schedule) `pairs` and an instance of at
+    most 6 x 6 entries from [-1, 1], some on a coarse grid, so that scores
+    tie."""
+    task, schedule = draw(st.sampled_from(pairs))
     matrix = draw(arrays(float, (draw(st.integers(1, 6)), draw(st.integers(1, 6))),
                          elements=entries))
     config = cli.ExperimentConfig(task=task, data="", schedule=schedule,
@@ -265,6 +268,94 @@ def test_no_certificate_fails_on_a_random_instance(case):
     assume(result.records)  # `run` refuses a run that stopped before its first round
     report = check(result.records, header)
     assert report.failures() == []
+
+
+# every task and schedule `run` accepts
+ALL_TASK_SCHEDULES = [(task, schedule) for task, schedules in cli._TASK_SCHEDULES.items()
+                      for schedule in schedules]
+OUTPUTS = ("trace.jsonl", "report.json", "report.txt", "plot.csv")
+
+
+def _collected_plot(records, report) -> str:
+    """plot.csv as it was made from a whole report: each record's row shows
+    the observed value and the bound of the last gap-running or opt-running
+    certificate with its k."""
+    running = {}
+    for rec in report.records:
+        if rec.tag in (bounds.GAP_RUNNING, bounds.OPT_RUNNING):
+            running[rec.k] = (rec.observed, rec.bound)
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["k", "objective", "best_objective", "dual", "gap", "bound"])
+    for rec in records:
+        observed, bound = running.get(rec.k, (None, None))
+        writer.writerow([rec.k, repr(rec.primal), repr(rec.best_primal),
+                         "" if rec.dual is None else repr(rec.dual),
+                         "" if observed is None else repr(observed),
+                         "" if bound is None else repr(bound)])
+    return fh.getvalue()
+
+
+def _collected_outputs(config, instance, results) -> dict[str, str] | None:
+    """The four outputs of the run in `results`, made by the writers of
+    whole texts: format_trace, check(...).write_json, the report text of the
+    collected report and _collected_plot; None where `run` refuses the run."""
+    if not results or not results[0].records:
+        return None
+    result = results[0]
+    problem = instance.to_minmax()
+    if config.task == "fs":
+        _, header = cli._prepare_fs_run(config, instance, problem)
+    else:
+        _, header = cli._prepare_boost_run(config, problem)
+    report = check(result.records, header)
+    report_json = io.StringIO()
+    try:
+        trace = format_trace(header, result.records, result.terminated)
+        report.write_json(report_json)
+    except ValueError:
+        return None
+    return {"trace.jsonl": trace, "report.json": report_json.getvalue(),
+            "report.txt": cli._render_report_text(header, report.summary(), report.by_tag(),
+                                                  report.failures()),
+            "plot.csv": _collected_plot(result.records, report)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(certified_runs(ALL_TASK_SCHEDULES), st.sampled_from((None, -1.0, 0.0, 0.5)))
+def test_run_and_check_stream_the_bytes_of_the_collected_writers(case, f_star):
+    config, instance = case
+    if (config.task, config.schedule) == ("minmax-game", "polyak") and f_star is None:
+        f_star = 0.0  # the polyak schedule needs f*
+    config.f_star = f_star
+    results = []
+    engine = md_core.run
+
+    def recorded(*args, **kwargs):
+        results.append(engine(*args, **kwargs))
+        return results[-1]
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "_build_instance", lambda _: instance), \
+            mock.patch.object(md_core, "run", recorded):
+        tmp = Path(tmp)
+        config.out_dir, config.prefix = str(tmp / "run"), "r"
+        (tmp / "config.json").write_text(json.dumps(config.to_dict()))
+        code = cli.main(["run", "--config", str(tmp / "config.json")])
+        expected = _collected_outputs(config, instance, results)
+        if expected is None:
+            assert code == cli.EXIT_USAGE
+            assert not (tmp / "run").exists()
+            return
+        written = {name: (tmp / "run" / f"r.{name}").read_bytes().decode() for name in OUTPUTS}
+        assert written == expected
+        failed = "\n  FAILED " in expected["report.txt"]
+        assert code == (cli.EXIT_CERTIFICATE if failed else cli.EXIT_OK)
+        assert cli.main(["check", str(tmp / "run" / "r.trace.jsonl"),
+                         "--out", str(tmp / "check")]) == code
+        for name in ("report.json", "report.txt"):
+            assert (tmp / "check" / f"r.{name}").read_bytes() == \
+                (tmp / "run" / f"r.{name}").read_bytes()
 
 
 def _replay(problem: MinmaxProblem, schedule: StepSchedule, prox_fn, iterations: int, x0):
