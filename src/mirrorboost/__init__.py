@@ -17,9 +17,9 @@ _SUBMODULE_NAMES = {
     "bounds": ("CertificateRecord", "CertificateReport", "check", "constant_bound",
                "dynamic_bound", "polyak_bound"),
     "boosting": ("TrainingSet", "run_adaboost"),
-    "md_core": ("MinmaxProblem", "MirrorDescentState", "StepSchedule", "UndefinedStepError",
-                "md_step"),
+    "md_core": ("MinmaxProblem", "MirrorDescentState", "md_step"),
     "prox": ("ProxFunction", "entropy", "euclidean", "prox_solve"),
+    "schedule": ("StepSchedule", "UndefinedStepError"),
     "stagewise": ("RegressionProblem", "least_squares_norm", "optimal_shrinkage", "run_fs"),
     "trace": ("IterationRecord", "RunResult", "TraceHeader", "read_trace"),
 }

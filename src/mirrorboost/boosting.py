@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import md_core
-from .md_core import MinmaxProblem, StepSchedule
+from .md_core import MinmaxProblem
+from .schedule import StepSchedule
 from .trace import RunResult
 
 

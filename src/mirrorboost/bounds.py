@@ -22,6 +22,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
+from .schedule import StepSchedule, UndefinedStepError
 from .trace import TraceHeader
 
 TOLERANCE = 1e-9
@@ -365,11 +366,17 @@ def _json_num(value) -> str:
     return float.__repr__(value)
 
 
-def _inconsistency(records) -> CertificateRecord | None:
+def _inconsistency(records, header: TraceHeader) -> CertificateRecord | None:
     """A failed trace-integrity record for the first record that breaks the
     trace's invariants, or None when every record keeps them: record i has
-    k = i, best_primal is the running minimum of primal, and alpha is finite
-    and nonnegative."""
+    k = i, best_primal is the running minimum of primal, alpha is finite and
+    nonnegative, and alpha is, bit for bit, StepSchedule.of(header)'s step at
+    k from the record's primal. A polyak step needs ||g||^2, which no trace
+    holds, and `run` refuses a header of no rule (lipschitz 0.0, say)."""
+    try:
+        rule = StepSchedule.of(header)
+    except ValueError:
+        rule = None
     best = math.inf
     for i, rec in enumerate(records):
         if rec.primal < best:
@@ -381,8 +388,18 @@ def _inconsistency(records) -> CertificateRecord | None:
                     f"{best!r} of primal")
         elif not (math.isfinite(rec.alpha) and rec.alpha >= 0.0):
             note = f"step size alpha {rec.alpha!r} is not finite and nonnegative"
-        else:
+        elif rule is None or rule.kind == "polyak":
             continue
+        else:
+            try:
+                step = rule.step_size(i, value=rec.primal)
+            except UndefinedStepError as exc:
+                note = f"step size alpha {rec.alpha!r} has no {rule.kind} step to equal: {exc}"
+            else:
+                # equal floats differ in their bits only as 0.0 and -0.0
+                if rec.alpha == step and (step or str(rec.alpha) == str(step)):
+                    continue
+                note = f"step size alpha {rec.alpha!r} is not the {rule.kind} step {step!r}"
         return CertificateRecord(k=rec.k, tag=TRACE_INTEGRITY, observed=None, bound=None,
                                  slack=None, passed=False, note=note)
     return None
@@ -496,7 +513,7 @@ def certificates(records, header: TraceHeader) -> Iterator[CertificateRecord]:
             observed = final.best_primal - header.f_star
             bound = polyak_bound(header.lipschitz, header.dist0, header.horizon - 1)
             yield _evaluated(final.k, OPT_HORIZON, observed, bound)
-    broken = _inconsistency(records)
+    broken = _inconsistency(records, header)
     if broken is not None:
         yield broken
 
@@ -517,7 +534,7 @@ def trace_certificates(header: TraceHeader, records,
     """
     yield from certificates(records, header)
     if (terminated is None and len(records) != header.iterations
-            and _inconsistency(records) is None):
+            and _inconsistency(records, header) is None):
         yield CertificateRecord(
             k=len(records), tag=TRACE_INTEGRITY, observed=None, bound=None, slack=None,
             passed=False, note=f"{len(records)} records and no terminal line, but the "

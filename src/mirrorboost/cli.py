@@ -15,18 +15,15 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import get_args, get_type_hints
 
-# `check` needs only bounds and trace. numpy and the modules built on it are
-# imported by the functions that use them, so `check` never loads them.
+# `check` needs only bounds, schedule and trace. numpy and the modules built
+# on it are imported by the functions that use them, so `check` never loads them.
 from . import bounds
-from .trace import RUN_SCHEDULES, TraceHeader, read_trace, trace_lines, typed_fields
-
-if TYPE_CHECKING:
-    from .md_core import MinmaxProblem
-    from .stagewise import RegressionProblem
+from .schedule import RUN_SCHEDULES, StepSchedule
+from .trace import TraceHeader, read_trace, trace_lines, typed_fields
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -47,23 +44,6 @@ _TASK_SCHEDULES = {task: tuple(RUN_SCHEDULES[algorithm])
 
 class ConfigError(Exception):
     """Invalid experiment configuration."""
-
-
-# JSON types each config field accepts, and whether it may be null
-_CONFIG_TYPES = {
-    "task": (str, False),
-    "data": (str, False),
-    "schedule": (str, False),
-    "iterations": (int, False),
-    "epsilon": (float, True),
-    "f_star": (float, True),
-    "use_response_bound": (bool, False),
-    "center": (bool, False),
-    "scale": (bool, False),
-    "out_dir": (str, True),
-    "prefix": (str, True),
-}
-_CONFIG_OPTIONAL = frozenset(_CONFIG_TYPES) - {"task", "data"}
 
 
 @dataclass
@@ -96,7 +76,7 @@ class ExperimentConfig:
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
         try:
-            return cls(**typed_fields(obj, _CONFIG_TYPES, _CONFIG_OPTIONAL, "config key",
+            return cls(**typed_fields(obj, _CONFIG_TYPES, frozenset(_CONFIG_DEFAULTS), "config key",
                                       "config must define 'task' and 'data'",
                                       "unknown config keys: {}"))
         except ValueError as exc:
@@ -120,6 +100,14 @@ class ExperimentConfig:
                 raise ConfigError("fs with the constant schedule needs --epsilon > 0")
         if self.task == "minmax-game" and self.schedule == "polyak" and self.f_star is None:
             raise ConfigError("the polyak schedule needs --f-star")
+
+
+# each config field's JSON type and whether it may be null, from its
+# annotation, and the default of each field a config may omit
+_CONFIG_TYPES = {name: (get_args(hint)[0], True) if get_args(hint) else (hint, False)
+                 for name, hint in get_type_hints(ExperimentConfig).items()}
+_CONFIG_DEFAULTS = {field.name: field.default for field in fields(ExperimentConfig)
+                    if field.default is not MISSING}
 
 
 def parse_data_spec(spec: str):
@@ -192,80 +180,48 @@ def _generate(kind: str, seed: int, sizes: dict):
         raise ConfigError(f"bad size parameters for kind {kind!r}: {exc}") from None
 
 
-def _prepare_boost_run(config: ExperimentConfig, problem: MinmaxProblem):
-    """The schedule and the trace header of an adaboost or minmax-game run on
-    `problem`, whose shape and Lipschitz constant the header carries. The
-    constant and dynamic schedules take the header's diameter, log(m) from
-    the uniform start."""
-    from . import md_core
+def _prepare_run(config: ExperimentConfig, instance):
+    """The one problem of a run of `config` on `instance`, its trace header,
+    which carries the problem's shape and Lipschitz constant, the step rule
+    StepSchedule.of(header), and the start: fs's response, None otherwise.
+    fs refuses, in this order, a Lipschitz constant of 0.0, and through the
+    header a projection norm (dist0) or a tuned shrinkage (eps) that is not
+    finite, and through the rule a shrinkage with no finite square sum."""
+    problem = instance.to_minmax()
+    lipschitz = problem.lipschitz()
+    shape = {"m": problem.m, "n": problem.n}
+    f_star, dist0, eps, x0 = config.f_star, None, None, None
+    if config.task == "fs":
+        import numpy as np
 
+        from .stagewise import least_squares_norm, optimal_shrinkage
+
+        if lipschitz == 0.0:  # every column's norm underflows; nothing may divide by it
+            raise ConfigError("the design's column l2 norms all underflow to 0.0, so its "
+                              "Lipschitz constant is 0.0: rescale the design")
+        with np.errstate(over="ignore"):
+            if config.use_response_bound:
+                dist0 = float(np.linalg.norm(instance.response))
+            else:
+                dist0 = least_squares_norm(instance)
+        if config.schedule == "constant":
+            eps = config.epsilon
+        elif config.schedule == "optimal":
+            eps = optimal_shrinkage(instance, config.iterations, projection_norm=dist0)
+        shape = {"n": problem.m, "p": problem.n}
+        f_star, x0 = 0.0, instance.response.copy()
     header = TraceHeader(
         algorithm=_TASK_ALGORITHMS[config.task],
         schedule_kind=config.schedule,
         iterations=config.iterations,
-        shape={"m": problem.m, "n": problem.n},
-        lipschitz=problem.lipschitz(),
-        f_star=config.f_star,
-        config=config.experiment_dict(),
-    )
-    if config.schedule == "constant":
-        schedule = md_core.StepSchedule.constant(header.lipschitz, header.diameter,
-                                                 config.iterations)
-    elif config.schedule == "dynamic":
-        schedule = md_core.StepSchedule.dynamic(header.lipschitz, header.diameter)
-    elif config.schedule == "linesearch":
-        schedule = md_core.StepSchedule.edge_linesearch()
-    else:  # polyak, minmax-game only
-        schedule = md_core.StepSchedule.polyak(config.f_star)
-    return schedule, header
-
-
-def _prepare_fs_run(config: ExperimentConfig, rp: RegressionProblem, problem: MinmaxProblem):
-    """The schedule and the trace header of an fs run of `rp` on `problem`,
-    its residual-space problem, whose shape and Lipschitz constant the header
-    carries.
-
-    A design whose Lipschitz constant underflows to 0.0 is refused, and so is a
-    shrinkage whose square, summed over the planned iterations, overflows, as
-    the constant schedule refuses such a step. A projection norm that
-    overflows is not: the header refuses it before the run."""
-    import numpy as np
-
-    from . import md_core
-    from .stagewise import least_squares_norm, optimal_shrinkage
-
-    lipschitz = problem.lipschitz()
-    if lipschitz == 0.0:  # every column's norm underflows; nothing may divide by it
-        raise ConfigError("the design's column l2 norms all underflow to 0.0, so its "
-                          "Lipschitz constant is 0.0: rescale the design")
-    with np.errstate(over="ignore"):
-        if config.use_response_bound:
-            projection_norm = float(np.linalg.norm(rp.response))
-        else:
-            projection_norm = least_squares_norm(rp)
-    eps = None
-    if config.schedule == "constant":
-        eps = float(config.epsilon)
-        schedule = md_core.StepSchedule.fixed(eps)
-    elif config.schedule == "optimal":
-        eps = optimal_shrinkage(rp, config.iterations, projection_norm=projection_norm)
-        schedule = md_core.StepSchedule.fixed(eps)
-    else:  # linesearch: the polyak step with the known optimal value 0
-        schedule = md_core.StepSchedule.polyak(0.0)
-    if eps is not None:
-        md_core._check_square(eps, lipschitz, config.iterations)
-    header = TraceHeader(
-        algorithm="stagewise",
-        schedule_kind=config.schedule,
-        iterations=config.iterations,
-        shape={"n": problem.m, "p": problem.n},
+        shape=shape,
         lipschitz=lipschitz,
-        f_star=0.0,
-        dist0=projection_norm,
+        f_star=f_star,
+        dist0=dist0,
         eps=eps,
         config=config.experiment_dict(),
     )
-    return schedule, header
+    return problem, header, StepSchedule.of(header), x0
 
 
 def _render_report_text(header: TraceHeader, summary: dict, by_tag: dict, failures) -> str:
@@ -412,19 +368,8 @@ def _config_from_args(args) -> ExperimentConfig:
             raise ConfigError("a task (or --config) is required")
         if args.data is None:
             raise ConfigError("--data is required")
-        config = ExperimentConfig(
-            task=args.task,
-            data=args.data,
-            schedule=args.schedule,
-            iterations=args.iters,
-            epsilon=args.epsilon,
-            f_star=args.f_star,
-            use_response_bound=args.use_response_bound,
-            center=args.center,
-            scale=args.scale,
-            out_dir=args.out,
-            prefix=args.prefix,
-        )
+        config = ExperimentConfig(**{field.name: getattr(args, field.name)
+                                     for field in fields(ExperimentConfig)})
     config.validate()
     return config
 
@@ -442,14 +387,7 @@ def _cmd_run(args) -> int:
     instance = _build_instance(config)
     if config.task == "fs" and (config.center or config.scale):
         instance = datagen.center_scale(instance, center=config.center, scale=config.scale)
-    # the one problem of the run: the header's shape and constants are its own
-    problem = instance.to_minmax()
-    if config.task == "fs":
-        schedule, header = _prepare_fs_run(config, instance, problem)
-        x0 = instance.response.copy()
-    else:
-        schedule, header = _prepare_boost_run(config, problem)
-        x0 = None
+    problem, header, schedule, x0 = _prepare_run(config, instance)
     result = md_core.run(problem, schedule, config.iterations, x0=x0,
                          algorithm=header.algorithm)
     if not result.records:
@@ -540,22 +478,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("task", nargs="?", choices=TASKS, default=None)
     p_run.add_argument("--data", default=None,
                        help="synthetic:KIND:seed=N[:key=val...] or a CSV path")
-    p_run.add_argument("--schedule", default="constant",
-                       choices=("constant", "dynamic", "linesearch", "optimal", "polyak"))
-    p_run.add_argument("--iters", type=int, default=100)
-    p_run.add_argument("--epsilon", type=float, default=None,
+    p_run.add_argument("--schedule", choices=sorted({kind for kinds in RUN_SCHEDULES.values()
+                                                     for kind in kinds}))
+    p_run.add_argument("--iters", dest="iterations", metavar="ITERS", type=int)
+    p_run.add_argument("--epsilon", type=float,
                        help="shrinkage for fs with the constant schedule")
-    p_run.add_argument("--f-star", dest="f_star", type=float, default=None,
+    p_run.add_argument("--f-star", type=float,
                        help="known optimal value (minmax-game polyak schedule)")
     p_run.add_argument("--use-response-bound", action="store_true",
                        help="bound the projection norm by the response norm (fs)")
     p_run.add_argument("--center", action="store_true", help="center columns and response (fs)")
     p_run.add_argument("--scale", action="store_true", help="scale columns to unit norm (fs)")
-    p_run.add_argument("--out", default=None,
+    p_run.add_argument("--out", dest="out_dir", metavar="OUT",
                        help=f"output directory (default: ${OUTDIR_ENV} or '.')")
-    p_run.add_argument("--prefix", default=None, help="output file prefix (default: the task)")
-    p_run.add_argument("--config", default=None, help="JSON experiment config file")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.add_argument("--prefix", help="output file prefix (default: the task)")
+    p_run.add_argument("--config", help="JSON experiment config file")
+    # each option's dest is a config field, whose default is the config's
+    p_run.set_defaults(func=_cmd_run, **_CONFIG_DEFAULTS)
 
     p_check = sub.add_parser("check", help="re-verify the certificates of a saved trace")
     p_check.add_argument("trace")

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .prox import ProxFunction, _as_vector, _checked_anchor, _step, entropy, euclidean
+# EDGE_CAP for tests/test_parent_outputs.py, which pins the earlier outputs
+from .schedule import EDGE_CAP, StepSchedule, UndefinedStepError  # noqa: F401
 from .trace import ALGORITHMS, IterationRecord, RunResult
 
 PRIMAL_SIMPLEX = "simplex"
@@ -31,15 +33,6 @@ DUAL_L1_BALL = "l1-ball"
 
 # coefficients below this magnitude count as zero in the support size
 NNZ_TOLERANCE = 1e-14
-
-# the edge-linesearch step caps the edge at 1 - EDGE_CAP, so a near-perfect
-# edge still gives a finite step
-EDGE_CAP = 1e-12
-
-
-class UndefinedStepError(RuntimeError):
-    """A schedule cannot produce a valid step at the current iterate."""
-
 
 # the most bytes of squares _largest_column_norm holds at once
 _SQUARES_BLOCK_BYTES = 512 * 1024
@@ -226,101 +219,6 @@ def md_step(state: MirrorDescentState, grad, alpha: float, vertex: tuple[int, fl
         state.best_index = state.k
     state.x = x
     state.k += 1
-
-
-def _check_square(alpha: float, lipschitz: float, num_steps: int = 1) -> None:
-    """Reject a step whose squares overflow when summed over `num_steps`
-    rounds: the certificates sum alpha^2. Such a step comes from a
-    near-subnormal Lipschitz constant. The factor 2 leaves room for the
-    rounding of the running sum."""
-    if not math.isfinite(2.0 * num_steps * alpha * alpha):
-        raise ValueError(f"the step size {alpha!r} from lipschitz constant {lipschitz!r} "
-                         f"has no finite square sum over {num_steps} step(s)")
-
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Step-size rule; emitted steps are always nonnegative.
-
-    Kinds: "constant" (tuned to a fixed number of planned steps), "dynamic"
-    (horizon-free decay), "polyak" (requires the optimal value), "fixed"
-    (a plain constant value), and "edge-linesearch" (the classical boosting
-    line-search step computed from the current edge).
-    """
-
-    kind: str
-    alpha: float | None = None
-    lipschitz: float | None = None
-    diameter: float | None = None
-    f_star: float | None = None
-
-    @classmethod
-    def constant(cls, lipschitz: float, diameter: float, num_steps: int) -> "StepSchedule":
-        """Constant step tuned for a planned run of `num_steps` iterations."""
-        if lipschitz <= 0.0 or diameter <= 0.0 or num_steps < 1:
-            raise ValueError("constant schedule needs lipschitz > 0, diameter > 0, num_steps >= 1")
-        alpha = math.sqrt(2.0 * diameter / num_steps) / lipschitz
-        _check_square(alpha, lipschitz, num_steps)  # the sum 2D / L^2 the certificates reach
-        return cls(kind="constant", alpha=alpha, lipschitz=float(lipschitz),
-                   diameter=float(diameter))
-
-    @classmethod
-    def dynamic(cls, lipschitz: float, diameter: float) -> "StepSchedule":
-        if lipschitz <= 0.0 or diameter <= 0.0:
-            raise ValueError("dynamic schedule needs lipschitz > 0 and diameter > 0")
-        # only the first, largest step: the horizon is not known here, so the
-        # square sum of a long run can still overflow
-        _check_square(math.sqrt(2.0 * diameter) / lipschitz, lipschitz)
-        return cls(kind="dynamic", lipschitz=float(lipschitz), diameter=float(diameter))
-
-    @classmethod
-    def polyak(cls, f_star: float | None) -> "StepSchedule":
-        if f_star is None:
-            raise ValueError("the polyak schedule requires the optimal value f_star")
-        if not math.isfinite(f_star):
-            raise ValueError(f"the polyak schedule needs a finite f_star, got {f_star!r}")
-        return cls(kind="polyak", f_star=float(f_star))
-
-    @classmethod
-    def fixed(cls, alpha: float) -> "StepSchedule":
-        if alpha < 0.0:
-            raise ValueError("fixed step size must be nonnegative")
-        if not math.isfinite(alpha):
-            raise ValueError(f"fixed step size must be finite, got {alpha!r}")
-        return cls(kind="fixed", alpha=float(alpha))
-
-    @classmethod
-    def edge_linesearch(cls) -> "StepSchedule":
-        return cls(kind="edge-linesearch")
-
-    def step_size(self, k: int, value: float | None = None, grad=None) -> float:
-        if self.kind in ("constant", "fixed"):
-            return self.alpha
-        if self.kind == "dynamic":
-            return math.sqrt(2.0 * self.diameter / (k + 1.0)) / self.lipschitz
-        if self.kind == "polyak":
-            if value is None or grad is None:
-                raise ValueError("polyak step needs the objective value and subgradient")
-            g = np.asarray(grad, dtype=float)
-            gsq = float(g @ g)
-            if gsq == 0.0:
-                return 0.0
-            return max(0.0, (float(value) - self.f_star) / gsq)
-        if self.kind == "edge-linesearch":
-            if value is None:
-                raise ValueError("edge line-search needs the current edge value")
-            r = float(value)
-            if r >= 1.0:
-                raise UndefinedStepError(
-                    "edge reached 1 (a single column is perfect); line-search step undefined"
-                )
-            if r <= -1.0 or r < 0.0:
-                raise UndefinedStepError(
-                    "edge is negative; line-search step undefined without negation closure"
-                )
-            r = min(r, 1.0 - EDGE_CAP)
-            return 0.5 * math.log((1.0 + r) / (1.0 - r))
-        raise ValueError(f"unknown schedule kind: {self.kind!r}")
 
 
 def run(problem: MinmaxProblem, schedule: StepSchedule, iterations: int, x0=None,

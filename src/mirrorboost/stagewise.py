@@ -20,7 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from . import md_core
-from .md_core import MinmaxProblem, StepSchedule
+from .md_core import MinmaxProblem
+from .schedule import StepSchedule
 from .trace import RunResult
 
 

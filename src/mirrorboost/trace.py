@@ -27,18 +27,12 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from .schedule import RUN_SCHEDULES
+
 ALGORITHMS = ("mirror-descent", "adaboost", "stagewise")
 
 # the trace format `format_trace` writes
 FORMAT = 2
-
-# the schedule kinds a run of each algorithm writes, in the command line's
-# order, each with whether the kind is tied to the run's horizon
-RUN_SCHEDULES = {
-    "adaboost": {"constant": True, "dynamic": False, "linesearch": False},
-    "mirror-descent": {"constant": True, "dynamic": False, "polyak": False},
-    "stagewise": {"constant": False, "optimal": True, "linesearch": False},
-}
 
 # Format 2. Apart from `type`, a table's keys are its line class's fields,
 # but for a record's grad_norm, which only format 1 holds.
@@ -77,12 +71,6 @@ _RECORD_OPTIONAL_1 = _RECORD_OPTIONAL | {"slacks"}
 # the table and optional keys of each kind of line that format 1 reads in its own way
 _FORMAT_1 = {"header": (_HEADER_TYPES_1, _HEADER_OPTIONAL),
              "record": (_RECORD_TYPES_1, _RECORD_OPTIONAL_1)}
-
-# the schedule dict's kind of a format-1 header, by (algorithm, schedule_kind),
-# where it is not schedule_kind itself
-_SCHEDULE_KINDS = {("adaboost", "linesearch"): "edge-linesearch",
-                   ("stagewise", "constant"): "fixed", ("stagewise", "optimal"): "fixed",
-                   ("stagewise", "linesearch"): "polyak"}
 
 
 def typed_fields(obj: dict, types: dict[str, tuple[type, bool]], optional: frozenset,
@@ -221,7 +209,7 @@ class TraceHeader(_Line):
             raise ValueError(f"header line field 'schedule_kind' must be one of {tuple(kinds)} "
                              f"for algorithm {self.algorithm!r}, got {self.schedule_kind!r}")
         object.__setattr__(self, "horizon",
-                           self.iterations if kinds[self.schedule_kind] else None)
+                           self.iterations if kinds[self.schedule_kind].tied else None)
         object.__setattr__(self, "dual_defined", self.algorithm != "stagewise")
         rule, name, value, diameter = _diameter_rule(self)
         object.__setattr__(self, "diameter", diameter)
@@ -353,7 +341,7 @@ def _check_schedule(schedule: dict, header: dict) -> None:
     lipschitz, diameter and f_star, where it has them, the line's, and a
     fixed step's alpha the line's eps."""
     algorithm, schedule_kind = header["algorithm"], header["schedule_kind"]
-    kind = _SCHEDULE_KINDS.get((algorithm, schedule_kind), schedule_kind)
+    kind = RUN_SCHEDULES[algorithm][schedule_kind].step
     if schedule.get("kind") != kind:
         raise ValueError(f"header line field 'schedule.kind' must be {kind!r} for algorithm "
                          f"{algorithm!r} and schedule_kind {schedule_kind!r}, "

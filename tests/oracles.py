@@ -24,8 +24,9 @@ import numpy as np
 from mirrorboost import md_core
 from mirrorboost.boosting import TrainingSet
 from mirrorboost.datagen import Stump
-from mirrorboost.md_core import MinmaxProblem, StepSchedule, UndefinedStepError
+from mirrorboost.md_core import MinmaxProblem
 from mirrorboost.prox import ENTROPY, ProxFunction, _as_vector
+from mirrorboost.schedule import StepSchedule, UndefinedStepError
 from mirrorboost.stagewise import RegressionProblem
 from mirrorboost.trace import IterationRecord, RunResult
 

@@ -24,7 +24,7 @@ from conftest import (
 from mirrorboost import bounds, datagen, prox
 from mirrorboost.boosting import run_adaboost
 from mirrorboost.cli import main
-from mirrorboost.md_core import StepSchedule
+from mirrorboost.schedule import StepSchedule
 from mirrorboost.stagewise import least_squares_norm, optimal_shrinkage, run_fs
 from mirrorboost.trace import read_trace
 from oracles import (

@@ -10,7 +10,8 @@ import pytest
 from conftest import central_difference_gradient
 from mirrorboost import datagen, md_core, prox
 from mirrorboost.boosting import TrainingSet, run_adaboost
-from mirrorboost.md_core import MirrorDescentState, StepSchedule, md_step
+from mirrorboost.md_core import MirrorDescentState, md_step
+from mirrorboost.schedule import StepSchedule
 from oracles import (
     BoostState,
     adaboost_step,

@@ -150,6 +150,7 @@ def test_check_fails_inconsistent_traces_once():
     dynamic, polyak = (
         certificate_header("mirror-descent", kind, m=2, lipschitz=1.0, f_star=0.0, dist0=1.0)
         for kind in ("dynamic", "polyak"))
+    edge = certificate_header("adaboost", "linesearch", m=2)
     first, second, third = (_rec(0, 0.5, 1.0, 1.0, dual=0.2), _rec(1, 0.5, 0.8, 0.8, dual=0.5),
                             _rec(2, 0.5, 0.9, 0.8, dual=0.5))
     report = check([first, second, third], plain)
@@ -166,6 +167,21 @@ def test_check_fails_inconsistent_traces_once():
         # the per-record closed forms are undefined at a negative k and skip it
         (dynamic, [_rec(-1, 0.5, 1.0, 1.0, dual=0.2)], "record 0 has k=-1"),
         (polyak, [_rec(-1, 0.5, 1.0, 1.0, dual=0.2)], "record 0 has k=-1"),
+        # a step other than the header's rule gives at k; a polyak step cannot be checked
+        (dynamic, [_rec(0, _dynamic_step(dynamic.diameter, 1.0, 0), 1.0, 1.0, dual=0.2),
+                   _rec(1, 0.5, 0.8, 0.8, dual=0.5)],
+         f"step size alpha 0.5 is not the dynamic step "
+         f"{_dynamic_step(dynamic.diameter, 1.0, 1)!r}"),
+        # bit for bit: an edge of 0.0 steps by 0.0, not -0.0
+        (edge, [_rec(0, -0.0, 0.0, 0.0, dual=None, algorithm="adaboost")],
+         "step size alpha -0.0 is not the edge-linesearch step 0.0"),
+        (edge, [_rec(0, _edge_step(0.5), 0.5, 0.5, dual=0.2, algorithm="adaboost"),
+                _rec(1, _edge_step(0.5), 0.4, 0.4, dual=0.3, algorithm="adaboost")],
+         f"step size alpha {_edge_step(0.5)!r} is not the edge-linesearch step "
+         f"{_edge_step(0.4)!r}"),
+        # an edge of 1 has no line-search step
+        (edge, [_rec(0, 1.0, 1.0, 1.0, dual=0.2, algorithm="adaboost")],
+         "step size alpha 1.0 has no edge-linesearch step to equal: edge reached 1"),
     ]
     for header, records, note in cases:
         report = check(records, header)
@@ -199,13 +215,23 @@ def test_check_missing_constants_never_pass_silently():
     assert wd.passed is True
 
 
+def _edge_step(edge: float) -> float:
+    """The edge line search's step at an edge below 1 - EDGE_CAP."""
+    return 0.5 * math.log((1.0 + edge) / (1.0 - edge))
+
+
+def _dynamic_step(diameter: float, lipschitz: float, k: int) -> float:
+    return math.sqrt(2.0 * diameter / (k + 1.0)) / lipschitz
+
+
 def test_check_adaboost_gap_uses_best_gradient_norm():
     header = certificate_header("adaboost", "linesearch", m=4, lipschitz=1.0, format=1)
     recs = [
-        _rec(0, 0.5, 0.9, 0.9, dual=0.1, grad_norm=0.6, algorithm="adaboost"),
-        _rec(1, 0.5, 0.8, 0.8, dual=0.2, grad_norm=0.7, algorithm="adaboost"),
+        _rec(0, _edge_step(0.9), 0.9, 0.9, dual=0.1, grad_norm=0.6, algorithm="adaboost"),
+        _rec(1, _edge_step(0.8), 0.8, 0.8, dual=0.2, grad_norm=0.7, algorithm="adaboost"),
     ]
     report = check(recs, header)
+    assert all(r.tag != bounds.TRACE_INTEGRITY for r in report.records)
     gaps = [r for r in report.records if r.tag == "gap-running"]
     assert gaps[0].observed == pytest.approx(0.6 - 0.1, rel=1e-12)
     # the reference is the running minimum of the gradient norm, not 0.7
@@ -218,8 +244,10 @@ def test_check_adaboost_gap_uses_best_gradient_norm():
 
 def test_check_dynamic_schedule_adds_per_record_closed_form():
     header = certificate_header("mirror-descent", "dynamic", m=2, lipschitz=1.0)
-    recs = [_rec(0, 1.0, 1.0, 1.0, dual=0.0), _rec(1, 0.7, 0.9, 0.9, dual=0.1)]
+    recs = [_rec(0, _dynamic_step(header.diameter, 1.0, 0), 1.0, 1.0, dual=0.0),
+            _rec(1, _dynamic_step(header.diameter, 1.0, 1), 0.9, 0.9, dual=0.1)]
     report = check(recs, header)
+    assert report.all_passed
     dyn = [r for r in report.records if r.tag == "gap-dynamic"]
     assert len(dyn) == 2
     assert dyn[1].bound == pytest.approx(dynamic_bound(header.diameter, 1.0, 1), rel=1e-15)
@@ -227,8 +255,10 @@ def test_check_dynamic_schedule_adds_per_record_closed_form():
 
 def test_check_constant_schedule_horizon_record():
     header = certificate_header("mirror-descent", "constant", m=2, lipschitz=1.0, iterations=2)
-    recs = [_rec(0, 0.8, 1.0, 1.0, dual=0.0), _rec(1, 0.8, 0.9, 0.9, dual=0.4)]
+    alpha = math.sqrt(2.0 * header.diameter / 2)  # the step tuned to 2 iterations
+    recs = [_rec(0, alpha, 1.0, 1.0, dual=0.0), _rec(1, alpha, 0.9, 0.9, dual=0.4)]
     report = check(recs, header)
+    assert report.all_passed
     gc = [r for r in report.records if r.tag == "gap-constant"]
     assert len(gc) == 1 and gc[0].k == 1
     assert gc[0].observed == pytest.approx(0.5, rel=1e-12)
@@ -237,8 +267,9 @@ def test_check_constant_schedule_horizon_record():
 
 def test_check_constant_schedule_short_run_not_evaluable():
     header = certificate_header("mirror-descent", "constant", m=2, lipschitz=1.0, iterations=5)
-    recs = [_rec(0, 0.8, 1.0, 1.0, dual=0.0)]
+    recs = [_rec(0, math.sqrt(2.0 * header.diameter / 5), 1.0, 1.0, dual=0.0)]
     report = check(recs, header)
+    assert all(r.tag != bounds.TRACE_INTEGRITY for r in report.records)
     gc = [r for r in report.records if r.tag == "gap-constant"][0]
     assert gc.passed is None and "horizon" in gc.note
 
@@ -275,6 +306,11 @@ def test_check_stagewise_sparsity_certificates():
                                 dist0=3.0)
     report2 = check(recs, no_eps)
     assert all(r.passed is None for r in report2.records if r.tag == "sparsity-l1")
+    # nor can a constant shrinkage header without one: it gives no step rule to check
+    report3 = check(recs, certificate_header("stagewise", "constant", lipschitz=2.0,
+                                             f_star=0.0, dist0=3.0))
+    assert all(r.passed is None for r in report3.records if r.tag == "sparsity-l1")
+    assert all(r.tag != bounds.TRACE_INTEGRITY for r in report3.records)
 
 
 def test_check_sparsity_l1_allows_the_rounding_of_its_sum_and_no_more():
@@ -306,6 +342,10 @@ def test_check_a_bound_that_overflows_from_finite_steps_is_not_evaluable():
     report = check([_rec(0, 1e300, 1.0, 1.0, algorithm="stagewise")], header)
     (opt,) = [r for r in report.records if r.tag == "opt-running"]
     assert opt.bound == math.inf and opt.slack == math.inf
+    # and a step other than the header's eps fails the trace
+    assert report.records[-1] == CertificateRecord(
+        0, bounds.TRACE_INTEGRITY, None, None, None, False,
+        "step size alpha 1e+300 is not the fixed step 5e-324")
 
 
 def test_check_optimal_schedule_horizon_record():
@@ -330,9 +370,10 @@ def test_check_is_pure_and_reproducible():
     for k in range(30):
         primal = float(rng.uniform(0.2, 1.0))
         best = min(best, primal)
-        recs.append(_rec(k, float(rng.uniform(0.01, 0.5)), primal, best,
+        recs.append(_rec(k, _dynamic_step(header.diameter, 1.0, k), primal, best,
                          dual=float(rng.uniform(-1.0, 0.1))))
     first = check(recs, header).to_dict()
+    assert all(r["tag"] != bounds.TRACE_INTEGRITY for r in first["records"])
     second = check(recs, header).to_dict()
     assert first == second
 

@@ -772,6 +772,37 @@ def test_check_refuses_a_header_that_run_would_not_write(tmp_path, capsys, sched
     assert list(trace.parent.iterdir()) == [trace]
 
 
+# each step forgery that `check` once certified: a run's arguments, the
+# change to every record, and the start of the failed record's note
+@pytest.mark.parametrize("args, forge, note", [
+    # every alpha halved
+    (["minmax-game", "--data", "synthetic:game:seed=1:m=20:n=10", "--schedule", "dynamic"],
+     lambda rec: {"alpha": 0.5 * rec["alpha"]}, "step size alpha 1.2262624632222416 is not the "
+                                                 "dynamic step 2.4525249264444833"),
+    (["adaboost", "--data", "synthetic:nonseparable:seed=1:m=30:d=3", "--schedule", "constant"],
+     lambda rec: {"alpha": 2.0 * rec["alpha"]}, "is not the constant step 0.4761790546746154"),
+    (["fs", "--data", "synthetic:regression:seed=1:n=30:p=20", "--schedule", "constant",
+      "--epsilon", "0.01"],
+     lambda rec: {"alpha": 0.011}, "step size alpha 0.011 is not the fixed step 0.01"),
+    # the objective moved, and with it the line search's step from the edge
+    (["adaboost", "--data", "synthetic:nonseparable:seed=1:m=30:d=3", "--schedule", "linesearch"],
+     lambda rec: {"primal": rec["primal"] + 0.01, "best_primal": rec["best_primal"] + 0.01},
+     "is not the edge-linesearch step 0.6088730641290546"),
+])
+def test_check_fails_a_trace_whose_steps_are_not_its_headers_rule(tmp_path, capsys, args,
+                                                                  forge, note):
+    out = tmp_path / "run"
+    assert main(["run", *args, "--iters", "30", "--out", str(out), "--prefix", "g"]) == EXIT_OK
+    header, *records = (out / "g.trace.jsonl").read_text().splitlines()
+    trace = _alone_in_a_directory(
+        tmp_path, [header] + [_relabelled(line, **forge(json.loads(line))) for line in records])
+    capsys.readouterr()
+    assert main(["check", str(trace)]) == EXIT_CERTIFICATE
+    report = (trace.parent / "g.report.txt").read_text()
+    assert "1 failed" in report
+    assert "  FAILED trace-integrity at k=0: " in report and note in report
+
+
 def test_check_refuses_an_fs_diameter_that_is_not_half_the_squared_dist0(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["run", "fs", "--data", "synthetic:regression:seed=1:n=30:p=20",

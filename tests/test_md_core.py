@@ -10,14 +10,8 @@ import numpy as np
 import pytest
 
 from mirrorboost import md_core, prox
-from mirrorboost.md_core import (
-    MinmaxProblem,
-    MirrorDescentState,
-    StepSchedule,
-    UndefinedStepError,
-    md_step,
-    run,
-)
+from mirrorboost.md_core import MinmaxProblem, MirrorDescentState, md_step, run
+from mirrorboost.schedule import StepSchedule, UndefinedStepError
 from oracles import SequenceSchedule, checked_response, dual_value, run_with_iterates
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])

@@ -27,6 +27,7 @@ import functools
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -41,7 +42,8 @@ from conftest import certificate_header
 from mirrorboost import bounds, cli, md_core, prox
 from mirrorboost.boosting import TrainingSet, run_adaboost
 from mirrorboost.bounds import check, check_trace
-from mirrorboost.md_core import MinmaxProblem, StepSchedule
+from mirrorboost.md_core import MinmaxProblem
+from mirrorboost.schedule import StepSchedule, UndefinedStepError
 from mirrorboost.stagewise import RegressionProblem, least_squares_norm, run_fs
 from mirrorboost.trace import TraceHeader, format_trace, read_trace
 from oracles import (
@@ -170,7 +172,9 @@ def _fields(line) -> list:
 def _assert_check_rebuilds_the_report(result, header: TraceHeader) -> None:
     """Write the run's trace as `run` does and read it back: the header, the
     records and the terminal reason come back bit for bit. Checking it again
-    gives the same report.json bytes, which must be json.dump's."""
+    gives the same report.json bytes, which must be json.dump's; a report
+    with a value that is not finite is refused by both checks, with the
+    message `run` exits 2 with."""
     assume(result.records)  # `run` refuses a run that stopped before its first round
     report = check(result.records, header)
     with tempfile.TemporaryDirectory() as tmp:
@@ -182,6 +186,13 @@ def _assert_check_rebuilds_the_report(result, header: TraceHeader) -> None:
     assert [_fields(r) for r in back[1]] == [_fields(r) for r in result.records]
     assert back[2] == result.terminated
     again = check_trace(*back)
+    non_finite = report.tally()[2]
+    if non_finite is not None:
+        assert again.tally()[2] == non_finite
+        for refused in (report, again):
+            with pytest.raises(ValueError, match=f"^{re.escape(non_finite)}$"):
+                _report_json(refused)
+        return
     written = _report_json(report)
     assert _report_json(again) == written
     assert written == json.dumps(report.to_dict(), sort_keys=True, indent=2,
@@ -196,7 +207,8 @@ def _assert_check_rebuilds_the_report(result, header: TraceHeader) -> None:
 def test_check_rebuilds_an_adaboost_report_from_its_trace(case):
     ts, schedule = case
     # run writes no fixed-step adaboost header, and a fixed step's records get
-    # the same certificates as a line search's: those of every step sequence
+    # the same certificates as a line search's: those of every step sequence,
+    # and a failed trace-integrity record where a step is not the line search's
     kind = schedule.kind if schedule.kind in ("constant", "dynamic") else "linesearch"
     header = certificate_header("adaboost", kind, m=ts.num_examples, n=ts.num_classifiers,
                                 lipschitz=ts.lipschitz, iterations=ITERATIONS)
@@ -207,6 +219,9 @@ def test_check_rebuilds_an_adaboost_report_from_its_trace(case):
 @given(fs_cases())
 @example((RegressionProblem(design=np.array([[-1.0]]), response=np.array([-1.0])),
           StepSchedule.fixed(5e-324)))
+# a column whose norm's square underflows: the opt-running bound is not finite
+@example((RegressionProblem(design=np.array([[2.01929633e-162]]), response=np.array([-1.0])),
+          StepSchedule.polyak(0.0)))
 def test_check_rebuilds_a_stagewise_report_from_its_trace(case):
     rp, schedule = case
     dist0 = least_squares_norm(rp)
@@ -253,14 +268,8 @@ def certified_runs(draw, pairs=TASK_SCHEDULES):
                             response=np.array([-1.0, -0.5]))))
 def test_no_certificate_fails_on_a_random_instance(case):
     config, instance = case
-    problem = instance.to_minmax()
     try:  # `run` refuses these set-ups with exit 2: a zero Lipschitz constant or diameter
-        if config.task == "fs":
-            schedule, header = cli._prepare_fs_run(config, instance, problem)
-            x0 = instance.response.copy()
-        else:
-            schedule, header = cli._prepare_boost_run(config, problem)
-            x0 = None
+        problem, header, schedule, x0 = cli._prepare_run(config, instance)
     except ValueError:
         reject()
     result = md_core.run(problem, schedule, config.iterations, x0=x0,
@@ -303,11 +312,7 @@ def _collected_outputs(config, instance, results) -> dict[str, str] | None:
     if not results or not results[0].records:
         return None
     result = results[0]
-    problem = instance.to_minmax()
-    if config.task == "fs":
-        _, header = cli._prepare_fs_run(config, instance, problem)
-    else:
-        _, header = cli._prepare_boost_run(config, problem)
+    _, header, _, _ = cli._prepare_run(config, instance)
     report = check(result.records, header)
     report_json = io.StringIO()
     try:
@@ -370,7 +375,7 @@ def _replay(problem: MinmaxProblem, schedule: StepSchedule, prox_fn, iterations:
             break
         try:
             alpha = schedule.step_size(k, value=value, grad=grad)
-        except md_core.UndefinedStepError:
+        except UndefinedStepError:
             break
         rounds.append((x, (index, sign, value, alpha), support_size(dual_sum)))
         x = prox.prox_solve(prox_fn, grad, x, alpha)

@@ -10,7 +10,8 @@ import pytest
 
 from conftest import gram_schmidt_projection_norm
 from mirrorboost import datagen
-from mirrorboost.md_core import NNZ_TOLERANCE, StepSchedule
+from mirrorboost.md_core import NNZ_TOLERANCE
+from mirrorboost.schedule import StepSchedule
 from mirrorboost.stagewise import (
     RegressionProblem,
     least_squares_norm,

@@ -10,6 +10,7 @@ import math
 import re
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorboost import trace
+from mirrorboost.schedule import RUN_SCHEDULES, StepSchedule
 from mirrorboost.trace import (
     ALGORITHMS,
     IterationRecord,
@@ -283,7 +285,7 @@ def traces(draw):
         shape["m"] = draw(st.integers(1, 2**40))
     header = TraceHeader(
         algorithm=algorithm, schedule_kind=draw(st.sampled_from(
-            sorted(trace.RUN_SCHEDULES[algorithm]))), iterations=draw(st.integers(0, 2**40)),
+            sorted(RUN_SCHEDULES[algorithm]))), iterations=draw(st.integers(0, 2**40)),
         shape=shape, lipschitz=draw(finite), f_star=draw(nullable), dist0=dist0,
         eps=draw(nullable), config=draw(st.one_of(st.none(), small_dicts)))
     signs = (1.0, -1.0, 1, -1) if stagewise else (1.0, 1)
@@ -471,6 +473,26 @@ RUN_SCHEDULE_KINDS = [
 ]
 
 
+def test_the_one_schedule_table_gives_each_pair_the_step_kind_runs_wrote():
+    # the table holds the nine pairs of the oracle table, and StepSchedule.of
+    # builds each pair's header's steps by the kind its runs wrote
+    assert sorted((algorithm, schedule_kind) for algorithm, kinds in RUN_SCHEDULES.items()
+                  for schedule_kind in kinds) == sorted(
+        (algorithm, schedule_kind) for algorithm, schedule_kind, _ in RUN_SCHEDULE_KINDS)
+    for algorithm, schedule_kind, kind in RUN_SCHEDULE_KINDS:
+        assert RUN_SCHEDULES[algorithm][schedule_kind].step == kind
+        header = _header(algorithm=algorithm, schedule_kind=schedule_kind, f_star=-0.5,
+                         eps=0.1)
+        assert StepSchedule.of(header).kind == kind
+    # a pair without a step kind gives no rule; TraceHeader refuses to make one
+    for algorithm, schedule_kind in (("adaboost", "polyak"), ("stagewise", "dynamic"),
+                                     ("mirror-descent", "linesearch"), ("boost", "constant")):
+        header = types.SimpleNamespace(algorithm=algorithm, schedule_kind=schedule_kind)
+        with pytest.raises(ValueError, match=f"no step rule for algorithm {algorithm!r} and "
+                                             f"schedule_kind {schedule_kind!r}"):
+            StepSchedule.of(header)
+
+
 def _header_1_for(algorithm: str, schedule_kind: str, kind: str, **schedule) -> dict:
     """A format-1 header whose schedule dict has `kind`, its constants the
     header's (f_star -0.5, eps 0.1) and the fields in `schedule`."""
@@ -515,7 +537,7 @@ def test_a_format_1_schedule_dict_must_agree_with_its_header(algorithm, schedule
 @pytest.mark.parametrize("algorithm, schedule_kind, kind", RUN_SCHEDULE_KINDS)
 def test_a_header_must_carry_the_kind_horizon_and_diameter_that_run_writes(
         tmp_path, algorithm, schedule_kind, kind):
-    tied = trace.RUN_SCHEDULES[algorithm][schedule_kind]
+    tied = RUN_SCHEDULES[algorithm][schedule_kind].tied
     header = _header(algorithm=algorithm, schedule_kind=schedule_kind, iterations=7)
     assert header.horizon == (7 if tied else None)
     # format 1, with a schedule dict that names no constant the forgeries change
@@ -526,7 +548,7 @@ def test_a_header_must_carry_the_kind_horizon_and_diameter_that_run_writes(
     format_trace(header, ())
     parse_line(old, 1)
     others = {"constant", "dynamic", "linesearch", "optimal", "polyak", "fixed"} - {
-        *trace.RUN_SCHEDULES[algorithm]}
+        *RUN_SCHEDULES[algorithm]}
     # each forgery: its fields, the refusal, and whether a header made with
     # them is refused too; it is not when a field is one the header derives,
     # or when the fields make another header that runs write
