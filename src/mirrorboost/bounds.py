@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .schedule import StepSchedule, UndefinedStepError
-from .trace import TraceHeader
+from .trace import IterationRecord, TraceHeader
 
 TOLERANCE = 1e-9
 _EPS = sys.float_info.epsilon  # twice the unit roundoff
@@ -251,32 +251,33 @@ class ReportWriter:
 class CertificateReport:
     records: list[CertificateRecord] = field(default_factory=list)
 
-    def tally(self) -> tuple[dict, dict, str | None]:
-        """summary(), by_tag() and what is wrong with the first record whose
-        observed, bound or slack is not finite (None when every one is), in
-        one pass over the records."""
+    def tally(self) -> _Tally:
+        """The _Tally of the records, made in one pass: summary(), by_tag(),
+        failures() and all_passed read it, and its non_finite says what is
+        wrong with the first record whose observed, bound or slack is not
+        finite (None when every one is)."""
         tally = _Tally()
         tally.add(self.records)
-        return tally.summary(), tally.by_tag, tally.non_finite
+        return tally
 
     def summary(self) -> dict:
-        return self.tally()[0]
+        return self.tally().summary()
 
     @property
     def all_passed(self) -> bool:
-        return all(r.passed is not False for r in self.records)
+        return self.tally().counts["failed"] == 0
 
     def failures(self) -> list[CertificateRecord]:
-        return [r for r in self.records if r.passed is False]
+        return self.tally().failures
 
     def by_tag(self) -> dict[str, dict]:
-        return self.tally()[1]
+        return self.tally().by_tag
 
     def to_dict(self) -> dict:
-        summary, by_tag, _ = self.tally()
+        tally = self.tally()
         return {
-            "summary": summary,
-            "by_tag": by_tag,
+            "summary": tally.summary(),
+            "by_tag": tally.by_tag,
             "records": [r.to_dict() for r in self.records],
         }
 
@@ -366,67 +367,58 @@ def _json_num(value) -> str:
     return float.__repr__(value)
 
 
-def _inconsistency(records, header: TraceHeader) -> CertificateRecord | None:
-    """A failed trace-integrity record for the first record that breaks the
-    trace's invariants, or None when every record keeps them: record i has
-    k = i, best_primal is the running minimum of primal, alpha is finite and
-    nonnegative, and alpha is, bit for bit, StepSchedule.of(header)'s step at
-    k from the record's primal. A polyak step needs ||g||^2, which no trace
-    holds, and `run` refuses a header of no rule (lipschitz 0.0, say)."""
+def _integrity_note(i: int, rec, best: float, rule: StepSchedule | None) -> str | None:
+    """What record i breaks of the trace's invariants, or None when it keeps
+    them: it has k = i, its best_primal is `best`, the running minimum of
+    primal, its alpha is finite and nonnegative, and alpha is, bit for bit,
+    `rule`'s step at k from the record's primal. A polyak step needs ||g||^2,
+    which no trace holds, and `run` refuses a header of no rule (`rule` None:
+    lipschitz 0.0, say), so neither is checked."""
+    if rec.k != i:
+        return f"record {i} has k={rec.k}: iterations must run 0, 1, 2, ... once each"
+    if rec.best_primal != best:
+        return f"best_primal {rec.best_primal!r} is not the running minimum {best!r} of primal"
+    if not (math.isfinite(rec.alpha) and rec.alpha >= 0.0):
+        return f"step size alpha {rec.alpha!r} is not finite and nonnegative"
+    if rule is None or rule.kind == "polyak":
+        return None
+    try:
+        step = rule.step_size(i, value=rec.primal)
+    except UndefinedStepError as exc:
+        return f"step size alpha {rec.alpha!r} has no {rule.kind} step to equal: {exc}"
+    # equal floats differ in their bits only as 0.0 and -0.0
+    if rec.alpha == step and (step or str(rec.alpha) == str(step)):
+        return None
+    return f"step size alpha {rec.alpha!r} is not the {rule.kind} step {step!r}"
+
+
+def certify(records: Iterable[IterationRecord], header: TraceHeader, count: int | None = None,
+            ) -> Iterator[tuple[IterationRecord | None, list[CertificateRecord]]]:
+    """The checker: one walk over `records`, any iterable, that yields each
+    record with its certificate records, in report order, as the caller
+    takes them, and last (None, the closing records). Every applicable bound
+    is evaluated with the problem constants the header holds: the algorithm,
+    the schedule kind, lipschitz, diameter, f_star, dist0, eps, horizon,
+    dual_defined and format. A header is checked when it is made, so
+    lipschitz and the diameter are always there, and so is the horizon of a
+    kind tied to it.
+
+    The certificates of the record at iteration k pair the best pre-step
+    value over iterations 0..k with the post-step dual average (or the known
+    optimal value) and with the bound built from step sizes 0..k. The closing
+    records are the closed forms tied to a planned horizon, one each at the
+    final planned iteration, then at most one failed trace-integrity record.
+    It names the first record that breaks the trace's invariants
+    (_integrity_note), checked in the same walk. When every record keeps
+    them and `count`, the record count a whole trace holds, is given and
+    differs from theirs, it names the count instead; a consistent trace gets
+    none, so its report is unchanged.
+    """
+    algo = header.algorithm
     try:
         rule = StepSchedule.of(header)
     except ValueError:
         rule = None
-    best = math.inf
-    for i, rec in enumerate(records):
-        if rec.primal < best:
-            best = rec.primal
-        if rec.k != i:
-            note = f"record {i} has k={rec.k}: iterations must run 0, 1, 2, ... once each"
-        elif rec.best_primal != best:
-            note = (f"best_primal {rec.best_primal!r} is not the running minimum "
-                    f"{best!r} of primal")
-        elif not (math.isfinite(rec.alpha) and rec.alpha >= 0.0):
-            note = f"step size alpha {rec.alpha!r} is not finite and nonnegative"
-        elif rule is None or rule.kind == "polyak":
-            continue
-        else:
-            try:
-                step = rule.step_size(i, value=rec.primal)
-            except UndefinedStepError as exc:
-                note = f"step size alpha {rec.alpha!r} has no {rule.kind} step to equal: {exc}"
-            else:
-                # equal floats differ in their bits only as 0.0 and -0.0
-                if rec.alpha == step and (step or str(rec.alpha) == str(step)):
-                    continue
-                note = f"step size alpha {rec.alpha!r} is not the {rule.kind} step {step!r}"
-        return CertificateRecord(k=rec.k, tag=TRACE_INTEGRITY, observed=None, bound=None,
-                                 slack=None, passed=False, note=note)
-    return None
-
-
-def certificates(records, header: TraceHeader) -> Iterator[CertificateRecord]:
-    """The certificate records of an iteration trace, in report order: every
-    applicable bound evaluated against the sequence `records`, with the
-    problem constants its header holds: the algorithm, the schedule kind,
-    lipschitz, diameter, f_star, dist0, eps, horizon, dual_defined and format.
-    A header is checked when it is made, so lipschitz and the diameter are
-    always there, and so is the horizon of a kind tied to it.
-
-    The record produced at iteration k pairs the best pre-step value over
-    iterations 0..k with the post-step dual average (or the known optimal
-    value) and with the bound built from step sizes 0..k. Closed forms tied
-    to a planned horizon yield a single record at the final planned iteration.
-    A trace whose records are out of order, repeated or self-contradictory
-    gets one failed trace-integrity record, after the others; a consistent
-    trace gets none, so its report is unchanged.
-
-    Records are made one iteration at a time, as the caller takes them; the
-    trace-integrity rule is a final pass over `records`.
-    """
-    if not records:
-        raise ValueError("cannot check an empty trace")
-    algo = header.algorithm
 
     step_sum = 0.0
     step_sq_sum = 0.0
@@ -435,9 +427,20 @@ def certificates(records, header: TraceHeader) -> Iterator[CertificateRecord]:
     by_grad_norm = algo == "adaboost" and header.format == 1
     best_grad_norm = math.inf
     dual_ref = " (dual average undefined: zero step-size mass)"
+    best = math.inf
+    broken = None
+    n = 0
 
-    for rec in records:
+    for n, rec in enumerate(records, 1):
         t = rec.k
+        if broken is None:
+            if rec.primal < best:
+                best = rec.primal
+            note = _integrity_note(n - 1, rec, best, rule)
+            if note is not None:
+                broken = CertificateRecord(t, TRACE_INTEGRITY, None, None, None, False, note)
+        group: list[CertificateRecord] = []
+        add = group.append
         step_sum += rec.alpha
         step_sq_sum += rec.alpha * rec.alpha
         if by_grad_norm and rec.grad_norm is not None and rec.grad_norm < best_grad_norm:
@@ -446,101 +449,94 @@ def certificates(records, header: TraceHeader) -> Iterator[CertificateRecord]:
 
         if header.dual_defined:
             if rec.dual is None:
-                yield _not_evaluable(t, WEAK_DUALITY, "no dual value" + dual_ref)
+                add(_not_evaluable(t, WEAK_DUALITY, "no dual value" + dual_ref))
             else:
-                yield _evaluated(t, WEAK_DUALITY, rec.dual, rec.best_primal)
+                add(_evaluated(t, WEAK_DUALITY, rec.dual, rec.best_primal))
             if rec.dual is None:
-                yield _not_evaluable(t, GAP_RUNNING, "no dual value" + dual_ref)
+                add(_not_evaluable(t, GAP_RUNNING, "no dual value" + dual_ref))
             elif step_sum <= 0.0:  # only in a tampered trace: runs record no dual then
-                yield _not_evaluable(t, GAP_RUNNING, "zero step-size sum")
+                add(_not_evaluable(t, GAP_RUNNING, "zero step-size sum"))
             else:
                 bound = _ratio_bound(header.diameter, header.lipschitz, step_sum, step_sq_sum)
-                yield _evaluated(t, GAP_RUNNING, gap_ref - rec.dual, bound,
-                                 steps_finite=math.isfinite(step_sq_sum))
+                add(_evaluated(t, GAP_RUNNING, gap_ref - rec.dual, bound,
+                               steps_finite=math.isfinite(step_sq_sum)))
             if header.schedule_kind == "dynamic":
                 if rec.dual is None:
-                    yield _not_evaluable(t, GAP_DYNAMIC, "no dual value" + dual_ref)
+                    add(_not_evaluable(t, GAP_DYNAMIC, "no dual value" + dual_ref))
                 elif t < 0:  # only in a tampered trace, which fails trace-integrity
-                    yield _not_evaluable(t, GAP_DYNAMIC, "negative iteration")
+                    add(_not_evaluable(t, GAP_DYNAMIC, "negative iteration"))
                 else:
                     bound = dynamic_bound(header.diameter, header.lipschitz, t)
-                    yield _evaluated(t, GAP_DYNAMIC, gap_ref - rec.dual, bound)
+                    add(_evaluated(t, GAP_DYNAMIC, gap_ref - rec.dual, bound))
 
         if header.f_star is not None:
             observed = rec.best_primal - header.f_star
             if step_sum <= 0.0:
-                yield _not_evaluable(t, OPT_RUNNING, "zero step-size sum")
+                add(_not_evaluable(t, OPT_RUNNING, "zero step-size sum"))
             else:
                 bound = _ratio_bound(header.diameter, header.lipschitz, step_sum, step_sq_sum)
-                yield _evaluated(t, OPT_RUNNING, observed, bound,
-                                 steps_finite=math.isfinite(step_sq_sum))
+                add(_evaluated(t, OPT_RUNNING, observed, bound,
+                               steps_finite=math.isfinite(step_sq_sum)))
             if header.schedule_kind in ("polyak", "linesearch"):
                 if header.dist0 is None:  # the game's simplex header has none
-                    yield _not_evaluable(t, OPT_POLYAK, "missing dist0 or lipschitz constant")
+                    add(_not_evaluable(t, OPT_POLYAK, "missing dist0 or lipschitz constant"))
                 elif t < 0:  # only in a tampered trace, which fails trace-integrity
-                    yield _not_evaluable(t, OPT_POLYAK, "negative iteration")
+                    add(_not_evaluable(t, OPT_POLYAK, "negative iteration"))
                 else:
                     bound = polyak_bound(header.lipschitz, header.dist0, t)
-                    yield _evaluated(t, OPT_POLYAK, observed, bound)
+                    add(_evaluated(t, OPT_POLYAK, observed, bound))
 
         if algo == "stagewise":
             if rec.l0 is not None:
-                yield _evaluated(t, SPARSITY_L0, float(rec.l0), float(t))
+                add(_evaluated(t, SPARSITY_L0, float(rec.l0), float(t)))
             if rec.l1 is not None:
                 if header.eps is None:
-                    yield _not_evaluable(t, SPARSITY_L1, "no constant shrinkage for this run")
+                    add(_not_evaluable(t, SPARSITY_L1, "no constant shrinkage for this run"))
                 else:
-                    yield _evaluated(t, SPARSITY_L1, rec.l1, t * header.eps,
-                                     _shrinkage_rounding(t, header.eps))
+                    add(_evaluated(t, SPARSITY_L1, rec.l1, t * header.eps,
+                                   _shrinkage_rounding(t, header.eps)))
+        yield rec, group
 
+    if n == 0:
+        raise ValueError("cannot check an empty trace")
+    final = rec
     # horizon-tied closed forms: one record per run, at the planned final iteration
-    final = records[-1]
+    closing: list[CertificateRecord] = []
+    add = closing.append
     if header.dual_defined and header.schedule_kind == "constant":
         if final.k != header.horizon - 1:
-            yield _not_evaluable(header.horizon - 1, GAP_CONSTANT,
-                                 "run ended before the planned horizon")
+            add(_not_evaluable(header.horizon - 1, GAP_CONSTANT,
+                               "run ended before the planned horizon"))
         elif final.dual is None:
-            yield _not_evaluable(final.k, GAP_CONSTANT, "no dual value" + dual_ref)
+            add(_not_evaluable(final.k, GAP_CONSTANT, "no dual value" + dual_ref))
         else:
             gap_ref = best_grad_norm if by_grad_norm else final.best_primal
             bound = constant_bound(header.diameter, header.lipschitz, header.horizon)
-            yield _evaluated(final.k, GAP_CONSTANT, gap_ref - final.dual, bound)
+            add(_evaluated(final.k, GAP_CONSTANT, gap_ref - final.dual, bound))
     if header.f_star is not None and header.schedule_kind == "optimal":
         if final.k != header.horizon - 1:
-            yield _not_evaluable(header.horizon - 1, OPT_HORIZON,
-                                 "run ended before the planned horizon")
+            add(_not_evaluable(header.horizon - 1, OPT_HORIZON,
+                               "run ended before the planned horizon"))
         else:
             observed = final.best_primal - header.f_star
             bound = polyak_bound(header.lipschitz, header.dist0, header.horizon - 1)
-            yield _evaluated(final.k, OPT_HORIZON, observed, bound)
-    broken = _inconsistency(records, header)
+            add(_evaluated(final.k, OPT_HORIZON, observed, bound))
+    if broken is None and count is not None and n != count:
+        broken = CertificateRecord(
+            n, TRACE_INTEGRITY, None, None, None, False,
+            f"{n} records and no terminal line, but the header asks for {count} iterations")
     if broken is not None:
-        yield broken
+        add(broken)
+    yield None, closing
 
 
-def check(records, header: TraceHeader) -> CertificateReport:
+def certificates(records: Iterable[IterationRecord], header: TraceHeader,
+                 count: int | None = None) -> Iterator[CertificateRecord]:
+    """The certificate records of certify(), one at a time, in report order."""
+    for _, group in certify(records, header, count):
+        yield from group
+
+
+def check(records: Iterable[IterationRecord], header: TraceHeader) -> CertificateReport:
     """The report of certificates(), for any iterable of records."""
-    return CertificateReport(list(certificates(list(records), header)))
-
-
-def trace_certificates(header: TraceHeader, records,
-                       terminated: str | None) -> Iterator[CertificateRecord]:
-    """certificates() of the header, records and terminal reason of a saved
-    trace or a run.
-
-    A trace with no terminal line ran its header's full count of iterations,
-    so a record count that differs from it, in a trace that keeps every other
-    invariant, gets one failed trace-integrity record, after the others.
-    """
-    yield from certificates(records, header)
-    if (terminated is None and len(records) != header.iterations
-            and _inconsistency(records, header) is None):
-        yield CertificateRecord(
-            k=len(records), tag=TRACE_INTEGRITY, observed=None, bound=None, slack=None,
-            passed=False, note=f"{len(records)} records and no terminal line, but the "
-                               f"header asks for {header.iterations} iterations")
-
-
-def check_trace(header: TraceHeader, records, terminated: str | None) -> CertificateReport:
-    """The report of trace_certificates()."""
-    return CertificateReport(list(trace_certificates(header, records, terminated)))
+    return CertificateReport(list(certificates(records, header)))

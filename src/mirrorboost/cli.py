@@ -199,7 +199,9 @@ def _prepare_run(config: ExperimentConfig, instance):
         if lipschitz == 0.0:  # every column's norm underflows; nothing may divide by it
             raise ConfigError("the design's column l2 norms all underflow to 0.0, so its "
                               "Lipschitz constant is 0.0: rescale the design")
-        with np.errstate(over="ignore"):
+        # a norm that overflows, or a fit whose coefficients do (inf * 0.0 is
+        # nan), is refused by the header as not finite, with no warning
+        with np.errstate(over="ignore", invalid="ignore"):
             if config.use_response_bound:
                 dist0 = float(np.linalg.norm(instance.response))
             else:
@@ -254,42 +256,35 @@ def _render_report_text(header: TraceHeader, summary: dict, by_tag: dict, failur
 _PLOTTED = (bounds.GAP_RUNNING, bounds.OPT_RUNNING)
 
 
-def _certify(header: TraceHeader, records, terminated: str | None,
-             report: bounds.ReportWriter, trace=None, plot=None) -> None:
-    """The one pass over the records of a run or of a saved trace, which
-    holds none of what it makes: the records of bounds.trace_certificates go
-    to `report`, and for a run the trace lines to `trace` and the plot rows
-    to `plot`, text files, through _with_lines_and_rows. A trace line is
-    refused when it is made, and the report only by report.finish() after
-    the pass, so a refused trace is what a run reports, as when its trace
-    was made first."""
-    certificates = bounds.trace_certificates(header, records, terminated)
-    if trace is not None:
-        certificates = _with_lines_and_rows(header, records, terminated, certificates,
-                                            trace, plot)
-    report.add(certificates)
+def _whole_count(header: TraceHeader, terminated: str | None) -> int | None:
+    """The record count of a whole trace: one without a terminal line ran
+    its header's full count of iterations; a stopped one, any count."""
+    return header.iterations if terminated is None else None
 
 
-def _with_lines_and_rows(header: TraceHeader, records, terminated: str | None, certificates,
-                         trace, plot):
-    """`certificates`, passed on as they are taken, while the trace lines go
-    to `trace` and the plot rows to `plot`, text files: each record's trace
-    line before its certificates, and its plot row after them. A record's
-    certificates carry its k; the last one with a _PLOTTED tag gives its
-    row's gap and bound."""
-    lines = trace_lines(header, records, terminated)
+def _lines_and_rows(header: TraceHeader, result, trace, plot):
+    """The certificate records of the run's one pass over its records, passed
+    on as they are taken, while the trace lines go to `trace` and the plot
+    rows to `plot`, text files: each record's trace line before its
+    certificates, and its plot row after them, whose gap and bound come from
+    the last of them with a _PLOTTED tag. A trace line is refused when it is
+    made, and the report only by report.finish() after the pass, so a
+    refused trace is what a run reports, as when its trace was made first."""
+    lines = trace_lines(header, result.records, result.terminated)
     trace.write(next(lines))  # the header line
     rows = csv.writer(plot)
     rows.writerow(["k", "objective", "best_objective", "dual", "gap", "bound"])
-    cert = next(certificates, None)
-    for rec in records:
+    count = _whole_count(header, result.terminated)
+    for rec, certs in bounds.certify(result.records, header, count):
+        if rec is None:  # the closing records
+            yield from certs
+            continue
         trace.write(next(lines))
+        yield from certs
         plotted = None
-        while cert is not None and cert.k == rec.k:
-            yield cert
+        for cert in certs:
             if cert.tag in _PLOTTED:
                 plotted = cert
-            cert = next(certificates, None)
         rows.writerow([
             rec.k,
             repr(float(rec.primal)),
@@ -300,9 +295,6 @@ def _with_lines_and_rows(header: TraceHeader, records, terminated: str | None, c
         ])
     for line in lines:  # the terminal line
         trace.write(line)
-    if cert is not None:  # the closed forms and the trace-integrity record
-        yield cert
-        yield from certificates
 
 
 def _spool():
@@ -331,7 +323,7 @@ def _write_outputs(out_dir: Path, prefix: str, header: TraceHeader, result) -> t
         "plot": out_dir / f"{prefix}.plot.csv",
     }
     with _spool() as trace, _spool() as plot, bounds.ReportWriter() as report:
-        _certify(header, result.records, result.terminated, report, trace, plot)
+        report.add(_lines_and_rows(header, result, trace, plot))
         report.finish()
         out_dir.mkdir(parents=True, exist_ok=True)
         _copy(trace, paths["trace"])
@@ -415,7 +407,7 @@ def _cmd_check(args) -> int:
             stem = stem[: -len(suffix)]
             break
     with bounds.ReportWriter() as report:
-        _certify(header, records, terminated, report)
+        report.add(bounds.certificates(records, header, _whole_count(header, terminated)))
         report.finish()  # the report is strict JSON; refused before anything is written
         out_dir.mkdir(parents=True, exist_ok=True)
         text = _write_report_files(out_dir / f"{stem}.report.json",

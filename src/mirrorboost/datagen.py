@@ -307,8 +307,6 @@ def center_scale(rp: RegressionProblem, center: bool = True,
     return RegressionProblem(design=design, response=response)
 
 
-SYNTHETIC_KINDS = ("separable", "nonseparable", "game", "regression")
-
 _KIND_ALIASES = {
     "separable": "separable",
     "separable-classification": "separable",

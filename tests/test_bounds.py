@@ -1,6 +1,7 @@
 """Certificate bounds: closed forms, the step-sum bound, and the checker's
 applicability rules."""
 
+import dataclasses
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import certificate_header
-from mirrorboost import bounds
+from mirrorboost import bounds, cli, md_core
 from mirrorboost.bounds import (
     CertificateRecord,
     CertificateReport,
@@ -189,6 +190,76 @@ def test_check_fails_inconsistent_traces_once():
         assert len(broken) == 1 and report.records[-1] is broken[0]
         assert broken[0].passed is False and note in broken[0].note
         assert not report.all_passed
+
+
+# runs that close with each kind of closing record: gap-constant, opt-horizon, none
+ONE_PASS_RUNS = {
+    "adaboost-constant": ("adaboost", "constant", "synthetic:nonseparable:seed=1:m=30:d=3"),
+    "fs-optimal": ("fs", "optimal", "synthetic:regression:seed=1:n=30:p=20"),
+    "game-dynamic": ("minmax-game", "dynamic", "synthetic:game:seed=1:m=20:n=10"),
+}
+
+
+def _one_pass_run(name: str, iterations: int = 30):
+    """The header and the records of a `run` of ONE_PASS_RUNS[name]."""
+    task, schedule, data = ONE_PASS_RUNS[name]
+    config = cli.ExperimentConfig(task=task, data=data, schedule=schedule, iterations=iterations)
+    problem, header, rule, x0 = cli._prepare_run(config, cli._build_instance(config))
+    result = md_core.run(problem, rule, iterations, x0=x0, algorithm=header.algorithm)
+    assert result.terminated is None and len(result.records) == iterations
+    return header, result.records
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PASS_RUNS))
+def test_the_checker_takes_a_one_shot_iterator_of_records(name):
+    header, records = _one_pass_run(name)
+    expected = list(bounds.certificates(records, header))
+    assert list(bounds.certificates(iter(records), header)) == expected
+    assert list(bounds.certificates((r for r in records), header, len(records))) == expected
+    assert check(iter(records), header).records == expected
+    with pytest.raises(ValueError, match="empty trace"):
+        list(bounds.certificates(iter([]), header))
+
+
+# each forgery of a run's records: the records, whether the trace ends with a
+# terminal line, and the note of its trace-integrity record (None for none)
+FORGERIES = {
+    "honest": (lambda records: records, False, None),
+    "reordered": (lambda records: [records[i] for i in (3, 1, 1, 2)], False,
+                  "record 0 has k=3: iterations must run 0, 1, 2, ... once each"),
+    "alpha halved": (lambda records: [dataclasses.replace(r, alpha=0.5 * r.alpha)
+                                      for r in records], False, "step size alpha "),
+    "cut short": (lambda records: records[:3], False,
+                  "3 records and no terminal line, but the header asks for 30 iterations"),
+    "cut short, terminal line": (lambda records: records[:3], True, None),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(FORGERIES))
+@pytest.mark.parametrize("name", sorted(ONE_PASS_RUNS))
+def test_the_checker_groups_each_records_certificates_with_it(name, forgery):
+    header, records = _one_pass_run(name)
+    forge, terminated, note = FORGERIES[forgery]
+    records = forge(records)
+    count = None if terminated else header.iterations
+    *groups, (last, closing) = bounds.certify(records, header, count)
+    assert [rec for rec, _ in groups] == records and last is None
+    flat = [c for _, group in groups for c in group]
+    assert flat + closing == list(bounds.certificates(records, header, count))
+    for rec, group in groups:
+        assert all(c.k == rec.k for c in group)
+        if [r.k for r in records].count(rec.k) == 1:
+            assert group == [c for c in flat if c.k == rec.k]
+    # the closing records: the horizon closed forms, then the trace-integrity record
+    broken = [c for c in closing if c.tag == bounds.TRACE_INTEGRITY]
+    assert all(c.tag in (bounds.GAP_CONSTANT, bounds.OPT_HORIZON) for c in closing[:-1])
+    if note is None:
+        assert broken == []
+    else:
+        assert len(broken) == 1 and closing[-1] is broken[0] and broken[0].passed is False
+        assert broken[0].note.startswith(note)
+    # the library's check has no count rule
+    assert [c for c in check(records, header).records if c.note.endswith("iterations")] == []
 
 
 def test_check_zero_first_step_is_not_evaluable_not_passed():

@@ -463,16 +463,16 @@ def test_a_non_finite_report_value_refuses_run_and_check(tmp_path, monkeypatch, 
     # a certificate at k=-1 puts no slack on any trace line, so the trace
     # writer passes it and only the report's own check can refuse it
     trace = _alone_in_a_directory(tmp_path, _game_trace_lines(tmp_path))
-    checker = bounds.certificates
+    checker = bounds.certify
 
-    def with_a_non_finite_record(records, header):
-        yield from checker(records, header)
-        yield bounds.CertificateRecord(
+    def with_a_non_finite_record(records, header, count):
+        yield from checker(records, header, count)
+        yield None, [bounds.CertificateRecord(
             k=-1, tag=bounds.GAP_CONSTANT, observed=value, bound=1.0, slack=1.0 - value,
-            passed=False)
+            passed=False)]
 
     # the one checker that run's and check's pass both take their records from
-    monkeypatch.setattr(bounds, "certificates", with_a_non_finite_record)
+    monkeypatch.setattr(bounds, "certify", with_a_non_finite_record)
     capsys.readouterr()
     out = tmp_path / "never"
     assert main(["run", "minmax-game", "--data", "synthetic:game:seed=3:m=20:n=15",
@@ -484,17 +484,20 @@ def test_a_non_finite_report_value_refuses_run_and_check(tmp_path, monkeypatch, 
         "report record k=-1, tag 'gap-constant': field 'observed' is not finite") == 2
 
 
-def _non_finite_first(value: float):
-    """A stand-in for bounds.certificates that yields, before the checker's
-    own records, one whose observed value is `value`."""
-    checker = bounds.certificates
+def _non_finite_first(value: float, taken: list):
+    """A stand-in for bounds.certify that yields, before the checker's own
+    groups, a group of one record whose observed value is `value`, and
+    appends that record to `taken` once the pass has taken it."""
+    checker = bounds.certify
 
-    def certificates(records, header):
-        yield bounds.CertificateRecord(k=-1, tag=bounds.GAP_CONSTANT, observed=value, bound=1.0,
-                                       slack=1.0 - value, passed=False)
-        yield from checker(records, header)
+    def certify(records, header, count):
+        record = bounds.CertificateRecord(k=-1, tag=bounds.GAP_CONSTANT, observed=value,
+                                          bound=1.0, slack=1.0 - value, passed=False)
+        yield None, [record]
+        taken.append(record)
+        yield from checker(records, header, count)
 
-    return certificates
+    return certify
 
 
 def test_a_trace_refusal_beats_a_report_refusal_made_before_it(tmp_path, monkeypatch, capsys):
@@ -508,7 +511,8 @@ def test_a_trace_refusal_beats_a_report_refusal_made_before_it(tmp_path, monkeyp
         return result
 
     monkeypatch.setattr(md_core, "run", with_a_non_finite_last_record)
-    monkeypatch.setattr(bounds, "certificates", _non_finite_first(math.nan))
+    taken = []
+    monkeypatch.setattr(bounds, "certify", _non_finite_first(math.nan, taken))
     out = tmp_path / "never"
     capsys.readouterr()
     assert main(["run", "minmax-game", "--data", "synthetic:game:seed=3:m=20:n=15",
@@ -517,6 +521,8 @@ def test_a_trace_refusal_beats_a_report_refusal_made_before_it(tmp_path, monkeyp
     assert "record line k=49: field 'primal' is not finite, and traces are strict JSON" in err
     assert "report record" not in err
     assert not out.exists()
+    # the pass took the report's non-finite record before it made the refused line
+    assert len(taken) == 1
 
 
 def _files(directory: Path) -> dict[str, bytes]:
@@ -534,7 +540,8 @@ def test_a_refused_run_or_check_leaves_no_spool_and_no_file_in_a_shared_director
     assert main(run) == EXIT_OK
     (shared / "notes.txt").write_text("not the run's\n")
     before = _files(shared)
-    monkeypatch.setattr(bounds, "certificates", _non_finite_first(math.inf))
+    taken = []
+    monkeypatch.setattr(bounds, "certify", _non_finite_first(math.inf, taken))
     capsys.readouterr()
     # the same run, refused for its report, and check of the earlier trace
     # into the same directory, refused the same way
@@ -548,6 +555,7 @@ def test_a_refused_run_or_check_leaves_no_spool_and_no_file_in_a_shared_director
     assert main(["check", str(shared / "g.trace.jsonl"), "--out", str(out)]) == EXIT_USAGE
     assert not out.exists()
     assert list(spools.iterdir()) == []
+    assert len(taken) == 4  # each refusal came from the stand-in's record
 
 
 def test_the_output_pass_of_a_long_run_holds_no_copy_of_its_history(tmp_path, monkeypatch):
@@ -952,6 +960,21 @@ def test_run_whose_entropy_prox_normalizer_vanishes_is_a_usage_error(tmp_path, c
     assert not out.exists()
 
 
+def test_fs_whose_least_squares_fit_overflows_exits_2_with_no_warning(tmp_path, capsys):
+    # column norms near 1e-160 make the fit's coefficients overflow, so the
+    # projection norm is nan (inf * 0.0): the header refuses it, unwarned
+    csv_path = tmp_path / "probe.csv"
+    csv_path.write_text("x1,x2,y\n1e-160,0,1e150\n0,2e-160,-2e150\n1e-160,1e-160,5e149\n")
+    out = tmp_path / "never"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "fs", "--data", str(csv_path), "--schedule", "optimal",
+                     "--iters", "3", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "header line: field 'diameter' is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_io_and_usage_errors(tmp_path):
     assert main(["check", str(tmp_path / "absent.trace.jsonl")]) == EXIT_IO
     empty = tmp_path / "empty.trace.jsonl"
@@ -963,13 +986,13 @@ def test_check_io_and_usage_errors(tmp_path):
 def test_a_command_runs_without_the_cyclic_collector_and_restores_it(tmp_path, monkeypatch,
                                                                      collecting):
     seen = []
-    checker = bounds.certificates
+    checker = bounds.certify
 
-    def checking(records, header):
+    def checking(records, header, count):
         seen.append(gc.isenabled())
-        yield from checker(records, header)
+        yield from checker(records, header, count)
 
-    monkeypatch.setattr(bounds, "certificates", checking)
+    monkeypatch.setattr(bounds, "certify", checking)
     (gc.enable if collecting else gc.disable)()
     try:
         trace = _alone_in_a_directory(tmp_path, _game_trace_lines(tmp_path))
