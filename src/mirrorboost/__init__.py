@@ -18,7 +18,6 @@ _SUBMODULE_NAMES = {
                "dynamic_bound", "polyak_bound"),
     "boosting": ("TrainingSet", "run_adaboost"),
     "md_core": ("MinmaxProblem", "MirrorDescentState", "md_step"),
-    "prox": ("ProxFunction", "entropy", "euclidean", "prox_solve"),
     "schedule": ("StepSchedule", "UndefinedStepError"),
     "stagewise": ("RegressionProblem", "least_squares_norm", "optimal_shrinkage", "run_fs"),
     "trace": ("IterationRecord", "RunResult", "TraceHeader", "read_trace"),

@@ -17,11 +17,12 @@ response is a signed coordinate vector.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prox import ProxFunction, _as_vector, _checked_anchor, _step, entropy, euclidean
+from .prox import ENTROPY, EUCLIDEAN, _step
 # EDGE_CAP for tests/test_parent_outputs.py, which pins the earlier outputs
 from .schedule import EDGE_CAP, StepSchedule, UndefinedStepError  # noqa: F401
 from .trace import ALGORITHMS, IterationRecord, RunResult
@@ -121,67 +122,95 @@ class MinmaxProblem:
         return self._lipschitz
 
 
-def _checked_point(problem: MinmaxProblem, x, name: str) -> np.ndarray:
-    """`x` as a float vector, after checking that it lies in the primal domain."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.m,):
-        raise ValueError(f"{name} must have shape ({problem.m},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} must be finite")
-    if problem.primal_domain == PRIMAL_SIMPLEX:
-        if float(x.min()) < -1e-9 or abs(float(x.sum()) - 1.0) > 1e-6:
-            raise ValueError(f"{name} must lie on the probability simplex")
-    return x
-
-
-def _respond(problem: MinmaxProblem, x: np.ndarray) -> tuple[int, float, float, np.ndarray]:
+def _respond(problem: MinmaxProblem, x: np.ndarray) -> tuple[int, float, float]:
     """The dual response at a point of the primal domain, unchecked: one
     A^T x scan and its argmax, ties to the lowest column index. Returns the
     maximizing vertex lam of Q, a signed coordinate vector, as its index and
-    sign, the achieved value f(x), and the subgradient g = A lam."""
+    sign, and the achieved value f(x)."""
     scores = problem.payoff.T @ x
     if problem.dual_domain == DUAL_SIMPLEX:
         j = int(scores.argmax())
-        return j, 1.0, float(scores[j]), problem.payoff[:, j]
+        return j, 1.0, float(scores[j])
     magnitudes = np.abs(scores)
     j = int(magnitudes.argmax())
-    sign = float(np.sign(scores[j]))
-    return j, sign, float(magnitudes[j]), sign * problem.payoff[:, j]
+    return j, float(np.sign(scores[j])), float(magnitudes[j])
+
+
+def _column(problem: MinmaxProblem, index: int, sign: float) -> np.ndarray:
+    """The subgradient g = A lam at the vertex lam of Q with this index and
+    sign, after refusing one that is no vertex of Q: an index that names no
+    column, a sign other than 1.0, or -1.0 outside the l1-ball dual. Under
+    the simplex dual g is the payoff's column itself, a view; under the
+    l1-ball dual it is the new vector sign * column, for a sign of 1.0 too,
+    so that g @ g sums a contiguous vector."""
+    if not 0 <= index < problem.n:
+        raise ValueError(f"vertex index {index!r} names no column: the payoff has "
+                         f"{problem.n} columns")
+    column = problem.payoff[:, index]
+    if problem.dual_domain == DUAL_SIMPLEX:
+        if sign != 1.0:
+            raise ValueError(f"vertex sign must be 1.0 under the simplex dual, got {sign!r}")
+        return column
+    if sign != 1.0 and sign != -1.0:
+        raise ValueError(f"vertex sign must be 1.0 or -1.0 under the l1-ball dual, got {sign!r}")
+    return sign * column
 
 
 @dataclass
 class MirrorDescentState:
-    """Iterate, dual running sums, and the best primal value seen so far,
-    stepped with the prox function `prox` throughout.
+    """Iterate, dual running sums, and the best primal value seen so far, of
+    mirror descent on `problem`: its primal domain picks the prox, negative
+    entropy on the simplex and half the squared Euclidean norm in residual
+    space, and its column count is the dual sum's length.
 
-    Making a state checks its iterate as a prox step's anchor: the prox
-    dimension, finite, and for the entropy prox nonnegative with a positive
-    sum. Every later iterate is a prox step's result, which lies in the
+    Making a state checks its iterate, once, as a point of the primal domain:
+    shape (m,), finite, and on the simplex nonnegative with a sum within 1e-6
+    of 1. Every later iterate is a prox step's result, which lies in the
     domain, so md_step does not check it again.
     """
 
+    problem: MinmaxProblem
     k: int
     x: np.ndarray
-    prox: ProxFunction
     dual_weighted_sum: np.ndarray
     step_sum: float
     best_value: float
     best_index: int
 
     def __post_init__(self) -> None:
-        self.x = _checked_anchor(self.prox, self.x)
+        m = self.problem.m
+        x = np.asarray(self.x, dtype=float)
+        if x.shape != (m,):
+            raise ValueError(f"x0 must have shape ({m},), got {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("x0 must be finite")
+        if self.problem.primal_domain == PRIMAL_SIMPLEX:
+            if float(x.min()) < 0.0 or abs(float(x.sum()) - 1.0) > 1e-6:
+                raise ValueError("x0 must lie on the probability simplex")
+        self.x = x
 
     @classmethod
-    def initial(cls, x0, prox: ProxFunction, dual_dim: int) -> "MirrorDescentState":
+    def initial(cls, problem: MinmaxProblem, x0=None) -> "MirrorDescentState":
+        """The state before the first step, at `x0`: by default the uniform
+        point of the simplex, which a residual-space domain has no analogue of."""
+        if x0 is None:
+            if problem.primal_domain != PRIMAL_SIMPLEX:
+                raise ValueError("x0 is required for a residual-space primal domain")
+            x0 = np.full(problem.m, 1.0 / problem.m)
         return cls(
+            problem=problem,
             k=0,
             x=x0,
-            prox=prox,
-            dual_weighted_sum=np.zeros(dual_dim),
+            dual_weighted_sum=np.zeros(problem.n),
             step_sum=0.0,
             best_value=math.inf,
             best_index=-1,
         )
+
+    @property
+    def geometry(self) -> str:
+        """The prox kind of the primal domain: prox.ENTROPY or prox.EUCLIDEAN."""
+        return ENTROPY if self.problem.primal_domain == PRIMAL_SIMPLEX else EUCLIDEAN
 
     @property
     def dual_average(self) -> np.ndarray | None:
@@ -192,26 +221,28 @@ class MirrorDescentState:
         return self.dual_weighted_sum / self.step_sum
 
 
-def md_step(state: MirrorDescentState, grad, alpha: float, vertex: tuple[int, float],
+def md_step(state: MirrorDescentState, vertex: tuple[int, float], alpha: float,
             value: float) -> None:
-    """One step of the state's prox from the current iterate, in place; a
-    rejected argument raises before `state` changes.
+    """One prox step of the state's geometry from the current iterate, in
+    place; a rejected argument raises before `state` changes.
 
-    Every call checks `alpha` and `grad`, the prox step's cost vector (shape
-    and finiteness). `vertex` is the dual response that produced `grad`, as
-    the (index, sign) of the signed coordinate vector it is: the dual sum
-    gains alpha * sign at that index and the step sum gains alpha. `value`
-    (the primal objective at the current iterate) feeds the best-so-far
-    tracking.
+    `vertex` is the dual response, the (index, sign) of the signed coordinate
+    vector lam it is: the step's cost vector is A lam, the signed column that
+    _column gives after refusing a vertex of no column or a sign outside the
+    state's dual domain. The dual sum gains alpha * sign at that index and
+    the step sum gains alpha. `alpha` must be finite and nonnegative.
+    `value` (the primal objective at the current iterate) feeds the
+    best-so-far tracking.
     """
     alpha = float(alpha)
     if alpha < 0.0 or not math.isfinite(alpha):
         raise ValueError("alpha must be a finite nonnegative step size")
-    x = _step(state.prox.kind, _as_vector(grad, state.prox.dim, "c"), state.x, alpha)
+    index, sign = vertex
+    index = operator.index(index)
+    x = _step(state.geometry, _column(state.problem, index, sign), state.x, alpha)
     value = float(value)
     # a dense add of alpha * lam would add +0.0 to every other entry, which
     # leaves it unchanged
-    index, sign = vertex
     state.dual_weighted_sum[index] += alpha * sign
     state.step_sum += alpha
     if value < state.best_value:
@@ -225,9 +256,6 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, iterations: int, x0=None
         sink=None, algorithm: str = "mirror-descent") -> RunResult:
     """Run mirror descent, emitting one record per iteration.
 
-    The primal domain picks the prox: negative entropy on the simplex,
-    half the squared Euclidean norm in residual space.
-
     Each record carries the pre-step iterate values (objective, chosen column)
     and the post-step dual average value when it exists. The dual value is
     read from running margins A @ dual_weighted_sum, to which each round adds
@@ -238,8 +266,10 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, iterations: int, x0=None
     coefficient vector; the support size is a running count, updated from the
     one entry each round changes.
 
-    `x0` is checked once, here, against the primal domain and as the state's
-    anchor. Each round md_step advances that state in place.
+    The state made from the problem at `x0` (MirrorDescentState.initial)
+    checks it once; each round md_step advances that state in place, toward
+    the dual response's vertex, whose column also feeds the schedule and the
+    margins.
     `sink`, when given, is called after each round with the record and the
     pre-step iterate, which the round leaves unwritten; records do not keep
     iterates.
@@ -252,13 +282,7 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, iterations: int, x0=None
         raise ValueError("iterations must be at least 1")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm tag: {algorithm!r}")
-    if x0 is None:
-        if problem.primal_domain != PRIMAL_SIMPLEX:
-            raise ValueError("x0 is required for a residual-space primal domain")
-        x0 = np.full(problem.m, 1.0 / problem.m)
-    geometry = entropy if problem.primal_domain == PRIMAL_SIMPLEX else euclidean
-    state = MirrorDescentState.initial(_checked_point(problem, x0, "x0"),
-                                       geometry(problem.m), problem.n)
+    state = MirrorDescentState.initial(problem, x0)
     l1_ball = problem.dual_domain == DUAL_L1_BALL
     # the support size of dual_sum, its entries above NNZ_TOLERANCE, kept up to
     # date from the one entry a round changes
@@ -269,10 +293,11 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, iterations: int, x0=None
     terminated: str | None = None
     for k in range(iterations):
         x = state.x
-        index, sign, value, grad = _respond(problem, x)
+        index, sign, value = _respond(problem, x)
         if sign == 0.0:
             terminated = "residual is orthogonal to every column; optimum reached"
             break
+        grad = _column(problem, index, sign)
         try:
             alpha = schedule.step_size(k, value=value, grad=grad)
         except UndefinedStepError as exc:
@@ -283,7 +308,7 @@ def run(problem: MinmaxProblem, schedule: StepSchedule, iterations: int, x0=None
             l1 = float(np.sum(np.abs(dual_sum)))
             l0 = support
             was_in = abs(float(dual_sum[index])) > NNZ_TOLERANCE
-        md_step(state, grad, alpha, (index, sign), value)
+        md_step(state, (index, sign), alpha, value)
         if l1_ball:
             support += (abs(float(dual_sum[index])) > NNZ_TOLERANCE) - was_in
         dual = None

@@ -5,7 +5,8 @@ carrying the problem constants, one line per iteration, and an optional
 terminal line when a run stopped before its requested horizon. Keys are
 sorted and floats keep full round-trip precision, so identical runs produce
 byte-identical files. Traces are strict JSON: a non-finite value is an error
-when writing, and a NaN or Infinity token is an error when reading.
+when writing, and when reading so are a NaN or Infinity token and a number,
+such as 1e999, that json reads as an infinity.
 
 The tables below are the schema: each maps a field of one kind of line, in
 one trace format, to its JSON type and whether it may be null, and the keys a
@@ -71,6 +72,8 @@ _RECORD_OPTIONAL_1 = _RECORD_OPTIONAL | {"slacks"}
 # the table and optional keys of each kind of line that format 1 reads in its own way
 _FORMAT_1 = {"header": (_HEADER_TYPES_1, _HEADER_OPTIONAL),
              "record": (_RECORD_TYPES_1, _RECORD_OPTIONAL_1)}
+# a record's float fields in either format, in the table's order
+_RECORD_FLOATS = tuple(key for key, (kind, _) in _RECORD_TYPES_1.items() if kind is float)
 
 
 def typed_fields(obj: dict, types: dict[str, tuple[type, bool]], optional: frozenset,
@@ -267,10 +270,9 @@ def parse_line(obj, format: int = FORMAT) -> TraceHeader | IterationRecord | Ter
     over the line's table checks that each key is known, each key the line
     may not omit is there, and each value has its JSON type; a float field's
     integer becomes a float. A record must keep _check_record's rules on its
-    algorithm, its sign and the fields its certificates read. A header must
-    be one TraceHeader makes, its dual_defined, format-1 schedule dict,
-    horizon and diameter, in that order, what runs write. Raises ValueError
-    on the first violation.
+    fields. A header must be one TraceHeader makes, its dual_defined,
+    format-1 schedule dict, horizon and diameter, in that order, what runs
+    write. Raises ValueError on the first violation.
     """
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("trace line must be an object with a 'type' key")
@@ -290,9 +292,8 @@ def parse_line(obj, format: int = FORMAT) -> TraceHeader | IterationRecord | Ter
     if cls is Terminal:
         return Terminal(**values)
     if cls is IterationRecord:
-        line = IterationRecord(**values)
-        _check_record(line.algorithm, line.sign, line.l1, line.l0, format, line.grad_norm)
-        return line
+        _check_record(values, format)
+        return IterationRecord(**values)
     schedule = values.pop("schedule", None)
     stated = {key: values.pop(key) for key in _DERIVED}
     values["format"] = format
@@ -313,18 +314,31 @@ def parse_line(obj, format: int = FORMAT) -> TraceHeader | IterationRecord | Ter
     return line
 
 
-def _check_record(algorithm: str, sign: float, l1, l0, format: int = FORMAT,
-                  grad_norm: float | None = None) -> None:
-    """Refuse the fields of a record that no run writes, in this order: an
-    unknown algorithm, a stagewise record without l1 and l0, a format-1
-    adaboost record without grad_norm, and a sign other than 1.0 or -1.0. The
-    sign must be 1.0 under the simplex dual of adaboost and mirror-descent,
-    over a matrix closed under negation; only stagewise's l1-ball dual
-    negates a column."""
+def _check_record(fields: dict, format: int = FORMAT) -> None:
+    """Refuse the fields of a record, by name, that no run writes, in this
+    order: an unknown algorithm; a stagewise record without l1 and l0; an
+    adaboost or mirror-descent record with l1 or l0, which only stagewise's
+    coefficient path has; a stagewise record with a dual value, which its
+    residual space has not; a format-1 adaboost record without grad_norm; a
+    sign other than 1.0 or -1.0; and a float that is not finite, which json
+    reads a token such as 1e999 as. The sign must be 1.0 under the simplex
+    dual of adaboost and mirror-descent, over a matrix closed under negation;
+    only stagewise's l1-ball dual negates a column. A key that `fields` lacks
+    is null."""
+    algorithm, sign, dual = fields["algorithm"], fields["sign"], fields["dual"]
+    l1, l0, grad_norm = fields.get("l1"), fields.get("l0"), fields.get("grad_norm")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm tag: {algorithm!r}")
-    if algorithm == "stagewise" and (l1 is None or l0 is None):
-        raise ValueError("stagewise records must carry l1 and l0")
+    if algorithm == "stagewise":
+        if l1 is None or l0 is None:
+            raise ValueError("stagewise records must carry l1 and l0")
+        if dual is not None:
+            raise ValueError("record line field 'dual' must be null for algorithm 'stagewise', "
+                             f"which has no dual value, got {dual!r}")
+    elif l1 is not None or l0 is not None:
+        key, value = ("l1", l1) if l1 is not None else ("l0", l0)
+        raise ValueError(f"record line field {key!r} must be null for algorithm {algorithm!r}, "
+                         f"got {value!r}")
     if format == 1 and algorithm == "adaboost" and grad_norm is None:
         raise ValueError("adaboost records must carry grad_norm")
     if sign != 1.0 and sign != -1.0:
@@ -332,6 +346,16 @@ def _check_record(algorithm: str, sign: float, l1, l0, format: int = FORMAT,
     if sign != 1.0 and algorithm != "stagewise":
         raise ValueError(f"record line field 'sign' must be 1.0 under the simplex dual of a "
                          f"format-{format} {algorithm} trace, got {sign!r}")
+    # the sign is 1.0 or -1.0 by now; one test of the others, then a search
+    # for the first that is not finite
+    if not (math.isfinite(fields["alpha"]) and math.isfinite(fields["primal"])
+            and math.isfinite(fields["best_primal"])
+            and (dual is None or math.isfinite(dual)) and (l1 is None or math.isfinite(l1))
+            and (grad_norm is None or math.isfinite(grad_norm))):
+        key = next(key for key in _RECORD_FLOATS
+                   if fields.get(key) is not None and not math.isfinite(fields[key]))
+        raise ValueError(f"record line k={fields['k']}: field {key!r} is not finite, "
+                         "and traces are strict JSON")
 
 
 def _check_schedule(schedule: dict, header: dict) -> None:
@@ -410,12 +434,12 @@ def _record_line(rec: IterationRecord) -> str:
     and a newline, from _RECORD_LINE, after the refusals parse_line makes of
     that dict, with its messages and in its order: a conversion that raises,
     in the table's order; a null where the table allows none, or an algorithm
-    that is no str; then _check_record's rules; then a non-finite value,
-    named by its field. A float is written by float.__repr__ after float(),
-    an int by int.__repr__ after int()."""
+    that is no str; then _check_record's rules, a non-finite value last. A
+    float is written by float.__repr__ after float(), an int by
+    int.__repr__ after int()."""
     values = {}
     texts = {}
-    mistyped = non_finite = None
+    mistyped = None
     for (key, kind, nullable), value in zip(_RECORD_FIELDS, _record_values(rec)):
         if value is None:
             if not nullable and mistyped is None:
@@ -423,8 +447,6 @@ def _record_line(rec: IterationRecord) -> str:
             texts[key] = "null"
         elif kind is float:
             value = float(value)
-            if non_finite is None and not math.isfinite(value):
-                non_finite = key
             texts[key] = float.__repr__(value)
         elif kind is int:
             value = int(value)
@@ -439,10 +461,7 @@ def _record_line(rec: IterationRecord) -> str:
         expected = kind.__name__ + (" or null" if nullable else "")
         raise ValueError(f"record line field {mistyped!r} must be {expected}, "
                          f"got {values[mistyped]!r}")
-    _check_record(values["algorithm"], values["sign"], values["l1"], values["l0"])
-    if non_finite is not None:
-        raise ValueError(f"record line k={values['k']}: field {non_finite!r} is not finite, "
-                         "and traces are strict JSON")
+    _check_record(values)
     return _RECORD_LINE.format_map(texts)
 
 
@@ -516,9 +535,8 @@ def _read_line(obj, format: int) -> TraceHeader | IterationRecord | Terminal:
     if format == FORMAT and type(obj) is dict and obj.keys() == _RECORD_KEYS:
         values = _record_items(obj)
         if values[0] == "record" and tuple(map(type, values)) in _RECORD_ROWS:
-            line = IterationRecord(*values[1:])
-            _check_record(line.algorithm, line.sign, line.l1, line.l0)
-            return line
+            _check_record(obj)
+            return IterationRecord(*values[1:])
     return parse_line(obj, format)
 
 

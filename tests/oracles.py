@@ -10,7 +10,7 @@ rule (StepSchedule) and the data containers are shared with the library.
 The stump build has its loop version here too, one stump column at a time.
 So do the quantities the engine only keeps as running values or never forms:
 the step-sum bound over a list of steps, the dense dual value and support
-size, the Bregman distance of a prox function, a schedule of given steps, and
+size, the Bregman distance of a geometry, a schedule of given steps, and
 the engine's dual response with its point checked on every call.
 """
 
@@ -25,7 +25,7 @@ from mirrorboost import md_core
 from mirrorboost.boosting import TrainingSet
 from mirrorboost.datagen import Stump
 from mirrorboost.md_core import MinmaxProblem
-from mirrorboost.prox import ENTROPY, ProxFunction, _as_vector
+from mirrorboost.prox import ENTROPY
 from mirrorboost.schedule import StepSchedule, UndefinedStepError
 from mirrorboost.stagewise import RegressionProblem
 from mirrorboost.trace import IterationRecord, RunResult
@@ -395,15 +395,21 @@ def _entropy_value(x: np.ndarray) -> float:
     return float(positive @ np.log(positive)) + math.log(x.size)
 
 
-def bregman(prox: ProxFunction, x, y) -> float:
-    """Bregman distance d(x) - d(y) - <grad d(y), x - y>.
+def bregman(kind: str, x, y) -> float:
+    """Bregman distance d(x) - d(y) - <grad d(y), x - y> of the geometry
+    `kind`, prox.ENTROPY or prox.EUCLIDEAN, between finite vectors of one
+    length.
 
     For the entropy geometry both points must lie on the simplex and y must be
     strictly positive, since the entropy gradient is undefined on the boundary.
     """
-    x = _as_vector(x, prox.dim, "x")
-    y = _as_vector(y, prox.dim, "y")
-    if prox.kind == ENTROPY:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"x and y must be vectors of one length, got {x.shape} and {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
+    if kind == ENTROPY:
         _check_simplex(x, "x", strict=False)
         _check_simplex(y, "y", strict=True)
         grad_y = 1.0 + np.log(y)
@@ -431,8 +437,8 @@ class SequenceSchedule:
         return self.steps[k]
 
 
-def checked_response(problem: MinmaxProblem, x) -> tuple[int, float, float, np.ndarray]:
-    """The engine's dual response at `x`, (index, sign, value, grad), after
-    the check the engine makes of its start point only: the point is a
-    finite vector of the primal domain."""
-    return md_core._respond(problem, md_core._checked_point(problem, x, "x"))
+def checked_response(problem: MinmaxProblem, x) -> tuple[int, float, float]:
+    """The engine's dual response at `x`, (index, sign, value), after the
+    check a state makes of its start point only, with its messages for x0:
+    the point is a finite vector of the primal domain."""
+    return md_core._respond(problem, md_core.MirrorDescentState.initial(problem, x).x)

@@ -227,8 +227,8 @@ def test_07_loss_gradient_matches_finite_differences():
 
 def test_08_entropy_prox_matches_grid_oracle():
     failures = []
-    out = prox.prox_solve(prox.entropy(3), np.array([math.log(2.0), 0.0, 0.0]),
-                          np.full(3, 1.0 / 3.0), 1.0)
+    out = prox._step(prox.ENTROPY, np.array([math.log(2.0), 0.0, 0.0]),
+                     np.full(3, 1.0 / 3.0), 1.0)
     if float(np.max(np.abs(out - np.array([0.2, 0.4, 0.4])))) > 1e-12:
         failures.append("closed-form example mismatch")
     rng = np.random.default_rng(55)
@@ -237,7 +237,7 @@ def test_08_entropy_prox_matches_grid_oracle():
             c = rng.uniform(-2.0, 2.0, dim)
             anchor = rng.dirichlet(np.ones(dim))
             alpha = rng.uniform(0.2, 2.0)
-            closed = prox.prox_solve(prox.entropy(dim), c, anchor, alpha)
+            closed = prox._step(prox.ENTROPY, c, anchor, alpha)
             grid = grid_prox_entropy(c, anchor, alpha, steps=1000)
             if float(np.max(np.abs(closed - grid))) > 1e-3:
                 failures.append(("grid disagreement", dim))
@@ -247,7 +247,7 @@ def test_08_entropy_prox_matches_grid_oracle():
             failures.append(("diameter not exactly log m", m))
     for dim in (2, 3):
         anchor = np.full(dim, 1.0 / dim)
-        worst = max(bregman(prox.entropy(dim), x, anchor) for x in simplex_grid(dim, 300))
+        worst = max(bregman(prox.ENTROPY, x, anchor) for x in simplex_grid(dim, 300))
         if worst > certificate_header("adaboost", "dynamic", m=dim).diameter + 1e-12:
             failures.append(("grid point beyond the diameter", dim))
     _verdict("08 entropy prox and diameter match the grid oracle", failures)

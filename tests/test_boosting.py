@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import central_difference_gradient
-from mirrorboost import datagen, md_core, prox
+from mirrorboost import datagen, md_core
 from mirrorboost.boosting import TrainingSet, run_adaboost
 from mirrorboost.md_core import MirrorDescentState, md_step
 from mirrorboost.schedule import StepSchedule
@@ -172,12 +172,12 @@ def test_run_adaboost_matches_engine_dual_average_exactly():
     prob = ts.to_minmax()
     sched = StepSchedule.dynamic(ts.lipschitz, math.log(12.0))
     boost = BoostState.initial(ts)
-    md_state = MirrorDescentState.initial(np.full(12, 1.0 / 12.0), prox.entropy(12), prob.n)
+    md_state = MirrorDescentState.initial(prob)
     for k in range(40):
-        index, sign, value, grad = md_core._respond(prob, md_state.x)
+        index, sign, value = md_core._respond(prob, md_state.x)
         alpha = sched.step_size(k)
         boost = adaboost_step(boost, ts, alpha)
-        md_step(md_state, grad, alpha, (index, sign), value)
+        md_step(md_state, (index, sign), alpha, value)
         assert boost.columns[-1] == index
         np.testing.assert_array_equal(boost.weights, md_state.x)
         np.testing.assert_array_equal(boost.normalized_coefficients(),

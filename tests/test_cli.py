@@ -755,6 +755,49 @@ def _game_30_lines(tmp_path, schedule: str) -> list[str]:
     return (out / "g.trace.jsonl").read_text().splitlines()
 
 
+@pytest.mark.parametrize("field", ["primal", "dual", "alpha", "best_primal"])
+def test_check_refuses_a_record_value_that_json_reads_as_infinity(tmp_path, capsys, field):
+    # json reads 1e999 as inf; the reader refuses it as the writer does,
+    # naming the trace line and the field, and writes no report
+    lines = _game_30_lines(tmp_path, "dynamic")
+    record = json.loads(lines[6])
+    assert record["k"] == 5
+    record[field] = 7.0
+    lines[6] = json.dumps(record, sort_keys=True).replace(f'"{field}": 7.0', f'"{field}": 1e999')
+    trace = _alone_in_a_directory(tmp_path, lines)
+    capsys.readouterr()
+    assert main(["check", str(trace)]) == EXIT_USAGE
+    assert (f"line 7: record line k=5: field {field!r} is not finite, and traces are strict "
+            "JSON") in capsys.readouterr().err
+    assert list(trace.parent.iterdir()) == [trace]
+
+
+@pytest.mark.parametrize("task", ["minmax-game", "fs"])
+def test_check_refuses_records_that_state_a_fact_their_algorithm_never_writes(tmp_path, capsys,
+                                                                              task):
+    # a game record has no stagewise l1 or l0, and an fs record no dual value
+    data = ("synthetic:game:seed=1:m=20:n=10" if task == "minmax-game"
+            else "synthetic:regression:seed=1:n=30:p=20")
+    schedule = "dynamic" if task == "minmax-game" else "linesearch"
+    out = tmp_path / "run"
+    assert main(["run", task, "--data", data, "--schedule", schedule, "--iters", "30",
+                 "--out", str(out), "--prefix", "g"]) == EXIT_OK
+    header, *records = (out / "g.trace.jsonl").read_text().splitlines()
+    if task == "minmax-game":
+        forged = [_relabelled(line, l1=0.5, l0=3) for line in records]
+        message = "line 2: record line field 'l1' must be null for algorithm 'mirror-descent', "
+        message += "got 0.5"
+    else:
+        forged = [_relabelled(line, dual=-5.0) for line in records]
+        message = ("line 2: record line field 'dual' must be null for algorithm 'stagewise', "
+                   "which has no dual value, got -5.0")
+    trace = _alone_in_a_directory(tmp_path, [header] + forged)
+    capsys.readouterr()
+    assert main(["check", str(trace)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert list(trace.parent.iterdir()) == [trace]
+
+
 # each header forgery that `check` once certified, and the refusal it now gets
 @pytest.mark.parametrize("schedule, forge, message", [
     ("dynamic", lambda h: {"schedule_kind": "linesearch"},

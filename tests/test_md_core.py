@@ -1,7 +1,8 @@
 """Mirror descent engine: dual responses, single steps, schedules, full runs.
 
-The dual response is the engine's private scan, md_core._respond, and its
-point check md_core._checked_point, which the engine applies to its start."""
+The dual response is the engine's private scan, md_core._respond, and the
+gradient at its vertex md_core._column. A state checks its start point when
+it is made, and md_step checks the vertex it steps toward."""
 
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mirrorboost import md_core, prox
+from mirrorboost import md_core
 from mirrorboost.md_core import MinmaxProblem, MirrorDescentState, md_step, run
 from mirrorboost.schedule import StepSchedule, UndefinedStepError
 from oracles import SequenceSchedule, checked_response, dual_value, run_with_iterates
@@ -72,46 +73,46 @@ def test_the_blocked_column_norm_is_numpys_bit_for_bit(matrix):
 
 def test_dual_response_simplex_prefers_lowest_index_on_ties():
     prob = MinmaxProblem(PENNIES)
-    index, sign, value, grad = md_core._respond(prob, np.array([0.5, 0.5]))
+    index, sign, value = md_core._respond(prob, np.array([0.5, 0.5]))
     assert index == 0 and sign == 1.0 and value == 0.0
-    np.testing.assert_array_equal(grad, PENNIES[:, 0])
+    np.testing.assert_array_equal(md_core._column(prob, index, sign), PENNIES[:, 0])
 
 
 def test_dual_response_simplex_picks_best_column():
     prob = MinmaxProblem(PENNIES)
-    index, _, value, _ = md_core._respond(prob, np.array([0.9, 0.1]))
+    index, _, value = md_core._respond(prob, np.array([0.9, 0.1]))
     assert index == 0
     assert value == pytest.approx(0.8, rel=1e-15)
-    index, _, value, _ = md_core._respond(prob, np.array([0.1, 0.9]))
+    index, _, value = md_core._respond(prob, np.array([0.1, 0.9]))
     assert index == 1
     assert value == pytest.approx(0.8, rel=1e-15)
 
 
 def test_dual_response_identity_matrix():
     prob = MinmaxProblem(np.eye(3))
-    index, _, value, grad = md_core._respond(prob, np.array([0.0, 1.0, 0.0]))
+    index, sign, value = md_core._respond(prob, np.array([0.0, 1.0, 0.0]))
     assert index == 1 and value == 1.0
-    np.testing.assert_array_equal(grad, [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(md_core._column(prob, index, sign), [0.0, 1.0, 0.0])
 
 
 def test_dual_response_l1_ball_uses_signed_columns():
     prob = MinmaxProblem(np.array([[1.0, 0.0], [0.0, -2.0]]),
                          primal_domain="residual-space", dual_domain="l1-ball")
-    index, sign, value, grad = md_core._respond(prob, np.array([0.5, 0.5]))
+    index, sign, value = md_core._respond(prob, np.array([0.5, 0.5]))
     assert index == 1 and sign == -1.0
     assert value == pytest.approx(1.0, rel=1e-15)
-    np.testing.assert_array_equal(grad, [0.0, 2.0])
+    np.testing.assert_array_equal(md_core._column(prob, index, sign), [0.0, 2.0])
     # the response value is f(x) = max over the ball, never negative; at a
     # zero response the sign is 0.0, where run stops
-    index, sign, value, _ = md_core._respond(prob, np.zeros(2))
+    index, sign, value = md_core._respond(prob, np.zeros(2))
     assert (index, sign, value) == (0, 0.0, 0.0)
 
 
 def test_dual_response_rejects_points_off_the_simplex():
     prob = MinmaxProblem(PENNIES)
-    with pytest.raises(ValueError, match="x must lie on the probability simplex"):
+    with pytest.raises(ValueError, match="x0 must lie on the probability simplex"):
         checked_response(prob, np.array([0.7, 0.7]))
-    with pytest.raises(ValueError, match="x must lie on the probability simplex"):
+    with pytest.raises(ValueError, match="x0 must lie on the probability simplex"):
         checked_response(prob, np.array([1.5, -0.5]))
 
 
@@ -123,60 +124,71 @@ def test_dual_value():
     assert dual_value(res, np.array([0.5, 0.5])) is None
 
 
+def _state(x0=(0.5, 0.5), payoff=PENNIES, l1_ball=False) -> MirrorDescentState:
+    """A state at `x0` on the simplex problem of `payoff`, or with `l1_ball`
+    on its residual-space problem."""
+    if l1_ball:
+        return MirrorDescentState.initial(_residual(payoff), np.array(x0))
+    return MirrorDescentState.initial(MinmaxProblem(payoff), np.array(x0))
+
+
 def test_md_step_zero_alpha_keeps_anchor():
-    state = MirrorDescentState.initial(np.array([0.5, 0.5]), prox.entropy(2), dual_dim=2)
-    md_step(state, np.array([3.0, -1.0]), 0.0, (0, 1.0), 1.0)
+    state = _state()
+    md_step(state, (0, 1.0), 0.0, 1.0)
     np.testing.assert_array_equal(state.x, [0.5, 0.5])
     assert state.k == 1
 
 
 def test_md_step_entropy_closed_form():
-    # anchor (1/2, 1/2), cost (ln 2, 0), unit step: proportional to (1/4, 1/2)
-    state = MirrorDescentState.initial(np.array([0.5, 0.5]), prox.entropy(2), dual_dim=2)
-    md_step(state, np.array([math.log(2.0), 0.0]), 1.0, (0, 1.0), 1.0)
+    # anchor (1/2, 1/2), cost the column (ln 2, 0), unit step: proportional
+    # to (1/4, 1/2)
+    state = _state(payoff=np.array([[math.log(2.0), 1.0], [0.0, 1.0]]))
+    assert state.geometry == "entropy"
+    md_step(state, (0, 1.0), 1.0, 1.0)
     np.testing.assert_allclose(state.x, [1.0 / 3.0, 2.0 / 3.0], rtol=1e-15)
 
 
 def test_md_step_euclidean_is_plain_subtraction():
-    state = MirrorDescentState.initial(np.array([1.0, 2.0]), prox.euclidean(2), dual_dim=2)
-    md_step(state, np.array([0.5, -1.0]), 2.0, (0, 1.0), 1.0)
+    # the cost is the signed column: -1 times (-0.5, 1)
+    state = _state((1.0, 2.0), np.array([[1.0, -0.5], [0.0, 1.0]]), l1_ball=True)
+    assert state.geometry == "euclidean"
+    md_step(state, (1, -1.0), 2.0, 1.0)
     np.testing.assert_array_equal(state.x, [0.0, 4.0])
+    np.testing.assert_array_equal(state.dual_weighted_sum, [0.0, -2.0])
 
 
 def test_md_step_accumulates_dual_average_and_best_value():
-    state = MirrorDescentState.initial(np.array([0.5, 0.5]), prox.entropy(2), dual_dim=2)
+    state = _state(payoff=np.zeros((2, 2)))
     dual_sum = state.dual_weighted_sum
     assert state.dual_average is None
-    md_step(state, np.zeros(2), 0.5, (0, 1.0), 2.0)
-    md_step(state, np.zeros(2), 1.5, (1, 1.0), 1.0)
+    md_step(state, (0, 1.0), 0.5, 2.0)
+    md_step(state, (1, 1.0), 1.5, 1.0)
     np.testing.assert_allclose(state.dual_average, [0.25, 0.75], rtol=1e-15)
     assert state.best_value == 1.0 and state.best_index == 1
     assert state.dual_weighted_sum is dual_sum  # updated in place, never copied
     # a later, worse value does not displace the best
-    md_step(state, np.zeros(2), 0.1, (0, 1.0), 5.0)
+    md_step(state, (0, 1.0), 0.1, 5.0)
     assert state.best_value == 1.0 and state.best_index == 1 and state.k == 3
 
 
-def test_md_step_rejects_bad_alpha_and_grad():
-    state = MirrorDescentState.initial(np.array([0.5, 0.5]), prox.entropy(2), dual_dim=2)
+def test_md_step_rejects_bad_alpha_and_vertex():
+    state = _state()
     for bad in (-1.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            md_step(state, np.zeros(2), bad, (0, 1.0), 1.0)
-    with pytest.raises(ValueError):
-        md_step(state, np.array([np.nan, 0.0]), 1.0, (0, 1.0), 1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            md_step(state, (0, 1.0), bad, 1.0)
+    with pytest.raises(TypeError):
+        md_step(state, (0.0, 1.0), 1.0, 1.0)  # an index is an integer
 
 
 def test_md_step_leaves_the_state_unchanged_when_it_raises():
-    state = MirrorDescentState.initial(np.array([0.5, 0.5]), prox.entropy(2), dual_dim=2)
-    md_step(state, np.array([1.0, 0.0]), 0.5, (0, 1.0), 1.0)
+    state = _state()
+    md_step(state, (0, 1.0), 0.5, 1.0)
     x, x_bytes, dual_sum = state.x, state.x.tobytes(), state.dual_weighted_sum.copy()
     scalars = (state.k, state.step_sum, state.best_value, state.best_index)
     bad_calls = [
-        (ValueError, (np.zeros(2), -1.0, (0, 1.0), 0.0)),  # negative step
-        (ValueError, (np.array([np.inf, 0.0]), 1.0, (0, 1.0), 0.0)),  # grad not finite
-        (ValueError, (np.zeros(3), 1.0, (0, 1.0), 0.0)),  # grad of the wrong shape
-        (IndexError, (np.zeros(2), 1.0, (5, 1.0), 0.0)),
-        (ValueError, (np.zeros(2), 1.0, (1, 1.0), "x")),
+        (ValueError, ((0, 1.0), -1.0, 0.0)),  # negative step
+        (ValueError, ((5, 1.0), 1.0, 0.0)),  # no such column
+        (ValueError, ((1, 1.0), 1.0, "x")),
     ]
     for error, args in bad_calls:
         with pytest.raises(error):
@@ -188,30 +200,55 @@ def test_md_step_leaves_the_state_unchanged_when_it_raises():
 
 @pytest.mark.parametrize("anchor", [[-0.5, 1.5], [0.0, 0.0], [np.nan, 1.0], [0.5, 0.5, 0.0]])
 def test_md_step_checks_a_fresh_states_anchor(anchor):
-    # a state's first anchor is checked when the state is made, by every way
-    # of making one; later anchors are prox results and go unchecked
-    with pytest.raises(ValueError, match="anchor"):
-        MirrorDescentState.initial(np.array(anchor), prox.entropy(2), dual_dim=2)
-    with pytest.raises(ValueError, match="anchor"):
-        MirrorDescentState(k=0, x=np.array(anchor), prox=prox.entropy(2),
+    # a state's first anchor, its start, is checked when the state is made, by
+    # every way of making one; later anchors are prox results and go unchecked
+    with pytest.raises(ValueError, match="x0"):
+        MirrorDescentState.initial(MinmaxProblem(PENNIES), np.array(anchor))
+    with pytest.raises(ValueError, match="x0"):
+        MirrorDescentState(problem=MinmaxProblem(PENNIES), k=0, x=np.array(anchor),
                            dual_weighted_sum=np.zeros(2), step_sum=0.0,
                            best_value=math.inf, best_index=-1)
 
 
-@pytest.mark.parametrize("grad, message", [
-    (np.array([np.inf, 0.0]), "c must be finite"),
-    (np.array([0.0, np.nan]), "c must be finite"),
-    (np.zeros(3), r"c must have shape \(2,\), got \(3,\)"),
-])
-def test_md_step_checks_grad_after_several_steps(grad, message):
-    for prox_fn in (prox.entropy(2), prox.euclidean(2)):
-        state = MirrorDescentState.initial(np.array([0.5, 0.5]), prox_fn, dual_dim=2)
+@pytest.mark.parametrize("x0", [[-1e-10, 1.0 + 1e-10], [-1e-8, 1.0 + 1e-8]])
+def test_a_start_with_a_negative_entry_gets_the_simplex_message(x0):
+    # one rule for a start on the simplex: nonnegative, summing to 1 within 1e-6
+    with pytest.raises(ValueError, match="^x0 must lie on the probability simplex$"):
+        MirrorDescentState.initial(MinmaxProblem(PENNIES), x0)
+    # a sum off by less than 1e-6 is kept, as the uniform start's rounding is
+    state = MirrorDescentState.initial(MinmaxProblem(PENNIES), [0.5, 0.5 + 1e-7])
+    np.testing.assert_array_equal(state.x, [0.5, 0.5 + 1e-7])
+
+
+def test_the_uniform_start_is_the_default_on_the_simplex_only():
+    state = MirrorDescentState.initial(MinmaxProblem(np.ones((4, 3))))
+    np.testing.assert_array_equal(state.x, np.full(4, 0.25))
+    np.testing.assert_array_equal(state.dual_weighted_sum, np.zeros(3))
+    assert (state.k, state.step_sum, state.best_value, state.best_index) == (0, 0.0, math.inf, -1)
+    with pytest.raises(ValueError, match="x0 is required for a residual-space primal domain"):
+        MirrorDescentState.initial(_residual(PENNIES))
+
+
+@pytest.mark.parametrize("vertex, message", [
+    ((-1, 1.0), r"vertex index -1 names no column: the payoff has 2 columns"),
+    ((2, 1.0), r"vertex index 2 names no column: the payoff has 2 columns"),
+    ((0, 0.5), r"vertex sign must be 1.0 under the simplex dual, got 0.5"),
+    ((0, -1.0), r"vertex sign must be 1.0 under the simplex dual, got -1.0"),
+], ids=["index-minus-1", "index-n", "sign-half", "sign-minus-1"])
+def test_md_step_checks_the_vertex_after_several_steps(vertex, message):
+    # under the l1-ball dual -1.0 is a sign, and 0.5 and a column past n are not
+    cases = [(_state(), True)]
+    if vertex[1] != -1.0:
+        cases.append((_state(l1_ball=True), False))
+    for state, simplex in cases:
         for j in range(3):
-            md_step(state, PENNIES[:, j % 2], 0.3, (j % 2, 1.0), 1.0 - j)
+            md_step(state, (j % 2, 1.0), 0.3, 1.0 - j)
         x, x_bytes, dual_sum = state.x, state.x.tobytes(), state.dual_weighted_sum.copy()
         scalars = (state.k, state.step_sum, state.best_value, state.best_index)
-        with pytest.raises(ValueError, match=message):
-            md_step(state, grad, 0.3, (0, 1.0), -5.0)
+        want = message if simplex else message.replace("1.0 under the simplex dual",
+                                                        "1.0 or -1.0 under the l1-ball dual")
+        with pytest.raises(ValueError, match=want):
+            md_step(state, vertex, 0.3, -5.0)
         assert state.x is x and state.x.tobytes() == x_bytes
         assert (state.k, state.step_sum, state.best_value, state.best_index) == scalars
         np.testing.assert_array_equal(state.dual_weighted_sum, dual_sum)

@@ -7,10 +7,12 @@ A run's records survive the round trip through its trace bit for bit, and
 `check` rebuilds the same report.json bytes from the written trace. On random
 instances of every task and schedule the command line offers, prepared as
 `run` prepares them, no certificate of the paper fails. And the engine loop,
-which checks a step's anchor only on the first round and keeps the support
-size as a running count, equals bit for bit a replay that checks every
-round: oracles.checked_response, the public prox_solve and a dense support
-size.
+which checks its iterate only when its state is made and keeps the support
+size as a running count, equals bit for bit a replay that checks the
+iterate every round, with oracles.checked_response, and steps through the
+closed-form prox._step of the geometry the test names, with a dense
+support size. (Those two tests keep the name of prox_solve, the checked
+function that once wrapped prox._step.)
 
 The instances cover ties (entries drawn from a coarse grid), duplicate
 columns, zero margin columns, a single example or sample, and large fixed
@@ -365,34 +367,40 @@ def test_run_and_check_stream_the_bytes_of_the_collected_writers(case, f_star):
                 (tmp / "run" / f"r.{name}").read_bytes()
 
 
-def _replay(problem: MinmaxProblem, schedule: StepSchedule, prox_fn, iterations: int, x0):
-    """The engine's loop through calls that check their arguments every
-    round: checked_response, the schedule and prox_solve. Returns per round
+def _replay(problem: MinmaxProblem, schedule: StepSchedule, geometry: str, iterations: int,
+            x0):
+    """The engine's loop, with the iterate checked every round by
+    checked_response, and the gradient, the signed column sign * A[:, index],
+    formed here: the column itself under the simplex dual, a new vector under
+    the l1-ball dual. Each step is prox._step of `geometry`. Returns per round
     the pre-step iterate, the (index, sign, value, alpha) and the support size
     of the pre-step dual sum, and the final iterate."""
     x, dual_sum, rounds = x0, np.zeros(problem.n), []
     for k in range(iterations):
-        index, sign, value, grad = checked_response(problem, x)
+        index, sign, value = checked_response(problem, x)
         if sign == 0.0:
             break
+        column = problem.payoff[:, index]
+        grad = column if problem.dual_domain == md_core.DUAL_SIMPLEX else sign * column
         try:
             alpha = schedule.step_size(k, value=value, grad=grad)
         except UndefinedStepError:
             break
         rounds.append((x, (index, sign, value, alpha), support_size(dual_sum)))
-        x = prox.prox_solve(prox_fn, grad, x, alpha)
+        x = prox._step(geometry, grad, x, alpha)
         dual_sum[index] += alpha * sign
     return rounds, x
 
 
-def _assert_run_equals_replay(problem, schedule, prox_fn, x0=None) -> None:
+def _assert_run_equals_replay(problem, schedule, geometry, x0=None) -> None:
     """run's records, pre-step iterates and final iterate equal the replay's
-    through `prox_fn` bit for bit, and under the l1-ball dual each record's
-    l0 is the support size of the replayed pre-step dual sum. run picks its
-    prox from the primal domain, so this checks that it picks `prox_fn`."""
+    through `geometry` bit for bit, and under the l1-ball dual each record's
+    l0 is the support size of the replayed pre-step dual sum. run's state
+    reads its geometry from the primal domain, so this checks that it reads
+    `geometry`."""
     result, iterates = run_with_iterates(md_core.run, problem, schedule, ITERATIONS, x0)
     start = np.full(problem.m, 1.0 / problem.m) if x0 is None else np.asarray(x0, dtype=float)
-    rounds, final = _replay(problem, schedule, prox_fn, ITERATIONS, start)
+    rounds, final = _replay(problem, schedule, geometry, ITERATIONS, start)
     assert len(result.records) == len(iterates) == len(rounds)
     for rec, x, (pre, step, support) in zip(result.records, iterates, rounds):
         assert x.tobytes() == pre.tobytes(), rec.k
@@ -400,14 +408,14 @@ def _assert_run_equals_replay(problem, schedule, prox_fn, x0=None) -> None:
         if problem.dual_domain == md_core.DUAL_L1_BALL:
             assert rec.l0 == support, rec.k
     assert result.state.x.tobytes() == final.tobytes()
-    assert result.state.prox == prox_fn
+    assert result.state.geometry == geometry
 
 
 @settings(max_examples=200, deadline=None)
 @given(boost_cases())
 def test_run_equals_a_replay_through_prox_solve_on_games(case):
     ts, schedule = case
-    _assert_run_equals_replay(ts.to_minmax(), schedule, prox.entropy(ts.num_examples))
+    _assert_run_equals_replay(ts.to_minmax(), schedule, prox.ENTROPY)
 
 
 # steps of 1e-15 leave coefficients below NNZ_TOLERANCE, and grid entries and
@@ -425,7 +433,7 @@ def test_run_equals_a_replay_through_prox_solve_on_fs(design, data):
                                              max_size=ITERATIONS).map(tuple))))
     problem = MinmaxProblem(design, primal_domain=md_core.PRIMAL_RESIDUAL,
                             dual_domain=md_core.DUAL_L1_BALL)
-    _assert_run_equals_replay(problem, schedule, prox.euclidean(design.shape[0]), x0=response)
+    _assert_run_equals_replay(problem, schedule, prox.EUCLIDEAN, x0=response)
 
 
 # ties, signed zeros, subnormals, the smallest normal and the ends of [-1, 1]

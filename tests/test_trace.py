@@ -48,8 +48,10 @@ def _write(path: Path, header: TraceHeader, records, terminated: str | None = No
 
 
 def _record(k: int, **overrides) -> IterationRecord:
+    """An adaboost record by default; a stagewise one has no dual value."""
+    dual = None if overrides.get("algorithm") == "stagewise" else -0.2
     base = dict(k=k, algorithm="adaboost", index=1, sign=1.0, alpha=0.25,
-                primal=0.5 - 0.1 * k, best_primal=0.5 - 0.1 * k, dual=-0.2)
+                primal=0.5 - 0.1 * k, best_primal=0.5 - 0.1 * k, dual=dual)
     base.update(overrides)
     return IterationRecord(**base)
 
@@ -173,9 +175,12 @@ def test_validate_line_takes_integers_for_floats_and_null_where_optional():
                          "f_star": None, "horizon": None})
     assert header == _header(schedule_kind="dynamic", lipschitz=1.0, f_star=None)
     assert type(header.lipschitz) is float
-    record = parse_line({**_record(0).to_dict(), "alpha": 0, "sign": 1, "dual": None, "l1": 2})
-    assert record == _record(0, alpha=0.0, sign=1.0, dual=None, l1=2.0)
-    assert type(record.alpha) is type(record.sign) is type(record.l1) is float
+    record = parse_line({**_record(0).to_dict(), "alpha": 0, "sign": 1, "dual": None})
+    assert record == _record(0, alpha=0.0, sign=1.0, dual=None)
+    assert type(record.alpha) is type(record.sign) is float
+    fs = _record(0, algorithm="stagewise", l1=0.0, l0=0)
+    assert parse_line({**fs.to_dict(), "l1": 2}) == dataclasses.replace(fs, l1=2.0)
+    assert type(parse_line({**fs.to_dict(), "l1": 2}).l1) is float
 
 
 def test_validate_line_per_algorithm_requirements():
@@ -268,8 +273,9 @@ small_dicts = st.dictionaries(text, st.one_of(finite, st.none(), text, st.boolea
 @st.composite
 def traces(draw):
     """A header and records that agree: each record carries the header's
-    algorithm and an index below the column count of the header's shape, and
-    a negated sign only under stagewise's l1-ball dual. The header is one a
+    algorithm and an index below the column count of the header's shape, a
+    negated sign only under stagewise's l1-ball dual, and l1 and l0 under
+    stagewise only, which alone has no dual value. The header is one a
     run may write: a kind of its algorithm, a finite lipschitz, a shape with
     an int m of at least 1 for the simplex, and a dist0 that is null or
     finite and nonnegative, and for stagewise not null, with a finite half
@@ -294,10 +300,10 @@ def traces(draw):
         records.append(IterationRecord(
             k=k, algorithm=algorithm, index=draw(st.integers(0, columns - 1)),
             sign=draw(st.sampled_from(signs)), alpha=draw(finite),
-            primal=draw(finite), best_primal=draw(finite), dual=draw(nullable),
-            l1=draw(finite if stagewise else nullable),
-            l0=draw(st.integers(0, 99) if stagewise else st.one_of(st.none(),
-                                                                   st.integers(0, 99)))))
+            primal=draw(finite), best_primal=draw(finite),
+            dual=None if stagewise else draw(nullable),
+            l1=draw(finite) if stagewise else None,
+            l0=draw(st.integers(0, 99)) if stagewise else None))
     terminated = draw(st.one_of(st.none(), text))
     return header, records, terminated
 
@@ -611,8 +617,9 @@ written_ints = st.one_of(st.integers(0, 2**62), st.integers(0, 2**62).map(np.int
 @st.composite
 def records_to_write(draw):
     """A header and a record it admits, in any algorithm, with numpy scalars
-    among the values; stagewise records carry l1 and l0, the others may, and
-    only they may negate their sign."""
+    among the values; stagewise records carry l1 and l0 and no dual value,
+    the others a dual value or null and no l1 or l0, and only stagewise
+    records may negate their sign."""
     algorithm = draw(st.sampled_from(ALGORITHMS))
     stagewise = algorithm == "stagewise"
     header = _header(algorithm=algorithm, shape={"m": 4, "n": 2**63, "p": 2**63})
@@ -622,9 +629,9 @@ def records_to_write(draw):
         k=draw(written_ints), algorithm=algorithm, index=draw(written_ints),
         sign=draw(st.sampled_from(signs)),
         alpha=draw(written_floats), primal=draw(written_floats),
-        best_primal=draw(written_floats), dual=draw(nullable_float),
-        l1=draw(written_floats if stagewise else nullable_float),
-        l0=draw(written_ints if stagewise else st.one_of(st.none(), written_ints)))
+        best_primal=draw(written_floats), dual=None if stagewise else draw(nullable_float),
+        l1=draw(written_floats) if stagewise else None,
+        l0=draw(written_ints) if stagewise else None)
     return header, record
 
 
@@ -660,10 +667,15 @@ class _Str(str):
     ({"dual": math.nan}, "record line k=0: field 'dual' is not finite, and traces are strict JSON"),
     ({"alpha": math.inf, "dual": math.nan}, "record line k=0: field 'alpha' is not finite"),
     ({"k": np.int64(4), "best_primal": -math.inf}, "record line k=4: field 'best_primal'"),
-    ({"l1": np.float32("inf"), "l0": 2}, "record line k=0: field 'l1' is not finite"),
+    ({"primal": np.float32("inf")}, "record line k=0: field 'primal' is not finite"),
     ({"sign": -1.0}, "record line field 'sign' must be 1.0 under the simplex dual of a "
                      "format-2 adaboost trace, got -1.0"),
     ({"sign": np.int64(-1), "dual": math.nan}, "field 'sign' must be 1.0 under the simplex"),
+    # l1 and l0 are stagewise's coefficient path, which adaboost has not
+    ({"l1": 0.5, "l0": 3}, "record line field 'l1' must be null for algorithm 'adaboost', "
+                           "got 0.5"),
+    ({"l0": np.int64(3)}, "record line field 'l0' must be null for algorithm 'adaboost', got 3"),
+    ({"l1": math.inf, "sign": -1.0}, "field 'l1' must be null for algorithm 'adaboost', got inf"),
 ])
 def test_format_trace_refuses_each_record_as_reading_it_back_does(fields, message):
     record = dataclasses.replace(_record(0), **fields)
@@ -674,20 +686,15 @@ def test_format_trace_refuses_each_record_as_reading_it_back_does(fields, messag
 
 def _refusal_by_reading_back(header: TraceHeader, record: IterationRecord) -> str:
     """The message for `record` from reading its dict back: the header's
-    contradictions, then parse_line's refusals of the record's dict, then its
-    first non-finite value; empty if none refuses."""
+    contradictions, then parse_line's refusals of the record's dict, its
+    first non-finite value last; empty if none refuses."""
     problem = trace._contradiction(record, header)
     if problem is not None:
         return f"record line k={record.k}: {problem}"
     try:
-        obj = record.to_dict()
-        parse_line(obj)
+        parse_line(record.to_dict())
     except (TypeError, ValueError) as exc:
         return str(exc)
-    name = trace._non_finite_field(obj)
-    if name is not None:
-        return (f"record line k={obj['k']}: field {name!r} is not finite, and traces are "
-                "strict JSON")
     return ""
 
 
@@ -707,6 +714,55 @@ def test_format_trace_refuses_a_stagewise_record_without_l1_and_l0(fields, messa
         assert '"l0": 1,' in format_trace(header, [record])
 
 
+@pytest.mark.parametrize("field", ["alpha", "primal", "best_primal", "dual"])
+def test_a_record_value_json_reads_as_infinity_is_refused_on_read(tmp_path, field):
+    # json reads the token 1e999 as inf: each read path refuses it as the
+    # writer refuses an inf, naming the line and the field
+    path = tmp_path / "run.trace.jsonl"
+    records = [_record(k) for k in range(3)]
+    _write(path, _header(), records)
+    head, *lines = path.read_text().splitlines()
+    value = f'"{field}": {getattr(records[1], field)!r}'
+    assert lines[1].count(value) == 1
+    forged = lines[1].replace(value, f'"{field}": 1e999')
+    message = f"record line k=1: field {field!r} is not finite, and traces are strict JSON"
+    path.write_text("\n".join([head, lines[0], forged, lines[2]]) + "\n")
+    with pytest.raises(ValueError, match=f"line 3: {re.escape(message)}"):
+        read_trace(path)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_line(json.loads(forged))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        format_trace(_header(), [dataclasses.replace(records[1], **{field: math.inf})])
+    # format 1 reads grad_norm too
+    with pytest.raises(ValueError, match="record line k=0: field 'grad_norm' is not finite"):
+        parse_line(json.loads(json.dumps(_record_1(0)).replace('"grad_norm": 0.4',
+                                                               '"grad_norm": 1e999')), 1)
+
+
+# each fact a record may state that no run of its algorithm writes
+@pytest.mark.parametrize("algorithm, fields, message", [
+    ("adaboost", {"l1": 0.5, "l0": 3},
+     "record line field 'l1' must be null for algorithm 'adaboost', got 0.5"),
+    ("mirror-descent", {"l0": 3},
+     "record line field 'l0' must be null for algorithm 'mirror-descent', got 3"),
+    ("stagewise", {"l1": 0.5, "l0": 3, "dual": -5.0},
+     "record line field 'dual' must be null for algorithm 'stagewise', which has no dual value, "
+     "got -5.0"),
+])
+def test_a_record_stating_a_fact_its_algorithm_never_writes_is_refused(tmp_path, algorithm,
+                                                                       fields, message):
+    header = _header(algorithm=algorithm, shape={"m": 4, "n": 3, "p": 3})
+    record = _record(0, algorithm=algorithm, **fields)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        format_trace(header, [record])
+    path = tmp_path / "run.trace.jsonl"
+    path.write_text("\n".join(json.dumps(line.to_dict()) for line in (header, record)) + "\n")
+    with pytest.raises(ValueError, match=f"line 2: {re.escape(message)}"):
+        read_trace(path)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_line(record.to_dict())
+
+
 def test_a_record_line_is_read_by_the_fast_path_or_by_parse_line(tmp_path, monkeypatch):
     # a line with the table's keys and exact JSON types skips parse_line; any
     # other is read by it, with its conversions and messages
@@ -714,7 +770,7 @@ def test_a_record_line_is_read_by_the_fast_path_or_by_parse_line(tmp_path, monke
     monkeypatch.setattr(trace, "parse_line",
                         lambda obj, format=2: parsed.append(obj) or parse_line(obj, format))
     path = tmp_path / "run.trace.jsonl"
-    records = [_record(0), _record(1, dual=None, l1=0.5, l0=3)]
+    records = [_record(0), _record(1, dual=None)]
     _write(path, _header(), records)
     parsed.clear()
     assert read_trace(path)[1] == records
@@ -758,7 +814,7 @@ def test_a_negated_sign_is_a_stagewise_record(algorithm):
     # mirror-descent run a simplex dual over a matrix closed under negation
     fs = algorithm == "stagewise"
     record = {**_record_1(0), "algorithm": algorithm, "sign": -1.0,
-              **({"l1": 0.5, "l0": 1} if fs else {})}
+              **({"dual": None, "l1": 0.5, "l0": 1} if fs else {})}
     format_2 = {key: value for key, value in record.items() if key not in ("grad_norm", "slacks")}
     for line, format in ((format_2, 2), (record, 1)):
         if fs:
