@@ -14,12 +14,11 @@ __version__ = "0.1.0"
 
 # the public names, by the submodule that defines them
 _SUBMODULE_NAMES = {
-    "bounds": ("CertificateRecord", "CertificateReport", "check", "constant_bound",
-               "dynamic_bound", "polyak_bound"),
-    "boosting": ("TrainingSet", "run_adaboost"),
+    "bounds": ("CertificateRecord", "constant_bound", "dynamic_bound", "polyak_bound"),
+    "boosting": ("TrainingSet",),
     "md_core": ("MinmaxProblem", "MirrorDescentState", "md_step"),
     "schedule": ("StepSchedule", "UndefinedStepError"),
-    "stagewise": ("RegressionProblem", "least_squares_norm", "optimal_shrinkage", "run_fs"),
+    "stagewise": ("RegressionProblem", "least_squares_norm", "optimal_shrinkage"),
     "trace": ("IterationRecord", "RunResult", "TraceHeader", "read_trace"),
 }
 # public name -> (submodule, attribute of that submodule)

@@ -10,8 +10,8 @@ normalized coefficient vector is the step-weighted dual average, whose
 smallest margin is the dual value. The engine keeps the margins of the
 coefficients up to date in O(m) per round, adding the step times the chosen
 column, as classical AdaBoost does, so a round scans the margin matrix once.
-The training set makes that problem once, when it is made, and run_adaboost
-runs the engine on it.
+The training set makes that problem once, when it is made, and md_core.run,
+the one runner, runs the engine on it.
 
 Closure is a property of how a matrix is built, not something a training set
 searches for. A matrix-level set of n columns A is [A, -A], 2n columns, so
@@ -27,10 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import md_core
 from .md_core import MinmaxProblem
-from .schedule import StepSchedule
-from .trace import RunResult
 
 
 def _check_entries(a: np.ndarray, what: str) -> None:
@@ -89,6 +86,14 @@ class TrainingSet:
     entries are finite and computes the Lipschitz constant L = max |A_ij| in
     the same scan, and the set then needs L <= 1. L, like these checks,
     belongs to the matrix as it was when the set was made.
+
+    AdaBoost is md_core.run(ts.to_minmax(), schedule, iterations,
+    algorithm="adaboost"), from uniform weights. Its records carry the edge,
+    by identity the loss gradient's max-norm, as the objective, and the
+    smallest margin of the normalized coefficients after the round as the
+    dual value. An undefined line-search step (edge equal to 1) stops the run
+    early with the reason on the result. The final state's `x` holds the
+    example weights and its `dual_weighted_sum` the classifier coefficients.
     """
 
     margins: np.ndarray
@@ -152,18 +157,3 @@ class TrainingSet:
         """The equivalent simplex-vs-simplex payoff problem, the same object on
         every call."""
         return self._problem
-
-
-def run_adaboost(ts: TrainingSet, schedule: StepSchedule, iterations: int,
-                 sink=None) -> RunResult:
-    """Run AdaBoost from uniform weights: the engine on the edge problem.
-
-    Records carry the edge, by identity the loss gradient's max-norm, as the
-    objective, and the smallest margin of the normalized coefficients after
-    the round as the dual value. An undefined line-search step (edge equal to
-    1) stops the run early with the reason on the result. The final state's
-    `x` holds the example weights and its `dual_weighted_sum` the classifier
-    coefficients; `sink`, when given, gets each record and the example
-    weights before its round, which the records do not keep.
-    """
-    return md_core.run(ts.to_minmax(), schedule, iterations, sink=sink, algorithm="adaboost")

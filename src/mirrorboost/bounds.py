@@ -249,46 +249,20 @@ class ReportWriter:
 
 @dataclass
 class CertificateReport:
+    """The report.json dict of a list of certificate records, built by the
+    generic route: the reference whose json.dump bytes ReportWriter's are
+    tested against. No command builds one."""
+
     records: list[CertificateRecord] = field(default_factory=list)
 
-    def tally(self) -> _Tally:
-        """The _Tally of the records, made in one pass: summary(), by_tag(),
-        failures() and all_passed read it, and its non_finite says what is
-        wrong with the first record whose observed, bound or slack is not
-        finite (None when every one is)."""
+    def to_dict(self) -> dict:
         tally = _Tally()
         tally.add(self.records)
-        return tally
-
-    def summary(self) -> dict:
-        return self.tally().summary()
-
-    @property
-    def all_passed(self) -> bool:
-        return self.tally().counts["failed"] == 0
-
-    def failures(self) -> list[CertificateRecord]:
-        return self.tally().failures
-
-    def by_tag(self) -> dict[str, dict]:
-        return self.tally().by_tag
-
-    def to_dict(self) -> dict:
-        tally = self.tally()
         return {
             "summary": tally.summary(),
             "by_tag": tally.by_tag,
             "records": [r.to_dict() for r in self.records],
         }
-
-    def write_json(self, fh) -> None:
-        """Write to `fh` the bytes of json.dump(self.to_dict(), fh, sort_keys=True,
-        indent=2, allow_nan=False) and a newline, through ReportWriter. A
-        non-finite value raises ValueError, as json.dump's does, before
-        anything is written."""
-        with ReportWriter() as writer:
-            writer.add(self.records)
-            writer.write(fh)
 
 
 # report.json templates: json.dump(sort_keys=True, indent=2) of one by_tag
@@ -528,15 +502,3 @@ def certify(records: Iterable[IterationRecord], header: TraceHeader, count: int 
     if broken is not None:
         add(broken)
     yield None, closing
-
-
-def certificates(records: Iterable[IterationRecord], header: TraceHeader,
-                 count: int | None = None) -> Iterator[CertificateRecord]:
-    """The certificate records of certify(), one at a time, in report order."""
-    for _, group in certify(records, header, count):
-        yield from group
-
-
-def check(records: Iterable[IterationRecord], header: TraceHeader) -> CertificateReport:
-    """The report of certificates(), for any iterable of records."""
-    return CertificateReport(list(certificates(records, header)))

@@ -95,11 +95,20 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.task == "fs" and self.schedule == "constant":
-            if self.epsilon is None or self.epsilon <= 0.0:
-                raise ConfigError("fs with the constant schedule needs --epsilon > 0")
+        # an option the run would not read is refused, not written into the
+        # header's config as an experiment that did not run
+        fs_constant = self.task == "fs" and self.schedule == "constant"
+        if fs_constant and (self.epsilon is None or self.epsilon <= 0.0):
+            raise ConfigError("fs with the constant schedule needs --epsilon > 0")
+        if self.epsilon is not None and not fs_constant:
+            raise ConfigError("--epsilon is only for fs with the constant schedule")
         if self.task == "minmax-game" and self.schedule == "polyak" and self.f_star is None:
             raise ConfigError("the polyak schedule needs --f-star")
+        if self.task == "fs" and self.f_star is not None:
+            raise ConfigError("--f-star is not for fs, whose optimal value is 0.0")
+        for name in ("center", "scale", "use_response_bound"):
+            if getattr(self, name) and self.task != "fs":
+                raise ConfigError(f"--{name.replace('_', '-')} is only for fs")
 
 
 # each config field's JSON type and whether it may be null, from its
@@ -132,6 +141,8 @@ def parse_data_spec(spec: str):
         if "=" not in token:
             raise ConfigError(f"bad data spec token {token!r}, expected key=value")
         key, _, raw = token.partition("=")
+        if key in sizes or (key == "seed" and seed is not None):
+            raise ConfigError(f"data spec token {token!r} repeats the key {key!r}")
         try:
             value: float | int = int(raw)
         except ValueError:
@@ -227,7 +238,7 @@ def _prepare_run(config: ExperimentConfig, instance):
 
 
 def _render_report_text(header: TraceHeader, summary: dict, by_tag: dict, failures) -> str:
-    """report.txt, from a report's summary(), by_tag() and failures()."""
+    """report.txt, from a report tally's summary(), by_tag and failures."""
     lines = [
         f"certificate report: {header.algorithm}, schedule {header.schedule_kind}, "
         f"{header.iterations} iterations requested",
@@ -407,7 +418,8 @@ def _cmd_check(args) -> int:
             stem = stem[: -len(suffix)]
             break
     with bounds.ReportWriter() as report:
-        report.add(bounds.certificates(records, header, _whole_count(header, terminated)))
+        certified = bounds.certify(records, header, _whole_count(header, terminated))
+        report.add(cert for _, certs in certified for cert in certs)
         report.finish()  # the report is strict JSON; refused before anything is written
         out_dir.mkdir(parents=True, exist_ok=True)
         text = _write_report_files(out_dir / f"{stem}.report.json",

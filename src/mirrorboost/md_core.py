@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .prox import ENTROPY, EUCLIDEAN, _step
-# EDGE_CAP for tests/test_parent_outputs.py, which pins the earlier outputs
-from .schedule import EDGE_CAP, StepSchedule, UndefinedStepError  # noqa: F401
+from .schedule import StepSchedule, UndefinedStepError
 from .trace import ALGORITHMS, IterationRecord, RunResult
 
 PRIMAL_SIMPLEX = "simplex"
@@ -254,7 +253,10 @@ def md_step(state: MirrorDescentState, vertex: tuple[int, float], alpha: float,
 
 def run(problem: MinmaxProblem, schedule: StepSchedule, iterations: int, x0=None,
         sink=None, algorithm: str = "mirror-descent") -> RunResult:
-    """Run mirror descent, emitting one record per iteration.
+    """Run mirror descent, emitting one record per iteration: the one runner,
+    of the matrix game and of the views, AdaBoost on a TrainingSet's problem
+    and forward stagewise regression on a RegressionProblem's, whose
+    docstrings say what their records and final state hold.
 
     Each record carries the pre-step iterate values (objective, chosen column)
     and the post-step dual average value when it exists. The dual value is

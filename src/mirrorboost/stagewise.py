@@ -7,8 +7,8 @@ on the largest absolute column-residual correlation (the max-norm of the
 least-squares loss gradient), with the l1-ball dual: the residual update is
 the prox step, the chosen signed column is the dual response, and the
 coefficient vector is the engine's step-weighted dual sum. A regression
-problem makes that minmax problem once, on first use, and run_fs runs the
-engine on it from the response.
+problem makes that minmax problem once, on first use, and md_core.run, the
+one runner, runs the engine on it from the response.
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import md_core
 from .md_core import MinmaxProblem
-from .schedule import StepSchedule
-from .trace import RunResult
 
 
 @dataclass(frozen=True)
@@ -33,6 +30,15 @@ class RegressionProblem:
     Its residual-space problem is made on first use and kept, so the design's
     Lipschitz constant, the largest column l2 norm, is computed once, by the
     problem, and belongs to the design as it was then.
+
+    Forward stagewise regression is md_core.run(rp.to_minmax(), schedule,
+    iterations, x0=rp.response.copy(), algorithm="stagewise"), from the
+    response. Its records carry the coefficient l1 norm and support size
+    before the round, and no dual value. The run stops early, with the
+    reason on the result, when the residual becomes exactly orthogonal to
+    every column (the objective is 0 and no further round can move). The
+    final state's `x` holds the residual and its `dual_weighted_sum` the
+    coefficients.
     """
 
     design: np.ndarray
@@ -99,18 +105,3 @@ def optimal_shrinkage(rp: RegressionProblem, iterations: int,
     if projection_norm is None:
         projection_norm = float(np.linalg.norm(rp.response))
     return projection_norm / (rp.design_norm * math.sqrt(iterations))
-
-
-def run_fs(rp: RegressionProblem, schedule: StepSchedule, iterations: int,
-           sink=None) -> RunResult:
-    """Run forward stagewise regression from the response: the engine in residual space.
-
-    Records carry the coefficient l1 norm and support size before the round.
-    The run stops early, with the reason on the result, when the residual
-    becomes exactly orthogonal to every column (the objective is 0 and no
-    further round can move). The final state's `x` holds the residual and its
-    `dual_weighted_sum` the coefficients; `sink`, when given, gets each record
-    and the residual before its round, which the records do not keep.
-    """
-    return md_core.run(rp.to_minmax(), schedule, iterations, x0=rp.response.copy(), sink=sink,
-                       algorithm="stagewise")

@@ -1,12 +1,13 @@
 """Shared oracle helpers: brute-force and finite-difference reference
 implementations that the library code must agree with. These deliberately
 avoid the code paths they are used to verify. Also a trace header builder for
-certificate checks."""
+certificate checks, and the certificates and tally of a check."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from mirrorboost import bounds
 from mirrorboost.trace import TraceHeader
 
 
@@ -26,6 +27,16 @@ def certificate_header(algorithm: str, schedule_kind: str, *, m: int | None = No
     return TraceHeader(algorithm=algorithm, schedule_kind=schedule_kind, iterations=iterations,
                        shape=shape, lipschitz=lipschitz, f_star=f_star, dist0=dist0, eps=eps,
                        format=format)
+
+
+def certified(records, header: TraceHeader, count: int | None = None):
+    """The certificate records bounds.certify yields for `records`, in report
+    order, and the tally a ReportWriter keeps of them: report.json's
+    summary(), by_tag and failures."""
+    certs = [cert for _, group in bounds.certify(records, header, count) for cert in group]
+    with bounds.ReportWriter() as writer:
+        writer.add(certs)
+    return certs, writer.tally
 
 
 def simplex_grid(dim: int, steps: int) -> np.ndarray:

@@ -11,11 +11,13 @@ The stump build has its loop version here too, one stump column at a time.
 So do the quantities the engine only keeps as running values or never forms:
 the step-sum bound over a list of steps, the dense dual value and support
 size, the Bregman distance of a geometry, a schedule of given steps, and
-the engine's dual response with its point checked on every call.
+the engine's dual response with its point checked on every call. And the
+report.json text of json.dump, which the report writer must reproduce.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +25,7 @@ import numpy as np
 
 from mirrorboost import md_core
 from mirrorboost.boosting import TrainingSet
+from mirrorboost.bounds import CertificateReport
 from mirrorboost.datagen import Stump
 from mirrorboost.md_core import MinmaxProblem
 from mirrorboost.prox import ENTROPY
@@ -299,12 +302,21 @@ def classical_fs(rp: RegressionProblem, schedule: StepSchedule, iterations: int,
     return RunResult(records=records, state=state, terminated=terminated)
 
 
-def run_with_iterates(runner, *args) -> tuple[RunResult, list[np.ndarray]]:
-    """`runner(*args)`'s result and, through its sink, the iterate before
-    each of its records, in record order."""
+def run_with_iterates(runner, *args, **kwargs) -> tuple[RunResult, list[np.ndarray]]:
+    """`runner(*args, **kwargs)`'s result and, through its sink, the iterate
+    before each of its records, in record order."""
     iterates: list[np.ndarray] = []
-    result = runner(*args, sink=lambda rec, x: iterates.append(x))
+    result = runner(*args, **kwargs, sink=lambda rec, x: iterates.append(x))
     return result, iterates
+
+
+def report_json(records) -> str:
+    """report.json of the certificate records `records` by the generic
+    encoder, json.dump of the reference dict CertificateReport.to_dict and a
+    newline, which bounds.ReportWriter must write byte for byte. A value that
+    is not finite raises ValueError, as strict JSON has none."""
+    return json.dumps(CertificateReport(list(records)).to_dict(), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def classical_build_stumps(features) -> tuple[np.ndarray, list[Stump]]:

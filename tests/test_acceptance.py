@@ -18,14 +18,14 @@ import numpy as np
 from conftest import (
     central_difference_gradient,
     certificate_header,
+    certified,
     grid_prox_entropy,
     simplex_grid,
 )
-from mirrorboost import bounds, datagen, prox
-from mirrorboost.boosting import run_adaboost
+from mirrorboost import bounds, datagen, md_core, prox
 from mirrorboost.cli import main
 from mirrorboost.schedule import StepSchedule
-from mirrorboost.stagewise import least_squares_norm, optimal_shrinkage, run_fs
+from mirrorboost.stagewise import least_squares_norm, optimal_shrinkage
 from mirrorboost.trace import read_trace
 from oracles import (
     bregman,
@@ -63,7 +63,8 @@ def test_01_adaboost_is_mirror_descent():
     for i, ts in enumerate(_boost_instances()):
         for label, sched in _boost_schedules(ts):
             rb, wb = run_with_iterates(classical_adaboost, ts, sched, 200)
-            rm, wm = run_with_iterates(run_adaboost, ts, sched, 200)
+            rm, wm = run_with_iterates(md_core.run, ts.to_minmax(), sched, 200,
+                                       algorithm="adaboost")
             if len(rb.records) != len(rm.records) or rb.terminated != rm.terminated:
                 failures.append((i, label, "length or termination mismatch"))
                 continue
@@ -86,7 +87,7 @@ def test_02_edge_equals_loss_gradient_norm():
     failures = []
     for i, ts in enumerate(_boost_instances()):
         for label, sched in _boost_schedules(ts):
-            res = run_adaboost(ts, sched, 200)
+            res = md_core.run(ts.to_minmax(), sched, 200, algorithm="adaboost")
             coefficients = np.zeros(ts.num_classifiers)
             drift = 0.0
             for rec in res.records:
@@ -105,17 +106,18 @@ def test_03_boosting_gap_certificates():
         failures.append("stump margins must give lipschitz constant 1")
     d = math.log(10.0)
 
-    res = run_adaboost(ts, StepSchedule.constant(1.0, d, 100), 100)
+    res = md_core.run(ts.to_minmax(), StepSchedule.constant(1.0, d, 100), 100,
+                      algorithm="adaboost")
     last = res.records[-1]
     best_grad = min(rec.primal for rec in res.records)  # the edge is the gradient norm
     if best_grad - last.dual > math.sqrt(2.0 * d / 100.0) + 1e-9:
         failures.append("final gap exceeds the tuned-constant closed form")
     header = certificate_header("adaboost", "constant", m=10, lipschitz=1.0, iterations=100)
-    report = bounds.check(res.records, header)
-    if not report.all_passed or report.summary()["not_evaluable"] > 0:
-        failures.append(("constant-run certificates", report.summary()))
+    summary = certified(res.records, header)[1].summary()
+    if not summary["all_passed"] or summary["not_evaluable"] > 0:
+        failures.append(("constant-run certificates", summary))
 
-    res_dyn = run_adaboost(ts, StepSchedule.dynamic(1.0, d), 100)
+    res_dyn = md_core.run(ts.to_minmax(), StepSchedule.dynamic(1.0, d), 100, algorithm="adaboost")
     best = math.inf
     for rec in res_dyn.records:
         best = min(best, rec.primal)
@@ -123,9 +125,9 @@ def test_03_boosting_gap_certificates():
             failures.append(("dynamic closed form violated at", rec.k))
             break
     header_dyn = certificate_header("adaboost", "dynamic", m=10, lipschitz=1.0)
-    report_dyn = bounds.check(res_dyn.records, header_dyn)
-    if not report_dyn.all_passed or report_dyn.summary()["not_evaluable"] > 0:
-        failures.append(("dynamic-run certificates", report_dyn.summary()))
+    summary_dyn = certified(res_dyn.records, header_dyn)[1].summary()
+    if not summary_dyn["all_passed"] or summary_dyn["not_evaluable"] > 0:
+        failures.append(("dynamic-run certificates", summary_dyn))
     _verdict("03 boosting gap certificates hold at every prefix", failures)
 
 
@@ -136,7 +138,8 @@ def test_04_stagewise_is_mirror_descent():
         for label, sched in (("constant", StepSchedule.fixed(0.02)),
                              ("linesearch", StepSchedule.polyak(0.0))):
             rf, xf = run_with_iterates(classical_fs, rp, sched, 500)
-            rm, xm = run_with_iterates(run_fs, rp, sched, 500)
+            rm, xm = run_with_iterates(md_core.run, rp.to_minmax(), sched, 500,
+                                       x0=rp.response.copy(), algorithm="stagewise")
             if len(rf.records) != len(rm.records):
                 failures.append((seed, label, "length mismatch"))
                 continue
@@ -158,7 +161,8 @@ def test_05_stagewise_objective_certificates():
         lip = rp.design_norm
         eps = 0.02
 
-        res = run_fs(rp, StepSchedule.fixed(eps), 300)
+        res = md_core.run(rp.to_minmax(), StepSchedule.fixed(eps), 300,
+                          x0=rp.response.copy(), algorithm="stagewise")
         for rec in res.records:
             direct = b * b / (2.0 * eps * (rec.k + 1)) + eps * lip * lip / 2.0
             if rec.best_primal > direct + 1e-9:
@@ -171,11 +175,13 @@ def test_05_stagewise_objective_certificates():
 
         n = 300
         eps_opt = optimal_shrinkage(rp, n, projection_norm=b)
-        res_opt = run_fs(rp, StepSchedule.fixed(eps_opt), n)
+        res_opt = md_core.run(rp.to_minmax(), StepSchedule.fixed(eps_opt), n,
+                              x0=rp.response.copy(), algorithm="stagewise")
         if res_opt.records[-1].best_primal > lip * b / math.sqrt(n) + 1e-9:
             failures.append((seed, "optimal horizon bound"))
 
-        res_ls = run_fs(rp, StepSchedule.polyak(0.0), 300)
+        res_ls = md_core.run(rp.to_minmax(), StepSchedule.polyak(0.0), 300,
+                             x0=rp.response.copy(), algorithm="stagewise")
         for rec in res_ls.records:
             if rec.best_primal > bounds.polyak_bound(lip, b, rec.k) + 1e-9:
                 failures.append((seed, "linesearch polyak bound", rec.k))
@@ -188,7 +194,8 @@ def test_06_stagewise_sparsity_certificates():
     for seed in range(5):
         rp = datagen.make_regression(n=40, p=20, seed=seed)
         eps = 0.05
-        res = run_fs(rp, StepSchedule.fixed(eps), 200)
+        res = md_core.run(rp.to_minmax(), StepSchedule.fixed(eps), 200,
+                          x0=rp.response.copy(), algorithm="stagewise")
         beta = np.zeros(rp.num_columns)
         for rec in res.records:
             if rec.l0 != int(np.count_nonzero(np.abs(beta) > 1e-14)):
@@ -267,8 +274,8 @@ def test_09_sandwich_and_weak_duality():
             break
     for seed in range(10):
         ts2 = datagen.make_margin_matrix(m=15, n=8, seed=seed)
-        res = run_adaboost(
-            ts2, StepSchedule.dynamic(ts2.lipschitz, math.log(15.0)), 150)
+        res = md_core.run(ts2.to_minmax(), StepSchedule.dynamic(ts2.lipschitz, math.log(15.0)),
+                          150, algorithm="adaboost")
         for rec in res.records:
             if rec.dual > rec.best_primal + 1e-9:
                 failures.append(("weak duality violated", seed, rec.k))

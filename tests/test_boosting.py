@@ -9,7 +9,7 @@ import pytest
 
 from conftest import central_difference_gradient
 from mirrorboost import datagen, md_core
-from mirrorboost.boosting import TrainingSet, run_adaboost
+from mirrorboost.boosting import TrainingSet
 from mirrorboost.md_core import MirrorDescentState, md_step
 from mirrorboost.schedule import StepSchedule
 from oracles import (
@@ -192,7 +192,7 @@ def test_run_adaboost_equals_mirror_descent_run():
                   StepSchedule.dynamic(ts.lipschitz, math.log(20.0)),
                   StepSchedule.edge_linesearch()):
         rb, wb = run_with_iterates(classical_adaboost, ts, sched, 60)
-        rm, wm = run_with_iterates(run_adaboost, ts, sched, 60)
+        rm, wm = run_with_iterates(md_core.run, ts.to_minmax(), sched, 60, algorithm="adaboost")
         assert len(rb.records) == len(rm.records) == len(wb) == len(wm)
         for b, m_, b_x, m_x in zip(rb.records, rm.records, wb, wm):
             assert b.index == m_.index and b.alpha == m_.alpha
@@ -209,7 +209,8 @@ def test_running_margins_do_not_drift_over_long_runs():
     # 10000 rounds on an instance of the benchmark's boost-long size
     ts = datagen.make_nonseparable_classification(m=40, d=4, seed=1)
     problem = ts.to_minmax()
-    res = run_adaboost(ts, StepSchedule.dynamic(ts.lipschitz, math.log(40.0)), 10000)
+    res = md_core.run(problem, StepSchedule.dynamic(ts.lipschitz, math.log(40.0)), 10000,
+                      algorithm="adaboost")
     assert len(res.records) == 10000
     dual_sum = np.zeros(problem.n)
     step_sum = 0.0
@@ -222,7 +223,8 @@ def test_running_margins_do_not_drift_over_long_runs():
 
 def test_run_adaboost_records_pre_step_values():
     ts = datagen.make_margin_matrix(m=8, n=5, seed=11)
-    res, weights = run_with_iterates(run_adaboost, ts, StepSchedule.fixed(0.3), 10)
+    res, weights = run_with_iterates(md_core.run, ts.to_minmax(), StepSchedule.fixed(0.3), 10,
+                                     algorithm="adaboost")
     np.testing.assert_array_equal(weights[0], np.full(8, 1.0 / 8.0))
     # the edge is the loss-gradient norm, and the records state it once
     assert all(rec.grad_norm is None for rec in res.records)
@@ -235,7 +237,8 @@ def test_run_adaboost_records_pre_step_values():
 
 def test_run_adaboost_weak_duality_every_round():
     ts = datagen.make_margin_matrix(m=15, n=9, seed=8)
-    res = run_adaboost(ts, StepSchedule.dynamic(ts.lipschitz, math.log(15.0)), 80)
+    res = md_core.run(ts.to_minmax(), StepSchedule.dynamic(ts.lipschitz, math.log(15.0)), 80,
+                      algorithm="adaboost")
     for rec in res.records:
         assert rec.dual <= rec.best_primal + 1e-12
 
@@ -245,7 +248,7 @@ def test_linesearch_zeroes_the_chosen_column_edge():
     # chosen column when all margins are +-1
     ts = datagen.make_nonseparable_classification(m=30, d=3, seed=6)
     assert np.all(np.abs(ts.margins) == 1.0)
-    res = run_adaboost(ts, StepSchedule.edge_linesearch(), 30)
+    res = md_core.run(ts.to_minmax(), StepSchedule.edge_linesearch(), 30, algorithm="adaboost")
     assert res.terminated is None
     state = BoostState.initial(ts)
     for rec in res.records:
@@ -255,7 +258,7 @@ def test_linesearch_zeroes_the_chosen_column_edge():
 
 def test_linesearch_terminates_on_perfect_column():
     ts = TrainingSet.from_margin_matrix(np.array([[1.0, 0.5], [1.0, -0.5]]))
-    res = run_adaboost(ts, StepSchedule.edge_linesearch(), 10)
+    res = md_core.run(ts.to_minmax(), StepSchedule.edge_linesearch(), 10, algorithm="adaboost")
     assert res.terminated is not None and "edge reached 1" in res.terminated
     assert res.records == []
 
@@ -263,9 +266,10 @@ def test_linesearch_terminates_on_perfect_column():
 def test_run_adaboost_sink_and_validation():
     ts = TrainingSet.from_margin_matrix(np.array([[1.0, 0.5], [1.0, -0.5]]))
     with pytest.raises(ValueError):
-        run_adaboost(ts, StepSchedule.fixed(0.1), 0)
+        md_core.run(ts.to_minmax(), StepSchedule.fixed(0.1), 0, algorithm="adaboost")
     seen = []
-    run_adaboost(ts, StepSchedule.fixed(0.1), 4, sink=lambda rec, x: seen.append(rec))
+    md_core.run(ts.to_minmax(), StepSchedule.fixed(0.1), 4, algorithm="adaboost",
+                sink=lambda rec, x: seen.append(rec))
     assert [r.k for r in seen] == [0, 1, 2, 3]
 
 
@@ -274,7 +278,8 @@ def test_large_fixed_steps_drive_weights_to_the_boundary():
     # the engine's prox keeps it at 0 and stays with the classical loop
     ts = TrainingSet.from_margin_matrix([[-0.5], [0.0], [0.0]])
     rb, wb = run_with_iterates(classical_adaboost, ts, StepSchedule.fixed(20.0), 300)
-    rm, wm = run_with_iterates(run_adaboost, ts, StepSchedule.fixed(20.0), 300)
+    rm, wm = run_with_iterates(md_core.run, ts.to_minmax(), StepSchedule.fixed(20.0), 300,
+                               algorithm="adaboost")
     assert rm.terminated is None and len(rm.records) == len(wb) == len(wm) == 300
     assert rm.state.x[0] == 0.0
     for b, m_, b_x, m_x in zip(rb.records, rm.records, wb, wm):

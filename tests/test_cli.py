@@ -50,6 +50,8 @@ def test_parse_data_spec_errors():
                 "synthetic::seed=1",            # empty kind
                 "synthetic:separable:seed",     # not key=value
                 "synthetic:separable:seed=x",   # not numeric
+                "synthetic:nonseparable:seed=1:m=4:d=1:seed=2",  # a repeated seed
+                "synthetic:nonseparable:seed=1:m=4:m=5:d=1",     # a repeated size
                 "not-a-spec"):
         with pytest.raises(ConfigError):
             parse_data_spec(bad)
@@ -123,6 +125,36 @@ def test_run_usage_errors_write_nothing(tmp_path):
     for argv in cases:
         assert main(argv) == EXIT_USAGE
         assert not out.exists()
+
+
+# options the task does not read, which would be written into the header's
+# config as an experiment that did not run, and data spec keys given twice
+@pytest.mark.parametrize("args, refusal", [
+    (["adaboost", "--data", "synthetic:nonseparable:seed=1:m=4:d=1", "--center", "--scale",
+      "--use-response-bound"], "--center is only for fs"),
+    (["adaboost", "--data", "synthetic:nonseparable:seed=1:m=4:d=1", "--scale"],
+     "--scale is only for fs"),
+    (["minmax-game", "--data", "synthetic:game:seed=1:m=3:n=2", "--use-response-bound"],
+     "--use-response-bound is only for fs"),
+    (["fs", "--data", "synthetic:regression:seed=1:n=5:p=3", "--schedule", "optimal",
+      "--epsilon", "5"], "--epsilon is only for fs with the constant schedule"),
+    (["minmax-game", "--data", "synthetic:game:seed=1:m=3:n=2", "--epsilon", "0.1"],
+     "--epsilon is only for fs with the constant schedule"),
+    (["fs", "--data", "synthetic:regression:seed=1:n=5:p=3", "--schedule", "linesearch",
+      "--f-star", "0"], "--f-star is not for fs, whose optimal value is 0.0"),
+    (["fs", "--data", "synthetic:regression:seed=1:n=5:p=3", "--schedule", "constant",
+      "--epsilon", "0.1", "--f-star=-1e-3"], "--f-star is not for fs"),
+    (["adaboost", "--data", "synthetic:nonseparable:seed=1:m=4:d=1:seed=2"],
+     "data spec token 'seed=2' repeats the key 'seed'"),
+    (["adaboost", "--data", "synthetic:nonseparable:seed=1:m=4:m=5:d=1"],
+     "data spec token 'm=5' repeats the key 'm'"),
+])
+def test_run_refuses_an_option_its_task_ignores_and_a_repeated_spec_key(tmp_path, capsys,
+                                                                        args, refusal):
+    out = tmp_path / "never"
+    assert main(["run", *args, "--out", str(out)]) == EXIT_USAGE
+    assert refusal in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_an_instance_too_large_to_allocate_is_a_usage_error(tmp_path, capsys):
@@ -1094,7 +1126,8 @@ def test_mistyped_config_is_a_usage_error(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE
     assert not (tmp_path / "out").exists()
     # integers are accepted where a float is expected, null where a field is optional
-    cfg_path.write_text(json.dumps({**base, "f_star": 0, "epsilon": None, "prefix": None}))
+    cfg_path.write_text(json.dumps({**base, "schedule": "constant", "epsilon": 1, "f_star": None,
+                                    "prefix": None}))
     assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
 
 

@@ -65,5 +65,5 @@ def test_the_readmes_library_example_runs():
     exec(compile(code, str(readme), "exec"), {})
     surface = section.split("public surface is these ", 1)[1].split(". A trace", 1)[0]
     count, names = surface.split(" names", 1)
-    assert int(count) == len(mirrorboost.__all__) == 22
+    assert int(count) == len(mirrorboost.__all__) == 18
     assert re.findall(r"`(\w+)`", names) == mirrorboost.__all__

@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from mirrorboost.cli import main
-from mirrorboost.md_core import EDGE_CAP
+from mirrorboost.schedule import EDGE_CAP
 from oracles import dual_rounding_bound
 
 PARENT = Path(__file__).parent / "data" / "parent"

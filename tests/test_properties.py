@@ -1,7 +1,8 @@
-"""Property tests: on random small instances the engine views run_adaboost and
-run_fs reproduce the classical loops of tests/oracles.py bit for bit, except
-AdaBoost's dual value, which the engine keeps in running margins and the
-oracle recomputes densely; the two agree within oracles.dual_rounding_bound.
+"""Property tests: on random small instances the engine, md_core.run, on a
+TrainingSet's and on a RegressionProblem's problem reproduces the classical
+loops of tests/oracles.py bit for bit, except AdaBoost's dual value, which
+the engine keeps in running margins and the oracle recomputes densely; the
+two agree within oracles.dual_rounding_bound.
 
 A run's records survive the round trip through its trace bit for bit, and
 `check` rebuilds the same report.json bytes from the written trace. On random
@@ -40,13 +41,12 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import certificate_header
+from conftest import certificate_header, certified
 from mirrorboost import bounds, cli, md_core, prox
-from mirrorboost.boosting import TrainingSet, run_adaboost
-from mirrorboost.bounds import CertificateReport, certificates, check
+from mirrorboost.boosting import TrainingSet
 from mirrorboost.md_core import MinmaxProblem
 from mirrorboost.schedule import StepSchedule, UndefinedStepError
-from mirrorboost.stagewise import RegressionProblem, least_squares_norm, run_fs
+from mirrorboost.stagewise import RegressionProblem, least_squares_norm
 from mirrorboost.trace import TraceHeader, format_trace, read_trace
 from oracles import (
     SequenceSchedule,
@@ -54,6 +54,7 @@ from oracles import (
     checked_response,
     classical_adaboost,
     classical_fs,
+    report_json,
     run_with_iterates,
     support_size,
 )
@@ -126,10 +127,13 @@ def fs_cases(draw):
 FIELDS = ("k", "algorithm", "index", "sign", "alpha", "primal", "best_primal", "l1", "l0")
 
 
-def _run_both(oracle_runner, engine_runner, instance, payoff, schedule):
-    """Both runs, after checking that they agree record by record."""
+def _run_both(oracle_runner, instance, schedule, **engine_kwargs):
+    """The classical loop's run of `instance` and the engine's run of its
+    problem, after checking that they agree record by record."""
+    problem = instance.to_minmax()
     oracle, oracle_iterates = run_with_iterates(oracle_runner, instance, schedule, ITERATIONS)
-    engine, engine_iterates = run_with_iterates(engine_runner, instance, schedule, ITERATIONS)
+    engine, engine_iterates = run_with_iterates(md_core.run, problem, schedule, ITERATIONS,
+                                                **engine_kwargs)
     assert engine.terminated == oracle.terminated
     assert len(engine.records) == len(oracle.records) == len(engine_iterates) \
         == len(oracle_iterates)
@@ -137,7 +141,7 @@ def _run_both(oracle_runner, engine_runner, instance, payoff, schedule):
         for name in FIELDS:
             assert getattr(a, name) == getattr(b, name), (a.k, name)
         np.testing.assert_array_equal(a_x, b_x)
-    assert_duals_within_rounding(payoff, oracle.records, engine.records)
+    assert_duals_within_rounding(problem.payoff, oracle.records, engine.records)
     return oracle, engine
 
 
@@ -145,7 +149,7 @@ def _run_both(oracle_runner, engine_runner, instance, payoff, schedule):
 @given(boost_cases())
 def test_run_adaboost_matches_the_classical_loop(case):
     ts, schedule = case
-    oracle, engine = _run_both(classical_adaboost, run_adaboost, ts, ts.margins, schedule)
+    oracle, engine = _run_both(classical_adaboost, ts, schedule, algorithm="adaboost")
     np.testing.assert_array_equal(engine.state.x, oracle.state.weights)
     np.testing.assert_array_equal(engine.state.dual_weighted_sum, oracle.state.coefficients)
 
@@ -154,15 +158,10 @@ def test_run_adaboost_matches_the_classical_loop(case):
 @given(fs_cases())
 def test_run_fs_matches_the_classical_loop(case):
     rp, schedule = case
-    oracle, engine = _run_both(classical_fs, run_fs, rp, rp.design, schedule)
+    oracle, engine = _run_both(classical_fs, rp, schedule, x0=rp.response.copy(),
+                               algorithm="stagewise")
     np.testing.assert_array_equal(engine.state.x, oracle.state.residual)
     np.testing.assert_array_equal(engine.state.dual_weighted_sum, oracle.state.coefficients)
-
-
-def _report_json(report) -> str:
-    fh = io.StringIO()
-    report.write_json(fh)
-    return fh.getvalue()
 
 
 def _fields(line) -> list:
@@ -178,7 +177,7 @@ def _assert_check_rebuilds_the_report(result, header: TraceHeader) -> None:
     with a value that is not finite is refused by both checks, with the
     message `run` exits 2 with."""
     assume(result.records)  # `run` refuses a run that stopped before its first round
-    report = check(result.records, header)
+    certs, _ = certified(result.records, header)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.trace.jsonl"
         path.write_text(format_trace(header, result.records, result.terminated),
@@ -188,19 +187,22 @@ def _assert_check_rebuilds_the_report(result, header: TraceHeader) -> None:
     assert [_fields(r) for r in back[1]] == [_fields(r) for r in result.records]
     assert back[2] == result.terminated
     # as `check` certifies it: with the record count of a whole trace
-    again = CertificateReport(list(certificates(back[1], back[0],
-                                                cli._whole_count(back[0], back[2]))))
-    non_finite = report.tally().non_finite
-    if non_finite is not None:
-        assert again.tally().non_finite == non_finite
-        for refused in (report, again):
-            with pytest.raises(ValueError, match=f"^{re.escape(non_finite)}$"):
-                _report_json(refused)
-        return
-    written = _report_json(report)
-    assert _report_json(again) == written
-    assert written == json.dumps(report.to_dict(), sort_keys=True, indent=2,
-                                 allow_nan=False) + "\n"
+    again, _ = certified(back[1], back[0], cli._whole_count(back[0], back[2]))
+    written = []
+    for records in (certs, again):
+        fh = io.StringIO()
+        with bounds.ReportWriter() as writer:
+            writer.add(records)
+            non_finite = writer.tally.non_finite
+            if non_finite is None:
+                writer.write(fh)
+            else:
+                with pytest.raises(ValueError, match=f"^{re.escape(non_finite)}$"):
+                    writer.write(fh)
+        written.append((non_finite, fh.getvalue()))
+    assert written[1] == written[0]
+    if written[0][0] is None:
+        assert written[0][1] == report_json(certs)
 
 
 # a subnormal step sum: the running bounds overflow, and are not evaluable
@@ -216,7 +218,8 @@ def test_check_rebuilds_an_adaboost_report_from_its_trace(case):
     kind = schedule.kind if schedule.kind in ("constant", "dynamic") else "linesearch"
     header = certificate_header("adaboost", kind, m=ts.num_examples, n=ts.num_classifiers,
                                 lipschitz=ts.lipschitz, iterations=ITERATIONS)
-    _assert_check_rebuilds_the_report(run_adaboost(ts, schedule, ITERATIONS), header)
+    _assert_check_rebuilds_the_report(
+        md_core.run(ts.to_minmax(), schedule, ITERATIONS, algorithm="adaboost"), header)
 
 
 @settings(max_examples=100, deadline=None)
@@ -234,7 +237,9 @@ def test_check_rebuilds_a_stagewise_report_from_its_trace(case):
                                 m=rp.num_samples, n=rp.num_columns, lipschitz=rp.design_norm,
                                 iterations=ITERATIONS, f_star=0.0, dist0=dist0,
                                 eps=schedule.alpha if fixed else None)
-    _assert_check_rebuilds_the_report(run_fs(rp, schedule, ITERATIONS), header)
+    _assert_check_rebuilds_the_report(
+        md_core.run(rp.to_minmax(), schedule, ITERATIONS, x0=rp.response.copy(),
+                    algorithm="stagewise"), header)
 
 
 # every task and schedule `run` accepts, but minmax-game's polyak schedule,
@@ -279,8 +284,7 @@ def test_no_certificate_fails_on_a_random_instance(case):
     result = md_core.run(problem, schedule, config.iterations, x0=x0,
                          algorithm=header.algorithm)
     assume(result.records)  # `run` refuses a run that stopped before its first round
-    report = check(result.records, header)
-    assert report.failures() == []
+    assert certified(result.records, header)[1].failures == []
 
 
 # every task and schedule `run` accepts
@@ -289,12 +293,12 @@ ALL_TASK_SCHEDULES = [(task, schedule) for task, schedules in cli._TASK_SCHEDULE
 OUTPUTS = ("trace.jsonl", "report.json", "report.txt", "plot.csv")
 
 
-def _collected_plot(records, report) -> str:
+def _collected_plot(records, certs) -> str:
     """plot.csv as it was made from a whole report: each record's row shows
     the observed value and the bound of the last gap-running or opt-running
     certificate with its k."""
     running = {}
-    for rec in report.records:
+    for rec in certs:
         if rec.tag in (bounds.GAP_RUNNING, bounds.OPT_RUNNING):
             running[rec.k] = (rec.observed, rec.bound)
     fh = io.StringIO(newline="")
@@ -311,23 +315,23 @@ def _collected_plot(records, report) -> str:
 
 def _collected_outputs(config, instance, results) -> dict[str, str] | None:
     """The four outputs of the run in `results`, made by the writers of
-    whole texts: format_trace, check(...).write_json, the report text of the
-    collected report and _collected_plot; None where `run` refuses the run."""
+    whole texts from the collected certificates: format_trace, json.dump's
+    report.json (oracles.report_json), the report text of their tally and
+    _collected_plot; None where `run` refuses the run."""
     if not results or not results[0].records:
         return None
     result = results[0]
     _, header, _, _ = cli._prepare_run(config, instance)
-    report = check(result.records, header)
-    report_json = io.StringIO()
+    certs, tally = certified(result.records, header)
     try:
         trace = format_trace(header, result.records, result.terminated)
-        report.write_json(report_json)
+        report = report_json(certs)
     except ValueError:
         return None
-    return {"trace.jsonl": trace, "report.json": report_json.getvalue(),
-            "report.txt": cli._render_report_text(header, report.summary(), report.by_tag(),
-                                                  report.failures()),
-            "plot.csv": _collected_plot(result.records, report)}
+    return {"trace.jsonl": trace, "report.json": report,
+            "report.txt": cli._render_report_text(header, tally.summary(), tally.by_tag,
+                                                  tally.failures),
+            "plot.csv": _collected_plot(result.records, certs)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -336,7 +340,8 @@ def test_run_and_check_stream_the_bytes_of_the_collected_writers(case, f_star):
     config, instance = case
     if (config.task, config.schedule) == ("minmax-game", "polyak") and f_star is None:
         f_star = 0.0  # the polyak schedule needs f*
-    config.f_star = f_star
+    if config.task != "fs":  # fs's f* is 0.0, and run refuses --f-star for it
+        config.f_star = f_star
     results = []
     engine = md_core.run
 

@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import gram_schmidt_projection_norm
-from mirrorboost import datagen
+from mirrorboost import datagen, md_core
 from mirrorboost.md_core import NNZ_TOLERANCE
 from mirrorboost.schedule import StepSchedule
 from mirrorboost.stagewise import (
     RegressionProblem,
     least_squares_norm,
     optimal_shrinkage,
-    run_fs,
 )
 from oracles import (
     StagewiseState,
@@ -166,7 +165,8 @@ def test_optimal_shrinkage_formula():
 def test_run_fs_records_pre_step_sparsity():
     rp = datagen.make_regression(n=30, p=12, seed=1)
     eps = 0.05
-    res = run_fs(rp, StepSchedule.fixed(eps), 80)
+    res = md_core.run(rp.to_minmax(), StepSchedule.fixed(eps), 80, x0=rp.response.copy(),
+                      algorithm="stagewise")
     assert res.records[0].l1 == 0.0 and res.records[0].l0 == 0
     for rec in res.records:
         assert rec.l1 <= rec.k * eps + 1e-12
@@ -177,7 +177,8 @@ def test_run_fs_records_pre_step_sparsity():
 
 def test_run_fs_residual_consistent_with_replayed_coefficients():
     rp = datagen.make_regression(n=25, p=10, seed=9)
-    res, residuals = run_with_iterates(run_fs, rp, StepSchedule.fixed(0.02), 120)
+    res, residuals = run_with_iterates(md_core.run, rp.to_minmax(), StepSchedule.fixed(0.02), 120,
+                                       x0=rp.response.copy(), algorithm="stagewise")
     assert len(residuals) == len(res.records) == 120
     beta = np.zeros(rp.num_columns)
     for rec, residual in zip(res.records, residuals):
@@ -191,7 +192,8 @@ def test_run_fs_linesearch_step_is_the_polyak_step():
     # the exact line-search shrinkage |corr| / |column|^2 is the polyak step
     # for the known optimal value zero
     rp = datagen.make_regression(n=20, p=8, seed=3)
-    res = run_fs(rp, StepSchedule.polyak(0.0), 60)
+    res = md_core.run(rp.to_minmax(), StepSchedule.polyak(0.0), 60, x0=rp.response.copy(),
+                      algorithm="stagewise")
     for rec in res.records:
         col = rp.design[:, rec.index]
         assert rec.alpha == pytest.approx(rec.primal / float(col @ col), rel=1e-15)
@@ -199,7 +201,8 @@ def test_run_fs_linesearch_step_is_the_polyak_step():
 
 def test_run_fs_linesearch_on_identity_reaches_the_optimum():
     rp = RegressionProblem(design=np.eye(2), response=np.array([1.0, 0.0]))
-    res = run_fs(rp, StepSchedule.polyak(0.0), 10)
+    res = md_core.run(rp.to_minmax(), StepSchedule.polyak(0.0), 10, x0=rp.response.copy(),
+                      algorithm="stagewise")
     assert len(res.records) == 1
     assert res.terminated is not None and "orthogonal" in res.terminated
     np.testing.assert_array_equal(res.state.dual_weighted_sum, [1.0, 0.0])
@@ -211,7 +214,8 @@ def test_run_fs_equals_mirror_descent_run():
     rp = datagen.make_regression(n=30, p=15, seed=12)
     for sched in (StepSchedule.fixed(0.03), StepSchedule.polyak(0.0)):
         rf, xf = run_with_iterates(classical_fs, rp, sched, 100)
-        rm, xm = run_with_iterates(run_fs, rp, sched, 100)
+        rm, xm = run_with_iterates(md_core.run, rp.to_minmax(), sched, 100,
+                                   x0=rp.response.copy(), algorithm="stagewise")
         assert len(rf.records) == len(rm.records) == len(xf) == len(xm)
         for f, m_, f_x, m_x in zip(rf.records, rm.records, xf, xm):
             assert f.index == m_.index and f.sign == m_.sign
@@ -224,14 +228,17 @@ def test_run_fs_equals_mirror_descent_run():
 
 def test_run_fs_objective_decreases_to_tolerance_with_linesearch():
     rp = datagen.make_regression(n=40, p=10, seed=21, noise=0.2)
-    res = run_fs(rp, StepSchedule.polyak(0.0), 400)
+    res = md_core.run(rp.to_minmax(), StepSchedule.polyak(0.0), 400, x0=rp.response.copy(),
+                      algorithm="stagewise")
     assert res.records[-1].best_primal < res.records[0].primal * 0.05
 
 
 def test_run_fs_validation_and_sink():
     rp = RegressionProblem(design=np.eye(2), response=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        run_fs(rp, StepSchedule.fixed(0.1), 0)
+        md_core.run(rp.to_minmax(), StepSchedule.fixed(0.1), 0, x0=rp.response.copy(),
+                    algorithm="stagewise")
     seen = []
-    run_fs(rp, StepSchedule.fixed(0.1), 3, sink=lambda rec, x: seen.append(rec))
+    md_core.run(rp.to_minmax(), StepSchedule.fixed(0.1), 3, x0=rp.response.copy(),
+                algorithm="stagewise", sink=lambda rec, x: seen.append(rec))
     assert [r.k for r in seen] == [0, 1, 2]
