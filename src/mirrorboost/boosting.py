@@ -30,27 +30,18 @@ import numpy as np
 from .md_core import MinmaxProblem
 
 
-def _check_entries(a: np.ndarray, what: str) -> None:
-    """Raise unless every entry of `a` is finite and lies in [-1, 1].
-
-    Reads only the largest and smallest entry: NaN propagates through both and
-    an infinity is one of them, so no temporary as large as `a` is made.
-    """
-    if a.size == 0:
-        return
-    high, low = float(a.max()), float(a.min())
-    if not (math.isfinite(high) and math.isfinite(low)):
-        raise ValueError(f"{what} must be finite")
-    if max(high, -low) > 1.0:
-        raise ValueError(f"{what} must lie in [-1, 1]")
-
-
 def _checked_labels(labels, num_examples: int) -> np.ndarray:
-    """The labels as floats: one finite entry in [-1, 1] per example."""
+    """The labels as floats: one finite entry in [-1, 1] per example, of at
+    least one. NaN propagates through max and min, and an infinity is one of
+    them."""
     labels = np.asarray(labels, dtype=float)
     if labels.shape != (num_examples,):
         raise ValueError("labels must have one entry per example")
-    _check_entries(labels, "outputs and labels")
+    high, low = float(labels.max()), float(labels.min())
+    if not (math.isfinite(high) and math.isfinite(low)):
+        raise ValueError("outputs and labels must be finite")
+    if max(high, -low) > 1.0:
+        raise ValueError("outputs and labels must lie in [-1, 1]")
     return labels
 
 
@@ -77,15 +68,17 @@ class TrainingSet:
     The set keeps a float array of margins as given, neither copied nor
     written (so a caller that later writes into it changes the set), and
     checks only its shape and entries: closing it under negation is the
-    builder's part. from_margin_matrix, from_outputs and the game draw of
-    datagen give [A, -A], each allocating the m x 2n matrix once and writing
-    A into its left half, so no copy of A is held beside it; the stump build
-    of datagen gives each stump beside its negation.
+    builder's part. from_margin_matrix and the game draw of datagen give
+    [A, -A], each allocating the m x 2n matrix once and writing A into its
+    left half, so no copy of A is held beside it; the stump build of datagen
+    gives each stump beside its negation.
 
     Making the set makes its edge problem, once: the problem checks that the
     entries are finite and computes the Lipschitz constant L = max |A_ij| in
     the same scan, and the set then needs L <= 1. L, like these checks,
-    belongs to the matrix as it was when the set was made.
+    belongs to the matrix as it was when the set was made. The problem holds
+    the set's size and constant: to_minmax().m examples, .n classifiers and
+    .lipschitz().
 
     AdaBoost is md_core.run(ts.to_minmax(), schedule, iterations,
     algorithm="adaboost"), from uniform weights. Its records carry the edge,
@@ -115,23 +108,6 @@ class TrainingSet:
         object.__setattr__(self, "_problem", problem)
 
     @classmethod
-    def from_outputs(cls, outputs, labels, features=None) -> "TrainingSet":
-        """Build from classifier outputs (m x n, entries in [-1, 1]) and labels:
-        the margins A = labels * outputs, as [A, -A].
-
-        The product is written straight into the left half of the new closed
-        matrix, with no temporary of its size; `outputs` is not written.
-        """
-        outputs = np.asarray(outputs, dtype=float)
-        if outputs.ndim != 2:
-            raise ValueError("outputs must be a 2-D matrix")
-        labels = _checked_labels(labels, outputs.shape[0])
-        _check_entries(outputs, "outputs and labels")
-        margins = _closed(*outputs.shape,
-                          lambda left: np.multiply(labels[:, None], outputs, out=left))
-        return cls(margins=margins, features=features, labels=labels)
-
-    @classmethod
     def from_margin_matrix(cls, margins) -> "TrainingSet":
         """The set of the m x n matrix `margins` and its negations: [A, -A],
         2n columns, with 0.0 for every -0.0. `margins` is not written."""
@@ -139,19 +115,6 @@ class TrainingSet:
         if margins.ndim != 2:
             raise ValueError("margins must be a nonempty 2-D matrix")
         return cls(margins=_closed(*margins.shape, lambda left: np.copyto(left, margins)))
-
-    @property
-    def num_examples(self) -> int:
-        return self.margins.shape[0]
-
-    @property
-    def num_classifiers(self) -> int:
-        return self.margins.shape[1]
-
-    @property
-    def lipschitz(self) -> float:
-        """The edge problem's Lipschitz constant, the largest entry magnitude."""
-        return self._problem.lipschitz()
 
     def to_minmax(self) -> MinmaxProblem:
         """The equivalent simplex-vs-simplex payoff problem, the same object on

@@ -186,7 +186,7 @@ class ReportWriter:
     every record has arrived. So `add` takes the records _CHUNK_RECORDS at a
     time, tallies them and spools their texts to an anonymous temporary file;
     `finish` refuses a non-finite value; `write` writes by_tag, copies the
-    spooled texts _COPY_CHARS at a time, and writes the summary. No step
+    spooled texts a chunk at a time, and writes the summary. No step
     holds the records or the whole report. Closing the writer removes its
     spool.
     """
@@ -238,7 +238,7 @@ class ReportWriter:
         if self._spooled:
             fh.write('  "records": [\n')
             self._spool.seek(0)
-            shutil.copyfileobj(self._spool, fh, _COPY_CHARS)
+            shutil.copyfileobj(self._spool, fh)
             fh.write("\n  ],\n")
         else:
             fh.write('  "records": [],\n')
@@ -295,10 +295,9 @@ _SUMMARY_TEMPLATE = """\
   }
 }
 """
-# records per text spooled, and characters per copy of the spool: one string
-# for a long run's whole report, or a large part of it, would raise its peak
+# records per text spooled: one string for a long run's whole report, or a
+# large part of it, would raise its peak
 _CHUNK_RECORDS = 256
-_COPY_CHARS = 64 * 1024
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
 _json_str = json.encoder.encode_basestring_ascii  # the C encoder json.dump uses for strings
 

@@ -133,7 +133,7 @@ def parse_data_spec(spec: str):
     if len(parts) < 2 or not parts[1]:
         raise ConfigError(f"data spec {spec!r} is missing the synthetic kind")
     kind = parts[1]
-    if kind not in datagen._KIND_ALIASES:
+    if kind not in datagen._KINDS:
         raise ConfigError(f"unknown synthetic kind: {kind!r}")
     seed = None
     sizes: dict[str, float | int] = {}
@@ -172,10 +172,9 @@ def _build_instance(config: ExperimentConfig):
             return datagen.load_regression_csv(path)
         return datagen.load_classification_csv(path)
     _, kind, seed, sizes = parsed
-    canonical = datagen._KIND_ALIASES[kind]
-    if config.task == "fs" and canonical != "regression":
+    if config.task == "fs" and kind != "regression":
         raise ConfigError(f"task 'fs' needs regression data, got kind {kind!r}")
-    if config.task != "fs" and canonical == "regression":
+    if config.task != "fs" and kind == "regression":
         raise ConfigError(f"task {config.task!r} needs classification data, got kind {kind!r}")
     return _generate(kind, seed, sizes)
 
@@ -318,7 +317,7 @@ def _copy(spool, path: Path, newline: str | None = None) -> None:
     """Write `spool`'s text to `path`, a chunk at a time."""
     spool.seek(0)
     with open(path, "w", encoding="utf-8", newline=newline) as fh:
-        shutil.copyfileobj(spool, fh, bounds._COPY_CHARS)
+        shutil.copyfileobj(spool, fh)
 
 
 def _write_outputs(out_dir: Path, prefix: str, header: TraceHeader, result) -> tuple[dict, dict]:
@@ -406,8 +405,38 @@ def _cmd_run(args) -> int:
     return EXIT_OK if summary["failed"] == 0 else EXIT_CERTIFICATE
 
 
+def _config_problem(header: TraceHeader) -> str | None:
+    """Why the header's config is not that of the run it heads, or None: it
+    is not one `run` accepts, or it names another algorithm, schedule or
+    iteration count, another f* outside fs, or another shrinkage for fs with
+    the constant schedule. A header without a config names no run."""
+    if header.config is None:
+        return None
+    try:
+        config = ExperimentConfig.from_dict(header.config)
+        config.validate()
+    except ConfigError as exc:
+        return str(exc)
+    pairs = [("algorithm", _TASK_ALGORITHMS[config.task], header.algorithm),
+             ("schedule", config.schedule, header.schedule_kind),
+             ("iterations", config.iterations, header.iterations)]
+    if config.task != "fs":
+        pairs.append(("f_star", config.f_star, header.f_star))
+    elif config.schedule == "constant":
+        pairs.append(("epsilon", config.epsilon, header.eps))
+    for name, wanted, got in pairs:
+        if wanted != got:
+            return f"the config's {name} is {wanted!r}, but the header's is {got!r}"
+    return None
+
+
 def _cmd_check(args) -> int:
     header, records, terminated = read_trace(args.trace)
+    problem = _config_problem(header)
+    if problem is not None:
+        with open(args.trace, "r", encoding="utf-8") as fh:  # the header's line
+            lineno = next(n for n, text in enumerate(fh, start=1) if text.strip())
+        raise ConfigError(f"{args.trace}: line {lineno}: header config: {problem}")
     if not records:
         raise ConfigError(f"trace {args.trace} has no iteration records")
     trace_path = Path(args.trace)
@@ -435,15 +464,14 @@ def _cmd_gen(args) -> int:
     if parsed[0] != "synthetic":
         raise ConfigError("gen needs a synthetic:... data spec")
     _, kind, seed, sizes = parsed
-    canonical = datagen._KIND_ALIASES[kind]
-    if canonical == "game":
+    if kind == "game":
         raise ConfigError("kind 'game' is matrix-level and has no CSV form; "
                           "use separable, nonseparable, or regression")
     instance = _generate(kind, seed, sizes)
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    if canonical == "regression":
+    if kind == "regression":
         datagen.write_regression_csv(out, instance.design, instance.response)
     else:
         datagen.write_classification_csv(out, instance.features, instance.labels)

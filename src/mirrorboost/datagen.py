@@ -14,7 +14,6 @@ it in place, so the build holds the closed matrix and one row block.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,35 +24,20 @@ from .stagewise import RegressionProblem
 _DRAW_BLOCK_BYTES = 512 * 1024
 
 
-@dataclass(frozen=True)
-class Stump:
-    """Threshold classifier on one feature: sign * (+1 if x > threshold else -1).
-    A constant classifier is encoded with feature -1."""
+def build_stumps(features) -> np.ndarray:
+    """The outputs of all midpoint-threshold stumps over every feature, both
+    orientations, plus the two constant classifiers, with exact duplicate
+    columns removed. A stump on feature f with threshold t and sign s outputs
+    s * (+1 if x_f > t else -1). Each threshold t between adjacent distinct
+    values a < b of its feature satisfies a <= t < b, so every feature value
+    must be finite: a nan or an infinity raises ValueError.
 
-    feature: int
-    threshold: float
-    sign: int
-
-    def outputs(self, features: np.ndarray) -> np.ndarray:
-        if self.feature < 0:
-            return np.full(features.shape[0], float(self.sign))
-        raw = np.where(features[:, self.feature] > self.threshold, 1.0, -1.0)
-        return self.sign * raw
-
-
-def build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
-    """All midpoint-threshold stumps over every feature, both orientations,
-    plus the two constant classifiers, with exact duplicate columns removed.
-    Each threshold t between adjacent distinct values a < b of its feature
-    satisfies a <= t < b, so every feature value must be finite: a nan or an
-    infinity raises ValueError.
-
-    Returns the output matrix (one column per kept stump, C-contiguous) and the
-    stump descriptors in column order: per feature, each midpoint in
-    increasing order with sign +1 then -1; then the constants +1 and -1; a
-    column equal to an earlier one is left out. The patterns seen come in
-    complementary pairs, so a duplicate's negation is a duplicate too: columns
-    are left out in pairs, and column 2j + 1 is the negation of column 2j.
+    Returns the output matrix, C-contiguous, one column per kept stump in this
+    order: per feature, each midpoint in increasing order with sign +1 then
+    -1; then the constants +1 and -1; a column equal to an earlier one is left
+    out. The patterns seen come in complementary pairs, so a duplicate's
+    negation is a duplicate too: columns are left out in pairs, and column
+    2j + 1 is the negation of column 2j.
 
     Every output is +1 or -1, so a column is fixed by the pattern of examples
     where it is +1. One feature's patterns come from one comparison of the
@@ -70,7 +54,6 @@ def build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
         raise ValueError(f"features must be finite, got {float(features[row, col])!r} "
                          f"in row {row}, feature {col}")
     m = features.shape[0]
-    stumps: list[Stump] = []
     kept: list[np.ndarray] = []  # per feature, the packed patterns of its kept columns
     seen: set[bytes] = set()
     for f in range(features.shape[1]):
@@ -84,17 +67,12 @@ def build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
         patterns = np.empty((m, 2 * len(midpoints)), dtype=bool)
         np.greater(x[:, None], midpoints, out=patterns[:, 0::2])
         np.logical_not(patterns[:, 0::2], out=patterns[:, 1::2])
-        packed, keep = _unseen_patterns(patterns, seen)
-        kept.append(packed)
-        stumps.extend(Stump(feature=f, threshold=float(midpoints[j // 2]), sign=(1, -1)[j % 2])
-                      for j in keep)
+        kept.append(_unseen_patterns(patterns, seen))
     constants = np.zeros((m, 2), dtype=bool)
     constants[:, 0] = True
-    packed, keep = _unseen_patterns(constants, seen)
-    kept.append(packed)
-    stumps.extend(Stump(feature=-1, threshold=0.0, sign=(1, -1)[j]) for j in keep)
+    kept.append(_unseen_patterns(constants, seen))
 
-    outputs = np.empty((m, len(stumps)))
+    outputs = np.empty((m, sum(packed.shape[1] for packed in kept)))
     start = 0
     for packed in kept:
         width = packed.shape[1]
@@ -102,7 +80,7 @@ def build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
         start += width
     outputs *= 2.0  # 0/1 to -1/+1, exactly
     outputs -= 1.0
-    return outputs, stumps
+    return outputs
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -115,10 +93,9 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _unseen_patterns(patterns: np.ndarray, seen: set[bytes]) -> tuple[np.ndarray, list[int]]:
-    """The columns of a boolean pattern matrix not in `seen`, each once: their
-    patterns packed eight rows to a byte, and their indices. Adds the new
-    patterns to `seen`."""
+def _unseen_patterns(patterns: np.ndarray, seen: set[bytes]) -> np.ndarray:
+    """The columns of a boolean pattern matrix not in `seen`, each once, in
+    order, packed eight rows to a byte. Adds the new patterns to `seen`."""
     packed = np.packbits(patterns, axis=0)
     keep = []
     for j in range(packed.shape[1]):
@@ -126,7 +103,7 @@ def _unseen_patterns(patterns: np.ndarray, seen: set[bytes]) -> tuple[np.ndarray
         if key not in seen:
             seen.add(key)
             keep.append(j)
-    return packed[:, keep], keep
+    return packed[:, keep]
 
 
 def training_set_from_features(features, labels) -> TrainingSet:
@@ -135,7 +112,7 @@ def training_set_from_features(features, labels) -> TrainingSet:
     negation as built. A zero label's row is made 0.0 in place, where the
     product leaves -0.0 beside 0.0."""
     features = np.asarray(features, dtype=float)
-    outputs, _ = build_stumps(features)
+    outputs = build_stumps(features)
     labels = _checked_labels(labels, outputs.shape[0])
     outputs *= labels[:, None]
     outputs[labels == 0.0] = 0.0
@@ -307,25 +284,17 @@ def center_scale(rp: RegressionProblem, center: bool = True,
     return RegressionProblem(design=design, response=response)
 
 
-_KIND_ALIASES = {
-    "separable": "separable",
-    "separable-classification": "separable",
-    "nonseparable": "nonseparable",
-    "nonseparable-classification": "nonseparable",
-    "game": "game",
-    "regression": "regression",
-}
+_KINDS = ("separable", "nonseparable", "game", "regression")
 
 
 def generate_synthetic(kind: str, seed: int, **sizes):
-    """Dispatch to the seeded generators; `kind` accepts short or long names."""
-    canonical = _KIND_ALIASES.get(kind)
-    if canonical is None:
-        raise ValueError(f"unknown synthetic kind: {kind!r}")
-    if canonical == "separable":
+    """Dispatch to the seeded generator of `kind`, one of _KINDS."""
+    if kind == "separable":
         return make_separable_classification(seed=seed, **sizes)
-    if canonical == "nonseparable":
+    if kind == "nonseparable":
         return make_nonseparable_classification(seed=seed, **sizes)
-    if canonical == "game":
+    if kind == "game":
         return make_margin_matrix(seed=seed, **sizes)
-    return make_regression(seed=seed, **sizes)
+    if kind == "regression":
+        return make_regression(seed=seed, **sizes)
+    raise ValueError(f"unknown synthetic kind: {kind!r}")

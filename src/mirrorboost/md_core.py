@@ -34,34 +34,6 @@ DUAL_L1_BALL = "l1-ball"
 # coefficients below this magnitude count as zero in the support size
 NNZ_TOLERANCE = 1e-14
 
-# the most bytes of squares _largest_column_norm holds at once
-_SQUARES_BLOCK_BYTES = 512 * 1024
-
-
-def _largest_column_norm(payoff: np.ndarray) -> float:
-    """max_j ||A[:, j]||_2, bit for bit np.linalg.norm(payoff, axis=0).max(),
-    which squares the whole matrix into a temporary: here the squares are
-    summed a block of columns at a time, each block about
-    _SQUARES_BLOCK_BYTES, and two columns or more unless the payoff has one.
-    A block keeps the payoff's layout, so numpy adds each column's squares in
-    the order it adds them in the whole matrix; a single-column block of a
-    wider payoff would be summed pairwise instead. sqrt is monotone, so the
-    largest root is the root of the largest sum. A norm past the float range
-    is an infinite constant, which the trace header refuses."""
-    m, n = payoff.shape
-    columns = max(2, _SQUARES_BLOCK_BYTES // (8 * m))
-    largest = 0.0
-    start = 0
-    with np.errstate(over="ignore"):
-        while start < n:
-            stop = start + columns
-            if stop == n - 1:  # no single-column block after a wider one
-                stop = n
-            block = payoff[:, start:stop]
-            largest = max(largest, np.add.reduce(block * block, axis=0).max())
-            start = stop
-    return math.sqrt(largest)
-
 
 @dataclass(frozen=True)
 class MinmaxProblem:
@@ -99,7 +71,10 @@ class MinmaxProblem:
             # max |A_ij| from the extremes just read, without an |A| temporary
             lipschitz = max(high, -low)
         else:
-            lipschitz = _largest_column_norm(payoff)
+            # a norm past the float range is an infinite constant, which the
+            # trace header refuses
+            with np.errstate(over="ignore"):
+                lipschitz = np.linalg.norm(payoff, axis=0).max()
         object.__setattr__(self, "_lipschitz", float(lipschitz))
 
     @property

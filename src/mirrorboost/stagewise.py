@@ -29,7 +29,8 @@ class RegressionProblem:
 
     Its residual-space problem is made on first use and kept, so the design's
     Lipschitz constant, the largest column l2 norm, is computed once, by the
-    problem, and belongs to the design as it was then.
+    problem, and belongs to the design as it was then. The problem holds the
+    size and constant: to_minmax().m samples, .n columns and .lipschitz().
 
     Forward stagewise regression is md_core.run(rp.to_minmax(), schedule,
     iterations, x0=rp.response.copy(), algorithm="stagewise"), from the
@@ -62,19 +63,6 @@ class RegressionProblem:
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "response", response)
 
-    @property
-    def num_samples(self) -> int:
-        return self.design.shape[0]
-
-    @property
-    def num_columns(self) -> int:
-        return self.design.shape[1]
-
-    @property
-    def design_norm(self) -> float:
-        """Largest column l2 norm: the residual-space problem's Lipschitz constant."""
-        return self.to_minmax().lipschitz()
-
     @cached_property
     def _problem(self) -> MinmaxProblem:
         return MinmaxProblem(payoff=self.design, primal_domain="residual-space",
@@ -93,15 +81,9 @@ def least_squares_norm(rp: RegressionProblem) -> float:
     return float(np.linalg.norm(rp.design @ beta))
 
 
-def optimal_shrinkage(rp: RegressionProblem, iterations: int,
-                      projection_norm: float | None = None) -> float:
-    """Shrinkage tuned a priori to a planned number of iterations.
-
-    `projection_norm` is the l2 norm of the least-squares fit; when it is not
-    supplied, the response norm is used as an upper bound.
-    """
+def optimal_shrinkage(rp: RegressionProblem, iterations: int, projection_norm: float) -> float:
+    """Shrinkage tuned a priori to a planned number of iterations, from the
+    l2 norm of the least-squares fit or an upper bound on it."""
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    if projection_norm is None:
-        projection_norm = float(np.linalg.norm(rp.response))
-    return projection_norm / (rp.design_norm * math.sqrt(iterations))
+    return projection_norm / (rp.to_minmax().lipschitz() * math.sqrt(iterations))

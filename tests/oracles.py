@@ -26,7 +26,6 @@ import numpy as np
 from mirrorboost import md_core
 from mirrorboost.boosting import TrainingSet
 from mirrorboost.bounds import CertificateReport
-from mirrorboost.datagen import Stump
 from mirrorboost.md_core import MinmaxProblem
 from mirrorboost.prox import ENTROPY
 from mirrorboost.schedule import StepSchedule, UndefinedStepError
@@ -40,7 +39,7 @@ NNZ_TOLERANCE = 1e-14
 def weak_learner(ts: TrainingSet, weights) -> int:
     """Index of the classifier with the largest weighted edge (lowest index on ties)."""
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (ts.num_examples,):
+    if weights.shape != (ts.to_minmax().m,):
         raise ValueError("weights must have one entry per example")
     return int(np.argmax(ts.margins.T @ weights))
 
@@ -105,13 +104,13 @@ def log_exp_loss(ts: TrainingSet, coefficients) -> tuple[float, np.ndarray]:
     -margins^T softmax(-margins @ coefficients).
     """
     coefficients = np.asarray(coefficients, dtype=float)
-    if coefficients.shape != (ts.num_classifiers,):
+    if coefficients.shape != (ts.to_minmax().n,):
         raise ValueError("coefficients must have one entry per classifier")
     s = -(ts.margins @ coefficients)
     shift = float(s.max())
     e = np.exp(s - shift)
     total = float(e.sum())
-    loss = shift + math.log(total / ts.num_examples)
+    loss = shift + math.log(total / ts.to_minmax().m)
     soft = e / total
     grad = -(ts.margins.T @ soft)
     return loss, grad
@@ -129,8 +128,8 @@ class BoostState:
 
     @classmethod
     def initial(cls, ts: TrainingSet) -> "BoostState":
-        m = ts.num_examples
-        return cls(weights=np.full(m, 1.0 / m), coefficients=np.zeros(ts.num_classifiers))
+        problem = ts.to_minmax()
+        return cls(weights=np.full(problem.m, 1.0 / problem.m), coefficients=np.zeros(problem.n))
 
     @property
     def iteration(self) -> int:
@@ -221,7 +220,7 @@ class StagewiseState:
 
     @classmethod
     def initial(cls, rp: RegressionProblem) -> "StagewiseState":
-        return cls(residual=rp.response.copy(), coefficients=np.zeros(rp.num_columns))
+        return cls(residual=rp.response.copy(), coefficients=np.zeros(rp.to_minmax().n))
 
 
 def correlation_objective(rp: RegressionProblem, residual) -> float:
@@ -319,27 +318,32 @@ def report_json(records) -> str:
                       allow_nan=False) + "\n"
 
 
-def classical_build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
+def classical_build_stumps(features) -> tuple[np.ndarray, list[tuple[int, float, int]]]:
     """All midpoint-threshold stumps over every feature, both orientations,
     plus the two constant classifiers, with exact duplicate columns removed.
 
-    Returns the output matrix (one column per kept stump) and the stump
-    descriptors in column order.
+    Returns the output matrix (one column per kept stump) and each kept
+    stump's (feature, threshold, sign) in column order. A stump outputs
+    sign * (+1 if x > threshold else -1) on its feature; a constant
+    classifier has feature -1 and outputs its sign.
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError("features must be a 2-D matrix with at least one row")
     columns: list[np.ndarray] = []
-    stumps: list[Stump] = []
+    stumps: list[tuple[int, float, int]] = []
     seen: set[bytes] = set()
 
-    def keep(col: np.ndarray, stump: Stump) -> None:
-        col = col + 0.0
+    def keep(feature: int, threshold: float, sign: int) -> None:
+        if feature < 0:
+            col = np.full(features.shape[0], float(sign))
+        else:
+            col = sign * np.where(features[:, feature] > threshold, 1.0, -1.0) + 0.0
         key = col.tobytes()
         if key not in seen:
             seen.add(key)
             columns.append(col)
-            stumps.append(stump)
+            stumps.append((feature, threshold, sign))
 
     for f in range(features.shape[1]):
         values = np.unique(features[:, f])
@@ -348,11 +352,9 @@ def classical_build_stumps(features) -> tuple[np.ndarray, list[Stump]]:
             if theta == b:  # rounded up: the lower value splits the same way
                 theta = a
             for sign in (1, -1):
-                stump = Stump(feature=f, threshold=float(theta), sign=sign)
-                keep(stump.outputs(features), stump)
+                keep(f, float(theta), sign)
     for sign in (1, -1):
-        stump = Stump(feature=-1, threshold=0.0, sign=sign)
-        keep(stump.outputs(features), stump)
+        keep(-1, 0.0, sign)
     return np.column_stack(columns), stumps
 
 

@@ -52,9 +52,10 @@ def _boost_instances():
 
 
 def _boost_schedules(ts):
-    d = math.log(ts.num_examples)
-    return (("constant", StepSchedule.constant(ts.lipschitz, d, 200)),
-            ("dynamic", StepSchedule.dynamic(ts.lipschitz, d)),
+    problem = ts.to_minmax()
+    d = math.log(problem.m)
+    return (("constant", StepSchedule.constant(problem.lipschitz(), d, 200)),
+            ("dynamic", StepSchedule.dynamic(problem.lipschitz(), d)),
             ("linesearch", StepSchedule.edge_linesearch()))
 
 
@@ -88,7 +89,7 @@ def test_02_edge_equals_loss_gradient_norm():
     for i, ts in enumerate(_boost_instances()):
         for label, sched in _boost_schedules(ts):
             res = md_core.run(ts.to_minmax(), sched, 200, algorithm="adaboost")
-            coefficients = np.zeros(ts.num_classifiers)
+            coefficients = np.zeros(ts.to_minmax().n)
             drift = 0.0
             for rec in res.records:
                 _, grad = log_exp_loss(ts, coefficients)
@@ -102,7 +103,7 @@ def test_02_edge_equals_loss_gradient_norm():
 def test_03_boosting_gap_certificates():
     failures = []
     ts = datagen.make_nonseparable_classification(m=10, d=2, seed=0)
-    if ts.lipschitz != 1.0:
+    if ts.to_minmax().lipschitz() != 1.0:
         failures.append("stump margins must give lipschitz constant 1")
     d = math.log(10.0)
 
@@ -158,7 +159,7 @@ def test_05_stagewise_objective_certificates():
     for seed in range(5):
         rp = datagen.make_regression(n=40, p=20, seed=seed)
         b = least_squares_norm(rp)
-        lip = rp.design_norm
+        lip = rp.to_minmax().lipschitz()
         eps = 0.02
 
         res = md_core.run(rp.to_minmax(), StepSchedule.fixed(eps), 300,
@@ -196,7 +197,7 @@ def test_06_stagewise_sparsity_certificates():
         eps = 0.05
         res = md_core.run(rp.to_minmax(), StepSchedule.fixed(eps), 200,
                           x0=rp.response.copy(), algorithm="stagewise")
-        beta = np.zeros(rp.num_columns)
+        beta = np.zeros(rp.to_minmax().n)
         for rec in res.records:
             if rec.l0 != int(np.count_nonzero(np.abs(beta) > 1e-14)):
                 failures.append((seed, rec.k, "support size mismatch"))
@@ -218,7 +219,7 @@ def test_07_loss_gradient_matches_finite_differences():
     for seed in range(5):
         ts = datagen.make_margin_matrix(m=12, n=6, seed=seed)
         for _ in range(10):
-            lam = rng.uniform(0.0, 1.0, size=ts.num_classifiers)
+            lam = rng.uniform(0.0, 1.0, size=ts.to_minmax().n)
             _, grad = log_exp_loss(ts, lam)
             numeric = central_difference_gradient(
                 lambda v: log_exp_loss(ts, v)[0], lam, h=1e-5)
@@ -264,9 +265,10 @@ def test_09_sandwich_and_weak_duality():
     failures = []
     ts = datagen.make_margin_matrix(m=10, n=6, seed=3)
     rng = np.random.default_rng(31)
-    logm = math.log(ts.num_examples)
+    problem = ts.to_minmax()
+    logm = math.log(problem.m)
     for _ in range(100):
-        lam = rng.dirichlet(np.ones(ts.num_classifiers))
+        lam = rng.dirichlet(np.ones(problem.n))
         loss, _ = log_exp_loss(ts, lam)
         p = margin(ts, lam)
         if not (-p - logm - 1e-12 <= loss <= -p + 1e-12):
@@ -274,7 +276,8 @@ def test_09_sandwich_and_weak_duality():
             break
     for seed in range(10):
         ts2 = datagen.make_margin_matrix(m=15, n=8, seed=seed)
-        res = md_core.run(ts2.to_minmax(), StepSchedule.dynamic(ts2.lipschitz, math.log(15.0)),
+        problem2 = ts2.to_minmax()
+        res = md_core.run(problem2, StepSchedule.dynamic(problem2.lipschitz(), math.log(15.0)),
                           150, algorithm="adaboost")
         for rec in res.records:
             if rec.dual > rec.best_primal + 1e-9:

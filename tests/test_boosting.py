@@ -28,26 +28,18 @@ from oracles import (
 
 def test_negation_closure_adds_missing_columns():
     ts = TrainingSet.from_margin_matrix(np.array([[1.0], [-1.0]]))
-    assert ts.num_classifiers == 2
+    assert ts.to_minmax().n == 2
     np.testing.assert_array_equal(ts.margins, [[1.0, -1.0], [-1.0, 1.0]])
 
 
-def test_from_outputs_builds_label_weighted_margins():
+def test_label_weighted_margins_and_their_negations():
     outputs = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
     labels = np.array([1.0, 1.0, -1.0])
-    ts = TrainingSet.from_outputs(outputs, labels)
-    np.testing.assert_array_equal(ts.margins[:, :2],
-                                  [[1.0, -1.0], [1.0, 1.0], [1.0, -1.0]])
-    assert ts.num_classifiers == 4  # [A, -A]
-    assert ts.lipschitz == 1.0
-
-
-def test_from_outputs_accepts_confidence_rated_values():
-    outputs = np.array([[0.3, -0.7], [-0.2, 0.5]])
-    labels = np.array([1.0, -1.0])
-    ts = TrainingSet.from_outputs(outputs, labels)
-    np.testing.assert_array_equal(ts.margins[:, :2], [[0.3, -0.7], [0.2, -0.5]])
-    assert ts.lipschitz == 0.7
+    ts = TrainingSet.from_margin_matrix(labels[:, None] * outputs)
+    np.testing.assert_array_equal(ts.margins,
+                                  [[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
+                                   [1.0, -1.0, -1.0, 1.0]])
+    assert ts.to_minmax().lipschitz() == 1.0
 
 
 def test_to_minmax_is_one_problem_that_owns_the_constant():
@@ -55,7 +47,7 @@ def test_to_minmax_is_one_problem_that_owns_the_constant():
     problem = ts.to_minmax()
     assert ts.to_minmax() is problem
     assert problem.payoff is ts.margins
-    assert ts.lipschitz == problem.lipschitz() == 0.7
+    assert problem.lipschitz() == 0.7  # confidence-rated entries
 
 
 def test_training_set_validation():
@@ -64,9 +56,9 @@ def test_training_set_validation():
     with pytest.raises(ValueError):
         TrainingSet.from_margin_matrix(np.array([[np.nan]]))
     with pytest.raises(ValueError):
-        TrainingSet.from_outputs(np.array([[2.0]]), np.array([1.0]))
+        datagen.training_set_from_features(np.array([[0.0]]), np.array([2.0]))
     with pytest.raises(ValueError):
-        TrainingSet.from_outputs(np.array([[1.0], [1.0]]), np.array([1.0]))
+        datagen.training_set_from_features(np.array([[0.0], [1.0]]), np.array([1.0]))
 
 
 def test_weak_learner_picks_largest_weighted_edge():
@@ -83,17 +75,18 @@ def test_edge_matches_brute_force_scan():
     for _ in range(20):
         w = rng.dirichlet(np.ones(5))
         best = max(sum(w[i] * ts.margins[i, j] for i in range(5))
-                   for j in range(ts.num_classifiers))
+                   for j in range(ts.to_minmax().n))
         assert edge(ts, w) == pytest.approx(best, rel=1e-12)
         assert edge(ts, w) >= -1e-15  # closure keeps the best edge nonnegative
 
 
 def test_margin_of_vertices_and_mixtures():
     ts = TrainingSet.from_margin_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    lam = np.zeros(ts.num_classifiers)
+    n = ts.to_minmax().n
+    lam = np.zeros(n)
     lam[0] = 1.0
     assert margin(ts, lam) == -1.0
-    lam2 = np.full(ts.num_classifiers, 1.0 / ts.num_classifiers)
+    lam2 = np.full(n, 1.0 / n)
     assert margin(ts, lam2) == 0.0
 
 
@@ -129,7 +122,7 @@ def test_adaboost_step_rejects_bad_alpha():
 def test_log_exp_loss_at_zero_coefficients():
     ts = TrainingSet.from_margin_matrix(
         np.random.default_rng(9).uniform(-1.0, 1.0, size=(4, 3)))
-    loss, grad = log_exp_loss(ts, np.zeros(ts.num_classifiers))
+    loss, grad = log_exp_loss(ts, np.zeros(ts.to_minmax().n))
     assert loss == 0.0
     np.testing.assert_allclose(grad, -ts.margins.T @ np.full(4, 0.25), rtol=1e-15)
 
@@ -138,7 +131,7 @@ def test_log_exp_loss_gradient_matches_central_differences():
     rng = np.random.default_rng(21)
     ts = TrainingSet.from_margin_matrix(rng.uniform(-1.0, 1.0, size=(7, 3)))
     for _ in range(5):
-        lam = rng.uniform(0.0, 1.5, size=ts.num_classifiers)
+        lam = rng.uniform(0.0, 1.5, size=ts.to_minmax().n)
         _, grad = log_exp_loss(ts, lam)
         numeric = central_difference_gradient(lambda v: log_exp_loss(ts, v)[0], lam)
         np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
@@ -146,7 +139,7 @@ def test_log_exp_loss_gradient_matches_central_differences():
 
 def test_log_exp_loss_is_stable_for_huge_coefficients():
     ts = TrainingSet.from_margin_matrix(np.array([[1.0, -0.5], [-1.0, 0.5]]))
-    lam = np.zeros(ts.num_classifiers)
+    lam = np.zeros(ts.to_minmax().n)
     lam[0] = 800.0
     loss, grad = log_exp_loss(ts, lam)
     assert math.isfinite(loss) and np.all(np.isfinite(grad))
@@ -157,9 +150,9 @@ def test_log_exp_loss_sandwiched_by_worst_margin():
     # -min margin - log m <= loss <= -min margin, for simplex coefficients
     rng = np.random.default_rng(33)
     ts = TrainingSet.from_margin_matrix(rng.uniform(-1.0, 1.0, size=(10, 6)))
-    m = ts.num_examples
+    m = ts.to_minmax().m
     for _ in range(100):
-        lam = rng.dirichlet(np.ones(ts.num_classifiers))
+        lam = rng.dirichlet(np.ones(ts.to_minmax().n))
         loss, _ = log_exp_loss(ts, lam)
         worst = margin(ts, lam)
         assert -worst - math.log(m) - 1e-12 <= loss <= -worst + 1e-12
@@ -170,7 +163,7 @@ def test_run_adaboost_matches_engine_dual_average_exactly():
     # equal the engine's dual average bit for bit
     ts = datagen.make_margin_matrix(m=12, n=7, seed=4)
     prob = ts.to_minmax()
-    sched = StepSchedule.dynamic(ts.lipschitz, math.log(12.0))
+    sched = StepSchedule.dynamic(prob.lipschitz(), math.log(12.0))
     boost = BoostState.initial(ts)
     md_state = MirrorDescentState.initial(prob)
     for k in range(40):
@@ -188,11 +181,12 @@ def test_run_adaboost_equals_mirror_descent_run():
     # the engine view against the classical loop, bit for bit except the dual
     # value, which the two sum in different orders
     ts = datagen.make_nonseparable_classification(m=20, d=3, seed=2)
-    for sched in (StepSchedule.constant(ts.lipschitz, math.log(20.0), 60),
-                  StepSchedule.dynamic(ts.lipschitz, math.log(20.0)),
+    problem = ts.to_minmax()
+    for sched in (StepSchedule.constant(problem.lipschitz(), math.log(20.0), 60),
+                  StepSchedule.dynamic(problem.lipschitz(), math.log(20.0)),
                   StepSchedule.edge_linesearch()):
         rb, wb = run_with_iterates(classical_adaboost, ts, sched, 60)
-        rm, wm = run_with_iterates(md_core.run, ts.to_minmax(), sched, 60, algorithm="adaboost")
+        rm, wm = run_with_iterates(md_core.run, problem, sched, 60, algorithm="adaboost")
         assert len(rb.records) == len(rm.records) == len(wb) == len(wm)
         for b, m_, b_x, m_x in zip(rb.records, rm.records, wb, wm):
             assert b.index == m_.index and b.alpha == m_.alpha
@@ -209,7 +203,7 @@ def test_running_margins_do_not_drift_over_long_runs():
     # 10000 rounds on an instance of the benchmark's boost-long size
     ts = datagen.make_nonseparable_classification(m=40, d=4, seed=1)
     problem = ts.to_minmax()
-    res = md_core.run(problem, StepSchedule.dynamic(ts.lipschitz, math.log(40.0)), 10000,
+    res = md_core.run(problem, StepSchedule.dynamic(problem.lipschitz(), math.log(40.0)), 10000,
                       algorithm="adaboost")
     assert len(res.records) == 10000
     dual_sum = np.zeros(problem.n)
@@ -237,7 +231,8 @@ def test_run_adaboost_records_pre_step_values():
 
 def test_run_adaboost_weak_duality_every_round():
     ts = datagen.make_margin_matrix(m=15, n=9, seed=8)
-    res = md_core.run(ts.to_minmax(), StepSchedule.dynamic(ts.lipschitz, math.log(15.0)), 80,
+    problem = ts.to_minmax()
+    res = md_core.run(problem, StepSchedule.dynamic(problem.lipschitz(), math.log(15.0)), 80,
                       algorithm="adaboost")
     for rec in res.records:
         assert rec.dual <= rec.best_primal + 1e-12

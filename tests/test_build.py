@@ -45,33 +45,33 @@ def feature_matrices(draw) -> np.ndarray:
 @given(feature_matrices())
 @settings(max_examples=300, deadline=None)
 def test_build_stumps_equals_the_loop_build(features):
-    outputs, stumps = build_stumps(features)
-    want_outputs, want_stumps = classical_build_stumps(features)
-    assert outputs.shape == want_outputs.shape
-    assert outputs.tobytes() == want_outputs.tobytes()
+    outputs = build_stumps(features)
+    want, _ = classical_build_stumps(features)
+    assert outputs.shape == want.shape
+    assert outputs.tobytes() == want.tobytes()
     assert outputs.flags.c_contiguous
-    assert stumps == want_stumps
 
 
 @given(feature_matrices())
 @settings(max_examples=300, deadline=None)
 def test_stump_columns_come_in_negation_pairs(features):
-    outputs, stumps = build_stumps(features)
+    outputs = build_stumps(features)
     assert outputs.shape[1] % 2 == 0
     assert np.array_equal(outputs[:, 1::2], -outputs[:, 0::2])
-    assert [s.sign for s in stumps] == [1, -1] * (len(stumps) // 2)
 
 
 def _assert_thresholds_separate_adjacent_values(features):
+    """Each threshold of the loop build, whose outputs the build's equal byte
+    for byte, lies between the two values it separates."""
     features = np.asarray(features, dtype=float)
-    _, stumps = build_stumps(features)
-    for stump in stumps:
-        if stump.feature < 0:
+    _, stumps = classical_build_stumps(features)
+    for feature, threshold, sign in stumps:
+        if feature < 0:
             continue
-        values = np.unique(features[:, stump.feature])
-        below = int(np.searchsorted(values, stump.threshold, side="right"))
+        values = np.unique(features[:, feature])
+        below = int(np.searchsorted(values, threshold, side="right"))
         # a = values[below - 1] <= t < values[below] = b
-        assert 1 <= below < len(values), (stump, values)
+        assert 1 <= below < len(values), (feature, threshold, sign, values)
 
 
 @given(feature_matrices())
@@ -87,7 +87,8 @@ def test_every_threshold_lies_between_the_values_it_separates(features):
 ])
 def test_extreme_thresholds_lie_between_the_values_they_separate(features):
     _assert_thresholds_separate_adjacent_values(features)
-    outputs, _ = build_stumps(features)
+    outputs = build_stumps(features)
+    assert outputs.tobytes() == classical_build_stumps(features)[0].tobytes()
     # every split of m examples on one feature gives a distinct column
     assert outputs.shape[1] == 2 * len(features)
 
@@ -155,17 +156,16 @@ def test_a_matrix_level_set_is_the_matrix_and_its_negation(matrix):
     ts = TrainingSet.from_margin_matrix(matrix)
     assert matrix.tobytes() == given_bytes
     _assert_is_closed(ts.margins, matrix)
-    assert ts.num_classifiers == 2 * matrix.shape[1]  # duplicates and negations kept
+    assert ts.to_minmax().n == 2 * matrix.shape[1]  # duplicates and negations kept
 
 
 @given(margin_matrices(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_a_set_from_outputs_is_their_margins_and_its_negation(outputs, data):
+    # a zero label makes -0.0 in the product, which the set holds as 0.0
     labels = data.draw(arrays(float, outputs.shape[0], elements=margin_values))
-    given_bytes = outputs.tobytes()
-    ts = TrainingSet.from_outputs(outputs, labels)
-    assert outputs.tobytes() == given_bytes
-    _assert_is_closed(ts.margins, labels[:, None] * outputs)
+    margins = labels[:, None] * outputs
+    _assert_is_closed(TrainingSet.from_margin_matrix(margins).margins, margins)
 
 
 @pytest.mark.parametrize("matrix", [
@@ -178,16 +178,14 @@ def test_a_set_from_outputs_is_their_margins_and_its_negation(outputs, data):
 def test_matrix_level_sets_at_the_edges(matrix):
     matrix = np.array(matrix)
     _assert_is_closed(TrainingSet.from_margin_matrix(matrix).margins, matrix)
-    ones = np.ones(matrix.shape[0])
-    _assert_is_closed(TrainingSet.from_outputs(matrix, ones).margins, matrix)
-    _assert_is_closed(TrainingSet.from_outputs(matrix, -ones).margins, -matrix)
+    _assert_is_closed(TrainingSet.from_margin_matrix(-matrix).margins, -matrix)
 
 
 def test_a_zero_label_leaves_no_negative_zero_in_the_stump_margins():
     features = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 0.0], [3.0, 2.0]])
     for labels in ([1.0, 0.0, -1.0, 1.0], [-0.0, -1.0, 0.0, 1.0], [0.0] * 4):
         labels = np.array(labels)
-        outputs, _ = build_stumps(features)
+        outputs = build_stumps(features)
         margins = training_set_from_features(features, labels).margins
         assert margins.tobytes() == (labels[:, None] * outputs + 0.0).tobytes()
         assert not _has_negative_zero(margins)
@@ -218,11 +216,13 @@ def test_the_game_is_its_documented_draw_and_its_negation(seed, sizes):
      r"margin entries must lie in \[-1, 1\]"),
     (lambda: TrainingSet(margins=np.zeros(3)), "margins must be a nonempty 2-D"),
     (lambda: TrainingSet(margins=[[2.0]]), r"margin entries must lie in \[-1, 1\]"),
-    (lambda: TrainingSet.from_outputs([0.5], [1.0]), "outputs must be a 2-D matrix"),
-    (lambda: TrainingSet.from_outputs(np.zeros((0, 2)), []), "margins must be a nonempty 2-D"),
-    (lambda: TrainingSet.from_outputs([[np.nan]], [1.0]), "outputs and labels must be finite"),
-    (lambda: TrainingSet.from_outputs([[2.0]], [1.0]), r"outputs and labels must lie in \[-1"),
-    (lambda: TrainingSet.from_outputs([[1.0]], [1.0, 1.0]), "labels must have one entry per"),
+    (lambda: TrainingSet(margins=np.zeros((0, 4))), "margins must be a nonempty 2-D"),
+    # the labels of a stump set
+    (lambda: training_set_from_features([[0.0], [1.0]], [1.0, np.nan]),
+     "outputs and labels must be finite"),
+    (lambda: training_set_from_features([[0.0], [1.0]], [2.0, 1.0]),
+     r"outputs and labels must lie in \[-1"),
+    (lambda: training_set_from_features([[1.0]], [1.0, 1.0]), "labels must have one entry per"),
 ])
 def test_bad_matrix_level_inputs_are_refused(build, message):
     with pytest.raises(ValueError, match=message):
@@ -243,11 +243,6 @@ def test_training_set_never_writes_into_a_given_array():
 
     closed = _read_only([[0.5, -0.5], [-1.0, 1.0]])
     assert TrainingSet(margins=closed).margins is closed  # kept, not copied
-
-    outputs, labels = _read_only([[1.0, -1.0], [0.5, 0.0]]), _read_only([1.0, -1.0])
-    ts = TrainingSet.from_outputs(outputs, labels)
-    assert not np.shares_memory(ts.margins, outputs)
-    assert outputs.tobytes() == _read_only([[1.0, -1.0], [0.5, 0.0]]).tobytes()
 
     features = _read_only([[0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
     ts = training_set_from_features(features, _read_only([1.0, -1.0, 1.0]))
@@ -271,11 +266,11 @@ def test_stump_build_keeps_about_one_matrix():
     """Beside the matrix M (8 bytes per entry, n = 2d(m - 1) + 2 columns) the
     build keeps only: the kept columns' patterns, packed, M/64; the last
     feature's boolean patterns and one feature's patterns unpacked for the
-    fill, 4m^2 bytes, M/(4d) here; and one descriptor and one packed key per
-    column, a few hundred bytes each. The training set keeps the matrix as
-    built. At m = 600, d = 3 (M = 17 MB) that sums to about 1.2 M, while one
-    more float temporary as large as the matrix (the loop build made three)
-    would pass 2 M."""
+    fill, 4m^2 bytes, M/(4d) here; and one packed key per column, about a
+    hundred bytes each. The training set keeps the matrix as built. At
+    m = 600, d = 3 (M = 17 MB) that sums to about 1.2 M, while one more float
+    temporary as large as the matrix (the loop build made three) would pass
+    2 M."""
     peak, matrix = _build_peak("nonseparable", m=600, d=3)
     assert peak <= 2.0 * matrix
 
@@ -288,20 +283,3 @@ def test_game_build_keeps_only_the_closed_matrix():
     a draw made whole and then closed keeps, would pass 1.5 M."""
     peak, matrix = _build_peak("game", m=1000, n=1000)
     assert peak <= 1.1 * matrix
-
-
-def test_a_set_from_outputs_holds_nothing_beside_its_inputs_but_the_closed_matrix():
-    """The product labels * outputs is written into the closed matrix's left
-    half, so no temporary of its size is made beside it."""
-    rng = np.random.default_rng(1)
-    outputs = rng.uniform(-1.0, 1.0, size=(1000, 1000))
-    labels = np.where(rng.random(1000) < 0.5, -1.0, 1.0)
-    TrainingSet.from_outputs(outputs[:4, :3], labels[:4])  # warm up
-    tracemalloc.start()
-    try:
-        ts = TrainingSet.from_outputs(outputs, labels)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * ts.margins.nbytes
-    _assert_is_closed(ts.margins, labels[:, None] * outputs)

@@ -855,6 +855,55 @@ def test_check_refuses_a_header_that_run_would_not_write(tmp_path, capsys, sched
     assert list(trace.parent.iterdir()) == [trace]
 
 
+# each header config forgery that `check` once certified: a run's arguments,
+# the config fields changed, and the refusal it now gets
+@pytest.mark.parametrize("args, forge, message", [
+    (["adaboost", "--data", "synthetic:nonseparable:seed=1:m=30:d=3", "--schedule", "dynamic"],
+     {"center": True, "epsilon": 5.0}, "--epsilon is only for fs with the constant schedule"),
+    (["adaboost", "--data", "synthetic:nonseparable:seed=1:m=30:d=3", "--schedule", "dynamic"],
+     {"task": "fs", "iterations": 7},
+     "task 'fs' supports schedules ('constant', 'optimal', 'linesearch'), got 'dynamic'"),
+    (["adaboost", "--data", "synthetic:nonseparable:seed=1:m=30:d=3", "--schedule", "dynamic"],
+     {"task": "minmax-game"}, "the config's algorithm is 'mirror-descent', but the header's is "
+                              "'adaboost'"),
+    (["adaboost", "--data", "synthetic:nonseparable:seed=1:m=30:d=3", "--schedule", "dynamic"],
+     {"schedule": "constant"}, "the config's schedule is 'constant', but the header's is "
+                               "'dynamic'"),
+    (["adaboost", "--data", "synthetic:nonseparable:seed=1:m=30:d=3", "--schedule", "dynamic"],
+     {"iterations": 7}, "the config's iterations is 7, but the header's is 60"),
+    (["minmax-game", "--data", "synthetic:game:seed=1:m=20:n=10", "--schedule", "polyak",
+      "--f-star", "0.0"], {"f_star": 0.5}, "the config's f_star is 0.5, but the header's is 0.0"),
+    (["fs", "--data", "synthetic:regression:seed=1:n=30:p=20", "--schedule", "constant",
+      "--epsilon", "0.01"], {"epsilon": 0.02},
+     "the config's epsilon is 0.02, but the header's is 0.01"),
+    (["adaboost", "--data", "synthetic:nonseparable:seed=1:m=30:d=3", "--schedule", "dynamic"],
+     {"mystery": 1}, "unknown config keys: ['mystery']"),
+])
+@pytest.mark.parametrize("blank_lines", [0, 2])
+def test_check_refuses_a_header_config_that_names_another_run(tmp_path, capsys, args, forge,
+                                                              message, blank_lines):
+    out = tmp_path / "run"
+    assert main(["run", *args, "--iters", "60", "--out", str(out), "--prefix", "t"]) in (
+        EXIT_OK, EXIT_CERTIFICATE)
+    header, *records = (out / "t.trace.jsonl").read_text().splitlines()
+    config = json.loads(header)["config"]
+    forged = _relabelled(header, config={**config, **forge})
+    trace = _alone_in_a_directory(tmp_path, [""] * blank_lines + [forged] + records)
+    capsys.readouterr()
+    assert main(["check", str(trace)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {trace}: line {blank_lines + 1}: header config: {message}\n")
+    assert list(trace.parent.iterdir()) == [trace]
+
+
+def test_check_accepts_a_header_without_a_config(tmp_path):
+    header, *records = _game_30_lines(tmp_path, "dynamic")
+    unconfigured = json.loads(header)
+    del unconfigured["config"]
+    trace = _alone_in_a_directory(tmp_path, [json.dumps(unconfigured)] + records)
+    assert main(["check", str(trace)]) == EXIT_OK
+
+
 # each step forgery that `check` once certified: a run's arguments, the
 # change to every record, and the start of the failed record's note
 @pytest.mark.parametrize("args, forge, note", [
@@ -929,7 +978,8 @@ def test_a_design_whose_column_norms_all_underflow_is_a_usage_error(tmp_path, ca
     data = tmp_path / "tiny.csv"
     write_regression_csv(data, np.array([[1e-200, 0.0], [3e-200, 2e-200], [1e-200, 0.0]]),
                          np.array([1.0, 2.0, -1.0]))
-    assert datagen.load_regression_csv(data).design_norm == 0.0  # nonzero, but underflows
+    # nonzero, but the norms underflow
+    assert datagen.load_regression_csv(data).to_minmax().lipschitz() == 0.0
     out = tmp_path / "never"
     capsys.readouterr()
     assert main(["run", "fs", "--data", str(data), "--schedule", *schedule, "--iters", "3",
@@ -948,7 +998,8 @@ def test_a_column_norm_past_the_float_range_is_refused_by_the_header_alone(tmp_p
     out = tmp_path / "never"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert RegressionProblem(design=design, response=response).design_norm == math.inf
+        rp = RegressionProblem(design=design, response=response)
+        assert rp.to_minmax().lipschitz() == math.inf
         assert MinmaxProblem(design, primal_domain="residual-space",
                              dual_domain="l1-ball").lipschitz() == math.inf
         capsys.readouterr()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mirrorboost.datagen import (
-    Stump,
     build_stumps,
     center_scale,
     generate_synthetic,
@@ -19,41 +18,41 @@ from mirrorboost.datagen import (
     write_regression_csv,
 )
 from mirrorboost.stagewise import RegressionProblem, least_squares_norm
+from oracles import classical_build_stumps
 
 
 def test_stump_outputs():
-    features = np.array([[0.0], [1.0], [2.0]])
-    np.testing.assert_array_equal(
-        Stump(feature=0, threshold=0.5, sign=1).outputs(features), [-1.0, 1.0, 1.0])
-    np.testing.assert_array_equal(
-        Stump(feature=0, threshold=0.5, sign=-1).outputs(features), [1.0, -1.0, -1.0])
-    np.testing.assert_array_equal(
-        Stump(feature=-1, threshold=0.0, sign=1).outputs(features), [1.0, 1.0, 1.0])
+    # thresholds 0.5 and 1.5, each with sign +1 then -1, then the constants
+    np.testing.assert_array_equal(build_stumps(np.array([[0.0], [1.0], [2.0]])), [
+        [-1.0, 1.0, -1.0, 1.0, 1.0, -1.0],
+        [1.0, -1.0, -1.0, 1.0, 1.0, -1.0],
+        [1.0, -1.0, 1.0, -1.0, 1.0, -1.0],
+    ])
 
 
 def test_build_stumps_enumerates_midpoints_and_constants():
     features = np.array([[0.0], [1.0], [2.0]])
-    outputs, stumps = build_stumps(features)
+    outputs = build_stumps(features)
     # 2 midpoints x 2 orientations + 2 constants, all distinct
     assert outputs.shape == (3, 6)
-    assert len(stumps) == 6
     assert len({outputs[:, j].tobytes() for j in range(6)}) == 6
-    thresholds = sorted(s.threshold for s in stumps if s.feature == 0)
+    want, stumps = classical_build_stumps(features)
+    assert outputs.tobytes() == want.tobytes()
+    thresholds = sorted(threshold for feature, threshold, _ in stumps if feature == 0)
     assert thresholds == [0.5, 0.5, 1.5, 1.5]
 
 
 def test_build_stumps_deduplicates_identical_columns():
-    outputs, stumps = build_stumps(np.array([[0.0], [0.0], [1.0]]))
+    outputs = build_stumps(np.array([[0.0], [0.0], [1.0]]))
     # one midpoint between the two unique values, plus the constants
     assert outputs.shape == (3, 4)
-    assert len(stumps) == 4
 
 
 def test_stump_outputs_already_closed_under_negation():
     features = np.array([[0.0], [1.0], [2.0]])
     labels = np.array([1.0, -1.0, 1.0])
     ts = training_set_from_features(features, labels)
-    assert ts.num_classifiers == 6  # closure adds nothing
+    assert ts.to_minmax().n == 6  # closure adds nothing
 
 
 def test_two_point_instance_has_a_perfect_stump():
@@ -83,7 +82,7 @@ def test_nonseparable_instance_carries_a_contradiction():
 def test_margin_matrix_planted_margin():
     ts = make_margin_matrix(m=12, n=6, seed=2, planted_margin=0.3)
     assert float(ts.margins[:, 0].min()) >= 0.3
-    assert ts.lipschitz <= 1.0
+    assert ts.to_minmax().lipschitz() <= 1.0
     with pytest.raises(ValueError):
         make_margin_matrix(m=4, n=2, seed=0, planted_margin=1.5)
 
@@ -101,13 +100,14 @@ def test_generators_are_deterministic_per_seed():
     assert ra.response.tobytes() == rb.response.tobytes()
 
 
-def test_generate_synthetic_aliases_and_sizes():
-    ts = generate_synthetic("separable-classification", 3, m=10, d=2)
-    assert ts.num_examples == 10
+def test_generate_synthetic_kinds_and_sizes():
+    ts = generate_synthetic("separable", 3, m=10, d=2)
+    assert ts.to_minmax().m == 10
     rp = generate_synthetic("regression", 3, n=15, p=4)
     assert rp.design.shape == (15, 4)
-    with pytest.raises(ValueError):
-        generate_synthetic("mystery", 0)
+    for kind in ("mystery", "separable-classification"):
+        with pytest.raises(ValueError, match=f"unknown synthetic kind: {kind!r}"):
+            generate_synthetic(kind, 0)
 
 
 def test_wide_regression_response_lies_in_the_column_space():
@@ -138,7 +138,7 @@ def test_csv_header_row_is_skipped(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("f0,f1,label\n0.5,1.0,1\n-0.5,2.0,-1\n")
     ts = load_classification_csv(path)
-    assert ts.num_examples == 2
+    assert ts.to_minmax().m == 2
 
 
 def test_csv_error_reporting(tmp_path):

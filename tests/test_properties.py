@@ -85,24 +85,26 @@ def matrices(draw, *, zero_columns: bool) -> np.ndarray:
 @st.composite
 def boost_cases(draw):
     ts = TrainingSet.from_margin_matrix(draw(matrices(zero_columns=True)))
-    kinds = ["fixed", "linesearch"] + (["constant", "dynamic"] if ts.lipschitz > 0.0 else [])
+    problem = ts.to_minmax()
+    lipschitz = problem.lipschitz()
+    kinds = ["fixed", "linesearch"] + (["constant", "dynamic"] if lipschitz > 0.0 else [])
     kind = draw(st.sampled_from(kinds))
-    diameter = math.log(ts.num_examples) if ts.num_examples > 1 else 1.0
+    diameter = math.log(problem.m) if problem.m > 1 else 1.0
     if kind in ("constant", "dynamic"):
         if kind == "constant":
             make = functools.partial(StepSchedule.constant, num_steps=ITERATIONS)
-            first, planned = math.sqrt(2.0 * diameter / ITERATIONS) / ts.lipschitz, ITERATIONS
+            first, planned = math.sqrt(2.0 * diameter / ITERATIONS) / lipschitz, ITERATIONS
         else:
             make = StepSchedule.dynamic
-            first, planned = math.sqrt(2.0 * diameter) / ts.lipschitz, 1
+            first, planned = math.sqrt(2.0 * diameter) / lipschitz, 1
         # the schedules keep twice the squared steps summed over the planned
         # steps (the first step alone for dynamic) finite
         if math.isfinite(2.0 * planned * first * first):
-            return ts, make(ts.lipschitz, diameter)
+            return ts, make(lipschitz, diameter)
         # a near-subnormal Lipschitz constant: the schedule must refuse the
         # steps, and the instance runs with fixed steps
         with pytest.raises(ValueError, match="no finite square"):
-            make(ts.lipschitz, diameter)
+            make(lipschitz, diameter)
         kind = "fixed"
     if kind == "fixed":
         return ts, StepSchedule.fixed(draw(steps))
@@ -216,10 +218,11 @@ def test_check_rebuilds_an_adaboost_report_from_its_trace(case):
     # the same certificates as a line search's: those of every step sequence,
     # and a failed trace-integrity record where a step is not the line search's
     kind = schedule.kind if schedule.kind in ("constant", "dynamic") else "linesearch"
-    header = certificate_header("adaboost", kind, m=ts.num_examples, n=ts.num_classifiers,
-                                lipschitz=ts.lipschitz, iterations=ITERATIONS)
+    problem = ts.to_minmax()
+    header = certificate_header("adaboost", kind, m=problem.m, n=problem.n,
+                                lipschitz=problem.lipschitz(), iterations=ITERATIONS)
     _assert_check_rebuilds_the_report(
-        md_core.run(ts.to_minmax(), schedule, ITERATIONS, algorithm="adaboost"), header)
+        md_core.run(problem, schedule, ITERATIONS, algorithm="adaboost"), header)
 
 
 @settings(max_examples=100, deadline=None)
@@ -233,12 +236,13 @@ def test_check_rebuilds_a_stagewise_report_from_its_trace(case):
     rp, schedule = case
     dist0 = least_squares_norm(rp)
     fixed = schedule.kind == "fixed"
+    problem = rp.to_minmax()
     header = certificate_header("stagewise", "constant" if fixed else "linesearch",
-                                m=rp.num_samples, n=rp.num_columns, lipschitz=rp.design_norm,
+                                m=problem.m, n=problem.n, lipschitz=problem.lipschitz(),
                                 iterations=ITERATIONS, f_star=0.0, dist0=dist0,
                                 eps=schedule.alpha if fixed else None)
     _assert_check_rebuilds_the_report(
-        md_core.run(rp.to_minmax(), schedule, ITERATIONS, x0=rp.response.copy(),
+        md_core.run(problem, schedule, ITERATIONS, x0=rp.response.copy(),
                     algorithm="stagewise"), header)
 
 
@@ -460,7 +464,7 @@ def test_each_lipschitz_constant_is_its_domains_formula_bit_for_bit(matrix):
     residual = MinmaxProblem(matrix, primal_domain="residual-space", dual_domain="l1-ball")
     assert simplex.lipschitz().hex() == largest_entry.hex()
     assert residual.lipschitz().hex() == largest_column.hex()
-    assert TrainingSet(margins=matrix).lipschitz.hex() == largest_entry.hex()
+    assert TrainingSet(margins=matrix).to_minmax().lipschitz().hex() == largest_entry.hex()
     if np.all(np.any(matrix != 0.0, axis=0)):  # a design has no zero column
         rp = RegressionProblem(design=matrix, response=np.zeros(matrix.shape[0]))
-        assert rp.design_norm.hex() == largest_column.hex()
+        assert rp.to_minmax().lipschitz().hex() == largest_column.hex()

@@ -55,13 +55,12 @@ def test_a_column_is_zero_exactly_when_every_entry_is():
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rp = RegressionProblem(design=design, response=np.ones(3))
-        assert rp.design_norm == np.linalg.norm(design, axis=0).max()
+        assert rp.to_minmax().lipschitz() == np.linalg.norm(design, axis=0).max()
 
 
 def test_problem_norms_and_minmax_view():
     rp = RegressionProblem(design=np.array([[3.0, 0.0], [4.0, 1.0]]),
                            response=np.array([1.0, 1.0]))
-    assert rp.design_norm == 5.0
     prob = rp.to_minmax()
     assert rp.to_minmax() is prob
     assert prob.payoff is rp.design
@@ -154,12 +153,9 @@ def test_least_squares_norm_rank_deficient_design():
 def test_optimal_shrinkage_formula():
     rp = RegressionProblem(design=np.array([[3.0, 0.0], [4.0, 1.0]]),
                            response=np.array([6.0, 8.0]))
-    # explicit projection norm
     assert optimal_shrinkage(rp, 25, projection_norm=10.0) == 10.0 / (5.0 * 5.0)
-    # default falls back to the response norm
-    assert optimal_shrinkage(rp, 25) == 10.0 / (5.0 * 5.0)
     with pytest.raises(ValueError):
-        optimal_shrinkage(rp, 0)
+        optimal_shrinkage(rp, 0, projection_norm=10.0)
 
 
 def test_run_fs_records_pre_step_sparsity():
@@ -180,7 +176,7 @@ def test_run_fs_residual_consistent_with_replayed_coefficients():
     res, residuals = run_with_iterates(md_core.run, rp.to_minmax(), StepSchedule.fixed(0.02), 120,
                                        x0=rp.response.copy(), algorithm="stagewise")
     assert len(residuals) == len(res.records) == 120
-    beta = np.zeros(rp.num_columns)
+    beta = np.zeros(rp.to_minmax().n)
     for rec, residual in zip(res.records, residuals):
         np.testing.assert_allclose(residual, rp.response - rp.design @ beta, atol=1e-9)
         assert rec.l1 == pytest.approx(float(np.sum(np.abs(beta))), abs=1e-12)
